@@ -2,10 +2,10 @@
 
 from .version import __version__
 
-from .coupling import (CouplingDerivativeSet, DerivativeScan, ModeCoupling,
-                       coupling_norm_distribution, dipolar_derivative,
-                       dipolar_pair_records, fit_derivative_scan,
-                       mode_tensor_derivatives, project_to_mode)
+from .coupling import (CouplingDerivativeSet, CouplingStack, DerivativeScan,
+                       ModeTensors, coupling_norm_distribution,
+                       dipolar_derivative, dipolar_pair_records,
+                       fit_derivative_scan, mode_tensor_derivatives)
 from .crystal import Atom, CrystalModel
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)

@@ -11,19 +11,16 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
 from .coupling import coupling_norm_distribution
 from .lattice import phonon_dos, phonon_modes
-from .project import (load_project, serialize_crystal,
-                      serialize_derivatives, serialize_force_constants,
-                      serialize_spin_system, write_bands_csv,
-                      write_coupling_csv, write_dos_csv, write_results)
+from .project import (load_project, write_bands_csv, write_coupling_csv,
+                      write_dos_csv, write_results)
 from .sweep import (RelaxationPipeline, SweepResult, SweepRow,
-                    converge_protocol, perturbation_study, run_sweep)
-from .toy import ToySpec, generate_toy_crystal
+                    converge_protocol, kpoint_grid, perturbation_study,
+                    run_sweep)
+from .toy import toy_preset, write_toy_project
 from .version import __version__
 
 EXIT_OK = 0
@@ -164,8 +161,7 @@ def _cmd_phonons(args):
 
 def _cmd_dos(args):
     pipeline, params, config, out_dir = _load_pipeline(args)
-    qpts, _, _ = pipeline.phonons(params.qgrid)
-    dos = phonon_dos(pipeline.fc, qpts, params.sigma)
+    dos = phonon_dos(pipeline.fc, kpoint_grid(*params.qgrid), params.sigma)
     os.makedirs(out_dir, exist_ok=True)
     path = write_dos_csv(dos, os.path.join(out_dir, "dos.csv"),
                          config_hash=config.config_hash)
@@ -177,13 +173,12 @@ def _cmd_dos(args):
 
 def _cmd_couple(args):
     pipeline, params, config, out_dir = _load_pipeline(args)
-    precursors, diag = pipeline.mode_precursors(params.qgrid, params.omega_min)
-    dist = coupling_norm_distribution(
-        ((w, tensors) for _, _, w, tensors in precursors), diag["n_q"])
+    modes, diag = pipeline.mode_precursors(params.qgrid, params.omega_min)
+    dist = coupling_norm_distribution(modes, diag["n_q"])
     os.makedirs(out_dir, exist_ok=True)
     path = write_coupling_csv(dist, os.path.join(out_dir, "couplings.csv"),
                               config_hash=config.config_hash)
-    print(f"projected {len(precursors)} modes over {diag['n_q']} q-points "
+    print(f"projected {len(modes)} modes over {diag['n_q']} q-points "
           f"({diag['skipped_modes']} below omega_min, "
           f"{diag['imaginary_modes']} imaginary)")
     print(f"wrote {path}")
@@ -263,61 +258,6 @@ def _cmd_perturb(args):
         for fmt, path in written.items():
             print(f"wrote {path}")
     return EXIT_OK
-
-
-def toy_preset(name, seed=0):
-    """Named synthetic-crystal presets for fixture generation."""
-    if name == "soft":
-        # soft acoustic band (< ~4 cm^-1) with the spin gap placed near
-        # the band top: converges fast on coarse q-grids
-        return ToySpec(lattice=(6.0, 6.0, 6.0), molecules_per_cell=1,
-                       atoms_per_molecule=2, mass=150.0, k_intra=1.0,
-                       k_inter=0.0008, g_deriv_mag=1e-3,
-                       dipolar_couplings=False, field_B=(0.0, 0.0, 5.0),
-                       seed=seed)
-    if name == "vanadyl":
-        # molecular-qubit-like parameters: anisotropic g just below 2,
-        # I=7/2 nucleus with an axial hyperfine tensor, d = 16
-        return ToySpec(lattice=(7.060, 7.935, 11.091), molecules_per_cell=1,
-                       atoms_per_molecule=4, mass=120.0, k_intra=1.0,
-                       k_inter=0.003, g_baseline=(1.9830, 1.9814, 1.9274),
-                       a_baseline=(0.00354, 0.00396, 0.01396),
-                       nuclear_spin=3.5, g_deriv_mag=1e-3, a_deriv_mag=1e-4,
-                       field_B=(0.0, 0.0, 5.0), seed=seed)
-    raise ConfigError(f"unknown toy preset {name!r}")
-
-
-def write_toy_project(out_dir, spec, qgrid=(8, 8, 8), sigma=1.0,
-                      temperature=50.0, sweeps=()):
-    """Generate a toy crystal and serialize it as a loadable project."""
-    crystal, fc, derivs, system = generate_toy_crystal(spec)
-    os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "crystal.json"), "w") as fh:
-        json.dump(serialize_crystal(crystal), fh, indent=1)
-        fh.write("\n")
-    with open(os.path.join(out_dir, "force_constants.dat"), "w") as fh:
-        fh.write(serialize_force_constants(fc))
-    with open(os.path.join(out_dir, "derivatives.dat"), "w") as fh:
-        fh.write(serialize_derivatives(derivs))
-    config = {
-        "crystal": "crystal.json",
-        "force_constants": "force_constants.dat",
-        "derivatives": ["derivatives.dat"],
-        "spin_system": serialize_spin_system(system),
-        "field_T": list(np.asarray(spec.field_B, float)),
-        "temperature_K": temperature,
-        "qgrid": list(qgrid),
-        "sigma_cm1": sigma,
-        "secular": False,
-        "sweeps": list(sweeps),
-        "output_dir": ".",
-        "seed": spec.seed,
-    }
-    config_path = os.path.join(out_dir, "config.json")
-    with open(config_path, "w") as fh:
-        json.dump(config, fh, indent=1)
-        fh.write("\n")
-    return config_path
 
 
 def _cmd_toygen(args):

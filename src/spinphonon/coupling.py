@@ -1,7 +1,7 @@
 """Spin-phonon coupling: derivative fitting, analytic dipolar derivatives,
 normal-mode projection and coupling-norm distributions."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,110 +204,113 @@ def dipolar_pair_records(center_i, center_j, atom_i, atom_j,
     return CouplingDerivativeSet(targets, atoms, ss, lvecs, tensors, prov)
 
 
-def mode_tensor_derivatives(derivs, mode, crystal, n_q):
-    """Project Cartesian derivative records on one normal mode.
+@dataclass(frozen=True)
+class ModeTensors:
+    """Target-tensor derivatives for a stack of M normal modes.
 
-    Returns {target: complex 3x3} with the amplitude factor
-    sqrt(hbar / (N_q omega m_i)) folded in, so each entry is the
-    derivative of that tensor with respect to the mode coordinate.
+    ``omega`` (M,) in cm^-1; ``tensors`` complex (M, n_targets, 3, 3),
+    the derivative of tensor ``targets[t]`` with respect to each mode
+    coordinate.
     """
-    if mode.imaginary or mode.omega <= 0:
+
+    omega: np.ndarray
+    targets: tuple
+    tensors: np.ndarray
+
+    def __len__(self):
+        return self.omega.shape[0]
+
+
+def mode_tensor_derivatives(derivs, q, omega, eigvecs, crystal, n_q):
+    """Project Cartesian derivative records on a stack of normal modes.
+
+    ``q`` (M, 3) fractional wavevectors, ``omega`` (M,) frequencies and
+    ``eigvecs`` (M, 3N) polarization vectors, one row per mode. The
+    amplitude factor sqrt(hbar / (N_q omega m_i)) and the Bloch phase
+    e^{2 pi i q.l} of each record are folded in, and the records of
+    each target are summed over all modes at once. Returns a
+    ModeTensors.
+    """
+    q = np.asarray(q, dtype=float).reshape(-1, 3)
+    omega = np.asarray(omega, dtype=float).reshape(-1)
+    eigvecs = np.asarray(eigvecs).reshape(omega.size, -1)
+    if np.any(omega <= 0):
         raise ValidationError("cannot project on an imaginary/zero mode")
     masses = crystal.masses
-    amp = ZERO_POINT_LENGTH_A / np.sqrt(n_q * mode.omega * masses[derivs.atom])
-    phase = np.exp(2j * np.pi * (derivs.lvecs @ np.asarray(mode.q, float)))
-    L = mode.eigvec[3 * derivs.atom + derivs.s]
-    coeff = amp * phase * L
-    out = {}
+    amp = ZERO_POINT_LENGTH_A / np.sqrt(n_q * omega[:, None]
+                                        * masses[derivs.atom][None, :])
+    phase = np.exp(2j * np.pi * (q @ derivs.lvecs.T))
+    coeff = amp * phase * eigvecs[:, 3 * derivs.atom + derivs.s]
+    targets = tuple(dict.fromkeys(derivs.targets))
+    tensors = np.zeros((omega.size, len(targets), 3, 3), dtype=complex)
+    # summed in record order: records that cancel give exact zeros
     for k, tgt in enumerate(derivs.targets):
-        if tgt not in out:
-            out[tgt] = np.zeros((3, 3), dtype=complex)
-        out[tgt] += coeff[k] * derivs.tensors[k]
-    return out
+        tensors[:, targets.index(tgt)] += (coeff[:, k, None, None]
+                                           * derivs.tensors[k])
+    return ModeTensors(omega=omega, targets=targets, tensors=tensors)
 
 
 @dataclass(frozen=True)
-class ModeCoupling:
-    """Hermitian spin-space coupling operator for one mode and channel.
+class CouplingStack:
+    """Hermitian spin-phonon coupling operators, one row per retained
+    (mode, target, standing-wave part).
 
-    Complex e^{iq.R} phases are handled by splitting each mode's tensor
-    derivative into real and imaginary standing-wave parts; summed over
-    an inversion-symmetric q-grid this reproduces the +-q paired rates
-    independently of eigenvector phase conventions.
+    ``omega`` (M,) mode frequencies in cm^-1, ``channel`` (M,) channel
+    names, ``V`` (M, d, d) matrix elements in the eigenbasis of the
+    spin Hamiltonian (cm^-1). Complex e^{iq.R} phases are handled by
+    splitting each mode's operator into Hermitian and anti-Hermitian
+    standing-wave parts; summed over an inversion-symmetric q-grid this
+    reproduces the +-q paired rates independently of eigenvector phase
+    conventions.
     """
 
-    omega: float
-    q: np.ndarray
-    branch: int
-    channel: str
-    operator: np.ndarray  # product basis, cm^-1
-    V: np.ndarray  # eigenbasis matrix elements
+    omega: np.ndarray
+    channel: np.ndarray
+    V: np.ndarray
+
+    def __post_init__(self):
+        for name, dtype in (("omega", float), ("channel", str),
+                            ("V", complex)):
+            object.__setattr__(self, name,
+                               np.asarray(getattr(self, name), dtype=dtype))
+
+    def __len__(self):
+        return self.omega.shape[0]
 
 
-def _tensor_to_operator(system, ops, target, tensor):
+def operator_terms(system, ops, target, T):
+    """Spin operator of a target tensor as sum_k c[m, k] B[k].
+
+    ``T`` is a (M, 3, 3) stack of tensors of ``target``. Returns the
+    coefficients c (M, n) and Hermitian product-basis operators
+    B (n, d, d): B_v = magneton * S_v with c_v = (field . T)_v for a g
+    tensor, and B_uv = S_i,u S_j,v with c_uv = T_uv for a pair tensor.
+    """
     kind, key = target
     if kind == "g":
         c = system.center(key)
-        S = ops.embedded[key]
-        gB = system.field_B @ tensor  # B . dg
-        return c.magneton_cm1_per_T * np.einsum("v,vab->ab", gB, S)
+        coeff = np.einsum("u,muv->mv", system.field_B, T)
+        return coeff, c.magneton_cm1_per_T * ops.embedded[key]
     i, j = key
-    Si = ops.embedded[i]
-    Sj = ops.embedded[j]
-    return np.einsum("uv,uab,vbc->ac", np.asarray(tensor, complex), Si, Sj)
+    basis = np.einsum("uab,vbc->uvac", ops.embedded[i], ops.embedded[j])
+    return T.reshape(-1, 9), basis.reshape(9, *basis.shape[2:])
 
 
-def project_to_mode(derivs, mode, crystal, n_q, system, ops, ham,
-                    channels=None, omega_min=DEFAULT_OMEGA_MIN):
-    """Build Hermitian ModeCoupling operators for one phonon mode.
-
-    Same-channel tensor derivatives are summed coherently; channels stay
-    separate (same-index cross terms only enter the rate assembly).
-    """
-    if mode.omega < omega_min:
-        raise ValidationError(
-            f"mode omega {mode.omega:.4g} below omega_min {omega_min:.4g}")
-    tensors = mode_tensor_derivatives(derivs, mode, crystal, n_q)
-    per_channel = {}
-    for tgt, T in tensors.items():
-        ch = CHANNEL_OF_KIND[tgt[0]]
-        if channels is not None and ch not in channels:
-            continue
-        op = _tensor_to_operator(system, ops, tgt, T)
-        per_channel[ch] = per_channel.get(ch, 0.0) + op
-    out = []
-    for ch, op in per_channel.items():
-        herm = 0.5 * (op + op.conj().T)
-        anti = 0.5 * (op - op.conj().T) / 1j
-        for part in (herm, anti):
-            if np.max(np.abs(part)) == 0.0:
-                continue
-            V = ham.to_eigenbasis(part)
-            out.append(ModeCoupling(omega=mode.omega, q=np.asarray(mode.q, float),
-                                    branch=mode.branch, channel=ch,
-                                    operator=part, V=V))
-    return out
-
-
-def coupling_norm_distribution(precursors, n_q, bin_width=2.0):
+def coupling_norm_distribution(modes, n_q, bin_width=2.0):
     """q-averaged squared Frobenius norms of tensor derivatives vs omega.
 
-    ``precursors`` iterates (omega, {target: complex 3x3}) pairs, e.g.
-    from mode_tensor_derivatives over a grid. Returns
-    {channel: (bin_centers, V2)} with V2 = (1/N_q) sum |dT/dQ|_F^2
-    accumulated per frequency bin.
+    ``modes`` is a ModeTensors, e.g. from mode_tensor_derivatives over a
+    grid. Returns {channel: (bin_centers, V2)} with
+    V2 = (1/N_q) sum |dT/dQ|_F^2 accumulated per frequency bin.
     """
-    omega_max = 0.0
-    items = []
-    for omega, tensors in precursors:
-        omega_max = max(omega_max, omega)
-        items.append((omega, tensors))
-    nbins = max(1, int(np.ceil(omega_max / bin_width)) + 1)
-    acc = {ch: np.zeros(nbins) for ch in CHANNELS}
-    for omega, tensors in items:
-        b = min(int(omega / bin_width), nbins - 1)
-        for tgt, T in tensors.items():
-            ch = CHANNEL_OF_KIND[tgt[0]]
-            acc[ch][b] += float(np.sum(np.abs(T) ** 2))
+    nbins = int(np.ceil(np.max(modes.omega, initial=0.0) / bin_width)) + 1
+    bins = np.minimum((modes.omega / bin_width).astype(int), nbins - 1)
+    norms = np.sum(np.abs(modes.tensors) ** 2, axis=(2, 3))
+    kinds = np.array([CHANNEL_OF_KIND[t[0]] for t in modes.targets], dtype=str)
     centers = (np.arange(nbins) + 0.5) * bin_width
-    return {ch: (centers, acc[ch] / max(n_q, 1)) for ch in CHANNELS}
+    out = {}
+    for ch in CHANNELS:
+        weight = norms[:, kinds == ch].sum(axis=1)
+        acc = np.bincount(bins, weights=weight, minlength=nbins)
+        out[ch] = (centers, acc / max(n_q, 1))
+    return out

@@ -15,11 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import ModeCoupling
+from .coupling import CouplingStack
 from .hamiltonian import diagonalize
 from .lattice import phonon_modes
 from .project import load_project
-from .redfield import (RATE_PREFACTOR, PhononCorrelation, assemble_redfield)
+from .redfield import PhononCorrelation, assemble_redfield
 from .sweep import RelaxationPipeline, run_sweep
 from .units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
 
@@ -142,13 +142,12 @@ def _run_golden_rule(manifest, path):
         ham = diagonalize(np.diag([0.0, gap]).astype(complex))
         v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         v = 0.5 * (v + v.conj().T)
-        mc = ModeCoupling(omega=float(abs(omega0)) + 1e-9,
-                          q=np.zeros(3), branch=0, channel="zeeman",
-                          operator=v, V=ham.to_eigenbasis(v))
-        R = assemble_redfield([mc], ham, PhononCorrelation(sigma, T))
+        stack = CouplingStack(omega=[abs(omega0) + 1e-9], channel=["zeeman"],
+                              V=[ham.to_eigenbasis(v)])
+        R = assemble_redfield(stack, ham, PhononCorrelation(sigma, T))
         w_up = R.matrix()[3, 0].real  # rho_11 <- rho_00 transfer
-        oracle = _golden_rule_oracle(mc.V[1, 0], ham.omega[1, 0], mc.omega,
-                                     sigma, T)
+        oracle = _golden_rule_oracle(stack.V[0, 1, 0], ham.omega[1, 0],
+                                     stack.omega[0], sigma, T)
         worst = max(worst, abs(w_up / oracle - 1.0))
     return worst <= rel_tol, (f"max relative deviation {worst:.2e} "
                               f"over {params['cases']} cases (<= {rel_tol:g})")

@@ -20,6 +20,9 @@ RATE_PREFACTOR = 0.5 * np.pi * ANGULAR_FREQUENCY_PER_CM1
 
 SECULAR_TOL_CM1 = 1e-8
 
+#: rows x d^2 entries per block of the assembly products
+ASSEMBLY_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class DensityMatrix:
@@ -86,7 +89,6 @@ class RedfieldTensor:
     sigma: float = 0.0
     secular: bool = False
     n_couplings: int = 0
-    n_pruned: int = 0
 
     @property
     def dimension(self):
@@ -106,68 +108,61 @@ class RedfieldTensor:
         return (self.matrix(channels) @ np.asarray(rho, complex).reshape(-1)).reshape(d, d)
 
 
-def _coupling_contribution(V, Gm):
-    """Master-matrix contribution of one Hermitian coupling.
+def assemble_redfield(stack, ham, pc, secular=False):
+    """Assemble the (non-)secular Redfield tensor from a CouplingStack.
 
-    R_{ab,cd} = V_ac V_db (G(w_ac) + G(w_bd))
-                - delta_bd sum_j V_aj V_jc G(w_jc)
-                - delta_ca sum_j V_dj V_jb G(w_jd)
-    which conserves the trace exactly and obeys detailed balance.
-    """
-    d = V.shape[0]
-    eye = np.eye(d)
-    VG = V * Gm
-    t = np.einsum("ac,db->abcd", VG, V)
-    t += np.einsum("ac,db->abcd", V, V * Gm.T)
-    t -= np.einsum("ac,bd->abcd", V @ (Gm * V), eye)
-    t -= np.einsum("ac,db->abcd", eye, (V * Gm.T) @ V)
-    return t
+    The rows' V matrices must be in the eigenbasis of ``ham``. Only
+    same-channel coupling products enter (cross-channel interference
+    excluded); each channel is
 
+        R_{ab,cd} = sum_m (V G)_ac V_db + V_ac (V G^T)_db
+                    - delta_bd S1_ac - delta_ac S2_db,
+        S1 = sum_m V (G V),  S2 = sum_m (V G^T) V,
 
-def assemble_redfield(couplings, ham, pc, secular=False, channels=None,
-                      secular_tol=SECULAR_TOL_CM1, prune_sigma_mult=None):
-    """Assemble the (non-)secular Redfield tensor from mode couplings.
-
-    ``couplings`` is an iterable of ModeCoupling objects whose V matrix
-    elements are already in the eigenbasis of ``ham``. Only same-channel
-    coupling products enter (cross-channel interference excluded).
-    ``prune_sigma_mult`` skips modes farther than that many sigma from
-    every spin transition frequency (Gaussian tails below double
-    precision; None keeps everything).
+    with G_m = G(omega_xy; omega_m) multiplied elementwise, which
+    conserves the trace exactly and obeys detailed balance. The first
+    two terms are (d^2 x M)(M x d^2) products over blocks of rows.
     """
     d = ham.dimension
+    if stack.V.shape[1:] != (d, d):
+        raise ValidationError(
+            "coupling not rotated into the Hamiltonian eigenbasis")
     omega = ham.omega  # (x, y): E_x - E_y
-    abs_gaps = np.unique(np.round(np.abs(omega), 12))
-    acc = {}
-    n_used = 0
-    n_pruned = 0
-    for mc in couplings:
-        if channels is not None and mc.channel not in channels:
-            continue
-        if mc.V.shape != (d, d):
-            raise ValidationError("coupling not rotated into the Hamiltonian eigenbasis")
-        if prune_sigma_mult is not None:
-            if np.min(np.abs(abs_gaps - mc.omega)) > prune_sigma_mult * pc.sigma:
-                n_pruned += 1
-                continue
-        Gm = phonon_correlation_value(pc, omega, mc.omega)
-        contrib = RATE_PREFACTOR * _coupling_contribution(mc.V, Gm)
-        if mc.channel not in acc:
-            acc[mc.channel] = np.zeros((d, d, d, d), dtype=complex)
-        acc[mc.channel] += contrib
-        n_used += 1
-
+    step = max(1, ASSEMBLY_BLOCK // (d * d))
     if secular:
-        # zero elements coupling rho_ab to rho_cd with w_ab != w_cd
-        diff = np.abs(omega[:, :, None, None] - omega[None, None, :, :])
-        mask = diff <= secular_tol
-        for ch in acc:
-            acc[ch] = acc[ch] * mask
-
-    channels_flat = {ch: a.reshape(d * d, d * d) for ch, a in acc.items()}
-    return RedfieldTensor(ham=ham, channels=channels_flat,
-                          temperature=pc.temperature, sigma=pc.sigma,
-                          secular=secular, n_couplings=n_used, n_pruned=n_pruned)
+        # elements coupling rho_ab to rho_cd with w_ab != w_cd
+        off = (np.abs(omega.reshape(-1, 1) - omega.reshape(1, -1))
+               > SECULAR_TOL_CM1)
+    parts = {}
+    for ch in dict.fromkeys(stack.channel.tolist()):
+        rows = np.flatnonzero(stack.channel == ch)
+        X = np.zeros((d * d, d * d), dtype=complex)  # (ac, db)
+        S1 = np.zeros((d, d), dtype=complex)
+        S2 = np.zeros((d, d), dtype=complex)
+        for start in range(0, rows.size, step):
+            idx = rows[start:start + step]
+            V = stack.V[idx]
+            G = phonon_correlation_value(pc, omega,
+                                         stack.omega[idx, None, None])
+            VG = V * G
+            VGT = V * G.transpose(0, 2, 1)
+            flat = V.reshape(idx.size, d * d)
+            X += VG.reshape(idx.size, d * d).T @ flat
+            X += flat.T @ VGT.reshape(idx.size, d * d)
+            S1 += np.einsum("mab,mbc->ac", V, VG, optimize=True)
+            S2 += np.einsum("mab,mbc->ac", VGT, V, optimize=True)
+        R = np.ascontiguousarray(X.reshape(d, d, d, d).transpose(0, 3, 1, 2))
+        for k in range(d):
+            R[:, k, :, k] -= S1
+            R[k, :, k, :] -= S2.T
+        R = R.reshape(d * d, d * d)
+        R *= RATE_PREFACTOR
+        if secular:
+            R[off] = 0.0
+        parts[ch] = R
+    return RedfieldTensor(ham=ham, channels=parts, temperature=pc.temperature,
+                          sigma=pc.sigma, secular=secular,
+                          n_couplings=len(stack))
 
 
 def unitary_evolution(rho0, ham, t_ps):

@@ -1,9 +1,9 @@
 """Relaxation pipeline and parameter-sweep orchestration.
 
-The pipeline caches whatever a sweep axis does not touch: phonon
-spectra survive field sweeps, mode-projected tensors survive field and
-temperature sweeps, and only the correlation-function values are
-rebuilt when the temperature moves.
+The pipeline caches two things: phonon spectra per q-grid, and mode
+tensors per (q-grid, omega_min). Everything after that (spin
+Hamiltonian, coupling stack, Redfield tensor) is rebuilt at every
+point, whichever axis moves.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -11,13 +11,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .coupling import (CHANNELS, ModeCoupling, _tensor_to_operator,
+from .coupling import (CHANNELS, CHANNEL_OF_KIND, DEFAULT_OMEGA_MIN,
+                       CouplingDerivativeSet, CouplingStack,
                        dipolar_pair_records, mode_tensor_derivatives,
-                       CHANNEL_OF_KIND, DEFAULT_OMEGA_MIN,
-                       CouplingDerivativeSet)
-from .errors import CapacityError, ValidationError
+                       operator_terms)
+from .errors import CapacityError, NumericalError, ValidationError
 from .hamiltonian import assemble_hamiltonian, dipolar_tensor
-from .lattice import PhononMode, enforce_acoustic_sum_rule, phonon_spectrum
+from .lattice import enforce_acoustic_sum_rule, phonon_spectrum
 from .redfield import (PhononCorrelation, assemble_redfield, equilibrium_state,
                        extract_relaxation_time)
 from .spins import SpinCenter, SpinCoupling, SpinSystem, build_spin_operators
@@ -82,40 +82,25 @@ class RelaxationPipeline:
             self._phonon_cache[key] = (qpts, omega, vecs)
         return self._phonon_cache[key]
 
-    def mode_precursors(self, qgrid, omega_min=DEFAULT_OMEGA_MIN, derivs=None):
-        """(q, branch, omega, {target: complex 3x3}) per usable mode.
-
-        Imaginary modes and modes below omega_min are skipped and
-        counted; the per-mode tensors are cached for the context's own
-        derivative set.
-        """
-        cacheable = derivs is None
-        derivs = self.derivs if derivs is None else derivs
+    def mode_precursors(self, qgrid, omega_min=DEFAULT_OMEGA_MIN):
+        """Cached ModeTensors of every usable mode on the grid, plus counts
+        of the imaginary modes and of those below omega_min."""
         key = (tuple(qgrid), omega_min)
-        if cacheable and key in self._precursor_cache:
+        if key in self._precursor_cache:
             return self._precursor_cache[key]
         qpts, omega, vecs = self.phonons(qgrid)
         nq = qpts.shape[0]
-        out = []
-        skipped = 0
-        imaginary = 0
-        for iq in range(nq):
-            for a in range(omega.shape[1]):
-                w = omega[iq, a]
-                if w < 0:
-                    imaginary += 1
-                    continue
-                if w < omega_min:
-                    skipped += 1
-                    continue
-                mode = PhononMode(q=qpts[iq], branch=a, omega=float(w),
-                                  eigvec=vecs[iq, :, a])
-                tensors = mode_tensor_derivatives(derivs, mode, self.crystal, nq)
-                out.append((qpts[iq], a, float(w), tensors))
-        result = (out, {"skipped_modes": skipped, "imaginary_modes": imaginary,
-                        "n_q": nq})
-        if cacheable:
-            self._precursor_cache[key] = result
+        imaginary = omega < 0
+        usable = ~imaginary & (omega >= omega_min)
+        iq, branch = np.nonzero(usable)
+        modes = mode_tensor_derivatives(self.derivs, qpts[iq],
+                                        omega[iq, branch], vecs[iq, :, branch],
+                                        self.crystal, nq)
+        n_imaginary = int(np.count_nonzero(imaginary))
+        skipped = omega.size - len(modes) - n_imaginary
+        result = (modes, {"skipped_modes": skipped,
+                          "imaginary_modes": n_imaginary, "n_q": nq})
+        self._precursor_cache[key] = result
         return result
 
     # -- per-point stages --------------------------------------------------
@@ -123,68 +108,86 @@ class RelaxationPipeline:
         system = self.system if field_B is None else self.system.with_field(field_B)
         return system, assemble_hamiltonian(system, self.ops)
 
-    def couplings(self, params, ham, system, derivs=None):
-        """Hermitian ModeCoupling list for every retained mode/channel."""
-        precursors, diag = self.mode_precursors(params.qgrid, params.omega_min,
-                                                derivs=derivs)
-        gaps = np.unique(np.round(np.abs(ham.omega), 12))
-        scale = params.coupling_scale or {}
-        fs = params.freq_scale
-        out = []
-        pruned = 0
-        for q, branch, w, tensors in precursors:
-            w_eff = w * fs
-            if params.prune_sigma_mult is not None:
-                if np.min(np.abs(gaps - w_eff)) > params.prune_sigma_mult * params.sigma:
-                    pruned += 1
-                    continue
-            for tgt, T in tensors.items():
-                ch = CHANNEL_OF_KIND[tgt[0]]
-                if params.channels is not None and ch not in params.channels:
-                    continue
-                T_eff = T / np.sqrt(fs) * scale.get(ch, 1.0)
-                op = _tensor_to_operator(system, self.ops, tgt, T_eff)
-                herm = 0.5 * (op + op.conj().T)
-                anti = 0.5 * (op - op.conj().T) / 1j
-                for part in (herm, anti):
-                    if np.max(np.abs(part)) == 0.0:
-                        continue
-                    out.append(ModeCoupling(omega=float(w_eff), q=q,
-                                            branch=branch, channel=ch,
-                                            operator=part,
-                                            V=ham.to_eigenbasis(part)))
-        diag = dict(diag)
-        diag["pruned_modes"] = pruned
-        return out, diag
+    def couplings(self, params, ham, system):
+        """CouplingStack of every retained mode, target and Hermitian part.
 
-    def redfield(self, params, derivs=None):
+        Modes farther than prune_sigma_mult * sigma from every spin gap
+        are pruned. Each target's operator sum_k c_k B_k is built on its
+        Hermitian basis B_k, rotated into the eigenbasis once per call:
+        Re c gives the Hermitian part, Im c the anti-Hermitian part, and
+        a part whose coefficients are all zero is dropped.
+        """
+        modes, diag = self.mode_precursors(params.qgrid, params.omega_min)
+        fs = params.freq_scale
+        omega = modes.omega * fs
+        keep = np.ones(omega.shape, dtype=bool)
+        if params.prune_sigma_mult is not None:
+            # distance to the nearest spin gap, from its sorted neighbours
+            gaps = np.unique(np.round(np.abs(ham.omega), 12))
+            gaps = np.concatenate(([-np.inf], gaps, [np.inf]))
+            k = np.searchsorted(gaps, omega)
+            near = np.minimum(gaps[k] - omega, omega - gaps[k - 1])
+            keep = near <= params.prune_sigma_mult * params.sigma
+        omega = omega[keep]
+        scale = params.coupling_scale or {}
+        parts = []  # (channel, mode rows, coefficients, eigenbasis operators)
+        for t, tgt in enumerate(modes.targets):
+            ch = CHANNEL_OF_KIND[tgt[0]]
+            if params.channels is not None and ch not in params.channels:
+                continue
+            T = modes.tensors[keep, t] / np.sqrt(fs) * scale.get(ch, 1.0)
+            coeff, basis = operator_terms(system, self.ops, tgt, T)
+            basis = ham.to_eigenbasis(basis)
+            for c in (coeff.real, coeff.imag):
+                rows = np.flatnonzero(np.any(c != 0.0, axis=1))
+                parts.append((ch, rows, c[rows], basis))
+        counts = [rows.size for _, rows, _, _ in parts]
+        d = ham.dimension
+        stack = CouplingStack(
+            omega=np.concatenate([omega[rows] for _, rows, _, _ in parts]
+                                 + [np.empty(0)]),
+            channel=np.repeat([ch for ch, _, _, _ in parts], counts),
+            V=np.empty((sum(counts), d, d), dtype=complex))
+        # each part's rows written in place: V is never held twice
+        blocks = np.split(stack.V.reshape(-1, d * d), np.cumsum(counts)[:-1])
+        for (_, _, c, basis), out in zip(parts, blocks):
+            np.matmul(c, basis.reshape(len(basis), d * d), out=out)
+        diag = dict(diag)
+        diag["pruned_modes"] = int(keep.size - np.count_nonzero(keep))
+        return stack, diag
+
+    def redfield(self, params):
         system, ham = self.hamiltonian(params.field_B)
-        cpls, diag = self.couplings(params, ham, system, derivs=derivs)
+        cpls, diag = self.couplings(params, ham, system)
         pc = PhononCorrelation(sigma=params.sigma, temperature=params.temperature)
         R = assemble_redfield(cpls, ham, pc, secular=params.secular)
         return R, ham, system, diag
 
-    def relax(self, params, derivs=None):
+    def relax(self, params):
         """Relaxation times for the point, with per-channel breakdown."""
-        R, ham, system, diag = self.redfield(params, derivs=derivs)
+        R, ham, system, diag = self.redfield(params)
         rho0 = self._field_inverted_initial_state(params, system, ham)
         est = extract_relaxation_time(R, ham, self.ops, method="both", rho0=rho0)
         tau_channel = {}
+        channel_errors = {}
         for ch in R.channels:
             try:
                 est_ch = extract_relaxation_time(R, ham, self.ops,
                                                  method="slowest_mode",
                                                  channels=(ch,))
                 tau_channel[ch] = est_ch.tau_ms
-            except Exception:
+            except NumericalError as exc:
                 tau_channel[ch] = float("nan")
+                channel_errors[ch] = str(exc)
         diag = dict(diag)
         diag.update({
             "n_couplings": R.n_couplings,
+            "tau_fit_ms": est.tau_fit_ms,
             "min_rho_eigenvalue": est.min_rho_eigenvalue,
             "fit_residual": est.fit_residual,
             "mismatch": bool(est.mismatch),
             "non_exponential": bool(est.non_exponential),
+            "channel_errors": channel_errors,
         })
         return RelaxationPoint(tau_ms=est.tau_ms, tau_fit_ms=est.tau_fit_ms,
                                tau_channel_ms=tau_channel, diagnostics=diag)

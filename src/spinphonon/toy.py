@@ -6,15 +6,19 @@ construction, plus seeded synthetic derivative tensors, so the whole
 relaxation machinery runs at desk scale.
 """
 
+import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .coupling import CouplingDerivativeSet, dipolar_pair_records
 from .crystal import Atom, CrystalModel
-from .errors import ValidationError
+from .errors import ConfigError, ValidationError
 from .hamiltonian import dipolar_tensor
 from .lattice import ForceConstantSet
+from .project import (serialize_crystal, serialize_derivatives,
+                      serialize_force_constants, serialize_spin_system)
 from .spins import SpinCenter, SpinCoupling, SpinSystem
 
 # deterministic intra-molecular placement pattern (unit directions)
@@ -301,3 +305,58 @@ def diatomic_chain_dispersion(qx, m1, m2, k, branch):
     if branch == "optical":
         return k * (mu + disc)
     return k * (mu - disc)
+
+
+def toy_preset(name, seed=0):
+    """Named synthetic-crystal presets for fixture generation."""
+    if name == "soft":
+        # soft acoustic band (< ~4 cm^-1) with the spin gap placed near
+        # the band top: converges fast on coarse q-grids
+        return ToySpec(lattice=(6.0, 6.0, 6.0), molecules_per_cell=1,
+                       atoms_per_molecule=2, mass=150.0, k_intra=1.0,
+                       k_inter=0.0008, g_deriv_mag=1e-3,
+                       dipolar_couplings=False, field_B=(0.0, 0.0, 5.0),
+                       seed=seed)
+    if name == "vanadyl":
+        # molecular-qubit-like parameters: anisotropic g just below 2,
+        # I=7/2 nucleus with an axial hyperfine tensor, d = 16
+        return ToySpec(lattice=(7.060, 7.935, 11.091), molecules_per_cell=1,
+                       atoms_per_molecule=4, mass=120.0, k_intra=1.0,
+                       k_inter=0.003, g_baseline=(1.9830, 1.9814, 1.9274),
+                       a_baseline=(0.00354, 0.00396, 0.01396),
+                       nuclear_spin=3.5, g_deriv_mag=1e-3, a_deriv_mag=1e-4,
+                       field_B=(0.0, 0.0, 5.0), seed=seed)
+    raise ConfigError(f"unknown toy preset {name!r}")
+
+
+def write_toy_project(out_dir, spec, qgrid=(8, 8, 8), sigma=1.0,
+                      temperature=50.0, sweeps=()):
+    """Generate a toy crystal and serialize it as a loadable project."""
+    crystal, fc, derivs, system = generate_toy_crystal(spec)
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "crystal.json"), "w") as fh:
+        json.dump(serialize_crystal(crystal), fh, indent=1)
+        fh.write("\n")
+    with open(os.path.join(out_dir, "force_constants.dat"), "w") as fh:
+        fh.write(serialize_force_constants(fc))
+    with open(os.path.join(out_dir, "derivatives.dat"), "w") as fh:
+        fh.write(serialize_derivatives(derivs))
+    config = {
+        "crystal": "crystal.json",
+        "force_constants": "force_constants.dat",
+        "derivatives": ["derivatives.dat"],
+        "spin_system": serialize_spin_system(system),
+        "field_T": list(np.asarray(spec.field_B, float)),
+        "temperature_K": temperature,
+        "qgrid": list(qgrid),
+        "sigma_cm1": sigma,
+        "secular": False,
+        "sweeps": list(sweeps),
+        "output_dir": ".",
+        "seed": spec.seed,
+    }
+    config_path = os.path.join(out_dir, "config.json")
+    with open(config_path, "w") as fh:
+        json.dump(config, fh, indent=1)
+        fh.write("\n")
+    return config_path

@@ -1,8 +1,7 @@
 import pytest
 
-from spinphonon.cli import toy_preset, write_toy_project
 from spinphonon.sweep import RelaxationPipeline
-from spinphonon.toy import generate_toy_crystal
+from spinphonon.toy import generate_toy_crystal, toy_preset, write_toy_project
 
 
 @pytest.fixture(scope="session")

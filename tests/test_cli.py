@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from spinphonon import lattice, sweep
 from spinphonon.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
                             main)
 
@@ -67,6 +68,34 @@ def test_phonons_and_dos_outputs(tmp_path, capsys):
     assert bands.startswith("# spinphonon")
     dos = open(os.path.join(out, "dos.csv")).read()
     assert "total" in dos.splitlines()[1]
+
+
+def test_relax_writes_tau_fit(vanadyl_config, tmp_path, capsys):
+    out = str(tmp_path / "fit")
+    assert main(["relax", "--config", vanadyl_config, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    row = next(csv.DictReader(open(os.path.join(out, "relax.csv"))))
+    doc = json.load(open(os.path.join(out, "relax.json")))
+    fit = doc["rows"][0]["diagnostics"]["tau_fit_ms"]
+    assert row["tau_fit_ms"] != "" and fit is not None
+    assert float(row["tau_fit_ms"]) == float(f"{fit:.9g}")
+
+
+def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
+    cfg = _toy(tmp_path)
+    calls = []
+    real = lattice.phonon_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice, "phonon_spectrum", counted)
+    monkeypatch.setattr(sweep, "phonon_spectrum", counted)
+    assert main(["dos", "--config", cfg, "--grid", "3,3,3",
+                 "--out", str(tmp_path / "dos")]) == EXIT_OK
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_couple_output(tmp_path, capsys):

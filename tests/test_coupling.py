@@ -4,11 +4,10 @@ import pytest
 from spinphonon.coupling import (CouplingDerivativeSet, DerivativeScan,
                                  coupling_norm_distribution,
                                  dipolar_derivative, dipolar_pair_records,
-                                 fit_derivative_scan, mode_tensor_derivatives,
-                                 project_to_mode)
+                                 fit_derivative_scan, mode_tensor_derivatives)
 from spinphonon.errors import ValidationError
 from spinphonon.hamiltonian import assemble_hamiltonian, dipolar_tensor
-from spinphonon.lattice import PhononMode, phonon_modes
+from spinphonon.lattice import phonon_modes
 from spinphonon.spins import SpinCenter, build_spin_operators
 from spinphonon.toy import ToySpec, generate_toy_crystal
 
@@ -113,18 +112,25 @@ def toy_context():
     return crystal, fc, derivs, system, ops, ham, mode
 
 
+def _project(derivs, mode, crystal, n_q):
+    """{target: 3x3 tensor} of one PhononMode, via the stacked projection."""
+    modes = mode_tensor_derivatives(derivs, [mode.q], [mode.omega],
+                                    [mode.eigvec], crystal, n_q)
+    return dict(zip(modes.targets, modes.tensors[0]))
+
+
 def test_mode_amplitude_scales_with_grid_size(toy_context):
     crystal, _, derivs, _, _, _, mode = toy_context
-    t1 = mode_tensor_derivatives(derivs, mode, crystal, 1)
-    t64 = mode_tensor_derivatives(derivs, mode, crystal, 64)
+    t1 = _project(derivs, mode, crystal, 1)
+    t64 = _project(derivs, mode, crystal, 64)
     for tgt in t1:
         assert np.allclose(t64[tgt] * 8.0, t1[tgt], atol=1e-15)
 
 
 def test_mode_projection_linear_in_derivatives(toy_context):
     crystal, _, derivs, _, _, _, mode = toy_context
-    t1 = mode_tensor_derivatives(derivs, mode, crystal, 8)
-    t2 = mode_tensor_derivatives(derivs.scaled(2.5), mode, crystal, 8)
+    t1 = _project(derivs, mode, crystal, 8)
+    t2 = _project(derivs.scaled(2.5), mode, crystal, 8)
     for tgt in t1:
         assert np.allclose(t2[tgt], 2.5 * t1[tgt], atol=1e-15)
 
@@ -135,48 +141,43 @@ def test_bloch_phase_enters_replica_records(toy_context):
                                  [np.eye(3)])
     shifted = CouplingDerivativeSet([("g", 0)], [0], [0], [(1, 0, 0)],
                                     [np.eye(3)])
-    t0 = mode_tensor_derivatives(base, mode, crystal, 1)[("g", 0)]
-    t1 = mode_tensor_derivatives(shifted, mode, crystal, 1)[("g", 0)]
+    t0 = _project(base, mode, crystal, 1)[("g", 0)]
+    t1 = _project(shifted, mode, crystal, 1)[("g", 0)]
     phase = np.exp(2j * np.pi * 0.25)  # q.l for q=(1/4,0,0), l=(1,0,0)
     assert np.allclose(t1, phase * t0, atol=1e-15)
 
 
 def test_translation_invariant_records_give_zero_gamma_coupling(toy_context):
     crystal, fc, derivs, _, _, _, _ = toy_context
-    modes = phonon_modes(fc, (0.0, 0.0, 0.0))
+    acoustic = phonon_modes(fc, (0.0, 0.0, 0.0))[:3]
     scale = np.max(np.abs(derivs.tensors))
-    for m in modes[:3]:
-        proxy = PhononMode(q=m.q, branch=m.branch, omega=1.0, eigvec=m.eigvec)
-        tensors = mode_tensor_derivatives(derivs, proxy, crystal, 1)
-        worst = max(np.max(np.abs(t)) for t in tensors.values())
-        assert worst / scale < 1e-10
+    # unit proxy frequencies: the acoustic omega are zero at Gamma
+    modes = mode_tensor_derivatives(derivs, [m.q for m in acoustic],
+                                    np.ones(3), [m.eigvec for m in acoustic],
+                                    crystal, 1)
+    assert np.max(np.abs(modes.tensors)) / scale < 1e-10
 
 
 def test_projection_rejects_soft_modes(toy_context):
     crystal, fc, derivs, _, _, _, _ = toy_context
     gamma = phonon_modes(fc, (0.0, 0.0, 0.0))[0]
-    soft = PhononMode(q=gamma.q, branch=gamma.branch, omega=0.0,
-                      eigvec=gamma.eigvec)
     with pytest.raises(ValidationError):
-        mode_tensor_derivatives(derivs, soft, crystal, 1)
+        mode_tensor_derivatives(derivs, [gamma.q], [0.0], [gamma.eigvec],
+                                crystal, 1)
 
 
-def test_project_to_mode_yields_hermitian_operators(toy_context):
-    crystal, _, derivs, system, ops, ham, mode = toy_context
-    cpls = project_to_mode(derivs, mode, crystal, 8, system, ops, ham)
-    assert cpls
-    for mc in cpls:
-        assert mc.channel == "zeeman"
-        assert np.max(np.abs(mc.operator - mc.operator.conj().T)) < 1e-14
-        back = ham.from_eigenbasis(mc.V)
-        assert np.allclose(back, mc.operator, atol=1e-12)
-
-
-def test_project_to_mode_channel_filter(toy_context):
-    crystal, _, derivs, system, ops, ham, mode = toy_context
-    none = project_to_mode(derivs, mode, crystal, 8, system, ops, ham,
-                           channels=("hyperfine",))
-    assert none == []
+def test_stacked_projection_matches_single_modes(toy_context):
+    crystal, fc, derivs, _, _, _, _ = toy_context
+    singles = [m for q in ((0.25, 0.0, 0.0), (0.0, -0.5, 0.25))
+               for m in phonon_modes(fc, q)[3:]]
+    stacked = mode_tensor_derivatives(
+        derivs, [m.q for m in singles], [m.omega for m in singles],
+        [m.eigvec for m in singles], crystal, 8)
+    assert stacked.tensors.shape == (len(singles), 1, 3, 3)
+    scale = np.max(np.abs(stacked.tensors))
+    for k, m in enumerate(singles):
+        one = _project(derivs, m, crystal, 8)[stacked.targets[0]]
+        assert np.max(np.abs(stacked.tensors[k, 0] - one)) <= 1e-14 * scale
 
 
 def test_channel_bookkeeping_and_scaling():
@@ -196,11 +197,12 @@ def test_channel_bookkeeping_and_scaling():
 
 def test_coupling_norm_distribution_normalizes_by_grid(toy_context):
     crystal, _, derivs, _, _, _, mode = toy_context
-    tensors = mode_tensor_derivatives(derivs, mode, crystal, 4)
-    dist4 = coupling_norm_distribution([(mode.omega, tensors)], 4)
-    dist8 = coupling_norm_distribution([(mode.omega, tensors)], 8)
+    modes = mode_tensor_derivatives(derivs, [mode.q], [mode.omega],
+                                    [mode.eigvec], crystal, 4)
+    dist4 = coupling_norm_distribution(modes, 4)
+    dist8 = coupling_norm_distribution(modes, 8)
     c4, v4 = dist4["zeeman"]
     c8, v8 = dist8["zeeman"]
     assert np.allclose(v4, 2.0 * v8, atol=1e-18)
-    expected = sum(np.sum(np.abs(t) ** 2) for t in tensors.values()) / 4.0
+    expected = np.sum(np.abs(modes.tensors) ** 2) / 4.0
     assert abs(v4.sum() - expected) < 1e-15

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from spinphonon.coupling import ModeCoupling
+from spinphonon import redfield
+from spinphonon.coupling import CouplingStack
 from spinphonon.errors import NumericalError, ValidationError
-from spinphonon.hamiltonian import assemble_hamiltonian
-from spinphonon.redfield import (RATE_PREFACTOR, DensityMatrix,
-                                 PhononCorrelation, assemble_redfield,
-                                 equilibrium_state, extract_relaxation_time,
+from spinphonon.hamiltonian import assemble_hamiltonian, diagonalize
+from spinphonon.redfield import (RATE_PREFACTOR, SECULAR_TOL_CM1,
+                                 DensityMatrix, PhononCorrelation,
+                                 assemble_redfield, equilibrium_state,
+                                 extract_relaxation_time,
                                  phonon_correlation_value, propagate,
                                  stationary_state, unitary_evolution)
 from spinphonon.lattice import bose_population, gaussian_kernel
@@ -23,12 +25,11 @@ def _two_level(field=5.0):
     return system, ops, ham
 
 
-def _coupling(ham, ops, strength=0.01, omega_mode=None, channel="zeeman"):
-    V = strength * ham.to_eigenbasis(ops.embedded[0][0])  # Sx-like
+def _coupling(ham, ops, strength=0.01, channel="zeeman"):
+    """One-row stack: an Sx-like coupling to a mode at the spin gap."""
+    V = strength * ham.to_eigenbasis(ops.embedded[0][0])
     gap = float(ham.eigvals[-1] - ham.eigvals[0])
-    return ModeCoupling(omega=omega_mode if omega_mode else gap,
-                        q=np.zeros(3), branch=0, channel=channel,
-                        operator=ham.from_eigenbasis(V), V=V)
+    return CouplingStack(omega=[gap], channel=[channel], V=[V])
 
 
 def test_density_matrix_validation():
@@ -89,12 +90,12 @@ def test_golden_rule_two_level_population_transfer():
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=10.0)
     mc = _coupling(ham, ops)
-    R = assemble_redfield([mc], ham, pc)
+    R = assemble_redfield(mc, ham, pc)
     Rmat = R.matrix()
     gap = float(ham.eigvals[1] - ham.eigvals[0])
-    g_up = phonon_correlation_value(pc, gap, mc.omega)
-    g_dn = phonon_correlation_value(pc, -gap, mc.omega)
-    v2 = abs(mc.V[1, 0]) ** 2
+    g_up = phonon_correlation_value(pc, gap, mc.omega[0])
+    g_dn = phonon_correlation_value(pc, -gap, mc.omega[0])
+    v2 = abs(mc.V[0, 1, 0]) ** 2
     # rho_11 <- rho_00 and rho_00 <- rho_11 transfer rates
     assert abs(Rmat[3, 0].real - 2 * RATE_PREFACTOR * v2 * g_up) < 1e-18
     assert abs(Rmat[0, 3].real - 2 * RATE_PREFACTOR * v2 * g_dn) < 1e-18
@@ -106,7 +107,7 @@ def test_golden_rule_two_level_population_transfer():
 def test_superoperator_conserves_trace_for_any_state():
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=1.0, temperature=30.0)
-    R = assemble_redfield([_coupling(ham, ops)], ham, pc)
+    R = assemble_redfield(_coupling(ham, ops), ham, pc)
     rng = np.random.default_rng(3)
     for _ in range(5):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -122,7 +123,7 @@ def test_detailed_balance_ratio_of_up_down_rates():
     T = 5.0
     pc = PhononCorrelation(sigma=0.1, temperature=T)
     mc = _coupling(ham, ops)
-    R = assemble_redfield([mc], ham, pc).matrix()
+    R = assemble_redfield(mc, ham, pc).matrix()
     gap = float(ham.eigvals[1] - ham.eigvals[0])
     boltzmann = np.exp(-gap / (KB_CM1_PER_K * T))
     # narrow kernel: W_up / W_down -> n/(n+1) = Boltzmann factor
@@ -138,9 +139,8 @@ def test_secular_propagation_reaches_boltzmann_populations():
     pc = PhononCorrelation(sigma=0.05, temperature=T)
     gap = float(ham.eigvals[1] - ham.eigvals[0])
     V = 0.02 * ham.to_eigenbasis(ops.embedded[0][0])
-    mc = ModeCoupling(omega=gap, q=np.zeros(3), branch=0, channel="zeeman",
-                      operator=ham.from_eigenbasis(V), V=V)
-    R = assemble_redfield([mc], ham, pc, secular=True)
+    mc = CouplingStack(omega=[gap], channel=["zeeman"], V=[V])
+    R = assemble_redfield(mc, ham, pc, secular=True)
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     rate = np.max(np.abs(np.real(np.linalg.eigvals(R.matrix()))))
     final = propagate(rho0, R, [300.0 / rate])[-1]
@@ -152,11 +152,12 @@ def test_two_level_relaxation_time_matches_rate_oracle():
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
     mc = _coupling(ham, ops)
-    R = assemble_redfield([mc], ham, pc)
+    R = assemble_redfield(mc, ham, pc)
     gap = float(ham.eigvals[1] - ham.eigvals[0])
-    v2 = abs(mc.V[1, 0]) ** 2
-    w_up = 2 * RATE_PREFACTOR * v2 * phonon_correlation_value(pc, gap, mc.omega)
-    w_dn = 2 * RATE_PREFACTOR * v2 * phonon_correlation_value(pc, -gap, mc.omega)
+    v2 = abs(mc.V[0, 1, 0]) ** 2
+    w = mc.omega[0]
+    w_up = 2 * RATE_PREFACTOR * v2 * phonon_correlation_value(pc, gap, w)
+    w_dn = 2 * RATE_PREFACTOR * v2 * phonon_correlation_value(pc, -gap, w)
     tau_ms = (1.0 / (w_up + w_dn)) / PS_PER_MS
     est = extract_relaxation_time(R, ham, ops, method="both")
     assert abs(est.tau_slowest_ms / tau_ms - 1.0) < 1e-8
@@ -167,20 +168,53 @@ def test_two_level_relaxation_time_matches_rate_oracle():
 def test_rate_scales_quadratically_with_coupling_strength():
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
-    R1 = assemble_redfield([_coupling(ham, ops, 0.01)], ham, pc)
-    R2 = assemble_redfield([_coupling(ham, ops, 0.02)], ham, pc)
+    R1 = assemble_redfield(_coupling(ham, ops, 0.01), ham, pc)
+    R2 = assemble_redfield(_coupling(ham, ops, 0.02), ham, pc)
     assert np.allclose(R2.matrix(), 4.0 * R1.matrix(), atol=1e-20)
 
 
-def test_mode_pruning_skips_far_off_resonant_modes():
-    _, ops, ham = _two_level()
-    pc = PhononCorrelation(sigma=0.5, temperature=20.0)
-    near = _coupling(ham, ops)
-    far = _coupling(ham, ops, omega_mode=200.0)
-    R = assemble_redfield([near, far], ham, pc, prune_sigma_mult=20.0)
-    assert R.n_couplings == 1 and R.n_pruned == 1
-    R_all = assemble_redfield([near, far], ham, pc, prune_sigma_mult=None)
-    assert R_all.n_couplings == 2 and R_all.n_pruned == 0
+def _reference_part(V, G):
+    """One coupling's tensor, written out term by term:
+    R_{ab,cd} = (V G)_ac V_db + V_ac (V G^T)_db
+                - delta_bd (V (G V))_ac - delta_ac ((V G^T) V)_db."""
+    d = V.shape[0]
+    eye = np.eye(d)
+    R = np.einsum("ac,db->abcd", V * G, V)
+    R += np.einsum("ac,db->abcd", V, V * G.T)
+    R -= np.einsum("ac,bd->abcd", V @ (G * V), eye)
+    R -= np.einsum("ac,db->abcd", eye, (V * G.T) @ V)
+    return RATE_PREFACTOR * R.reshape(d * d, d * d)
+
+
+@pytest.mark.parametrize("secular", [False, True])
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_assembly_matches_per_coupling_reference(d, secular, monkeypatch):
+    # small blocks, so the stack is assembled over several of them
+    monkeypatch.setattr(redfield, "ASSEMBLY_BLOCK", 64)
+    rng = np.random.default_rng(100 + d)
+    # evenly spaced levels: equal gaps give non-trivial secular blocks
+    ham = diagonalize(np.diag(1.5 * np.arange(d)).astype(complex))
+    m = 20
+    A = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    V = 0.01 * (A + A.conj().transpose(0, 2, 1))
+    omega = rng.uniform(0.5, 1.5 * d, size=m)
+    channel = rng.choice(["zeeman", "hyperfine"], size=m)
+    pc = PhononCorrelation(sigma=0.7, temperature=15.0)
+    R = assemble_redfield(CouplingStack(omega=omega, channel=channel, V=V),
+                          ham, pc, secular=secular)
+    assert R.n_couplings == m
+    assert set(R.channels) == {"zeeman", "hyperfine"}
+    diff = np.abs(ham.omega.reshape(-1, 1) - ham.omega.reshape(1, -1))
+    for ch, part in R.channels.items():
+        ref = sum(_reference_part(V[k], phonon_correlation_value(
+            pc, ham.omega, omega[k])) for k in np.flatnonzero(channel == ch))
+        if secular:
+            ref[diff > SECULAR_TOL_CM1] = 0.0
+        coherence = ~np.eye(d, dtype=bool).reshape(-1)
+        assert np.any(part[np.ix_(coherence, coherence)] != 0.0)
+        # every element, coherences included, against the tensor's scale
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(part - ref)) <= 1e-12 * scale
 
 
 def test_channel_resolved_tensor_parts():
@@ -188,7 +222,9 @@ def test_channel_resolved_tensor_parts():
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
     a = _coupling(ham, ops, 0.01, channel="zeeman")
     b = _coupling(ham, ops, 0.005, channel="hyperfine")
-    R = assemble_redfield([a, b], ham, pc)
+    both = CouplingStack(omega=[a.omega[0], b.omega[0]],
+                         channel=["zeeman", "hyperfine"], V=[a.V[0], b.V[0]])
+    R = assemble_redfield(both, ham, pc)
     total = R.matrix()
     parts = R.matrix(("zeeman",)) + R.matrix(("hyperfine",))
     assert np.allclose(total, parts, atol=1e-22)
@@ -198,10 +234,9 @@ def test_channel_resolved_tensor_parts():
 def test_unrotated_coupling_rejected():
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
-    bad = ModeCoupling(omega=5.0, q=np.zeros(3), branch=0, channel="zeeman",
-                       operator=np.eye(3), V=np.eye(3))
+    bad = CouplingStack(omega=[5.0], channel=["zeeman"], V=[np.eye(3)])
     with pytest.raises(ValidationError):
-        assemble_redfield([bad], ham, pc)
+        assemble_redfield(bad, ham, pc)
 
 
 def test_equilibrium_state_ratio_and_high_t_limit():
@@ -238,7 +273,7 @@ def test_unitary_evolution_phases_and_periodicity():
 def test_propagate_validates_times_and_keeps_trace():
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
-    R = assemble_redfield([_coupling(ham, ops)], ham, pc)
+    R = assemble_redfield(_coupling(ham, ops), ham, pc)
     rho0 = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValidationError):
         propagate(rho0, R, [1.0, 0.5])
@@ -260,7 +295,7 @@ def test_stationary_state_matches_equilibrium():
     _, ops, ham = _two_level()
     T = 25.0
     pc = PhononCorrelation(sigma=0.1, temperature=T)
-    R = assemble_redfield([_coupling(ham, ops)], ham, pc)
+    R = assemble_redfield(_coupling(ham, ops), ham, pc)
     rho_ss = stationary_state(R.matrix(), 2)
     eq = equilibrium_state(ham, T)
     assert np.max(np.abs(rho_ss - eq.matrix)) < 1e-5
@@ -271,6 +306,6 @@ def test_extract_rejects_zero_tensor_and_trivial_observable():
     with pytest.raises(NumericalError):
         extract_relaxation_time(np.zeros((4, 4)), ham, ops)
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
-    R = assemble_redfield([_coupling(ham, ops)], ham, pc)
+    R = assemble_redfield(_coupling(ham, ops), ham, pc)
     with pytest.raises(ValidationError):
         extract_relaxation_time(R, ham, ops, observable=np.eye(2))

@@ -1,10 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from spinphonon.errors import ValidationError
-from spinphonon.sweep import (RunParams, SweepPlan, converge_protocol,
-                              kpoint_grid, perturbation_study,
-                              replicated_spin_system, run_sweep)
+from spinphonon import sweep
+from spinphonon.coupling import CHANNEL_OF_KIND
+from spinphonon.errors import NumericalError, ValidationError
+from spinphonon.project import load_project
+from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
+                              converge_protocol, kpoint_grid,
+                              perturbation_study, replicated_spin_system,
+                              run_sweep)
 
 
 BASE = RunParams(qgrid=(4, 4, 4), sigma=1.0, temperature=50.0)
@@ -156,3 +162,110 @@ def test_converge_protocol_reports_convergence(soft_pipeline):
         assert len(r["tau_ms"]) == len(r["grids"])
         if r["converged"]:
             assert abs(r["tau_ms"][-1] / r["tau_ms"][-2] - 1.0) < 0.02
+
+
+def _stack(pipeline, params):
+    system, ham = pipeline.hamiltonian(params.field_B)
+    stack, diag = pipeline.couplings(params, ham, system)
+    return stack, diag, ham, system
+
+
+def _reference_rows(pipeline, params, ham, system):
+    """(omega, channel, V) rows built the direct way: each retained mode's
+    target operator in the product basis, split into its Hermitian and
+    anti-Hermitian parts, all-zero parts dropped, each part rotated on its
+    own; ordered by target, then part, then mode."""
+    modes, _ = pipeline.mode_precursors(params.qgrid, params.omega_min)
+    gaps = np.unique(np.round(np.abs(ham.omega), 12))
+    kept = [m for m, w in enumerate(modes.omega) if np.min(np.abs(gaps - w))
+            <= params.prune_sigma_mult * params.sigma]
+    S = pipeline.ops.embedded
+    rows = []
+    for t, (kind, key) in enumerate(modes.targets):
+        for part in ("hermitian", "anti-hermitian"):
+            for m in kept:
+                T = modes.tensors[m, t]
+                if kind == "g":
+                    op = system.center(key).magneton_cm1_per_T * np.einsum(
+                        "v,vab->ab", system.field_B @ T, S[key])
+                else:
+                    op = np.einsum("uv,uab,vbc->ac", T, S[key[0]], S[key[1]])
+                if part == "hermitian":
+                    p = 0.5 * (op + op.conj().T)
+                else:
+                    p = 0.5 * (op - op.conj().T) / 1j
+                if np.any(p != 0.0):
+                    rows.append((modes.omega[m], CHANNEL_OF_KIND[kind],
+                                 ham.to_eigenbasis(p)))
+    return rows
+
+
+@pytest.mark.parametrize("which", ["soft", "vanadyl"])
+def test_coupling_stack_matches_direct_construction(which, soft_pipeline,
+                                                    vanadyl_config):
+    if which == "soft":
+        pipeline, params = soft_pipeline, BASE
+    else:
+        crystal, fc, derivs, system, config = load_project(vanadyl_config)
+        pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+        params = config.run_params(qgrid=(2, 2, 2))
+    stack, _, ham, system = _stack(pipeline, params)
+    ref = _reference_rows(pipeline, params, ham, system)
+    assert len(stack) == len(ref) > 0
+    assert np.array_equal(stack.omega, [r[0] for r in ref])
+    assert list(stack.channel) == [r[1] for r in ref]
+    V_ref = np.array([r[2] for r in ref])
+    scale = np.max(np.abs(V_ref))
+    assert np.max(np.abs(stack.V - V_ref)) <= 1e-12 * scale
+    herm = np.abs(stack.V - stack.V.conj().transpose(0, 2, 1))
+    assert np.max(herm) <= 1e-14 * scale
+
+
+def test_coupling_stack_channel_filter(soft_pipeline):
+    full, _, _, _ = _stack(soft_pipeline, BASE)
+    none, _, _, _ = _stack(soft_pipeline,
+                           replace(BASE, channels=("hyperfine",)))
+    assert len(none) == 0 and none.V.shape[1:] == full.V.shape[1:]
+    zee, _, _, _ = _stack(soft_pipeline, replace(BASE, channels=("zeeman",)))
+    assert set(full.channel) == {"zeeman"}
+    assert np.array_equal(zee.V, full.V)
+
+
+def test_mode_pruning_skips_far_off_resonant_modes(soft_pipeline):
+    pruned, diag, ham, _ = _stack(soft_pipeline, BASE)
+    every, diag_all, _, _ = _stack(soft_pipeline,
+                                   replace(BASE, prune_sigma_mult=None))
+    modes, _ = soft_pipeline.mode_precursors(BASE.qgrid, BASE.omega_min)
+    gaps = np.unique(np.round(np.abs(ham.omega), 12))
+    far = np.array([np.min(np.abs(gaps - w)) > 20.0 * BASE.sigma
+                    for w in modes.omega])
+    assert diag["pruned_modes"] == np.count_nonzero(far) > 0
+    assert diag_all["pruned_modes"] == 0
+    near = np.array([np.min(np.abs(gaps - w)) for w in pruned.omega])
+    assert np.all(near <= 20.0 * BASE.sigma)
+    assert len(every) > len(pruned)
+    assert set(every.omega) == set(modes.omega)
+
+
+def test_channel_failure_is_recorded_not_hidden(soft_pipeline, monkeypatch):
+    real = sweep.extract_relaxation_time
+
+    def failing(*args, **kwargs):
+        if kwargs.get("channels") == ("zeeman",):
+            raise NumericalError("probe failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "extract_relaxation_time", failing)
+    point = soft_pipeline.relax(BASE)
+    assert np.isfinite(point.tau_ms)
+    assert np.isnan(point.tau_channel_ms["zeeman"])
+    assert point.diagnostics["channel_errors"] == {"zeeman": "probe failure"}
+
+    def broken(*args, **kwargs):
+        if kwargs.get("channels") == ("zeeman",):
+            raise RuntimeError("not a numerical failure")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "extract_relaxation_time", broken)
+    with pytest.raises(RuntimeError):
+        soft_pipeline.relax(BASE)
