@@ -13,8 +13,7 @@ from .hamiltonian import (SpinHamiltonian, assemble_hamiltonian, diagonalize,
                           dipolar_tensor, magnetization)
 from .lattice import (DosCurve, ForceConstantSet, PhononMode, bose_population,
                       dynamical_matrix, enforce_acoustic_sum_rule,
-                      phonon_dos, phonon_modes, phonon_spectrum,
-                      rigid_body_decomposition)
+                      phonon_dos, phonon_modes, phonon_spectrum)
 from .redfield import (DensityMatrix, PhononCorrelation, RedfieldTensor,
                        assemble_redfield, equilibrium_state,
                        extract_relaxation_time, phonon_correlation_value,

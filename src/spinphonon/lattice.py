@@ -7,6 +7,12 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .units import FREQ_CM1_PER_SQRT_EV_A2_AMU, KB_CM1_PER_K
 
+#: q-points diagonalised per block of the DOS, and modes per kernel block
+DOS_QBLOCK = 2048
+
+#: reach of a mode's kernel in the DOS, in units of sigma
+DOS_REACH = 8
+
 
 def gaussian_kernel(x, sigma):
     """Normalized smearing kernel exp(-x^2/sigma^2) / (sigma sqrt(pi)).
@@ -153,31 +159,26 @@ class PhononMode:
     imaginary: bool = False
 
 
-def modes_from_dynamical(D, q):
-    """Eigenpairs of one dynamical matrix, as PhononMode list."""
+def phonon_modes(fc, q):
+    """Phonon modes at one fractional q-point, as a PhononMode list.
+
+    D(q) goes through ``dynamical_matrix``, so an asymmetric force
+    constant set is rejected; omega follows ``phonon_spectrum``.
+    """
+    q = np.asarray(q, dtype=float)
     try:
-        lam, vecs = np.linalg.eigh(D)
+        lam, vecs = np.linalg.eigh(dynamical_matrix(fc, q))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"eigensolver failed at q={q}") from exc
-    modes = []
-    for a in range(lam.size):
-        lam_a = lam[a]
-        if lam_a >= 0:
-            omega = FREQ_CM1_PER_SQRT_EV_A2_AMU * np.sqrt(lam_a)
-            imag = False
-        else:
-            omega = -FREQ_CM1_PER_SQRT_EV_A2_AMU * np.sqrt(-lam_a)
-            imag = True
-        modes.append(
-            PhononMode(q=np.asarray(q, float), branch=a, omega=float(omega),
-                       eigvec=vecs[:, a], imaginary=imag)
-        )
-    return modes
+    omega = _frequencies(lam)
+    return [PhononMode(q=q, branch=a, omega=float(omega[a]),
+                       eigvec=vecs[:, a], imaginary=bool(lam[a] < 0))
+            for a in range(lam.size)]
 
 
-def phonon_modes(fc, q):
-    """Phonon frequencies/eigenvectors at one fractional q-point."""
-    return modes_from_dynamical(dynamical_matrix(fc, q), q)
+def _frequencies(lam):
+    """omega (cm^-1) from eigenvalues of D; negative for lam < 0."""
+    return np.sign(lam) * FREQ_CM1_PER_SQRT_EV_A2_AMU * np.sqrt(np.abs(lam))
 
 
 def phonon_spectrum(fc, qpoints):
@@ -188,8 +189,7 @@ def phonon_spectrum(fc, qpoints):
     """
     D, _ = dynamical_matrices(fc, qpoints)
     lam, vecs = np.linalg.eigh(D)
-    omega = np.sign(lam) * FREQ_CM1_PER_SQRT_EV_A2_AMU * np.sqrt(np.abs(lam))
-    return omega, vecs
+    return _frequencies(lam), vecs
 
 
 def bose_population(omega, T):
@@ -259,21 +259,6 @@ def rigid_body_basis(crystal, molecule_id):
     return idx, trans, rot_basis
 
 
-def rigid_body_decomposition(mode, crystal, molecule_id):
-    """Project one mode's molecular block on translations/rotations/rest.
-
-    Returns (w_trans, w_rot, w_intra); they sum to the molecule's share
-    of the (unit) eigenvector squared norm.
-    """
-    idx, trans, rots = rigid_body_basis(crystal, molecule_id)
-    block = np.concatenate([mode.eigvec[3 * k:3 * k + 3] for k in idx])
-    share = float(np.vdot(block, block).real)
-    w_t = float(np.sum(np.abs(trans @ block) ** 2))
-    w_r = float(np.sum(np.abs(rots @ block) ** 2)) if rots.size else 0.0
-    w_i = share - w_t - w_r
-    return w_t, w_r, max(w_i, 0.0)
-
-
 def decomposition_weights(crystal, eigvecs):
     """Batched translation/rotation/intra weights summed over molecules.
 
@@ -295,45 +280,51 @@ def decomposition_weights(crystal, eigvecs):
     return w_t, w_r, w_i
 
 
-def phonon_dos(fc, qpoints, sigma, freq_grid=None, decompose=True):
+def phonon_dos(fc, qpoints, sigma):
     """Gaussian-smeared phonon DOS over a q-point list.
 
     DOS(w) = (1/N_q) sum_{alpha q} kernel(w - w_{alpha q}); the integral
     equals 3N per cell. Imaginary modes are excluded.
+
+    The q-points are diagonalised in blocks of ``DOS_QBLOCK``, and only
+    each mode's omega and its three decomposition weights are kept. The
+    grid runs from 0 to max(omega) + DOS_REACH sigma in steps of about
+    sigma / 4. Each mode's kernel is added only on a fixed-width window
+    of grid points covering omega +- DOS_REACH sigma (shifted to stay
+    inside the grid); the kernel left out is below
+    exp(-DOS_REACH^2) = e^-64 of its peak.
     """
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
     qpoints = np.asarray(qpoints, dtype=float)
     if qpoints.size == 0:
         raise ValidationError("empty q-point grid")
-    omega, vecs = phonon_spectrum(fc, qpoints)
-    stable = omega >= 0
     nq = qpoints.shape[0]
-    if freq_grid is None:
-        top = float(omega.max()) + 8 * sigma
-        freq_grid = np.linspace(0.0, top, max(600, int(top / (sigma / 4.0))))
+    blocks = []
+    for start in range(0, nq, DOS_QBLOCK):
+        omega, vecs = phonon_spectrum(fc, qpoints[start:start + DOS_QBLOCK])
+        blocks.append((omega, *decomposition_weights(fc.crystal, vecs)))
+    # rows: omega and its three decomposition weights, a column per mode
+    modes = np.stack([np.concatenate(part, axis=None) for part in zip(*blocks)])
+    top = float(modes[0].max()) + DOS_REACH * sigma
+    n = max(600, int(top / (sigma / 4.0)))
+    freq_grid = np.linspace(0.0, top, n)
+    modes = modes[:, modes[0] >= 0]
+    omega, weights = modes[0], np.vstack([np.ones_like(modes[0]), modes[1:]])
 
-    if decompose:
-        w_t, w_r, w_i = decomposition_weights(fc.crystal, vecs)
-    else:
-        w_t = w_r = w_i = None
-
-    total = np.zeros_like(freq_grid)
-    trans = np.zeros_like(freq_grid)
-    rot = np.zeros_like(freq_grid)
-    intra = np.zeros_like(freq_grid)
-    for iq in range(nq):
-        sel = stable[iq]
-        k = gaussian_kernel(freq_grid[:, None] - omega[iq, sel][None, :], sigma)
-        total += k.sum(axis=1)
-        if decompose:
-            trans += k @ w_t[iq, sel]
-            rot += k @ w_r[iq, sel]
-            intra += k @ w_i[iq, sel]
-    total /= nq
-    trans /= nq
-    rot /= nq
-    intra /= nq
+    step = top / (n - 1)
+    width = min(n, int(np.ceil(2 * DOS_REACH * sigma / step)) + 2)
+    first = np.clip(np.floor((omega - DOS_REACH * sigma) / step).astype(int),
+                    0, n - width)
+    curves = np.zeros((4, n))
+    for start in range(0, omega.size, DOS_QBLOCK):
+        sl = slice(start, start + DOS_QBLOCK)
+        idx = first[sl, None] + np.arange(width)
+        k = gaussian_kernel(freq_grid[idx] - omega[sl, None], sigma)
+        for curve, w in zip(curves, weights[:, sl, None]):
+            curve += np.bincount(idx.reshape(-1), weights=(w * k).reshape(-1),
+                                 minlength=n)
+    total, trans, rot, intra = curves / nq
     return DosCurve(frequency=freq_grid, total=total, translational=trans,
                     rotational=rot, intra=intra, sigma=sigma,
                     qgrid_shape=(nq,))

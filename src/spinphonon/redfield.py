@@ -6,7 +6,6 @@ after multiplying by the rad/ps-per-cm^-1 conversion (hbar = 1).
 """
 
 from dataclasses import dataclass, field
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -185,22 +184,20 @@ def equilibrium_state(ham, T):
 
 
 class _Propagator:
-    """exp(R t) via eigendecomposition, with expm fallback."""
+    """exp(R t) from R's eigendecomposition (w, Vr), or by
+    scaling-and-squaring expm when Vr is missing or ill-conditioned
+    (``fallback``; ``cond`` is the condition number of Vr)."""
 
-    def __init__(self, Rmat):
+    def __init__(self, Rmat, w, Vr):
         self.R = np.asarray(Rmat, dtype=complex)
-        self.fallback = False
-        try:
-            w, Vr = np.linalg.eig(self.R)
-            cond = np.linalg.cond(Vr)
-            if not np.isfinite(cond) or cond > 1e10:
-                raise np.linalg.LinAlgError("defective superoperator")
-            self.w, self.Vr = w, Vr
-            self.Vr_inv = np.linalg.inv(Vr)
-        except np.linalg.LinAlgError:
-            self.fallback = True
-            warnings.warn("Redfield eigendecomposition ill-conditioned; "
-                          "falling back to scaling-and-squaring expm")
+        self.w, self.Vr = w, Vr
+        self.cond = float(np.linalg.cond(Vr)) if Vr is not None else np.inf
+        self.fallback = not self.cond <= 1e10
+        if not self.fallback:
+            try:
+                self.Vr_inv = np.linalg.inv(Vr)
+            except np.linalg.LinAlgError:
+                self.fallback = True
 
     def apply(self, vec, t):
         if self.fallback:
@@ -216,7 +213,11 @@ def propagate(rho0, R, times):
     rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
     d = rho0_mat.shape[0]
     Rmat = R.matrix() if isinstance(R, RedfieldTensor) else np.asarray(R)
-    prop = _Propagator(Rmat)
+    try:
+        w, Vr = np.linalg.eig(Rmat)
+    except np.linalg.LinAlgError:
+        w = Vr = None
+    prop = _Propagator(Rmat, w, Vr)
     vec0 = rho0_mat.reshape(-1)
     out = []
     for t in times:
@@ -240,16 +241,20 @@ class RelaxationEstimate:
     fit_residual: float = None
     non_exponential: bool = False
     min_rho_eigenvalue: float = None
+    expm_fallback: bool = False  # propagation used expm, not (w, Vr)
+    eigvec_cond: float = None  # condition number of R's eigenvectors
 
 
-def stationary_state(Rmat, dim, tol=1e-9):
+def stationary_state(R, dim, tol=1e-9):
     """Trace-one stationary state of the superoperator.
 
-    Non-secular tensors in the interaction picture can carry additional
-    traceless null modes in the coherence sector; the physical fixed
-    point is the null vector with non-vanishing trace.
+    ``R`` is the d^2 x d^2 matrix or its eigendecomposition (w, Vr), as
+    ``np.linalg.eig`` returns it. Non-secular tensors in the interaction
+    picture can carry additional traceless null modes in the coherence
+    sector; the physical fixed point is the null vector with
+    non-vanishing trace.
     """
-    w, Vr = np.linalg.eig(Rmat)
+    w, Vr = R if isinstance(R, tuple) else np.linalg.eig(R)
     scale = float(np.max(np.abs(w)))
     cand = np.nonzero(np.abs(w) <= max(tol * scale, 1e-300))[0]
     if cand.size == 0:
@@ -311,7 +316,7 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
         return RelaxationEstimate(tau_ms=tau_slow_ms, tau_slowest_ms=tau_slow_ms)
 
     # single-exponential fit of the observable decay
-    rho_ss = stationary_state(Rmat, d)
+    rho_ss = stationary_state((w, Vr), d)
     if rho0 is None:
         # default probe: stationary state perturbed along the observable
         pert = 0.1 * O_traceless / np.max(np.abs(O_traceless))
@@ -319,7 +324,7 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     else:
         rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
     times = np.geomspace(0.02, 5.0, 24) * tau_slow_ps
-    prop = _Propagator(Rmat)
+    prop = _Propagator(Rmat, w, Vr)
     vec0 = rho0_mat.reshape(-1)
     m_eq = float(np.real(np.trace(rho_ss @ O)))
     m_t = np.empty(times.size)
@@ -351,4 +356,6 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     return RelaxationEstimate(tau_ms=tau_slow_ms, tau_slowest_ms=tau_slow_ms,
                               tau_fit_ms=tau_fit_ms, mismatch=mismatch,
                               fit_residual=residual, non_exponential=non_exp,
-                              min_rho_eigenvalue=float(min_eig))
+                              min_rho_eigenvalue=float(min_eig),
+                              expm_fallback=prop.fallback,
+                              eigvec_cond=prop.cond)

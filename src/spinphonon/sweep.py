@@ -187,6 +187,8 @@ class RelaxationPipeline:
             "fit_residual": est.fit_residual,
             "mismatch": bool(est.mismatch),
             "non_exponential": bool(est.non_exponential),
+            "expm_fallback": bool(est.expm_fallback),
+            "eigvec_cond": est.eigvec_cond,
             "channel_errors": channel_errors,
         })
         return RelaxationPoint(tau_ms=est.tau_ms, tau_fit_ms=est.tau_fit_ms,

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from spinphonon import lattice, sweep
@@ -83,19 +84,32 @@ def test_relax_writes_tau_fit(vanadyl_config, tmp_path, capsys):
 
 def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
     cfg = _toy(tmp_path)
-    calls = []
+    diagonalised = []
     real = lattice.phonon_spectrum
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def recorded(fc, qpoints):
+        diagonalised.append(np.array(qpoints, dtype=float))
+        return real(fc, qpoints)
 
-    monkeypatch.setattr(lattice, "phonon_spectrum", counted)
-    monkeypatch.setattr(sweep, "phonon_spectrum", counted)
-    assert main(["dos", "--config", cfg, "--grid", "3,3,3",
+    monkeypatch.setattr(lattice, "phonon_spectrum", recorded)
+    monkeypatch.setattr(sweep, "phonon_spectrum", recorded)
+    grid = (13, 13, 13)  # 2197 q-points: more than one block
+    assert np.prod(grid) > lattice.DOS_QBLOCK
+    assert main(["dos", "--config", cfg, "--grid", ",".join(map(str, grid)),
                  "--out", str(tmp_path / "dos")]) == EXIT_OK
     capsys.readouterr()
-    assert len(calls) == 1
+    assert np.array_equal(np.concatenate(diagonalised),
+                          sweep.kpoint_grid(*grid))
+
+
+def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):
+    out = str(tmp_path / "health")
+    assert main(["relax", "--config", vanadyl_config, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    diag = json.load(open(os.path.join(out, "relax.json")))["rows"][0][
+        "diagnostics"]
+    assert diag["expm_fallback"] is False
+    assert 1.0 <= diag["eigvec_cond"] <= 1e10
 
 
 def test_couple_output(tmp_path, capsys):

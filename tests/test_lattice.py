@@ -6,8 +6,8 @@ from spinphonon.errors import ValidationError
 from spinphonon.lattice import (ForceConstantSet, bose_population,
                                 decomposition_weights, dynamical_matrix,
                                 enforce_acoustic_sum_rule, gaussian_kernel,
-                                phonon_dos, phonon_modes, phonon_spectrum,
-                                rigid_body_decomposition)
+                                phonon_dos, phonon_modes, phonon_spectrum)
+from spinphonon import lattice
 from spinphonon.sweep import kpoint_grid
 from spinphonon.toy import (ToySpec, diatomic_chain,
                             diatomic_chain_dispersion, generate_toy_crystal)
@@ -129,19 +129,49 @@ def test_decomposition_weights_sum_to_one_per_mode():
 def test_gamma_acoustic_modes_are_pure_translations():
     crystal, fc, _, _ = generate_toy_crystal(
         ToySpec(atoms_per_molecule=4, k_inter=0.2, seed=2))
-    modes = phonon_modes(fc, (0.0, 0.0, 0.0))
-    for m in modes[:3]:
-        w_t, w_r, w_i = rigid_body_decomposition(m, crystal, 0)
-        assert w_t > 0.999 and w_r < 1e-6 and w_i < 1e-6
+    _, vecs = phonon_spectrum(fc, [(0.0, 0.0, 0.0)])
+    w_t, w_r, w_i = (w[0, :3] for w in decomposition_weights(crystal, vecs))
+    assert np.all(w_t > 0.999) and np.all(w_r < 1e-6) and np.all(w_i < 1e-6)
 
 
 def test_single_atom_molecule_has_no_rotations_or_intra():
     crystal, fc, _, _ = generate_toy_crystal(
         ToySpec(atoms_per_molecule=1, k_inter=0.2, seed=0))
-    modes = phonon_modes(fc, (0.3, 0.1, 0.0))
-    for m in modes:
-        w_t, w_r, w_i = rigid_body_decomposition(m, crystal, 0)
-        assert abs(w_t - 1.0) < 1e-10 and w_r == 0.0 and w_i < 1e-10
+    _, vecs = phonon_spectrum(fc, [(0.3, 0.1, 0.0)])
+    w_t, w_r, w_i = decomposition_weights(crystal, vecs)
+    assert np.all(np.abs(w_t - 1.0) < 1e-10)
+    assert np.all(w_r == 0.0) and np.all(w_i < 1e-10)
+
+
+def _full_kernel_dos(fc, qpoints, sigma, freq_grid):
+    """Every mode's kernel on every grid point, one q-point at a time."""
+    omega, vecs = phonon_spectrum(fc, qpoints)
+    weights = decomposition_weights(fc.crystal, vecs)
+    curves = np.zeros((4, freq_grid.size))
+    for iq in range(len(qpoints)):
+        sel = omega[iq] >= 0
+        k = gaussian_kernel(freq_grid[:, None] - omega[iq, sel][None, :], sigma)
+        curves[0] += k.sum(axis=1)
+        for curve, w in zip(curves[1:], weights):
+            curve += k @ w[iq, sel]
+    return curves / len(qpoints), omega
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 60.0])
+def test_windowed_dos_matches_full_kernel(sigma):
+    crystal, fc, _, _ = generate_toy_crystal(
+        ToySpec(atoms_per_molecule=2, k_intra=2.0, k_inter=0.15, seed=3))
+    qpoints = kpoint_grid(13, 13, 13)
+    assert len(qpoints) > lattice.DOS_QBLOCK  # a block boundary is crossed
+    dos = phonon_dos(fc, qpoints, sigma)
+    ref, omega = _full_kernel_dos(fc, qpoints, sigma, dos.frequency)
+    reach = lattice.DOS_REACH * sigma
+    # windows clip at 0 (acoustic modes) and at the top of the grid
+    assert np.min(np.abs(omega)) < reach
+    assert dos.frequency[-1] == pytest.approx(omega.max() + reach)
+    for curve, expected in zip((dos.total, dos.translational, dos.rotational,
+                                dos.intra), ref):
+        assert np.max(np.abs(curve - expected)) <= 1e-12 * np.max(expected)
 
 
 def test_empty_force_constants_rejected():

@@ -309,3 +309,53 @@ def test_extract_rejects_zero_tensor_and_trivial_observable():
     R = assemble_redfield(_coupling(ham, ops), ham, pc)
     with pytest.raises(ValidationError):
         extract_relaxation_time(R, ham, ops, observable=np.eye(2))
+
+
+def test_both_estimates_share_one_eigendecomposition(monkeypatch):
+    _, ops, ham = _two_level()
+    pc = PhononCorrelation(sigma=0.5, temperature=20.0)
+    R = assemble_redfield(_coupling(ham, ops), ham, pc)
+    calls = []
+    real = np.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    est = extract_relaxation_time(R, ham, ops, method="both")
+    assert est.tau_fit_ms is not None
+    assert len(calls) == 1
+
+
+def _cascade_generator(rate=1.0, dephasing=3.0):
+    """d=3 population cascade 0 -> 1 -> 2 at one rate: the decay
+    eigenvalue -rate is defective (a 2x2 Jordan block); coherences
+    dephase at their own rate."""
+    d = 3
+    R = np.zeros((d, d, d, d))  # (a, b, c, e): rho_ab <- rho_ce
+    for a in range(d):
+        for b in range(d):
+            if a != b:
+                R[a, b, a, b] = -dephasing
+    for a in range(d - 1):
+        R[a, a, a, a] = -rate
+        R[a + 1, a + 1, a, a] = rate
+    return R.reshape(d * d, d * d)
+
+
+def test_defective_generator_records_expm_fallback_without_warning():
+    import types
+    import warnings
+
+    ham = types.SimpleNamespace(dimension=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = extract_relaxation_time(_cascade_generator(), ham, None,
+                                      observable=np.diag([1.0, 0.0, -1.0]),
+                                      method="both")
+    assert est.expm_fallback
+    assert not est.eigvec_cond <= 1e10
+    assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
+    assert est.min_rho_eigenvalue > -1e-12
+
