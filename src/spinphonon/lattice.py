@@ -7,8 +7,10 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .units import FREQ_CM1_PER_SQRT_EV_A2_AMU, KB_CM1_PER_K
 
-#: q-points diagonalised per block of the DOS, and modes per kernel block
-DOS_QBLOCK = 2048
+#: q-points per block of the DOS, diagonalised and then smeared together.
+#: On the 12-branch criterion-07 crystal at 32^3 (2 vCPU), 256 gave the
+#: fastest DOS (2.5 s, 87 MB peak RSS); 2048 took 3.2 s and 174 MB.
+DOS_QBLOCK = 256
 
 #: reach of a mode's kernel in the DOS, in units of sigma
 DOS_REACH = 8
@@ -300,29 +302,31 @@ def phonon_dos(fc, qpoints, sigma):
     if qpoints.size == 0:
         raise ValidationError("empty q-point grid")
     nq = qpoints.shape[0]
+    # per q-block: omega and its three decomposition weights, flat over modes
     blocks = []
     for start in range(0, nq, DOS_QBLOCK):
         omega, vecs = phonon_spectrum(fc, qpoints[start:start + DOS_QBLOCK])
-        blocks.append((omega, *decomposition_weights(fc.crystal, vecs)))
-    # rows: omega and its three decomposition weights, a column per mode
-    modes = np.stack([np.concatenate(part, axis=None) for part in zip(*blocks)])
-    top = float(modes[0].max()) + DOS_REACH * sigma
+        weights = decomposition_weights(fc.crystal, vecs)
+        blocks.append([np.broadcast_to(a, omega.shape).reshape(-1)
+                       for a in (omega, *weights)])
+    top = max(float(b[0].max()) for b in blocks) + DOS_REACH * sigma
     n = max(600, int(top / (sigma / 4.0)))
     freq_grid = np.linspace(0.0, top, n)
-    modes = modes[:, modes[0] >= 0]
-    omega, weights = modes[0], np.vstack([np.ones_like(modes[0]), modes[1:]])
 
     step = top / (n - 1)
     width = min(n, int(np.ceil(2 * DOS_REACH * sigma / step)) + 2)
-    first = np.clip(np.floor((omega - DOS_REACH * sigma) / step).astype(int),
-                    0, n - width)
     curves = np.zeros((4, n))
-    for start in range(0, omega.size, DOS_QBLOCK):
-        sl = slice(start, start + DOS_QBLOCK)
-        idx = first[sl, None] + np.arange(width)
-        k = gaussian_kernel(freq_grid[idx] - omega[sl, None], sigma)
-        for curve, w in zip(curves, weights[:, sl, None]):
-            curve += np.bincount(idx.reshape(-1), weights=(w * k).reshape(-1),
+    for omega, *weights in blocks:
+        stable = omega >= 0
+        omega = omega[stable]
+        first = np.clip(np.floor((omega - DOS_REACH * sigma) / step).astype(int),
+                        0, n - width)
+        idx = first[:, None] + np.arange(width)
+        k = gaussian_kernel(freq_grid[idx] - omega[:, None], sigma)
+        idx = idx.reshape(-1)
+        curves[0] += np.bincount(idx, weights=k.reshape(-1), minlength=n)
+        for curve, w in zip(curves[1:], weights):
+            curve += np.bincount(idx, weights=(w[stable, None] * k).reshape(-1),
                                  minlength=n)
     total, trans, rot, intra = curves / nq
     return DosCurve(frequency=freq_grid, total=total, translational=trans,

@@ -245,16 +245,15 @@ class RelaxationEstimate:
     eigvec_cond: float = None  # condition number of R's eigenvectors
 
 
-def stationary_state(R, dim, tol=1e-9):
+def stationary_state(w, Vr, dim, tol=1e-9):
     """Trace-one stationary state of the superoperator.
 
-    ``R`` is the d^2 x d^2 matrix or its eigendecomposition (w, Vr), as
-    ``np.linalg.eig`` returns it. Non-secular tensors in the interaction
-    picture can carry additional traceless null modes in the coherence
-    sector; the physical fixed point is the null vector with
+    ``w, Vr`` is the eigendecomposition of the d^2 x d^2 superoperator,
+    as ``np.linalg.eig`` returns it. Non-secular tensors in the
+    interaction picture can carry additional traceless null modes in the
+    coherence sector; the physical fixed point is the null vector with
     non-vanishing trace.
     """
-    w, Vr = R if isinstance(R, tuple) else np.linalg.eig(R)
     scale = float(np.max(np.abs(w)))
     cand = np.nonzero(np.abs(w) <= max(tol * scale, 1e-300))[0]
     if cand.size == 0:
@@ -316,7 +315,7 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
         return RelaxationEstimate(tau_ms=tau_slow_ms, tau_slowest_ms=tau_slow_ms)
 
     # single-exponential fit of the observable decay
-    rho_ss = stationary_state((w, Vr), d)
+    rho_ss = stationary_state(w, Vr, d)
     if rho0 is None:
         # default probe: stationary state perturbed along the observable
         pert = 0.1 * O_traceless / np.max(np.abs(O_traceless))

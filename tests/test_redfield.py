@@ -296,7 +296,7 @@ def test_stationary_state_matches_equilibrium():
     T = 25.0
     pc = PhononCorrelation(sigma=0.1, temperature=T)
     R = assemble_redfield(_coupling(ham, ops), ham, pc)
-    rho_ss = stationary_state(R.matrix(), 2)
+    rho_ss = stationary_state(*np.linalg.eig(R.matrix()), 2)
     eq = equilibrium_state(ham, T)
     assert np.max(np.abs(rho_ss - eq.matrix)) < 1e-5
 
