@@ -143,6 +143,14 @@ def test_single_atom_molecule_has_no_rotations_or_intra():
     assert np.all(w_r == 0.0) and np.all(w_i < 1e-10)
 
 
+def test_dos_of_single_atom_molecules_is_translational():
+    crystal, fc, _, _ = generate_toy_crystal(
+        ToySpec(atoms_per_molecule=1, k_inter=0.2, seed=0))
+    dos = phonon_dos(fc, kpoint_grid(3, 3, 3), 0.5)
+    assert np.all(dos.rotational == 0.0)
+    assert np.max(np.abs(dos.translational - dos.total)) < 1e-10 * dos.total.max()
+
+
 def _full_kernel_dos(fc, qpoints, sigma, freq_grid):
     """Every mode's kernel on every grid point, one q-point at a time."""
     omega, vecs = phonon_spectrum(fc, qpoints)
