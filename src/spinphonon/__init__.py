@@ -11,9 +11,8 @@ from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
 from .hamiltonian import (SpinHamiltonian, assemble_hamiltonian, diagonalize,
                           dipolar_tensor, magnetization)
-from .lattice import (DosCurve, ForceConstantSet, PhononMode, bose_population,
-                      dynamical_matrix, enforce_acoustic_sum_rule,
-                      phonon_dos, phonon_modes, phonon_spectrum)
+from .lattice import (DosCurve, ForceConstantSet, bose_population,
+                      enforce_acoustic_sum_rule, phonon_dos, phonon_spectrum)
 from .redfield import (DensityMatrix, PhononCorrelation, RedfieldTensor,
                        assemble_redfield, equilibrium_state,
                        extract_relaxation_time, phonon_correlation_value,

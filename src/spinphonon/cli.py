@@ -14,7 +14,7 @@ import sys
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
 from .coupling import coupling_norm_distribution
-from .lattice import phonon_dos, phonon_modes
+from .lattice import phonon_dos
 from .project import (load_project, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
 from .sweep import (RelaxationPipeline, SweepResult, SweepRow,
@@ -76,7 +76,6 @@ def _add_common(p, config_required=True):
     p.add_argument("--secular", action="store_true", default=None,
                    help="apply the secular approximation")
     p.add_argument("--out", help="output directory (default from config)")
-    p.add_argument("--seed", type=int, help="random seed where applicable")
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for sweep points")
 
@@ -149,8 +148,8 @@ def _cmd_phonons(args):
     os.makedirs(out_dir, exist_ok=True)
     path = write_bands_csv(qpts, omega, os.path.join(out_dir, "phonons.csv"),
                            config_hash=config.config_hash)
-    gamma = phonon_modes(pipeline.fc, (0.0, 0.0, 0.0))
-    gamma_acoustic = ", ".join(f"{m.omega:.3e}" for m in gamma[:3])
+    # kpoint_grid is Gamma-centred: row 0 is Gamma
+    gamma_acoustic = ", ".join(f"{w:.3e}" for w in omega[0, :3])
     print(f"grid {params.qgrid}: {omega.shape[0]} q-points, "
           f"{omega.shape[1]} branches, omega in "
           f"[{omega.min():.6g}, {omega.max():.6g}] cm^-1")
@@ -212,10 +211,7 @@ def _cmd_sweep(args):
         raise ConfigError("config declares no sweep plans")
     for k, plan in enumerate(plans):
         if _overrides(args):
-            plan = type(plan)(axis=plan.axis, values=plan.values, params=params,
-                              channel=plan.channel,
-                              replication_axis=plan.replication_axis,
-                              threads=plan.threads)
+            plan = dataclasses.replace(plan, params=params)
         result = run_sweep(pipeline, plan)
         written = write_results(result, out_dir,
                                 basename=f"sweep_{k}_{plan.axis}",
@@ -261,8 +257,7 @@ def _cmd_perturb(args):
 
 
 def _cmd_toygen(args):
-    seed = args.seed if args.seed is not None else 0
-    spec = toy_preset(args.preset, seed)
+    spec = toy_preset(args.preset, args.seed)
     config_path = write_toy_project(args.out, spec)
     print(f"wrote {config_path}")
     return EXIT_OK

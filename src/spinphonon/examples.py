@@ -17,7 +17,7 @@ import numpy as np
 
 from .coupling import CouplingStack
 from .hamiltonian import diagonalize
-from .lattice import phonon_modes
+from .lattice import phonon_spectrum
 from .project import load_project
 from .redfield import PhononCorrelation, assemble_redfield
 from .sweep import RelaxationPipeline, run_sweep
@@ -110,11 +110,16 @@ def _run_temperature_slope(manifest, path):
     return ok, f"log-log slope {slope:.4f} (target {target} +- {tol})"
 
 
+def _gamma_acoustic_residual(fc):
+    """Largest |omega| (cm^-1) of the three acoustic branches at Gamma."""
+    omega, _ = phonon_spectrum(fc, np.zeros((1, 3)))
+    return float(np.max(np.abs(omega[0, :3])))
+
+
 def _run_gamma_zeros(manifest, path):
     crystal, fc, derivs, system, config = load_project(path)
     pipeline = RelaxationPipeline(crystal, fc, derivs, system)  # enforces ASR
-    modes = phonon_modes(pipeline.fc, (0.0, 0.0, 0.0))
-    worst = max(abs(m.omega) for m in modes[:3])
+    worst = _gamma_acoustic_residual(pipeline.fc)
     tol = manifest.tolerance["max_abs_cm1"]
     return worst < tol, f"max |Gamma acoustic| = {worst:.2e} cm^-1 (< {tol:g})"
 
@@ -159,8 +164,7 @@ def _run_fixture_structure(manifest, path):
     if system.dimension != want:
         return False, f"Hilbert dimension {system.dimension} != {want}"
     pipeline = RelaxationPipeline(crystal, fc, derivs, system)
-    modes = phonon_modes(pipeline.fc, (0.0, 0.0, 0.0))
-    worst = max(abs(m.omega) for m in modes[:3])
+    worst = _gamma_acoustic_residual(pipeline.fc)
     tol = manifest.tolerance["max_abs_cm1"]
     if worst >= tol:
         return False, f"Gamma acoustic residual {worst:.2e} cm^-1"

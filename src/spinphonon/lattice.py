@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .units import FREQ_CM1_PER_SQRT_EV_A2_AMU, KB_CM1_PER_K
 
 #: q-points per block of the DOS, diagonalised and then smeared together.
@@ -14,6 +14,9 @@ DOS_QBLOCK = 256
 
 #: reach of a mode's kernel in the DOS, in units of sigma
 DOS_REACH = 8
+
+#: largest |D - D^H| (eV/A^2/amu) accepted before D(q) is symmetrized
+ASYMMETRY_TOL = 1e-9
 
 
 def gaussian_kernel(x, sigma):
@@ -84,51 +87,28 @@ def enforce_acoustic_sum_rule(fc):
     uniq, phi = fc.dense_blocks()
     n = fc.crystal.n_atoms
     residual = phi.sum(axis=0).reshape(n, 3, n, 3).sum(axis=2)  # (i, s, t)
-    add_l = []
-    add_i = []
-    add_s = []
-    add_j = []
-    add_t = []
-    add_v = []
-    for i in range(n):
-        for s in range(3):
-            for t in range(3):
-                r = residual[i, s, t]
-                if r != 0.0:
-                    add_l.append((0, 0, 0))
-                    add_i.append(i)
-                    add_s.append(s)
-                    add_j.append(i)
-                    add_t.append(t)
-                    add_v.append(-r)
-    if not add_v:
+    i, s, t = np.nonzero(residual)
+    if not i.size:
         return fc
     return ForceConstantSet(
         crystal=fc.crystal,
-        lvecs=np.concatenate([fc.lvecs, np.array(add_l, dtype=int)]),
-        i=np.concatenate([fc.i, np.array(add_i)]),
-        s=np.concatenate([fc.s, np.array(add_s)]),
-        j=np.concatenate([fc.j, np.array(add_j)]),
-        t=np.concatenate([fc.t, np.array(add_t)]),
-        values=np.concatenate([fc.values, np.array(add_v)]),
+        lvecs=np.concatenate([fc.lvecs, np.zeros((i.size, 3), dtype=int)]),
+        i=np.concatenate([fc.i, i]),
+        s=np.concatenate([fc.s, s]),
+        j=np.concatenate([fc.j, i]),
+        t=np.concatenate([fc.t, t]),
+        values=np.concatenate([fc.values, -residual[i, s, t]]),
     )
 
 
-def dynamical_matrix(fc, q, check_asymmetry=1e-9):
+def dynamical_matrices(fc, qpoints):
     """Mass-weighted D(q) = sum_l Phi^l0 e^{i q.R_l} / sqrt(m_i m_j).
 
-    q in fractional reciprocal coordinates. Returns the symmetrized
-    (Hermitian) matrix; the pre-symmetrization asymmetry is available as
-    a diagnostic through ``dynamical_matrices``.
+    q-points in fractional reciprocal coordinates; returns the
+    symmetrized (Hermitian) stack (nq, 3N, 3N). A force constant set
+    whose D(q) departs from Hermitian by more than ``ASYMMETRY_TOL`` at
+    any q-point is rejected.
     """
-    D, asym = dynamical_matrices(fc, np.asarray(q, float)[None, :])
-    if asym[0] > check_asymmetry:
-        raise ValidationError(f"D(q) asymmetry {asym[0]:.2e} above {check_asymmetry:.0e}")
-    return D[0]
-
-
-def dynamical_matrices(fc, qpoints):
-    """Batched D(q) over fractional q-points: (nq, 3N, 3N) plus asymmetry."""
     if fc.n_records == 0:
         raise ValidationError("empty force constant set")
     uniq, phi = fc.dense_blocks()
@@ -140,47 +120,14 @@ def dynamical_matrices(fc, qpoints):
     qpoints = np.asarray(qpoints, dtype=float)
     phases = np.exp(2j * np.pi * (qpoints @ uniq.T))  # (nq, nl)
     D = np.tensordot(phases, phi, axes=(1, 0)) * weight[None, :, :]
-    asym = np.max(np.abs(D - np.conj(np.transpose(D, (0, 2, 1)))), axis=(1, 2))
-    D = 0.5 * (D + np.conj(np.transpose(D, (0, 2, 1))))
-    return D, asym
-
-
-@dataclass(frozen=True)
-class PhononMode:
-    """One (q, branch) normal mode.
-
-    ``omega`` in cm^-1; an unstable mode is stored with omega < 0 and
-    ``imaginary=True``. ``eigvec`` is the unit-norm mass-weighted
-    polarization vector (length 3N).
-    """
-
-    q: np.ndarray
-    branch: int
-    omega: float
-    eigvec: np.ndarray
-    imaginary: bool = False
-
-
-def phonon_modes(fc, q):
-    """Phonon modes at one fractional q-point, as a PhononMode list.
-
-    D(q) goes through ``dynamical_matrix``, so an asymmetric force
-    constant set is rejected; omega follows ``phonon_spectrum``.
-    """
-    q = np.asarray(q, dtype=float)
-    try:
-        lam, vecs = np.linalg.eigh(dynamical_matrix(fc, q))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise NumericalError(f"eigensolver failed at q={q}") from exc
-    omega = _frequencies(lam)
-    return [PhononMode(q=q, branch=a, omega=float(omega[a]),
-                       eigvec=vecs[:, a], imaginary=bool(lam[a] < 0))
-            for a in range(lam.size)]
-
-
-def _frequencies(lam):
-    """omega (cm^-1) from eigenvalues of D; negative for lam < 0."""
-    return np.sign(lam) * FREQ_CM1_PER_SQRT_EV_A2_AMU * np.sqrt(np.abs(lam))
+    Dh = np.conj(np.transpose(D, (0, 2, 1)))
+    asym = np.max(np.abs(D - Dh), axis=(1, 2))
+    worst = int(np.argmax(asym))
+    if asym[worst] > ASYMMETRY_TOL:
+        raise ValidationError(
+            f"D(q) asymmetry {asym[worst]:.2e} above {ASYMMETRY_TOL:.0e} "
+            f"at q={qpoints[worst].tolist()}")
+    return 0.5 * (D + Dh)
 
 
 def phonon_spectrum(fc, qpoints):
@@ -189,9 +136,9 @@ def phonon_spectrum(fc, qpoints):
     Eigenvector columns vecs[iq, :, a] belong to omega[iq, a]; negative
     omega flags an unstable mode.
     """
-    D, _ = dynamical_matrices(fc, qpoints)
-    lam, vecs = np.linalg.eigh(D)
-    return _frequencies(lam), vecs
+    lam, vecs = np.linalg.eigh(dynamical_matrices(fc, qpoints))
+    omega = np.sign(lam) * FREQ_CM1_PER_SQRT_EV_A2_AMU * np.sqrt(np.abs(lam))
+    return omega, vecs
 
 
 def bose_population(omega, T):

@@ -185,19 +185,23 @@ def equilibrium_state(ham, T):
 
 class _Propagator:
     """exp(R t) from R's eigendecomposition (w, Vr), or by
-    scaling-and-squaring expm when Vr is missing or ill-conditioned
-    (``fallback``; ``cond`` is the condition number of Vr)."""
+    scaling-and-squaring expm when Vr is missing, singular or
+    ill-conditioned (``fallback``). ``cond`` is the 1-norm condition
+    number of Vr, ||Vr||_1 ||Vr^-1||_1, taken from the inverse the
+    propagation needs anyway; inf when there is no inverse."""
 
     def __init__(self, Rmat, w, Vr):
         self.R = np.asarray(Rmat, dtype=complex)
         self.w, self.Vr = w, Vr
-        self.cond = float(np.linalg.cond(Vr)) if Vr is not None else np.inf
-        self.fallback = not self.cond <= 1e10
-        if not self.fallback:
+        self.cond = np.inf
+        if Vr is not None:
             try:
                 self.Vr_inv = np.linalg.inv(Vr)
+                self.cond = float(np.linalg.norm(Vr, 1)
+                                  * np.linalg.norm(self.Vr_inv, 1))
             except np.linalg.LinAlgError:
-                self.fallback = True
+                pass
+        self.fallback = not self.cond <= 1e10
 
     def apply(self, vec, t):
         if self.fallback:
@@ -242,7 +246,7 @@ class RelaxationEstimate:
     non_exponential: bool = False
     min_rho_eigenvalue: float = None
     expm_fallback: bool = False  # propagation used expm, not (w, Vr)
-    eigvec_cond: float = None  # condition number of R's eigenvectors
+    eigvec_cond: float = None  # 1-norm condition number of R's eigenvectors
 
 
 def stationary_state(w, Vr, dim, tol=1e-9):

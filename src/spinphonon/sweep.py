@@ -7,7 +7,7 @@ point, whichever axis moves.
 """
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -302,22 +302,8 @@ def run_sweep(pipeline, plan):
             rows = list(pool.map(one, plan.values))
     else:
         rows = [one(v) for v in plan.values]
-    meta = {"axis": plan.axis, "params": _params_dict(plan.params)}
+    meta = {"axis": plan.axis, "params": asdict(plan.params)}
     return SweepResult(plan_axis=plan.axis, rows=tuple(rows), metadata=meta)
-
-
-def _params_dict(p):
-    return {
-        "qgrid": list(p.qgrid),
-        "sigma": p.sigma,
-        "temperature": p.temperature,
-        "field_B": None if p.field_B is None else list(p.field_B),
-        "channels": None if p.channels is None else list(p.channels),
-        "secular": p.secular,
-        "omega_min": p.omega_min,
-        "freq_scale": p.freq_scale,
-        "coupling_scale": p.coupling_scale,
-    }
 
 
 def perturbation_study(pipeline, params, kind, channel="hyperfine"):
@@ -341,7 +327,7 @@ def perturbation_study(pipeline, params, kind, channel="hyperfine"):
     )
     meta = {"kind": kind, "channel": channel,
             "tau_ratio": pert.tau_ms / base.tau_ms,
-            "params": _params_dict(params)}
+            "params": asdict(params)}
     return SweepResult(plan_axis="perturbation", rows=rows, metadata=meta)
 
 
@@ -436,7 +422,7 @@ def multi_spin_scaling(pipeline, plan):
                                  tau_channel_ms={}, diagnostics={},
                                  error=f"{type(exc).__name__}: {exc}"))
     meta = {"axis": "n_spins", "replication_axis": plan.replication_axis,
-            "params": _params_dict(plan.params)}
+            "params": asdict(plan.params)}
     return SweepResult(plan_axis="n_spins", rows=tuple(rows), metadata=meta)
 
 

@@ -154,3 +154,50 @@ def test_run_examples_filter(capsys):
     assert "golden" in captured.out
     assert main(["run-examples", "--filter", "no-such"]) == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_seed_is_only_a_toygen_flag(tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    assert main(["relax", "--config", cfg, "--seed", "1"]) == EXIT_USAGE
+    capsys.readouterr()
+
+
+def test_phonons_reads_gamma_from_the_grid(tmp_path, monkeypatch, capsys):
+    cfg = _toy(tmp_path)
+    calls = []
+    real = lattice.dynamical_matrices
+
+    def recorded(fc, qpoints):
+        calls.append(len(qpoints))
+        return real(fc, qpoints)
+
+    monkeypatch.setattr(lattice, "dynamical_matrices", recorded)
+    assert main(["phonons", "--config", cfg, "--grid", "3,3,3",
+                 "--out", str(tmp_path / "ph")]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert calls == [27]
+    assert "Gamma acoustic frequencies" in out
+
+
+def _append_records(cfg, lines):
+    path = os.path.join(os.path.dirname(cfg), "force_constants.dat")
+    with open(path, "a") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_relax_rejects_asymmetric_force_constants(tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    # Phi_0x,0y(l) gains 0.01 at l=(1,0,0) and loses it at l=0: the sum
+    # rule still holds, but Phi_0x,0y(l) != Phi_0y,0x(-l)
+    _append_records(cfg, ["1 0 0 0 0 0 1 0.01", "0 0 0 0 0 0 1 -0.01"])
+    assert main(["relax", "--config", cfg, "--grid", "2,2,2",
+                 "--out", str(tmp_path / "r")]) == EXIT_PARSE
+    assert "asymmetry" in capsys.readouterr().err
+
+
+def test_overflowing_lattice_vector_is_parse_error(tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    _append_records(cfg, ["99999999999999999999 0 0 0 0 0 0 1.0"])
+    assert main(["phonons", "--config", cfg, "--grid", "2,2,2",
+                 "--out", str(tmp_path / "ph")]) == EXIT_PARSE
+    assert "out of range" in capsys.readouterr().err

@@ -7,7 +7,7 @@ from spinphonon.coupling import (CouplingDerivativeSet, DerivativeScan,
                                  fit_derivative_scan, mode_tensor_derivatives)
 from spinphonon.errors import ValidationError
 from spinphonon.hamiltonian import assemble_hamiltonian, dipolar_tensor
-from spinphonon.lattice import phonon_modes
+from spinphonon.lattice import phonon_spectrum
 from spinphonon.spins import SpinCenter, build_spin_operators
 from spinphonon.toy import ToySpec, generate_toy_crystal
 
@@ -108,14 +108,20 @@ def toy_context():
     crystal, fc, derivs, system = generate_toy_crystal(spec)
     ops = build_spin_operators(system)
     ham = assemble_hamiltonian(system, ops)
-    mode = phonon_modes(fc, (0.25, 0.0, 0.0))[3]
+    mode = tuple(a[3:4] for a in _modes(fc, (0.25, 0.0, 0.0)))
     return crystal, fc, derivs, system, ops, ham, mode
 
 
+def _modes(fc, q):
+    """(q, omega, eigvec) stacks, one row per branch, at one q-point."""
+    omega, vecs = phonon_spectrum(fc, [q])
+    qs = np.tile(np.asarray(q, float), (omega.shape[1], 1))
+    return qs, omega[0], vecs[0].T
+
+
 def _project(derivs, mode, crystal, n_q):
-    """{target: 3x3 tensor} of one PhononMode, via the stacked projection."""
-    modes = mode_tensor_derivatives(derivs, [mode.q], [mode.omega],
-                                    [mode.eigvec], crystal, n_q)
+    """{target: 3x3 tensor} of a one-row (q, omega, eigvec) mode stack."""
+    modes = mode_tensor_derivatives(derivs, *mode, crystal, n_q)
     return dict(zip(modes.targets, modes.tensors[0]))
 
 
@@ -149,34 +155,33 @@ def test_bloch_phase_enters_replica_records(toy_context):
 
 def test_translation_invariant_records_give_zero_gamma_coupling(toy_context):
     crystal, fc, derivs, _, _, _, _ = toy_context
-    acoustic = phonon_modes(fc, (0.0, 0.0, 0.0))[:3]
+    q, _, vecs = _modes(fc, (0.0, 0.0, 0.0))
     scale = np.max(np.abs(derivs.tensors))
     # unit proxy frequencies: the acoustic omega are zero at Gamma
-    modes = mode_tensor_derivatives(derivs, [m.q for m in acoustic],
-                                    np.ones(3), [m.eigvec for m in acoustic],
+    modes = mode_tensor_derivatives(derivs, q[:3], np.ones(3), vecs[:3],
                                     crystal, 1)
     assert np.max(np.abs(modes.tensors)) / scale < 1e-10
 
 
 def test_projection_rejects_soft_modes(toy_context):
     crystal, fc, derivs, _, _, _, _ = toy_context
-    gamma = phonon_modes(fc, (0.0, 0.0, 0.0))[0]
+    q, _, vecs = _modes(fc, (0.0, 0.0, 0.0))
     with pytest.raises(ValidationError):
-        mode_tensor_derivatives(derivs, [gamma.q], [0.0], [gamma.eigvec],
-                                crystal, 1)
+        mode_tensor_derivatives(derivs, q[:1], [0.0], vecs[:1], crystal, 1)
 
 
 def test_stacked_projection_matches_single_modes(toy_context):
     crystal, fc, derivs, _, _, _, _ = toy_context
-    singles = [m for q in ((0.25, 0.0, 0.0), (0.0, -0.5, 0.25))
-               for m in phonon_modes(fc, q)[3:]]
-    stacked = mode_tensor_derivatives(
-        derivs, [m.q for m in singles], [m.omega for m in singles],
-        [m.eigvec for m in singles], crystal, 8)
-    assert stacked.tensors.shape == (len(singles), 1, 3, 3)
+    # optical branches of two q-points, stacked
+    stacks = [_modes(fc, qpt) for qpt in ((0.25, 0.0, 0.0), (0.0, -0.5, 0.25))]
+    q, omega, vecs = (np.concatenate([a[3:] for a in parts])
+                      for parts in zip(*stacks))
+    stacked = mode_tensor_derivatives(derivs, q, omega, vecs, crystal, 8)
+    assert stacked.tensors.shape == (len(omega), 1, 3, 3)
     scale = np.max(np.abs(stacked.tensors))
-    for k, m in enumerate(singles):
-        one = _project(derivs, m, crystal, 8)[stacked.targets[0]]
+    for k in range(len(omega)):
+        one = _project(derivs, (q[k:k + 1], omega[k:k + 1], vecs[k:k + 1]),
+                       crystal, 8)[stacked.targets[0]]
         assert np.max(np.abs(stacked.tensors[k, 0] - one)) <= 1e-14 * scale
 
 
@@ -197,8 +202,7 @@ def test_channel_bookkeeping_and_scaling():
 
 def test_coupling_norm_distribution_normalizes_by_grid(toy_context):
     crystal, _, derivs, _, _, _, mode = toy_context
-    modes = mode_tensor_derivatives(derivs, [mode.q], [mode.omega],
-                                    [mode.eigvec], crystal, 4)
+    modes = mode_tensor_derivatives(derivs, *mode, crystal, 4)
     dist4 = coupling_norm_distribution(modes, 4)
     dist8 = coupling_norm_distribution(modes, 8)
     c4, v4 = dist4["zeeman"]

@@ -4,9 +4,9 @@ import pytest
 from spinphonon.crystal import Atom, CrystalModel
 from spinphonon.errors import ValidationError
 from spinphonon.lattice import (ForceConstantSet, bose_population,
-                                decomposition_weights, dynamical_matrix,
+                                decomposition_weights, dynamical_matrices,
                                 enforce_acoustic_sum_rule, gaussian_kernel,
-                                phonon_dos, phonon_modes, phonon_spectrum)
+                                phonon_dos, phonon_spectrum)
 from spinphonon import lattice
 from spinphonon.sweep import kpoint_grid
 from spinphonon.toy import (ToySpec, diatomic_chain,
@@ -39,9 +39,8 @@ def test_dynamical_matrix_hermitian_and_conjugate_at_minus_q():
     crystal, fc, _, _ = generate_toy_crystal(ToySpec(atoms_per_molecule=3,
                                                      k_inter=0.2, seed=4))
     for q in ([0.13, -0.27, 0.41], [0.5, 0.5, 0.5], [0.0, 0.2, 0.0]):
-        D = dynamical_matrix(fc, q)
+        D, Dm = dynamical_matrices(fc, [q, -np.asarray(q)])
         assert np.max(np.abs(D - D.conj().T)) < 1e-10
-        Dm = dynamical_matrix(fc, -np.asarray(q))
         assert np.max(np.abs(Dm - D.conj())) < 1e-10
 
 
@@ -56,8 +55,8 @@ def test_sum_rule_enforcement_restores_gamma_zeros():
     assert broken.sum_rule_residual() > 1e-3
     fixed = enforce_acoustic_sum_rule(broken)
     assert fixed.sum_rule_residual() < 1e-12
-    modes = phonon_modes(fixed, (0.0, 0.0, 0.0))
-    assert max(abs(m.omega) for m in modes[:3]) < 1e-5
+    omega, _ = phonon_spectrum(fixed, np.zeros((1, 3)))
+    assert np.max(np.abs(omega[0, :3])) < 1e-5
 
 
 def test_acoustic_branches_linear_near_gamma():
@@ -83,8 +82,8 @@ def test_unstable_modes_are_flagged_not_hidden():
         j.append(0); t.append(axis); v.append(-0.2)
     fc = ForceConstantSet(crystal=crystal, lvecs=lv, i=i, s=s, j=j, t=t,
                           values=v)
-    modes = phonon_modes(fc, (0.5, 0.5, 0.5))
-    assert any(m.imaginary and m.omega < 0 for m in modes)
+    omega, _ = phonon_spectrum(fc, [(0.5, 0.5, 0.5)])
+    assert np.any(omega < 0)
 
 
 def test_bose_population_values():
@@ -187,4 +186,20 @@ def test_empty_force_constants_rejected():
     empty = ForceConstantSet(crystal=crystal, lvecs=[], i=[], s=[], j=[],
                              t=[], values=[])
     with pytest.raises(ValidationError):
-        dynamical_matrix(empty, (0, 0, 0))
+        dynamical_matrices(empty, [(0, 0, 0)])
+
+
+def test_asymmetric_force_constants_rejected_on_every_qpoint():
+    crystal, fc = diatomic_chain()
+    # Phi_0x,0x gains 0.01 at l=(1,0,0) and loses it at l=0: D(Gamma) stays
+    # Hermitian, D(q) elsewhere does not, worst at q = +-1/4
+    fc = ForceConstantSet(
+        crystal=crystal, lvecs=[*fc.lvecs, (1, 0, 0), (0, 0, 0)],
+        i=[*fc.i, 0, 0], s=[*fc.s, 0, 0], j=[*fc.j, 0, 0], t=[*fc.t, 0, 0],
+        values=[*fc.values, 0.01, -0.01])
+    dynamical_matrices(fc, [(0.0, 0.0, 0.0)])
+    worst = r"asymmetry .* at q=\[0\.25, 0\.0, 0\.0\]"
+    with pytest.raises(ValidationError, match=worst):
+        phonon_spectrum(fc, kpoint_grid(4, 1, 1))
+    with pytest.raises(ValidationError, match="asymmetry"):
+        phonon_dos(fc, kpoint_grid(4, 1, 1), 1.0)

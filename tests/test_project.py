@@ -102,6 +102,15 @@ def test_force_constants_index_out_of_range(tmp_path, soft_bundle):
         load_force_constants(path, soft_bundle[0])
 
 
+def test_force_constants_lattice_vector_overflow(tmp_path, soft_bundle):
+    text = "0 0 0 0 0 0 0 1.0\n99999999999999999999 0 0 0 0 0 0 1.0\n"
+    path = _write(tmp_path, "fc.dat", text)
+    with pytest.raises(ParseError) as exc:
+        load_force_constants(path, soft_bundle[0])
+    assert "out of range" in str(exc.value)
+    assert exc.value.line == 2
+
+
 def test_force_constants_empty_file(tmp_path, soft_bundle):
     path = _write(tmp_path, "fc.dat", "# only a comment\n")
     with pytest.raises(ParseError):
@@ -147,6 +156,30 @@ def test_truncated_scan_block_rejected(tmp_path, soft_bundle):
     with pytest.raises(ParseError) as exc:
         load_derivatives(path, soft_bundle[0])
     assert "truncated" in str(exc.value)
+    assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("x, reason", [
+    (np.linspace(0.01, 0.1, 10), "span zero"),
+    (np.repeat([-0.02, -0.01, 0.01, 0.02], [3, 3, 2, 2]), "5 distinct"),
+])
+def test_invalid_scan_block_is_parse_error(tmp_path, soft_bundle, x, reason):
+    # the scan header is on line 3; each row's tensor is x * identity
+    lines = ["# comment", "", "scan g:0 0 1 0 0 0"]
+    lines += [f"{v!r} {v!r} 0 0 0 {v!r} 0 0 0 {v!r}" for v in x.tolist()]
+    path = _write(tmp_path, "d.dat", "\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_derivatives(path, soft_bundle[0])
+    assert reason in str(exc.value)
+    assert exc.value.line == 3
+
+
+def test_derivative_lattice_vector_overflow(tmp_path, soft_bundle):
+    path = _write(tmp_path, "d.dat",
+                  "g:0 0 0 0 -99999999999999999999 0 1 0 0 0 1 0 0 0 1\n")
+    with pytest.raises(ParseError) as exc:
+        load_derivatives(path, soft_bundle[0])
+    assert "out of range" in str(exc.value)
     assert exc.value.line == 1
 
 

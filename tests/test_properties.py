@@ -1,0 +1,157 @@
+"""Property tests of the lattice layer and the line parsers.
+
+Crystals are drawn as generated ToySpecs. Hypothesis runs derandomized
+with a bounded number of examples, so every run checks the same cases.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from spinphonon.errors import ParseError
+from spinphonon.lattice import (ForceConstantSet, decomposition_weights,
+                                dynamical_matrices, enforce_acoustic_sum_rule,
+                                phonon_spectrum)
+from spinphonon.project import (load_crystal, load_derivatives,
+                                load_force_constants, serialize_crystal,
+                                serialize_derivatives,
+                                serialize_force_constants)
+from spinphonon.toy import ToySpec, generate_toy_crystal
+
+FEW = settings(derandomize=True, database=None, deadline=None, max_examples=12)
+
+toy_specs = st.builds(
+    ToySpec,
+    molecules_per_cell=st.integers(1, 4),
+    atoms_per_molecule=st.integers(1, 10),
+    jitter=st.floats(0.0, 0.1),
+    k_intra=st.floats(0.5, 5.0),
+    k_inter=st.floats(0.02, 0.5),
+    mass=st.floats(1.0, 200.0),
+    seed=st.integers(0, 2**16),
+)
+qpoints = st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@FEW
+@given(spec=toy_specs, kicks=st.lists(st.floats(-0.1, 0.1), min_size=1))
+def test_sum_rule_zeroes_gamma_acoustic_modes(spec, kicks):
+    crystal, fc, _, _ = generate_toy_crystal(spec)
+    # move the diagonal self-terms Phi_is,is(0): D stays Hermitian, the
+    # sum rule breaks
+    self_terms = np.flatnonzero((fc.i == fc.j) & (fc.s == fc.t)
+                                & np.all(fc.lvecs == 0, axis=1))
+    values = fc.values.copy()
+    values[self_terms] += np.resize(kicks, self_terms.size)
+    broken = ForceConstantSet(crystal=crystal, lvecs=fc.lvecs, i=fc.i,
+                              s=fc.s, j=fc.j, t=fc.t, values=values)
+    omega, _ = phonon_spectrum(enforce_acoustic_sum_rule(broken),
+                               [(0.0, 0.0, 0.0), (0.5, 0.5, 0.5)])
+    # eigh round-off leaves |omega| ~ sqrt(eps) * max omega on a zero
+    # mode; the zone corner sets the scale even for a one-atom cell
+    assert np.max(np.abs(omega[0, :3])) < 1e-6 * np.max(np.abs(omega))
+
+
+@FEW
+@given(spec=toy_specs, q=qpoints)
+def test_dynamical_matrix_at_minus_q_is_the_conjugate(spec, q):
+    _, fc, _, _ = generate_toy_crystal(spec)
+    # dynamical_matrices rejects an asymmetry above ASYMMETRY_TOL
+    D, Dm = dynamical_matrices(fc, [q, -np.asarray(q)])
+    assert np.max(np.abs(Dm - D.conj())) <= 1e-12 * np.max(np.abs(D))
+
+
+@FEW
+@given(spec=toy_specs, q=qpoints)
+def test_decomposition_weights_sum_to_one(spec, q):
+    crystal, fc, _, _ = generate_toy_crystal(spec)
+    _, vecs = phonon_spectrum(fc, [q, (0.0, 0.0, 0.0)])
+    w_t, w_r, w_i = decomposition_weights(crystal, vecs)
+    assert np.max(np.abs(w_t + w_r + w_i - 1.0)) < 1e-8
+
+
+@FEW
+@given(spec=toy_specs)
+def test_serialize_then_load_is_exact(spec, workdir):
+    crystal, fc, derivs, _ = generate_toy_crystal(spec)
+    path = workdir / "crystal.json"
+    path.write_text(json.dumps(serialize_crystal(crystal)))
+    back = load_crystal(str(path))
+    assert np.array_equal(back.cell, crystal.cell)
+    assert len(back.atoms) == len(crystal.atoms)
+    for a, b in zip(back.atoms, crystal.atoms):
+        assert a.element == b.element and a.mass == b.mass
+        assert a.molecule == b.molecule
+        assert np.array_equal(a.frac, b.frac)
+
+    path = workdir / "fc.dat"
+    path.write_text(serialize_force_constants(fc))
+    fc_back = load_force_constants(str(path), back)
+    for name in ("lvecs", "i", "s", "j", "t", "values"):
+        assert np.array_equal(getattr(fc_back, name), getattr(fc, name))
+
+    path = workdir / "derivatives.dat"
+    path.write_text(serialize_derivatives(derivs))
+    d_back = load_derivatives(str(path), back)
+    assert d_back.targets == derivs.targets
+    for name in ("atom", "s", "lvecs", "tensors"):
+        assert np.array_equal(getattr(d_back, name), getattr(derivs, name))
+
+
+@pytest.fixture(scope="module")
+def fuzz_bundle():
+    """Small crystal whose derivative file carries g, A and dip targets."""
+    return generate_toy_crystal(ToySpec(
+        molecules_per_cell=2, atoms_per_molecule=2, spin_molecules=2,
+        a_baseline=(0.004, 0.004, 0.014), a_deriv_mag=1e-4, inter_cutoff=4.0))
+
+
+# a mutation replaces one token of one record line with arbitrary text
+# that stays on that line
+_FUZZ_TOKENS = st.one_of(
+    st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "0.5", "-1",
+                     "3", "99999999999999999999", "scan", "g:", "A:0",
+                     "dip:0:x", "#", "1 2"]),
+    st.text(st.characters(exclude_categories=("Cs",),
+                          exclude_characters="\n"), max_size=8),
+)
+
+
+def _mutated(text, line_pick, token_pick, new):
+    """(mutated text, 1-based number of the changed line)."""
+    lines = text.splitlines()
+    records = [k for k, line in enumerate(lines)
+               if line.strip() and not line.lstrip().startswith("#")]
+    k = records[line_pick % len(records)]
+    tokens = lines[k].split()
+    tokens[token_pick % len(tokens)] = new
+    lines[k] = " ".join(tokens)
+    return "\n".join(lines) + "\n", k + 1
+
+
+@pytest.mark.parametrize("kind", ["force_constants", "derivatives"])
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(line_pick=st.integers(0, 10**6), token_pick=st.integers(0, 20),
+       new=_FUZZ_TOKENS)
+def test_mutated_data_file_raises_only_parse_error(kind, line_pick, token_pick,
+                                                   new, workdir, fuzz_bundle):
+    crystal, fc, derivs, _ = fuzz_bundle
+    if kind == "force_constants":
+        text, load = serialize_force_constants(fc), load_force_constants
+    else:
+        text, load = serialize_derivatives(derivs), load_derivatives
+    text, lineno = _mutated(text, line_pick, token_pick, new)
+    path = workdir / f"{kind}.dat"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        load(str(path), crystal)
+    except ParseError as exc:
+        assert exc.line == lineno
+

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -74,6 +74,14 @@ def test_temperature_sweep_tau_decreases(soft_pipeline):
     assert all(r.error is None for r in res.rows)
     assert taus[0] > taus[1] > taus[2]
     assert res.metadata["axis"] == "temperature"
+
+
+def test_sweep_metadata_echoes_every_run_param(soft_pipeline):
+    params = replace(BASE, prune_sigma_mult=7.0)
+    res = run_sweep(soft_pipeline, SweepPlan(axis="temperature",
+                                             values=(50.0,), params=params))
+    assert res.metadata["params"] == {
+        f.name: getattr(params, f.name) for f in fields(RunParams)}
 
 
 def test_threaded_sweep_matches_serial(soft_pipeline):
