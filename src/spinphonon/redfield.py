@@ -5,6 +5,7 @@ function carrying 1/cm^-1, the master-matrix elements come out in 1/ps
 after multiplying by the rad/ps-per-cm^-1 conversion (hbar = 1).
 """
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +134,7 @@ def assemble_redfield(stack, ham, pc, secular=False):
         off = (np.abs(omega.reshape(-1, 1) - omega.reshape(1, -1))
                > SECULAR_TOL_CM1)
     parts = {}
-    for ch in dict.fromkeys(stack.channel.tolist()):
+    for ch in stack.distinct_channels():
         rows = np.flatnonzero(stack.channel == ch)
         X = np.zeros((d * d, d * d), dtype=complex)  # (ac, db)
         S1 = np.zeros((d, d), dtype=complex)
@@ -183,15 +184,98 @@ def equilibrium_state(ham, T):
     return DensityMatrix(matrix=np.diag(w / w.sum()).astype(complex), basis="eigen")
 
 
+@functools.lru_cache(maxsize=None)
+def _hermitian_basis(d):
+    """Index arrays of the unitary Q onto the orthonormal Hermitian basis
+    of d x d matrices: E_aa for each a, then (E_ab + E_ba)/sqrt(2) and
+    i(E_ab - E_ba)/sqrt(2) for each a < b. Column k of Q is
+    alpha[k] e_p[k] + beta[k] e_q[k] in the vectorised (ab) index."""
+    a, b = np.triu_indices(d, 1)
+    diag = np.arange(d) * (d + 1)
+    h = np.sqrt(0.5)
+    p = np.concatenate([diag, np.repeat(a * d + b, 2)])
+    q = np.concatenate([diag, np.repeat(b * d + a, 2)])
+    alpha = np.concatenate([np.ones(d), np.tile([h, 1j * h], a.size)])
+    beta = np.concatenate([np.zeros(d), np.tile([h, -1j * h], a.size)])
+    for x in (p, q, alpha, beta):
+        x.flags.writeable = False
+    return p, q, alpha, beta
+
+
+def _coords(m):
+    """Q^H vec(m): coordinates of a d x d matrix in the Hermitian basis,
+    real when m is Hermitian. The trace is the sum of the first d."""
+    p, q, alpha, beta = _hermitian_basis(m.shape[0])
+    flat = np.asarray(m).reshape(-1)
+    return alpha.conj() * flat[p] + beta.conj() * flat[q]
+
+
+def _matrix(x, d):
+    """Q x: the d x d matrix with coordinates x (Hermitian for real x)."""
+    p, q, _, _ = _hermitian_basis(d)
+    h = np.sqrt(0.5)
+    s, a = x[d::2], x[d + 1::2]
+    flat = np.zeros(d * d, dtype=complex)
+    flat[p[:d]] = x[:d]
+    flat[p[d::2]] = h * (s + 1j * a)
+    flat[q[d::2]] = h * (s - 1j * a)
+    return flat.reshape(d, d)
+
+
+def _real_form(R, channels=None):
+    """Q^H R Q: the generator as a real d^2 x d^2 matrix on the
+    coordinates of Hermitian rho, with the same eigenvalues as R.
+
+    ``R`` is a RedfieldTensor (summed over ``channels``) or a raw
+    d^2 x d^2 array in its (ab, cd) layout. The rows are built block by
+    block from each channel part, so no second complex d^2 x d^2 array
+    is held. A generator that does not map Hermitian rho to Hermitian
+    rho has no real form: a discarded imaginary part above 1e-12 of
+    max|R| raises ValidationError.
+    """
+    if isinstance(R, RedfieldTensor):
+        d = R.dimension
+        parts = [part for ch, part in R.channels.items()
+                 if channels is None or ch in channels]
+    else:
+        parts = [np.asarray(R)]
+        d = int(round(np.sqrt(parts[0].shape[0])))
+        if parts[0].shape != (d * d, d * d):
+            raise ValidationError(
+                f"generator of shape {parts[0].shape} is not d^2 x d^2")
+    p, q, alpha, beta = _hermitian_basis(d)
+    n = d * d
+    out = np.zeros((n, n))
+    if not parts:
+        return out
+    step = max(1, ASSEMBLY_BLOCK // n)
+    scale = imag = 0.0
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        Rp = sum(part[p[rows]] for part in parts)
+        Rq = sum(part[q[rows]] for part in parts)
+        scale = max(scale, np.max(np.abs(Rp)), np.max(np.abs(Rq)))
+        Z = alpha[rows, None].conj() * Rp + beta[rows, None].conj() * Rq
+        block = Z[:, p] * alpha + Z[:, q] * beta
+        out[rows] = block.real
+        imag = max(imag, np.max(np.abs(block.imag)))
+    if imag > 1e-12 * scale:
+        raise ValidationError(
+            f"generator does not preserve Hermiticity: imaginary part "
+            f"{imag:.2e} of its real form (max|R| {scale:.2e})")
+    return out
+
+
 class _Propagator:
-    """exp(R t) from R's eigendecomposition (w, Vr), or by
+    """exp(M t) from M's eigendecomposition (w, Vr), or by
     scaling-and-squaring expm when Vr is missing, singular or
-    ill-conditioned (``fallback``). ``cond`` is the 1-norm condition
-    number of Vr, ||Vr||_1 ||Vr^-1||_1, taken from the inverse the
-    propagation needs anyway; inf when there is no inverse."""
+    ill-conditioned (``fallback``). M keeps its dtype (the real form of
+    a generator is not copied to complex). ``cond`` is the 1-norm
+    condition number of Vr, ||Vr||_1 ||Vr^-1||_1, taken from the inverse
+    the propagation needs anyway; inf when there is no inverse."""
 
     def __init__(self, Rmat, w, Vr):
-        self.R = np.asarray(Rmat, dtype=complex)
+        self.R = np.asarray(Rmat)
         self.w, self.Vr = w, Vr
         self.cond = np.inf
         if Vr is not None:
@@ -210,27 +294,30 @@ class _Propagator:
 
 
 def propagate(rho0, R, times):
-    """rho(t) = exp(Rt) rho(0) at the requested times (ps, ascending)."""
+    """rho(t) = exp(Rt) rho(0) at the requested times (ps, ascending).
+
+    Propagation runs on the real form of R; the Hermitian part of rho(0)
+    is propagated."""
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
         raise ValidationError("times must be ascending and non-negative")
     rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
     d = rho0_mat.shape[0]
-    Rmat = R.matrix() if isinstance(R, RedfieldTensor) else np.asarray(R)
+    M = _real_form(R)
     try:
-        w, Vr = np.linalg.eig(Rmat)
+        w, Vr = np.linalg.eig(M)
     except np.linalg.LinAlgError:
         w = Vr = None
-    prop = _Propagator(Rmat, w, Vr)
-    vec0 = rho0_mat.reshape(-1)
+    prop = _Propagator(M, w, Vr)
+    x0 = _coords(rho0_mat).real
     out = []
     for t in times:
-        rho = prop.apply(vec0, t).reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)  # curb round-off drift
-        tr = np.trace(rho).real
+        x = prop.apply(x0, t).real
+        tr = np.sum(x[:d])
         if abs(tr - 1.0) > 1e-8:
             raise NumericalError(f"trace drift {tr - 1.0:.2e} at t={t}")
-        out.append(DensityMatrix(matrix=rho, basis="eigen", time_ps=float(t)))
+        out.append(DensityMatrix(matrix=_matrix(x, d), basis="eigen",
+                                 time_ps=float(t)))
     return out
 
 
@@ -250,10 +337,11 @@ class RelaxationEstimate:
 
 
 def stationary_state(w, Vr, dim, tol=1e-9):
-    """Trace-one stationary state of the superoperator.
+    """Trace-one stationary state of the superoperator, as a d x d matrix.
 
-    ``w, Vr`` is the eigendecomposition of the d^2 x d^2 superoperator,
-    as ``np.linalg.eig`` returns it. Non-secular tensors in the
+    ``w, Vr`` is the eigendecomposition of the real form of the
+    superoperator (coordinates in the Hermitian basis), as
+    ``np.linalg.eig`` returns it. Non-secular tensors in the
     interaction picture can carry additional traceless null modes in the
     coherence sector; the physical fixed point is the null vector with
     non-vanishing trace.
@@ -265,16 +353,14 @@ def stationary_state(w, Vr, dim, tol=1e-9):
     best = None
     best_tr = 0.0
     for k in cand:
-        v = Vr[:, k] / np.linalg.norm(Vr[:, k])
-        tr = abs(np.trace(v.reshape(dim, dim)))
+        tr = abs(np.sum(Vr[:dim, k])) / np.linalg.norm(Vr[:, k])
         if tr > best_tr:
             best_tr = tr
             best = k
     if best is None or best_tr < 1e-12:
         raise NumericalError("no stationary state with nonzero trace found")
-    rho = Vr[:, best].reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho)
+    x = Vr[:, best].real  # the Hermitian part of the null vector
+    return _matrix(x / np.sum(x[:dim]), dim)
 
 
 def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
@@ -285,23 +371,25 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     whose eigenvector overlaps the observable's traceless part the most.
     exp_fit: log-linear single-exponential fit of M_z(t) between rho0
     and the stationary state. Both values are reported; a >5% mismatch
-    or a non-exponential fit is flagged, never hidden.
+    or a non-exponential fit is flagged, never hidden. Every spectral
+    step runs on the real form of R in the Hermitian basis; the
+    eigenvector condition number (``eigvec_cond``) refers to that basis.
     """
     d = ham.dimension
-    Rmat = R.matrix(channels) if isinstance(R, RedfieldTensor) else np.asarray(R)
+    M = _real_form(R, channels)
     if observable is None:
         if target_center is None:
             target_center = min(ops.system.centers, key=lambda c: c.id).id
         observable = ham.to_eigenbasis(ops.embedded[target_center][2])
     O = np.asarray(observable, dtype=complex)
     O_traceless = O - np.trace(O) / d * np.eye(d)
-    o_vec = O_traceless.reshape(-1)
+    o_vec = _coords(O_traceless)
     norm = np.linalg.norm(o_vec)
     if norm == 0:
         raise ValidationError("observable has no traceless part")
     o_vec = o_vec / norm
 
-    w, Vr = np.linalg.eig(Rmat)
+    w, Vr = np.linalg.eig(M)
     scale = np.max(np.abs(w)) if w.size else 0.0
     if scale == 0.0:
         raise NumericalError("Redfield tensor is zero; no relaxation")
@@ -318,7 +406,8 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     if method == "slowest_mode":
         return RelaxationEstimate(tau_ms=tau_slow_ms, tau_slowest_ms=tau_slow_ms)
 
-    # single-exponential fit of the observable decay
+    # single-exponential fit of the observable decay, on real coordinates:
+    # <O>(t) = Tr(rho(t) O) is x(t) . o
     rho_ss = stationary_state(w, Vr, d)
     if rho0 is None:
         # default probe: stationary state perturbed along the observable
@@ -327,16 +416,16 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     else:
         rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
     times = np.geomspace(0.02, 5.0, 24) * tau_slow_ps
-    prop = _Propagator(Rmat, w, Vr)
-    vec0 = rho0_mat.reshape(-1)
-    m_eq = float(np.real(np.trace(rho_ss @ O)))
+    prop = _Propagator(M, w, Vr)
+    x0 = _coords(rho0_mat).real
+    o = _coords(O)
+    m_eq = float(np.real(_coords(rho_ss).real @ o))
     m_t = np.empty(times.size)
     min_eig = np.inf
     for idx, t in enumerate(times):
-        rho = prop.apply(vec0, t).reshape(d, d)
-        rho = 0.5 * (rho + rho.conj().T)
-        m_t[idx] = float(np.real(np.trace(rho @ O)))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(rho)[0]))
+        x = prop.apply(x0, t).real
+        m_t[idx] = float(np.real(x @ o))
+        min_eig = min(min_eig, float(np.linalg.eigvalsh(_matrix(x, d))[0]))
     dm = m_t - m_eq
     ref = np.max(np.abs(dm))
     tau_fit_ms = None

@@ -3,10 +3,15 @@
 The pipeline caches two things: phonon spectra per q-grid, and mode
 tensors per (q-grid, omega_min). Everything after that (spin
 Hamiltonian, coupling stack, Redfield tensor) is rebuilt at every
-point, whichever axis moves.
+point, whichever axis moves. Each point records the wall time of its
+stages and its cache hits in its diagnostics.
 """
 
+import os
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -33,6 +38,36 @@ def kpoint_grid(n1, n2, n3):
         axes.append(np.where(v > 0.5, v - 1.0, v))
     g = np.meshgrid(*axes, indexing="ij")
     return np.stack([x.reshape(-1) for x in g], axis=1)
+
+
+#: stages timed per point, in diagnostics["timings_s"]
+STAGES = ("phonons", "mode_tensors", "couplings", "assembly", "spectral")
+
+
+def physical_memory_bytes():
+    """Physical memory of the machine (inf where os.sysconf cannot tell)."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
+
+
+def redfield_bytes(d, n_channels):
+    """Estimated bytes of the d^2 x d^2 arrays of one relax point: a
+    complex tensor per channel, the real generator, and its complex
+    eigenvectors and their inverse."""
+    return d ** 4 * (16 * n_channels + 8 + 16 + 16)
+
+
+class _PointLog(threading.local):
+    """Stage timings and cache hits of the point this thread evaluates."""
+
+    def __init__(self):
+        self.reset()
+
+    def reset(self):
+        self.timings = dict.fromkeys(STAGES, 0.0)
+        self.cache_hits = 0
 
 
 @dataclass(frozen=True)
@@ -72,13 +107,26 @@ class RelaxationPipeline:
         self.ops = build_spin_operators(system)
         self._phonon_cache = {}
         self._precursor_cache = {}
+        self._log = _PointLog()
+
+    @contextmanager
+    def _timed(self, stage):
+        """Adds the block's perf_counter wall time to the point's stage."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self._log.timings[stage] += time.perf_counter() - t0
 
     # -- cached stages ----------------------------------------------------
     def phonons(self, qgrid):
         key = tuple(qgrid)
-        if key not in self._phonon_cache:
-            qpts = kpoint_grid(*qgrid)
-            omega, vecs = phonon_spectrum(self.fc, qpts)
+        if key in self._phonon_cache:
+            self._log.cache_hits += 1
+        else:
+            with self._timed("phonons"):
+                qpts = kpoint_grid(*qgrid)
+                omega, vecs = phonon_spectrum(self.fc, qpts)
             self._phonon_cache[key] = (qpts, omega, vecs)
         return self._phonon_cache[key]
 
@@ -87,15 +135,18 @@ class RelaxationPipeline:
         of the imaginary modes and of those below omega_min."""
         key = (tuple(qgrid), omega_min)
         if key in self._precursor_cache:
+            self._log.cache_hits += 1
             return self._precursor_cache[key]
         qpts, omega, vecs = self.phonons(qgrid)
         nq = qpts.shape[0]
         imaginary = omega < 0
         usable = ~imaginary & (omega >= omega_min)
         iq, branch = np.nonzero(usable)
-        modes = mode_tensor_derivatives(self.derivs, qpts[iq],
-                                        omega[iq, branch], vecs[iq, :, branch],
-                                        self.crystal, nq)
+        with self._timed("mode_tensors"):
+            modes = mode_tensor_derivatives(self.derivs, qpts[iq],
+                                            omega[iq, branch],
+                                            vecs[iq, :, branch],
+                                            self.crystal, nq)
         n_imaginary = int(np.count_nonzero(imaginary))
         skipped = omega.size - len(modes) - n_imaginary
         result = (modes, {"skipped_modes": skipped,
@@ -118,67 +169,91 @@ class RelaxationPipeline:
         a part whose coefficients are all zero is dropped.
         """
         modes, diag = self.mode_precursors(params.qgrid, params.omega_min)
-        fs = params.freq_scale
-        omega = modes.omega * fs
-        keep = np.ones(omega.shape, dtype=bool)
-        if params.prune_sigma_mult is not None:
-            # distance to the nearest spin gap, from its sorted neighbours
-            gaps = np.unique(np.round(np.abs(ham.omega), 12))
-            gaps = np.concatenate(([-np.inf], gaps, [np.inf]))
-            k = np.searchsorted(gaps, omega)
-            near = np.minimum(gaps[k] - omega, omega - gaps[k - 1])
-            keep = near <= params.prune_sigma_mult * params.sigma
-        omega = omega[keep]
-        scale = params.coupling_scale or {}
-        parts = []  # (channel, mode rows, coefficients, eigenbasis operators)
-        for t, tgt in enumerate(modes.targets):
-            ch = CHANNEL_OF_KIND[tgt[0]]
-            if params.channels is not None and ch not in params.channels:
-                continue
-            T = modes.tensors[keep, t] / np.sqrt(fs) * scale.get(ch, 1.0)
-            coeff, basis = operator_terms(system, self.ops, tgt, T)
-            basis = ham.to_eigenbasis(basis)
-            for c in (coeff.real, coeff.imag):
-                rows = np.flatnonzero(np.any(c != 0.0, axis=1))
-                parts.append((ch, rows, c[rows], basis))
-        counts = [rows.size for _, rows, _, _ in parts]
-        d = ham.dimension
-        stack = CouplingStack(
-            omega=np.concatenate([omega[rows] for _, rows, _, _ in parts]
-                                 + [np.empty(0)]),
-            channel=np.repeat([ch for ch, _, _, _ in parts], counts),
-            V=np.empty((sum(counts), d, d), dtype=complex))
-        # each part's rows written in place: V is never held twice
-        blocks = np.split(stack.V.reshape(-1, d * d), np.cumsum(counts)[:-1])
-        for (_, _, c, basis), out in zip(parts, blocks):
-            np.matmul(c, basis.reshape(len(basis), d * d), out=out)
+        with self._timed("couplings"):
+            fs = params.freq_scale
+            omega = modes.omega * fs
+            keep = np.ones(omega.shape, dtype=bool)
+            if params.prune_sigma_mult is not None:
+                # distance to the nearest spin gap, from its sorted
+                # neighbours
+                gaps = np.unique(np.round(np.abs(ham.omega), 12))
+                gaps = np.concatenate(([-np.inf], gaps, [np.inf]))
+                k = np.searchsorted(gaps, omega)
+                near = np.minimum(gaps[k] - omega, omega - gaps[k - 1])
+                keep = near <= params.prune_sigma_mult * params.sigma
+            omega = omega[keep]
+            scale = params.coupling_scale or {}
+            # (channel, mode rows, coefficients, eigenbasis operators)
+            parts = []
+            for t, tgt in enumerate(modes.targets):
+                ch = CHANNEL_OF_KIND[tgt[0]]
+                if params.channels is not None and ch not in params.channels:
+                    continue
+                T = modes.tensors[keep, t] / np.sqrt(fs) * scale.get(ch, 1.0)
+                coeff, basis = operator_terms(system, self.ops, tgt, T)
+                basis = ham.to_eigenbasis(basis)
+                for c in (coeff.real, coeff.imag):
+                    rows = np.flatnonzero(np.any(c != 0.0, axis=1))
+                    parts.append((ch, rows, c[rows], basis))
+            counts = [rows.size for _, rows, _, _ in parts]
+            d = ham.dimension
+            stack = CouplingStack(
+                omega=np.concatenate([omega[rows] for _, rows, _, _ in parts]
+                                     + [np.empty(0)]),
+                channel=np.repeat([ch for ch, _, _, _ in parts], counts),
+                V=np.empty((sum(counts), d, d), dtype=complex))
+            # each part's rows written in place: V is never held twice
+            blocks = np.split(stack.V.reshape(-1, d * d),
+                              np.cumsum(counts)[:-1])
+            for (_, _, c, basis), out in zip(parts, blocks):
+                np.matmul(c, basis.reshape(len(basis), d * d), out=out)
         diag = dict(diag)
         diag["pruned_modes"] = int(keep.size - np.count_nonzero(keep))
         return stack, diag
 
     def redfield(self, params):
+        """Redfield tensor of the point. Raises CapacityError, before
+        assembly, when the point's d^2 x d^2 arrays would not fit in
+        physical memory (``redfield_bytes``)."""
         system, ham = self.hamiltonian(params.field_B)
         cpls, diag = self.couplings(params, ham, system)
+        d, n_channels = ham.dimension, len(cpls.distinct_channels())
+        need, have = redfield_bytes(d, n_channels), physical_memory_bytes()
+        if need > have:
+            raise CapacityError(
+                f"a d={d} point with {n_channels} channels needs about "
+                f"{need / 1e9:.3g} GB for its Redfield arrays, more than the "
+                f"{have / 1e9:.3g} GB of physical memory")
         pc = PhononCorrelation(sigma=params.sigma, temperature=params.temperature)
-        R = assemble_redfield(cpls, ham, pc, secular=params.secular)
+        with self._timed("assembly"):
+            R = assemble_redfield(cpls, ham, pc, secular=params.secular)
         return R, ham, system, diag
 
     def relax(self, params):
-        """Relaxation times for the point, with per-channel breakdown."""
+        """Relaxation times for the point, with per-channel breakdown.
+
+        A one-channel tensor is diagonalised once: its channel tau is
+        the total's."""
+        self._log.reset()
         R, ham, system, diag = self.redfield(params)
         rho0 = self._field_inverted_initial_state(params, system, ham)
-        est = extract_relaxation_time(R, ham, self.ops, method="both", rho0=rho0)
         tau_channel = {}
         channel_errors = {}
-        for ch in R.channels:
-            try:
-                est_ch = extract_relaxation_time(R, ham, self.ops,
-                                                 method="slowest_mode",
-                                                 channels=(ch,))
-                tau_channel[ch] = est_ch.tau_ms
-            except NumericalError as exc:
-                tau_channel[ch] = float("nan")
-                channel_errors[ch] = str(exc)
+        with self._timed("spectral"):
+            est = extract_relaxation_time(R, ham, self.ops, method="both",
+                                          rho0=rho0)
+            others = list(R.channels)
+            if len(others) == 1:
+                tau_channel[others.pop()] = est.tau_ms
+            for ch in others:
+                try:
+                    est_ch = extract_relaxation_time(R, ham, self.ops,
+                                                     method="slowest_mode",
+                                                     channels=(ch,))
+                    tau_channel[ch] = est_ch.tau_ms
+                except NumericalError as exc:
+                    tau_channel[ch] = float("nan")
+                    channel_errors[ch] = str(exc)
         diag = dict(diag)
         diag.update({
             "n_couplings": R.n_couplings,
@@ -190,6 +265,8 @@ class RelaxationPipeline:
             "expm_fallback": bool(est.expm_fallback),
             "eigvec_cond": est.eigvec_cond,
             "channel_errors": channel_errors,
+            "timings_s": dict(self._log.timings),
+            "cache_hits": self._log.cache_hits,
         })
         return RelaxationPoint(tau_ms=est.tau_ms, tau_fit_ms=est.tau_fit_ms,
                                tau_channel_ms=tau_channel, diagnostics=diag)

@@ -110,6 +110,20 @@ def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):
         "diagnostics"]
     assert diag["expm_fallback"] is False
     assert 1.0 <= diag["eigvec_cond"] <= 1e10
+    assert set(diag["timings_s"]) == set(sweep.STAGES)
+    assert all(t >= 0.0 for t in diag["timings_s"].values())
+    assert diag["cache_hits"] == 0
+
+
+def test_relax_beyond_memory_is_capacity_error(tmp_path, monkeypatch,
+                                               capsys):
+    cfg = _toy(tmp_path)
+    monkeypatch.setattr(sweep, "physical_memory_bytes", lambda: 100)
+    assert main(["relax", "--config", cfg, "--grid", "2,2,2",
+                 "--out", str(tmp_path / "r")]) == EXIT_PARSE
+    err = capsys.readouterr().err
+    assert "needs about" in err and "physical memory" in err
+    assert not os.path.exists(tmp_path / "r" / "relax.json")
 
 
 def test_couple_output(tmp_path, capsys):
@@ -135,6 +149,10 @@ def test_sweep_writes_rows(tmp_path, capsys):
         open(os.path.join(out, "sweep_0_temperature.csv"))))
     assert len(rows) == 2
     assert float(rows[0]["tau_total_ms"]) > float(rows[1]["tau_total_ms"])
+    # stage timings go to the JSON rows only, not to new CSV columns
+    assert "timings_s" not in rows[0]
+    doc = json.load(open(os.path.join(out, "sweep_0_temperature.json")))
+    assert [r["diagnostics"]["cache_hits"] for r in doc["rows"]] == [0, 1]
 
 
 def test_perturb_command(tmp_path, capsys):

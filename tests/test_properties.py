@@ -1,7 +1,10 @@
-"""Property tests of the lattice layer and the line parsers.
+"""Property tests of the lattice layer, the line parsers and the spin
+layer.
 
-Crystals are drawn as generated ToySpecs. Hypothesis runs derandomized
-with a bounded number of examples, so every run checks the same cases.
+Crystals are drawn as generated ToySpecs; spin systems as random
+Hermitian Hamiltonians and coupling stacks of dimension d <= 8.
+Hypothesis runs derandomized with a bounded number of examples, so every
+run checks the same cases.
 """
 
 import json
@@ -10,7 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from spinphonon import redfield
+from spinphonon.coupling import CouplingStack
 from spinphonon.errors import ParseError
+from spinphonon.hamiltonian import SpinHamiltonian, diagonalize
 from spinphonon.lattice import (ForceConstantSet, decomposition_weights,
                                 dynamical_matrices, enforce_acoustic_sum_rule,
                                 phonon_spectrum)
@@ -18,6 +24,8 @@ from spinphonon.project import (load_crystal, load_derivatives,
                                 load_force_constants, serialize_crystal,
                                 serialize_derivatives,
                                 serialize_force_constants)
+from spinphonon.redfield import (PhononCorrelation, assemble_redfield,
+                                 extract_relaxation_time)
 from spinphonon.toy import ToySpec, generate_toy_crystal
 
 FEW = settings(derandomize=True, database=None, deadline=None, max_examples=12)
@@ -155,3 +163,125 @@ def test_mutated_data_file_raises_only_parse_error(kind, line_pick, token_pick,
     except ParseError as exc:
         assert exc.line == lineno
 
+
+
+# -- spin layer ---------------------------------------------------------------
+
+spin_cases = st.fixed_dictionaries({
+    "d": st.integers(2, 8),
+    "m": st.integers(1, 12),
+    "seed": st.integers(0, 2**16),
+    "secular": st.booleans(),
+    "temperature": st.floats(1.0, 300.0),
+})
+
+
+def _hermitian(rng, *shape):
+    A = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return A + np.swapaxes(A.conj(), -1, -2)
+
+
+def _spin_case(d, m, seed, secular, temperature):
+    """Random product-basis Hamiltonian, coupling operators near its gaps
+    in two channels, and an observable; the couplings go into the
+    eigenbasis of ``ham`` as the pipeline rotates them."""
+    rng = np.random.default_rng(seed)
+    H = _hermitian(rng, d, d)
+    ham = diagonalize(H)
+    V = 0.01 * _hermitian(rng, m, d, d)
+    gaps = np.abs(ham.omega[np.triu_indices(d, 1)])
+    omega = rng.choice(gaps, size=m) + rng.uniform(0.05, 0.5, size=m)
+    channel = rng.choice(["zeeman", "hyperfine"], size=m)
+    pc = PhononCorrelation(sigma=rng.uniform(0.3, 2.0),
+                           temperature=temperature)
+    O = _hermitian(rng, d, d)
+
+    def tensor(h):
+        stack = CouplingStack(omega=omega, channel=channel,
+                              V=h.to_eigenbasis(V))
+        return assemble_redfield(stack, h, pc, secular=secular)
+    return ham, tensor, O, rng
+
+
+def _hermitian_basis_matrix(d):
+    """Q column by column: E_aa, then (E_ab + E_ba)/sqrt2 and
+    i(E_ab - E_ba)/sqrt2 for each a < b."""
+    cols = []
+    for a in range(d):
+        E = np.zeros((d, d), dtype=complex)
+        E[a, a] = 1.0
+        cols.append(E)
+    for a in range(d):
+        for b in range(a + 1, d):
+            S = np.zeros((d, d), dtype=complex)
+            S[a, b] = S[b, a] = np.sqrt(0.5)
+            A = np.zeros((d, d), dtype=complex)
+            A[a, b], A[b, a] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
+            cols += [S, A]
+    return np.stack([c.reshape(-1) for c in cols], axis=1)
+
+
+@FEW
+@given(case=spin_cases)
+def test_real_form_is_the_real_change_of_basis(case):
+    ham, tensor, _, _ = _spin_case(**case)
+    R = tensor(ham)
+    Rmat = R.matrix()
+    d2 = case["d"] ** 2
+    Q = _hermitian_basis_matrix(case["d"])
+    assert np.allclose(Q.conj().T @ Q, np.eye(d2), atol=1e-15)
+    full = Q.conj().T @ Rmat @ Q
+    scale = np.max(np.abs(Rmat))
+    M = redfield._real_form(R)
+    assert M.dtype == np.float64 and M.shape == (d2, d2)
+    assert np.max(np.abs(full.imag)) <= 1e-12 * scale
+    assert np.max(np.abs(M - full.real)) <= 1e-12 * scale
+    # one channel at a time, as relax diagonalises them
+    for ch in R.channels:
+        part = Q.conj().T @ R.matrix((ch,)) @ Q
+        assert (np.max(np.abs(redfield._real_form(R, (ch,)) - part.real))
+                <= 1e-12 * scale)
+
+
+@FEW
+@given(case=spin_cases)
+def test_real_form_has_the_eigenvalues_of_the_generator(case):
+    ham, tensor, _, _ = _spin_case(**case)
+    R = tensor(ham)
+    lam = np.linalg.eigvals(R.matrix())
+    lam_real = np.linalg.eigvals(redfield._real_form(R))
+    tol = 1e-10 * np.max(np.abs(lam))
+    gap = np.abs(lam[:, None] - lam_real[None, :])
+    assert np.max(np.min(gap, axis=1)) <= tol
+    assert np.max(np.min(gap, axis=0)) <= tol
+
+
+@FEW
+@given(case=spin_cases)
+def test_real_form_preserves_the_trace(case):
+    ham, tensor, _, _ = _spin_case(**case)
+    M = redfield._real_form(tensor(ham))
+    # Tr(rho) is the sum of the first d coordinates
+    trace_row = M[:case["d"]].sum(axis=0)
+    assert np.max(np.abs(trace_row)) <= 1e-12 * np.max(np.abs(M))
+
+
+@FEW
+@given(case=spin_cases)
+def test_tau_is_independent_of_the_eigenvector_gauge(case):
+    ham, tensor, O, rng = _spin_case(**case)
+    phases = np.exp(2j * np.pi * rng.uniform(size=case["d"]))
+    turned = SpinHamiltonian(matrix=ham.matrix, eigvals=ham.eigvals,
+                             eigvecs=ham.eigvecs * phases)
+    R = tensor(ham)
+    est = extract_relaxation_time(R, ham, None,
+                                  observable=ham.to_eigenbasis(O),
+                                  method="slowest_mode")
+    est_turned = extract_relaxation_time(tensor(turned), turned, None,
+                                         observable=turned.to_eigenbasis(O),
+                                         method="slowest_mode")
+    # rates agree to round-off on the generator's scale
+    scale = np.max(np.abs(np.linalg.eigvals(R.matrix())))
+    rate = 1.0 / (est.tau_ms * redfield.PS_PER_MS)
+    rate_turned = 1.0 / (est_turned.tau_ms * redfield.PS_PER_MS)
+    assert abs(rate - rate_turned) <= 1e-10 * scale

@@ -296,7 +296,7 @@ def test_stationary_state_matches_equilibrium():
     T = 25.0
     pc = PhononCorrelation(sigma=0.1, temperature=T)
     R = assemble_redfield(_coupling(ham, ops), ham, pc)
-    rho_ss = stationary_state(*np.linalg.eig(R.matrix()), 2)
+    rho_ss = stationary_state(*np.linalg.eig(redfield._real_form(R)), 2)
     eq = equilibrium_state(ham, T)
     assert np.max(np.abs(rho_ss - eq.matrix)) < 1e-5
 
@@ -359,3 +359,26 @@ def test_defective_generator_records_expm_fallback_without_warning():
     assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
     assert est.min_rho_eigenvalue > -1e-12
 
+
+def test_generator_that_breaks_hermiticity_is_rejected():
+    import types
+
+    ham = types.SimpleNamespace(dimension=2)
+    rho0 = np.diag([1.0, 0.0])
+    rng = np.random.default_rng(7)
+    # d rho/dt = i rho, and a random complex generator: neither maps a
+    # Hermitian rho to a Hermitian one, so neither has a real form
+    for gen in (1j * np.eye(4),
+                rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))):
+        with pytest.raises(ValidationError, match="Hermiticity"):
+            extract_relaxation_time(gen, ham, None,
+                                    observable=np.diag([1.0, -1.0]))
+        with pytest.raises(ValidationError, match="Hermiticity"):
+            propagate(rho0, gen, [1.0])
+    # a round-off imaginary part below 1e-12 of max|R| is discarded
+    _, ops, ham2 = _two_level()
+    pc = PhononCorrelation(sigma=0.5, temperature=20.0)
+    Rmat = assemble_redfield(_coupling(ham2, ops), ham2, pc).matrix()
+    noisy = Rmat + 1e-14 * np.max(np.abs(Rmat)) * 1j * rng.normal(size=(4, 4))
+    assert np.allclose(redfield._real_form(noisy), redfield._real_form(Rmat),
+                       rtol=0, atol=1e-13 * np.max(np.abs(Rmat)))

@@ -1,3 +1,4 @@
+import time
 from dataclasses import fields, replace
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from spinphonon import sweep
 from spinphonon.coupling import CHANNEL_OF_KIND
-from spinphonon.errors import NumericalError, ValidationError
+from spinphonon.errors import CapacityError, NumericalError, ValidationError
 from spinphonon.project import load_project
 from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
                               converge_protocol, kpoint_grid,
@@ -255,7 +256,14 @@ def test_mode_pruning_skips_far_off_resonant_modes(soft_pipeline):
     assert set(every.omega) == set(modes.omega)
 
 
-def test_channel_failure_is_recorded_not_hidden(soft_pipeline, monkeypatch):
+def _vanadyl_pipeline(config_path):
+    crystal, fc, derivs, system, config = load_project(config_path)
+    return RelaxationPipeline(crystal, fc, derivs, system), config.run_params()
+
+
+def test_channel_failure_is_recorded_not_hidden(vanadyl_config, monkeypatch):
+    # two channels: each one is diagonalised on its own
+    pipeline, params = _vanadyl_pipeline(vanadyl_config)
     real = sweep.extract_relaxation_time
 
     def failing(*args, **kwargs):
@@ -264,9 +272,10 @@ def test_channel_failure_is_recorded_not_hidden(soft_pipeline, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "extract_relaxation_time", failing)
-    point = soft_pipeline.relax(BASE)
+    point = pipeline.relax(params)
     assert np.isfinite(point.tau_ms)
     assert np.isnan(point.tau_channel_ms["zeeman"])
+    assert np.isfinite(point.tau_channel_ms["hyperfine"])
     assert point.diagnostics["channel_errors"] == {"zeeman": "probe failure"}
 
     def broken(*args, **kwargs):
@@ -276,4 +285,57 @@ def test_channel_failure_is_recorded_not_hidden(soft_pipeline, monkeypatch):
 
     monkeypatch.setattr(sweep, "extract_relaxation_time", broken)
     with pytest.raises(RuntimeError):
+        pipeline.relax(params)
+
+
+def test_one_channel_point_is_diagonalised_once(soft_pipeline, monkeypatch):
+    calls = []
+    real = np.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    point = soft_pipeline.relax(BASE)
+    assert len(calls) == 1
+    assert point.tau_channel_ms == {"zeeman": point.tau_ms}
+    assert point.diagnostics["channel_errors"] == {}
+
+
+def test_points_record_stage_timings_and_cache_hits(soft_bundle):
+    crystal, fc, derivs, system = soft_bundle
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    diags = []
+    for T in (30.0, 60.0):
+        t0 = time.perf_counter()
+        point = pipeline.relax(replace(BASE, temperature=T))
+        wall = time.perf_counter() - t0
+        timings = point.diagnostics["timings_s"]
+        assert set(timings) == set(sweep.STAGES)
+        assert all(t >= 0.0 for t in timings.values())
+        assert sum(timings.values()) <= wall
+        diags.append(point.diagnostics)
+    # the first point fills both caches; the second reuses the mode tensors
+    assert diags[0]["cache_hits"] == 0
+    assert diags[0]["timings_s"]["phonons"] > 0.0
+    assert diags[1]["cache_hits"] == 1
+    assert diags[1]["timings_s"]["phonons"] == 0.0
+    assert diags[1]["timings_s"]["mode_tensors"] == 0.0
+    rows = run_sweep(pipeline, SweepPlan(axis="temperature",
+                                         values=(40.0,), params=BASE)).rows
+    assert set(rows[0].diagnostics["timings_s"]) == set(sweep.STAGES)
+    assert rows[0].diagnostics["cache_hits"] == 1
+
+
+def test_point_beyond_memory_fails_before_assembly(soft_pipeline,
+                                                   monkeypatch):
+    assert sweep.physical_memory_bytes() > sweep.redfield_bytes(32, 3)
+    need = sweep.redfield_bytes(2, 1)
+    assembled = []
+    monkeypatch.setattr(sweep, "assemble_redfield",
+                        lambda *a, **k: assembled.append(1))
+    monkeypatch.setattr(sweep, "physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(CapacityError, match=f"{need / 1e9:.3g} GB"):
         soft_pipeline.relax(BASE)
+    assert not assembled
