@@ -14,12 +14,12 @@ import sys
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
 from .coupling import coupling_norm_distribution
-from .lattice import phonon_dos
+from .lattice import phonon_dos, phonon_spectrum
 from .project import (load_project, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
-from .sweep import (RelaxationPipeline, SweepResult, SweepRow,
-                    converge_protocol, kpoint_grid, perturbation_study,
-                    run_sweep)
+from .sweep import (STAGES, RelaxationPipeline, SweepResult, SweepRow,
+                    converge_protocol, kpoint_grid, paired_kpoint_grid,
+                    perturbation_study, run_sweep)
 from .toy import toy_preset, write_toy_project
 from .version import __version__
 
@@ -101,6 +101,10 @@ def build_parser():
     sub.choices["perturb"].add_argument(
         "--kind", choices=("coupling_x2", "freq_x0.8", "both"), default="both")
     sub.choices["perturb"].add_argument("--channel", default="zeeman")
+    for name in ("relax", "sweep"):
+        sub.choices[name].add_argument(
+            "--profile", action="store_true",
+            help="print each point's stage timings and cache hits")
 
     p = sub.add_parser("toygen", help="generate a synthetic project fixture")
     p.add_argument("--out", required=True, help="output directory")
@@ -142,9 +146,28 @@ def _load_pipeline(args):
     return pipeline, params, config, out_dir
 
 
+def _print_profile(rows):
+    """Plain-text table of each point's stage timings (s) and cache hits."""
+    header = ("point",) + STAGES + ("cache_hits",)
+    table = [header]
+    for row in rows:
+        diag = row.diagnostics
+        if "timings_s" not in diag:
+            table.append((str(row.value), "failed") + ("",) * len(STAGES))
+            continue
+        table.append((str(row.value),)
+                     + tuple(f"{diag['timings_s'][s]:.4f}" for s in STAGES)
+                     + (str(diag["cache_hits"]),))
+    widths = [max(len(r[k]) for r in table) for k in range(len(header))]
+    for r in table:
+        print("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
+
+
 def _cmd_phonons(args):
     pipeline, params, config, out_dir = _load_pipeline(args)
-    qpts, omega, _ = pipeline.phonons(params.qgrid)
+    # the full grid: the band listing has a row for every q-point
+    qpts = kpoint_grid(*params.qgrid)
+    omega, _ = phonon_spectrum(pipeline.fc, qpts)
     os.makedirs(out_dir, exist_ok=True)
     path = write_bands_csv(qpts, omega, os.path.join(out_dir, "phonons.csv"),
                            config_hash=config.config_hash)
@@ -160,7 +183,8 @@ def _cmd_phonons(args):
 
 def _cmd_dos(args):
     pipeline, params, config, out_dir = _load_pipeline(args)
-    dos = phonon_dos(pipeline.fc, kpoint_grid(*params.qgrid), params.sigma)
+    qpts, weights = paired_kpoint_grid(*params.qgrid)
+    dos = phonon_dos(pipeline.fc, qpts, params.sigma, weights)
     os.makedirs(out_dir, exist_ok=True)
     path = write_dos_csv(dos, os.path.join(out_dir, "dos.csv"),
                          config_hash=config.config_hash)
@@ -177,7 +201,8 @@ def _cmd_couple(args):
     os.makedirs(out_dir, exist_ok=True)
     path = write_coupling_csv(dist, os.path.join(out_dir, "couplings.csv"),
                               config_hash=config.config_hash)
-    print(f"projected {len(modes)} modes over {diag['n_q']} q-points "
+    print(f"projected {len(modes)} modes, {modes.weight.sum()} with their "
+          f"-q partners, over {diag['n_q']} q-points "
           f"({diag['skipped_modes']} below omega_min, "
           f"{diag['imaginary_modes']} imaginary)")
     print(f"wrote {path}")
@@ -201,6 +226,8 @@ def _cmd_relax(args):
         print(f"  {ch}: {tau:.9g} ms")
     for fmt, path in written.items():
         print(f"wrote {path}")
+    if args.profile:
+        _print_profile(result.rows)
     return EXIT_OK
 
 
@@ -221,6 +248,8 @@ def _cmd_sweep(args):
               f"{failed} failed")
         for fmt, path in written.items():
             print(f"wrote {path}")
+        if args.profile:
+            _print_profile(result.rows)
     return EXIT_OK
 
 

@@ -210,35 +210,44 @@ class ModeTensors:
 
     ``omega`` (M,) in cm^-1; ``tensors`` complex (M, n_targets, 3, 3),
     the derivative of tensor ``targets[t]`` with respect to each mode
-    coordinate.
+    coordinate; ``weight`` (M,) int, the number of grid q-points each
+    mode stands for (already folded into ``tensors`` as sqrt(weight)).
     """
 
     omega: np.ndarray
     targets: tuple
     tensors: np.ndarray
+    weight: np.ndarray
 
     def __len__(self):
         return self.omega.shape[0]
 
 
-def mode_tensor_derivatives(derivs, q, omega, eigvecs, crystal, n_q):
+def mode_tensor_derivatives(derivs, q, omega, eigvecs, crystal, n_q,
+                            weight=None):
     """Project Cartesian derivative records on a stack of normal modes.
 
     ``q`` (M, 3) fractional wavevectors, ``omega`` (M,) frequencies and
-    ``eigvecs`` (M, 3N) polarization vectors, one row per mode. The
-    amplitude factor sqrt(hbar / (N_q omega m_i)) and the Bloch phase
-    e^{2 pi i q.l} of each record are folded in, and the records of
-    each target are summed over all modes at once. Returns a
+    ``eigvecs`` (M, 3N) polarization vectors, one row per mode;
+    ``weight`` (M,) the number of grid q-points each mode stands for
+    (default 1; 2 for a mode that also stands for its partner at -q).
+    The amplitude factor sqrt(weight hbar / (N_q omega m_i)) and the
+    Bloch phase e^{2 pi i q.l} of each record are folded in, and the
+    records of each target are summed over all modes at once. Returns a
     ModeTensors.
     """
     q = np.asarray(q, dtype=float).reshape(-1, 3)
     omega = np.asarray(omega, dtype=float).reshape(-1)
-    eigvecs = np.asarray(eigvecs).reshape(omega.size, -1)
+    eigvecs = np.asarray(eigvecs)
+    eigvecs = eigvecs.reshape(omega.size, eigvecs.shape[-1])
+    weight = (np.ones(omega.size, dtype=int) if weight is None
+              else np.asarray(weight, dtype=int).reshape(omega.size))
     if np.any(omega <= 0):
         raise ValidationError("cannot project on an imaginary/zero mode")
     masses = crystal.masses
     amp = ZERO_POINT_LENGTH_A / np.sqrt(n_q * omega[:, None]
                                         * masses[derivs.atom][None, :])
+    amp *= np.sqrt(weight)[:, None]
     phase = np.exp(2j * np.pi * (q @ derivs.lvecs.T))
     coeff = amp * phase * eigvecs[:, 3 * derivs.atom + derivs.s]
     targets = tuple(dict.fromkeys(derivs.targets))
@@ -247,7 +256,8 @@ def mode_tensor_derivatives(derivs, q, omega, eigvecs, crystal, n_q):
     for k, tgt in enumerate(derivs.targets):
         tensors[:, targets.index(tgt)] += (coeff[:, k, None, None]
                                            * derivs.tensors[k])
-    return ModeTensors(omega=omega, targets=targets, tensors=tensors)
+    return ModeTensors(omega=omega, targets=targets, tensors=tensors,
+                       weight=weight)
 
 
 @dataclass(frozen=True)
@@ -259,8 +269,12 @@ class CouplingStack:
     names, ``V`` (M, d, d) matrix elements in the eigenbasis of the
     spin Hamiltonian (cm^-1). Complex e^{iq.R} phases are handled by
     splitting each mode's operator into Hermitian and anti-Hermitian
-    standing-wave parts; summed over an inversion-symmetric q-grid this
-    reproduces the +-q paired rates independently of eigenvector phase
+    standing-wave parts. The grid is solved on one q of each {q, -q}
+    pair: the partner's operator is e^{i phi} conj(c) of this one's, and
+    the two parts together add Re(c c^H) to R, which neither the
+    conjugation nor the phase changes; the pair's weight 2 is already
+    in the amplitude (``mode_tensor_derivatives``). So one row set per
+    pair gives the full-grid rates, independently of eigenvector phase
     conventions.
     """
 
@@ -309,8 +323,10 @@ def coupling_norm_distribution(modes, n_q, bin_width=2.0):
     """q-averaged squared Frobenius norms of tensor derivatives vs omega.
 
     ``modes`` is a ModeTensors, e.g. from mode_tensor_derivatives over a
-    grid. Returns {channel: (bin_centers, V2)} with
-    V2 = (1/N_q) sum |dT/dQ|_F^2 accumulated per frequency bin.
+    grid; a mode that stands for weight-many q-points carries
+    sqrt(weight) in its tensors and so counts weight times. Returns
+    {channel: (bin_centers, V2)} with V2 = (1/N_q) sum |dT/dQ|_F^2
+    accumulated per frequency bin.
     """
     nbins = int(np.ceil(np.max(modes.omega, initial=0.0) / bin_width)) + 1
     bins = np.minimum((modes.omega / bin_width).astype(int), nbins - 1)

@@ -167,7 +167,6 @@ class DosCurve:
     rotational: np.ndarray
     intra: np.ndarray
     sigma: float
-    qgrid_shape: tuple
 
     def area(self):
         return float(np.trapezoid(self.total, self.frequency))
@@ -229,11 +228,14 @@ def decomposition_weights(crystal, eigvecs):
     return w_t, w_r, w_i
 
 
-def phonon_dos(fc, qpoints, sigma):
-    """Gaussian-smeared phonon DOS over a q-point list.
+def phonon_dos(fc, qpoints, sigma, weights=None):
+    """Gaussian-smeared phonon DOS over a weighted q-point list.
 
-    DOS(w) = (1/N_q) sum_{alpha q} kernel(w - w_{alpha q}); the integral
-    equals 3N per cell. Imaginary modes are excluded.
+    DOS(w) = sum_{alpha q} w_q kernel(w - w_{alpha q}) / sum_q w_q; the
+    integral equals 3N per cell. ``weights`` (one per q-point, default
+    1) let one q-point stand for its partner at -q (``sweep.
+    paired_kpoint_grid``), which has the same frequencies and
+    decomposition weights. Imaginary modes are excluded.
 
     The q-points are diagonalised in blocks of ``DOS_QBLOCK``, and only
     each mode's omega and its three decomposition weights are kept. The
@@ -241,7 +243,8 @@ def phonon_dos(fc, qpoints, sigma):
     sigma / 4. Each mode's kernel is added only on a fixed-width window
     of grid points covering omega +- DOS_REACH sigma (shifted to stay
     inside the grid); the kernel left out is below
-    exp(-DOS_REACH^2) = e^-64 of its peak.
+    exp(-DOS_REACH^2) = e^-64 of its peak. A window that spans the
+    whole grid is added as one (curves x modes)(modes x grid) product.
     """
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
@@ -249,33 +252,39 @@ def phonon_dos(fc, qpoints, sigma):
     if qpoints.size == 0:
         raise ValidationError("empty q-point grid")
     nq = qpoints.shape[0]
-    # per q-block: omega and its three decomposition weights, flat over modes
+    weights = (np.ones(nq) if weights is None
+               else np.asarray(weights, dtype=float).reshape(nq))
+    # per q-block: omega and the weights of its four curves (total,
+    # translational, rotational, intra), flat over modes
     blocks = []
     for start in range(0, nq, DOS_QBLOCK):
         omega, vecs = phonon_spectrum(fc, qpoints[start:start + DOS_QBLOCK])
-        weights = decomposition_weights(fc.crystal, vecs)
-        blocks.append([np.broadcast_to(a, omega.shape).reshape(-1)
-                       for a in (omega, *weights)])
-    top = max(float(b[0].max()) for b in blocks) + DOS_REACH * sigma
+        wq = weights[start:start + DOS_QBLOCK, None]
+        parts = decomposition_weights(fc.crystal, vecs)
+        blocks.append((omega.reshape(-1), np.stack(
+            [np.broadcast_to(wq * w, omega.shape).reshape(-1)
+             for w in (1.0, *parts)])))
+    top = max(float(omega.max()) for omega, _ in blocks) + DOS_REACH * sigma
     n = max(600, int(top / (sigma / 4.0)))
     freq_grid = np.linspace(0.0, top, n)
 
     step = top / (n - 1)
     width = min(n, int(np.ceil(2 * DOS_REACH * sigma / step)) + 2)
     curves = np.zeros((4, n))
-    for omega, *weights in blocks:
+    for omega, w in blocks:
         stable = omega >= 0
-        omega = omega[stable]
+        omega, w = omega[stable], w[:, stable]
+        if width == n:
+            curves += w @ gaussian_kernel(freq_grid - omega[:, None], sigma)
+            continue
         first = np.clip(np.floor((omega - DOS_REACH * sigma) / step).astype(int),
                         0, n - width)
         idx = first[:, None] + np.arange(width)
         k = gaussian_kernel(freq_grid[idx] - omega[:, None], sigma)
         idx = idx.reshape(-1)
-        curves[0] += np.bincount(idx, weights=k.reshape(-1), minlength=n)
-        for curve, w in zip(curves[1:], weights):
-            curve += np.bincount(idx, weights=(w[stable, None] * k).reshape(-1),
+        for curve, wc in zip(curves, w):
+            curve += np.bincount(idx, weights=(wc[:, None] * k).reshape(-1),
                                  minlength=n)
-    total, trans, rot, intra = curves / nq
+    total, trans, rot, intra = curves / weights.sum()
     return DosCurve(frequency=freq_grid, total=total, translational=trans,
-                    rotational=rot, intra=intra, sigma=sigma,
-                    qgrid_shape=(nq,))
+                    rotational=rot, intra=intra, sigma=sigma)

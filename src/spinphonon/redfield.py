@@ -20,6 +20,9 @@ RATE_PREFACTOR = 0.5 * np.pi * ANGULAR_FREQUENCY_PER_CM1
 
 SECULAR_TOL_CM1 = 1e-8
 
+#: most negative eigenvalue a stationary state may have
+POSITIVITY_TOL = 1e-8
+
 #: rows x d^2 entries per block of the assembly products
 ASSEMBLY_BLOCK = 1 << 16
 
@@ -334,6 +337,7 @@ class RelaxationEstimate:
     min_rho_eigenvalue: float = None
     expm_fallback: bool = False  # propagation used expm, not (w, Vr)
     eigvec_cond: float = None  # 1-norm condition number of R's eigenvectors
+    fit_error: str = None  # why there is no exp-fit (no physical rho_ss)
 
 
 def stationary_state(w, Vr, dim, tol=1e-9):
@@ -344,7 +348,9 @@ def stationary_state(w, Vr, dim, tol=1e-9):
     ``np.linalg.eig`` returns it. Non-secular tensors in the
     interaction picture can carry additional traceless null modes in the
     coherence sector; the physical fixed point is the null vector with
-    non-vanishing trace.
+    non-vanishing trace. A trace-one candidate with an eigenvalue below
+    -``POSITIVITY_TOL`` is not a physical state (it can reach outside
+    the range of any observable) and raises NumericalError.
     """
     scale = float(np.max(np.abs(w)))
     cand = np.nonzero(np.abs(w) <= max(tol * scale, 1e-300))[0]
@@ -360,7 +366,31 @@ def stationary_state(w, Vr, dim, tol=1e-9):
     if best is None or best_tr < 1e-12:
         raise NumericalError("no stationary state with nonzero trace found")
     x = Vr[:, best].real  # the Hermitian part of the null vector
-    return _matrix(x / np.sum(x[:dim]), dim)
+    rho = _matrix(x / np.sum(x[:dim]), dim)
+    lowest = float(np.linalg.eigvalsh(rho)[0])
+    if lowest < -POSITIVITY_TOL:
+        raise NumericalError(
+            f"stationary state is not physical: minimum eigenvalue "
+            f"{lowest:.3g} (of {cand.size} null-space candidates)")
+    return rho
+
+
+def _exp_fit(times, dm):
+    """(tau_fit_ms, rms residual, non_exponential) of a log-linear fit of
+    the deviation dm(t) from equilibrium; (None, None, False) when dm
+    has fewer than three points of one sign or does not decay."""
+    ref = np.max(np.abs(dm))
+    mask = np.abs(dm) > 1e-12 * max(ref, 1e-300)
+    same_sign = mask.any() and ((dm[mask] > 0).all() or (dm[mask] < 0).all())
+    if not (ref > 0 and np.count_nonzero(mask) >= 3 and same_sign):
+        return None, None, False
+    y = np.log(np.abs(dm[mask]))
+    A = np.vstack([np.ones(mask.sum()), -times[mask]]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    if coef[1] <= 0:
+        return None, None, False
+    residual = float(np.sqrt(np.mean((y - A @ coef) ** 2)))
+    return (1.0 / coef[1]) / PS_PER_MS, residual, residual > 0.05
 
 
 def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
@@ -371,7 +401,11 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     whose eigenvector overlaps the observable's traceless part the most.
     exp_fit: log-linear single-exponential fit of M_z(t) between rho0
     and the stationary state. Both values are reported; a >5% mismatch
-    or a non-exponential fit is flagged, never hidden. Every spectral
+    or a non-exponential fit is flagged, never hidden. Without a
+    physical stationary state there is no fit: ``tau_fit_ms`` is None
+    and ``fit_error`` says why, while rho0 is still propagated for
+    ``min_rho_eigenvalue`` (the default probe needs the stationary
+    state, so without ``rho0`` the error is raised). Every spectral
     step runs on the real form of R in the Hermitian basis; the
     eigenvector condition number (``eigvec_cond``) refers to that basis.
     """
@@ -408,7 +442,13 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
 
     # single-exponential fit of the observable decay, on real coordinates:
     # <O>(t) = Tr(rho(t) O) is x(t) . o
-    rho_ss = stationary_state(w, Vr, d)
+    try:
+        rho_ss = stationary_state(w, Vr, d)
+        fit_error = None
+    except NumericalError as exc:
+        if rho0 is None:
+            raise
+        rho_ss, fit_error = None, str(exc)
     if rho0 is None:
         # default probe: stationary state perturbed along the observable
         pert = 0.1 * O_traceless / np.max(np.abs(O_traceless))
@@ -419,30 +459,17 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     prop = _Propagator(M, w, Vr)
     x0 = _coords(rho0_mat).real
     o = _coords(O)
-    m_eq = float(np.real(_coords(rho_ss).real @ o))
     m_t = np.empty(times.size)
     min_eig = np.inf
     for idx, t in enumerate(times):
         x = prop.apply(x0, t).real
         m_t[idx] = float(np.real(x @ o))
         min_eig = min(min_eig, float(np.linalg.eigvalsh(_matrix(x, d))[0]))
-    dm = m_t - m_eq
-    ref = np.max(np.abs(dm))
-    tau_fit_ms = None
-    residual = None
+    tau_fit_ms = residual = None
     non_exp = False
-    mask = np.abs(dm) > 1e-12 * max(ref, 1e-300)
-    same_sign = mask.any() and ((dm[mask] > 0).all() or (dm[mask] < 0).all())
-    if ref > 0 and np.count_nonzero(mask) >= 3 and same_sign:
-        y = np.log(np.abs(dm[mask]))
-        A = np.vstack([np.ones(mask.sum()), -times[mask]]).T
-        coef, res_arr, *_ = np.linalg.lstsq(A, y, rcond=None)
-        inv_tau = coef[1]
-        if inv_tau > 0:
-            tau_fit_ms = (1.0 / inv_tau) / PS_PER_MS
-            pred = A @ coef
-            residual = float(np.sqrt(np.mean((y - pred) ** 2)))
-            non_exp = residual > 0.05
+    if rho_ss is not None:
+        dm = m_t - float(np.real(_coords(rho_ss).real @ o))
+        tau_fit_ms, residual, non_exp = _exp_fit(times, dm)
     mismatch = (tau_fit_ms is not None
                 and abs(tau_fit_ms / tau_slow_ms - 1.0) > 0.05)
     return RelaxationEstimate(tau_ms=tau_slow_ms, tau_slowest_ms=tau_slow_ms,
@@ -450,4 +477,4 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
                               fit_residual=residual, non_exponential=non_exp,
                               min_rho_eigenvalue=float(min_eig),
                               expm_fallback=prop.fallback,
-                              eigvec_cond=prop.cond)
+                              eigvec_cond=prop.cond, fit_error=fit_error)

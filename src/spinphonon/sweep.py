@@ -1,5 +1,14 @@
 """Relaxation pipeline and parameter-sweep orchestration.
 
+The pipeline solves one q-point of each {q, -q} pair of the q-grid
+(``paired_kpoint_grid``): the force constants are real, so
+D(-q) = conj D(q), and the partner has the same frequencies and
+conjugate eigenvectors. Its modes enter with weight 2 (1 where q = -q),
+folded as sqrt(weight) into each mode's amplitude, which reproduces
+the full-grid Redfield tensor to round-off. Mode counts in the diagnostics
+(imaginary, below omega_min, pruned) and ``n_q`` are full-grid counts;
+``n_couplings`` counts the coupling rows actually assembled.
+
 The pipeline caches two things: phonon spectra per q-grid, and mode
 tensors per (q-grid, omega_min). Everything after that (spin
 Hamiltonian, coupling stack, Redfield tensor) is rebuilt at every
@@ -38,6 +47,26 @@ def kpoint_grid(n1, n2, n3):
         axes.append(np.where(v > 0.5, v - 1.0, v))
     g = np.meshgrid(*axes, indexing="ij")
     return np.stack([x.reshape(-1) for x in g], axis=1)
+
+
+def paired_kpoint_grid(n1, n2, n3):
+    """One q-point of each {q, -q} pair of ``kpoint_grid``, and its weight.
+
+    Returns (qpoints, weights): the rows of ``kpoint_grid(n1, n2, n3)``
+    whose flat index is not above that of their partner -q, in grid
+    order, with weight 2, or 1 where q = -q modulo the grid (2q = 0).
+    The weights sum to n1 n2 n3. Partners are found from the integer
+    grid indices, never by comparing fractional coordinates.
+    """
+    qpts = kpoint_grid(n1, n2, n3)
+    shape = (n1, n2, n3)
+    index = np.indices(shape)
+    flat = np.ravel_multi_index(index, shape).reshape(-1)
+    partner = np.ravel_multi_index(tuple(-i % n for i, n in zip(index, shape)),
+                                   shape).reshape(-1)
+    keep = flat <= partner
+    weights = np.where(flat == partner, 1, 2)[keep]
+    return qpts[keep], weights
 
 
 #: stages timed per point, in diagnostics["timings_s"]
@@ -120,25 +149,28 @@ class RelaxationPipeline:
 
     # -- cached stages ----------------------------------------------------
     def phonons(self, qgrid):
+        """Cached (qpoints, weights, omega, vecs) of one q-point of each
+        {q, -q} pair of the grid (``paired_kpoint_grid``)."""
         key = tuple(qgrid)
         if key in self._phonon_cache:
             self._log.cache_hits += 1
         else:
             with self._timed("phonons"):
-                qpts = kpoint_grid(*qgrid)
+                qpts, weights = paired_kpoint_grid(*qgrid)
                 omega, vecs = phonon_spectrum(self.fc, qpts)
-            self._phonon_cache[key] = (qpts, omega, vecs)
+            self._phonon_cache[key] = (qpts, weights, omega, vecs)
         return self._phonon_cache[key]
 
     def mode_precursors(self, qgrid, omega_min=DEFAULT_OMEGA_MIN):
-        """Cached ModeTensors of every usable mode on the grid, plus counts
-        of the imaginary modes and of those below omega_min."""
+        """Cached ModeTensors of every usable mode of the paired grid,
+        each carrying its q-point's weight, plus full-grid counts of the
+        imaginary modes and of those below omega_min."""
         key = (tuple(qgrid), omega_min)
         if key in self._precursor_cache:
             self._log.cache_hits += 1
             return self._precursor_cache[key]
-        qpts, omega, vecs = self.phonons(qgrid)
-        nq = qpts.shape[0]
+        qpts, weights, omega, vecs = self.phonons(qgrid)
+        nq = int(weights.sum())
         imaginary = omega < 0
         usable = ~imaginary & (omega >= omega_min)
         iq, branch = np.nonzero(usable)
@@ -146,9 +178,9 @@ class RelaxationPipeline:
             modes = mode_tensor_derivatives(self.derivs, qpts[iq],
                                             omega[iq, branch],
                                             vecs[iq, :, branch],
-                                            self.crystal, nq)
-        n_imaginary = int(np.count_nonzero(imaginary))
-        skipped = omega.size - len(modes) - n_imaginary
+                                            self.crystal, nq, weights[iq])
+        n_imaginary = int(weights @ np.count_nonzero(imaginary, axis=1))
+        skipped = nq * omega.shape[1] - int(modes.weight.sum()) - n_imaginary
         result = (modes, {"skipped_modes": skipped,
                           "imaginary_modes": n_imaginary, "n_q": nq})
         self._precursor_cache[key] = result
@@ -208,7 +240,7 @@ class RelaxationPipeline:
             for (_, _, c, basis), out in zip(parts, blocks):
                 np.matmul(c, basis.reshape(len(basis), d * d), out=out)
         diag = dict(diag)
-        diag["pruned_modes"] = int(keep.size - np.count_nonzero(keep))
+        diag["pruned_modes"] = int(modes.weight[~keep].sum())
         return stack, diag
 
     def redfield(self, params):
@@ -258,6 +290,7 @@ class RelaxationPipeline:
         diag.update({
             "n_couplings": R.n_couplings,
             "tau_fit_ms": est.tau_fit_ms,
+            "fit_error": est.fit_error,
             "min_rho_eigenvalue": est.min_rho_eigenvalue,
             "fit_residual": est.fit_residual,
             "mismatch": bool(est.mismatch),

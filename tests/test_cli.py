@@ -98,8 +98,17 @@ def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
     assert main(["dos", "--config", cfg, "--grid", ",".join(map(str, grid)),
                  "--out", str(tmp_path / "dos")]) == EXIT_OK
     capsys.readouterr()
-    assert np.array_equal(np.concatenate(diagonalised),
-                          sweep.kpoint_grid(*grid))
+    # one q-point of each {q, -q} pair, in grid order
+    solved = np.concatenate(diagonalised)
+    full = sweep.kpoint_grid(*grid)
+    index = np.round(solved * 13).astype(int) % 13
+    flat = np.ravel_multi_index(index.T, grid)
+    partner = np.ravel_multi_index((-index % 13).T, grid)
+    assert len(solved) == 1099
+    assert np.all(np.diff(flat) > 0)
+    assert np.array_equal(solved, full[flat])
+    assert np.array_equal(np.sort(np.union1d(flat, partner)),
+                          np.arange(len(full)))
 
 
 def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):
@@ -153,6 +162,7 @@ def test_sweep_writes_rows(tmp_path, capsys):
     assert "timings_s" not in rows[0]
     doc = json.load(open(os.path.join(out, "sweep_0_temperature.json")))
     assert [r["diagnostics"]["cache_hits"] for r in doc["rows"]] == [0, 1]
+    assert [r["diagnostics"]["fit_error"] for r in doc["rows"]] == [None, None]
 
 
 def test_perturb_command(tmp_path, capsys):
@@ -219,3 +229,75 @@ def test_overflowing_lattice_vector_is_parse_error(tmp_path, capsys):
     assert main(["phonons", "--config", cfg, "--grid", "2,2,2",
                  "--out", str(tmp_path / "ph")]) == EXIT_PARSE
     assert "out of range" in capsys.readouterr().err
+
+
+def test_relax_reports_fit_error_without_physical_stationary_state(
+        tmp_path, capsys):
+    from spinphonon.toy import ToySpec, write_toy_project
+    # the d=32 pair project: two S=1/2 electrons on two molecules plus an
+    # I=7/2 nucleus; its generator has 128 near-zero eigenvalues and no
+    # null vector that is a physical state
+    spec = ToySpec(lattice=(7.0, 7.0, 7.0), molecules_per_cell=2,
+                   atoms_per_molecule=2, mass=120.0, k_intra=1.0,
+                   k_inter=0.003, g_baseline=(1.9830, 1.9814, 1.9274),
+                   a_baseline=(0.00354, 0.00396, 0.01396), nuclear_spin=3.5,
+                   g_deriv_mag=1e-3, a_deriv_mag=1e-4, spin_molecules=2,
+                   dipolar_couplings=True, field_B=(0.0, 0.0, 5.0), seed=1)
+    cfg = write_toy_project(str(tmp_path / "pair"), spec, qgrid=(2, 2, 2),
+                            sigma=1.0, temperature=20.0)
+    out = str(tmp_path / "r")
+    assert main(["relax", "--config", cfg, "--out", out]) == EXIT_OK
+    assert "exp-fit n/a" in capsys.readouterr().out
+    row = json.load(open(os.path.join(out, "relax.json")))["rows"][0]
+    diag = row["diagnostics"]
+    assert "stationary state is not physical" in diag["fit_error"]
+    assert diag["tau_fit_ms"] is None and diag["mismatch"] is False
+    assert np.isfinite(row["tau_ms"]) and row["tau_ms"] > 0
+    assert set(row["tau_channel_ms"]) == {"zeeman", "hyperfine", "dipolar"}
+    assert diag["min_rho_eigenvalue"] >= -1e-8
+
+
+def _profile_table(out):
+    """Rows of the --profile table: header first."""
+    lines = out.splitlines()
+    start = next(k for k, line in enumerate(lines)
+                 if line.split()[:1] == ["point"])
+    return [line.split() for line in lines[start:]]
+
+
+def test_relax_profile_prints_stage_table(tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    out = str(tmp_path / "r")
+    assert main(["relax", "--config", cfg, "--grid", "4,4,4",
+                 "--out", out, "--profile"]) == EXIT_OK
+    header, row = _profile_table(capsys.readouterr().out)
+    assert header == ["point", *sweep.STAGES, "cache_hits"]
+    assert row[0] == "single" and row[-1] == "0"
+    diag = json.load(open(os.path.join(out, "relax.json")))["rows"][0][
+        "diagnostics"]
+    for stage, text in zip(sweep.STAGES, row[1:-1]):
+        assert float(text) == pytest.approx(diag["timings_s"][stage],
+                                            abs=5e-5)
+    # the table goes to stdout only; the files are as without --profile
+    plain = str(tmp_path / "plain")
+    assert main(["relax", "--config", cfg, "--grid", "4,4,4",
+                 "--out", plain]) == EXIT_OK
+    assert "point" not in capsys.readouterr().out
+    assert (open(os.path.join(plain, "relax.csv")).read().splitlines()[1:]
+            == open(os.path.join(out, "relax.csv")).read().splitlines()[1:])
+
+
+def test_sweep_profile_prints_one_row_per_point(tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    doc = json.load(open(cfg))
+    doc["sweeps"] = [{"axis": "temperature", "values": [50.0, 100.0, 200.0]}]
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["sweep", "--config", cfg, "--grid", "4,4,4",
+                 "--out", str(tmp_path / "sw"), "--profile"]) == EXIT_OK
+    header, *rows = _profile_table(capsys.readouterr().out)
+    assert len(header) == len(sweep.STAGES) + 2
+    assert [r[0] for r in rows] == ["50.0", "100.0", "200.0"]
+    assert [r[-1] for r in rows] == ["0", "1", "1"]
+    # cached stages cost nothing on the later points
+    assert all(float(r[1]) == 0.0 and float(r[2]) == 0.0 for r in rows[1:])

@@ -164,13 +164,18 @@ def _full_kernel_dos(fc, qpoints, sigma, freq_grid):
     return curves / len(qpoints), omega
 
 
-@pytest.mark.parametrize("sigma", [0.3, 1.0, 60.0])
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 40.0, 60.0])
 def test_windowed_dos_matches_full_kernel(sigma):
     crystal, fc, _, _ = generate_toy_crystal(
         ToySpec(atoms_per_molecule=2, k_intra=2.0, k_inter=0.15, seed=3))
     qpoints = kpoint_grid(13, 13, 13)
     assert len(qpoints) > lattice.DOS_QBLOCK  # a block boundary is crossed
     dos = phonon_dos(fc, qpoints, sigma)
+    # at sigma >= 40 the kernel window spans the whole frequency grid, and
+    # each block is added as one dense kernel product
+    step = dos.frequency[1] - dos.frequency[0]
+    window = np.ceil(2 * lattice.DOS_REACH * sigma / step) + 2
+    assert (window >= dos.frequency.size) == (sigma >= 40.0)
     ref, omega = _full_kernel_dos(fc, qpoints, sigma, dos.frequency)
     reach = lattice.DOS_REACH * sigma
     # windows clip at 0 (acoustic modes) and at the top of the grid

@@ -1,5 +1,5 @@
-"""Property tests of the lattice layer, the line parsers and the spin
-layer.
+"""Property tests of the lattice layer, the paired q-grid, the line
+parsers and the spin layer.
 
 Crystals are drawn as generated ToySpecs; spin systems as random
 Hermitian Hamiltonians and coupling stacks of dimension d <= 8.
@@ -13,19 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinphonon import redfield
+from spinphonon import redfield, sweep
 from spinphonon.coupling import CouplingStack
 from spinphonon.errors import ParseError
 from spinphonon.hamiltonian import SpinHamiltonian, diagonalize
 from spinphonon.lattice import (ForceConstantSet, decomposition_weights,
                                 dynamical_matrices, enforce_acoustic_sum_rule,
-                                phonon_spectrum)
+                                phonon_dos, phonon_spectrum)
 from spinphonon.project import (load_crystal, load_derivatives,
                                 load_force_constants, serialize_crystal,
                                 serialize_derivatives,
                                 serialize_force_constants)
 from spinphonon.redfield import (PhononCorrelation, assemble_redfield,
                                  extract_relaxation_time)
+from spinphonon.sweep import (RelaxationPipeline, RunParams, kpoint_grid,
+                              paired_kpoint_grid)
 from spinphonon.toy import ToySpec, generate_toy_crystal
 
 FEW = settings(derandomize=True, database=None, deadline=None, max_examples=12)
@@ -83,6 +85,115 @@ def test_decomposition_weights_sum_to_one(spec, q):
     _, vecs = phonon_spectrum(fc, [q, (0.0, 0.0, 0.0)])
     w_t, w_r, w_i = decomposition_weights(crystal, vecs)
     assert np.max(np.abs(w_t + w_r + w_i - 1.0)) < 1e-8
+
+
+grids = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
+
+
+def _grid_indices(qpts, grid):
+    """Integer indices of fractional grid q-points."""
+    n = np.asarray(grid)
+    return np.round(np.asarray(qpts) * n).astype(int) % n
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(grid=grids)
+def test_paired_grid_covers_the_grid_once(grid):
+    qpts, weights = paired_kpoint_grid(*grid)
+    index = _grid_indices(qpts, grid)
+    flat = np.ravel_multi_index(index.T, grid)
+    partner = np.ravel_multi_index((-index % np.asarray(grid)).T, grid)
+    full = kpoint_grid(*grid)
+    assert np.all(np.diff(flat) > 0)  # grid order
+    assert np.array_equal(qpts, full[flat])
+    covered = np.concatenate([flat, partner[weights == 2]])
+    assert np.array_equal(np.sort(covered), np.arange(len(full)))
+    assert weights.sum() == np.prod(grid)
+    self_partner = np.all((2 * index) % np.asarray(grid) == 0, axis=1)
+    assert np.array_equal(weights == 1, self_partner)
+    assert set(weights.tolist()) <= {1, 2}
+
+
+def _full_grid(*grid):
+    """Every q-point of the grid with unit weight."""
+    qpts = kpoint_grid(*grid)
+    return qpts, np.ones(len(qpts), dtype=int)
+
+
+spin_toy_specs = st.builds(
+    ToySpec,
+    molecules_per_cell=st.integers(1, 2),
+    atoms_per_molecule=st.integers(1, 3),
+    k_intra=st.floats(0.5, 5.0),
+    k_inter=st.floats(0.005, 0.5),
+    mass=st.floats(10.0, 200.0),
+    a_baseline=st.sampled_from([(0.0, 0.0, 0.0), (0.004, 0.004, 0.014)]),
+    a_deriv_mag=st.sampled_from([0.0, 1e-4]),
+    nuclear_spin=st.just(0.5),
+    field_B=st.just((0.0, 0.0, 5.0)),
+    seed=st.integers(0, 2**16),
+)
+
+
+@FEW
+@given(spec=spin_toy_specs, grid=st.tuples(st.integers(1, 4),
+                                           st.integers(1, 4),
+                                           st.integers(1, 4)),
+       secular=st.booleans(), prune=st.sampled_from([None, 20.0]))
+def test_paired_grid_gives_the_full_grid_redfield_tensor(spec, grid, secular,
+                                                         prune):
+    crystal, fc, derivs, system = generate_toy_crystal(spec)
+    params = RunParams(qgrid=grid, sigma=1.0, temperature=30.0,
+                       secular=secular, prune_sigma_mult=prune)
+    R, *_, diag = RelaxationPipeline(crystal, fc, derivs,
+                                     system).redfield(params)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "paired_kpoint_grid", _full_grid)
+        R_full, *_, diag_full = RelaxationPipeline(crystal, fc, derivs,
+                                                   system).redfield(params)
+    assert R.channels.keys() == R_full.channels.keys()
+    scale = max((np.max(np.abs(p)) for p in R_full.channels.values()),
+                default=0.0)
+    for ch, part in R_full.channels.items():
+        assert np.max(np.abs(R.channels[ch] - part)) <= 1e-12 * scale
+    for key in ("n_q", "skipped_modes", "imaginary_modes", "pruned_modes"):
+        assert diag[key] == diag_full[key]
+
+
+def _pair_asymmetry(fc, grid):
+    """Largest |omega(q) - omega(-q)| and |w(q) - w(-q)| over the full
+    grid, for any decomposition weight w. Both are round-off: the
+    fractional coordinates of q and -q are not exact negatives (2/3 - 1
+    is not -1/3 in floating point), so the two eigensolves differ in the
+    last digits, and the full-grid DOS carries that difference."""
+    qpts = kpoint_grid(*grid)
+    omega, vecs = phonon_spectrum(fc, qpts)
+    index = _grid_indices(qpts, grid)
+    partner = np.ravel_multi_index((-index % np.asarray(grid)).T, grid)
+    d_w = max(np.max(np.abs(w - w[partner]))
+              for w in (np.broadcast_to(w, omega.shape)
+                        for w in decomposition_weights(fc.crystal, vecs)))
+    return np.max(np.abs(omega - omega[partner])), d_w, omega.shape[1]
+
+
+@FEW
+@given(spec=toy_specs, grid=grids, sigma=st.floats(0.05, 50.0))
+def test_paired_grid_gives_the_full_grid_dos(spec, grid, sigma):
+    _, fc, _, _ = generate_toy_crystal(spec)
+    qpts, weights = paired_kpoint_grid(*grid)
+    dos = phonon_dos(fc, qpts, sigma, weights)
+    full = phonon_dos(fc, kpoint_grid(*grid), sigma)
+    d_omega, d_w, branches = _pair_asymmetry(fc, grid)
+    # the top of the frequency grid is max(omega) + DOS_REACH sigma
+    assert np.max(np.abs(dos.frequency - full.frequency)) <= d_omega
+    # each pair's two kernels differ by at most slope * (d_omega + grid
+    # shift) + kernel * d_w, with slope <= 0.49 / sigma^2 and kernel
+    # <= 0.57 / sigma; a frequency bin holds at most branches / 2 pairs
+    # per q-point, and the curves are divided by the number of q-points
+    slack = branches * (d_omega / sigma**2 + d_w / sigma)
+    for name in ("total", "translational", "rotational", "intra"):
+        got, want = getattr(dos, name), getattr(full, name)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want) + slack
 
 
 @FEW

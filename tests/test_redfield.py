@@ -382,3 +382,34 @@ def test_generator_that_breaks_hermiticity_is_rejected():
     noisy = Rmat + 1e-14 * np.max(np.abs(Rmat)) * 1j * rng.normal(size=(4, 4))
     assert np.allclose(redfield._real_form(noisy), redfield._real_form(Rmat),
                        rtol=0, atol=1e-13 * np.max(np.abs(Rmat)))
+
+
+def _non_physical_fixed_point():
+    """d=2 generator whose only fixed point is rho = diag(2, -1): every
+    other direction decays at 1/ps."""
+    v = np.array([2.0, 0.0, 0.0, -1.0])  # vec(diag(2, -1)), (ab) layout
+    return -(np.eye(4) - np.outer(v, v) / (v @ v))
+
+
+def test_stationary_state_rejects_a_non_physical_state():
+    M = redfield._real_form(_non_physical_fixed_point())
+    with pytest.raises(NumericalError, match="not physical"):
+        stationary_state(*np.linalg.eig(M), 2)
+
+
+def test_fit_without_physical_stationary_state_is_reported():
+    import types
+
+    ham = types.SimpleNamespace(dimension=2)
+    gen = _non_physical_fixed_point()
+    Sz = np.diag([0.5, -0.5])
+    est = extract_relaxation_time(gen, ham, None, observable=Sz,
+                                  rho0=np.diag([0.5, 0.5]))
+    assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
+    assert est.tau_fit_ms is None and not est.mismatch
+    assert "not physical" in est.fit_error
+    # rho0 is still propagated: rho(t) leaves the physical states
+    assert est.min_rho_eigenvalue < 0.0
+    # the default probe is built from the stationary state
+    with pytest.raises(NumericalError, match="not physical"):
+        extract_relaxation_time(gen, ham, None, observable=Sz)

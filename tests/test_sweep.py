@@ -10,8 +10,8 @@ from spinphonon.errors import CapacityError, NumericalError, ValidationError
 from spinphonon.project import load_project
 from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
                               converge_protocol, kpoint_grid,
-                              perturbation_study, replicated_spin_system,
-                              run_sweep)
+                              paired_kpoint_grid, perturbation_study,
+                              replicated_spin_system, run_sweep)
 
 
 BASE = RunParams(qgrid=(4, 4, 4), sigma=1.0, temperature=50.0)
@@ -48,13 +48,14 @@ def test_pipeline_is_deterministic(soft_pipeline):
 def test_cached_phonons_match_fresh_computation(soft_bundle, soft_pipeline):
     from spinphonon.lattice import enforce_acoustic_sum_rule, phonon_spectrum
     crystal, fc, _, _ = soft_bundle
-    qpts, omega, vecs = soft_pipeline.phonons((4, 4, 4))
-    omega2, vecs2 = phonon_spectrum(enforce_acoustic_sum_rule(fc),
-                                    kpoint_grid(4, 4, 4))
+    qpts, weights, omega, vecs = soft_pipeline.phonons((4, 4, 4))
+    qpts2, weights2 = paired_kpoint_grid(4, 4, 4)
+    omega2, vecs2 = phonon_spectrum(enforce_acoustic_sum_rule(fc), qpts2)
+    assert np.array_equal(qpts, qpts2) and np.array_equal(weights, weights2)
     assert np.array_equal(omega, omega2)
     assert np.array_equal(vecs, vecs2)
     # second call hits the cache and returns the same arrays
-    qpts_b, omega_b, _ = soft_pipeline.phonons((4, 4, 4))
+    _, _, omega_b, _ = soft_pipeline.phonons((4, 4, 4))
     assert omega_b is omega
 
 
@@ -248,7 +249,8 @@ def test_mode_pruning_skips_far_off_resonant_modes(soft_pipeline):
     gaps = np.unique(np.round(np.abs(ham.omega), 12))
     far = np.array([np.min(np.abs(gaps - w)) > 20.0 * BASE.sigma
                     for w in modes.omega])
-    assert diag["pruned_modes"] == np.count_nonzero(far) > 0
+    # a full-grid count: a mode stands for weight-many q-points
+    assert diag["pruned_modes"] == modes.weight[far].sum() > 0
     assert diag_all["pruned_modes"] == 0
     near = np.array([np.min(np.abs(gaps - w)) for w in pruned.omega])
     assert np.all(near <= 20.0 * BASE.sigma)
@@ -339,3 +341,17 @@ def test_point_beyond_memory_fails_before_assembly(soft_pipeline,
     with pytest.raises(CapacityError, match=f"{need / 1e9:.3g} GB"):
         soft_pipeline.relax(BASE)
     assert not assembled
+
+
+@pytest.mark.parametrize("example, qgrid", [("vanadyl_fixture", (8, 8, 8)),
+                                            ("temperature_sweep", None)])
+def test_shipped_fixtures_keep_an_exp_fit(example, qgrid):
+    from spinphonon.examples import examples_dir
+    crystal, fc, derivs, system, config = load_project(
+        f"{examples_dir()}/{example}/config.json")
+    params = config.run_params()
+    if qgrid is not None:
+        params = replace(params, qgrid=qgrid)
+    point = RelaxationPipeline(crystal, fc, derivs, system).relax(params)
+    assert point.diagnostics["fit_error"] is None
+    assert np.isfinite(point.tau_fit_ms) and point.tau_fit_ms > 0
