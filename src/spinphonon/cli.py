@@ -17,7 +17,7 @@ from .coupling import coupling_norm_distribution
 from .lattice import phonon_dos, phonon_spectrum
 from .project import (load_project, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
-from .sweep import (STAGES, RelaxationPipeline, SweepResult, SweepRow,
+from .sweep import (RelaxationPipeline, SweepResult, SweepRow,
                     converge_protocol, kpoint_grid, paired_kpoint_grid,
                     perturbation_study, run_sweep)
 from .toy import toy_preset, write_toy_project
@@ -101,10 +101,6 @@ def build_parser():
     sub.choices["perturb"].add_argument(
         "--kind", choices=("coupling_x2", "freq_x0.8", "both"), default="both")
     sub.choices["perturb"].add_argument("--channel", default="zeeman")
-    for name in ("relax", "sweep"):
-        sub.choices[name].add_argument(
-            "--profile", action="store_true",
-            help="print each point's stage timings and cache hits")
 
     p = sub.add_parser("toygen", help="generate a synthetic project fixture")
     p.add_argument("--out", required=True, help="output directory")
@@ -144,23 +140,6 @@ def _load_pipeline(args):
     params = config.run_params(**_overrides(args))
     out_dir = args.out if args.out is not None else config.output_dir
     return pipeline, params, config, out_dir
-
-
-def _print_profile(rows):
-    """Plain-text table of each point's stage timings (s) and cache hits."""
-    header = ("point",) + STAGES + ("cache_hits",)
-    table = [header]
-    for row in rows:
-        diag = row.diagnostics
-        if "timings_s" not in diag:
-            table.append((str(row.value), "failed") + ("",) * len(STAGES))
-            continue
-        table.append((str(row.value),)
-                     + tuple(f"{diag['timings_s'][s]:.4f}" for s in STAGES)
-                     + (str(diag["cache_hits"]),))
-    widths = [max(len(r[k]) for r in table) for k in range(len(header))]
-    for r in table:
-        print("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip())
 
 
 def _cmd_phonons(args):
@@ -226,8 +205,6 @@ def _cmd_relax(args):
         print(f"  {ch}: {tau:.9g} ms")
     for fmt, path in written.items():
         print(f"wrote {path}")
-    if args.profile:
-        _print_profile(result.rows)
     return EXIT_OK
 
 
@@ -248,8 +225,6 @@ def _cmd_sweep(args):
               f"{failed} failed")
         for fmt, path in written.items():
             print(f"wrote {path}")
-        if args.profile:
-            _print_profile(result.rows)
     return EXIT_OK
 
 

@@ -243,8 +243,7 @@ def phonon_dos(fc, qpoints, sigma, weights=None):
     sigma / 4. Each mode's kernel is added only on a fixed-width window
     of grid points covering omega +- DOS_REACH sigma (shifted to stay
     inside the grid); the kernel left out is below
-    exp(-DOS_REACH^2) = e^-64 of its peak. A window that spans the
-    whole grid is added as one (curves x modes)(modes x grid) product.
+    exp(-DOS_REACH^2) = e^-64 of its peak.
     """
     if sigma <= 0:
         raise ValidationError("sigma must be positive")
@@ -274,9 +273,6 @@ def phonon_dos(fc, qpoints, sigma, weights=None):
     for omega, w in blocks:
         stable = omega >= 0
         omega, w = omega[stable], w[:, stable]
-        if width == n:
-            curves += w @ gaussian_kernel(freq_grid - omega[:, None], sigma)
-            continue
         first = np.clip(np.floor((omega - DOS_REACH * sigma) / step).astype(int),
                         0, n - width)
         idx = first[:, None] + np.arange(width)

@@ -402,10 +402,10 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     exp_fit: log-linear single-exponential fit of M_z(t) between rho0
     and the stationary state. Both values are reported; a >5% mismatch
     or a non-exponential fit is flagged, never hidden. Without a
-    physical stationary state there is no fit: ``tau_fit_ms`` is None
-    and ``fit_error`` says why, while rho0 is still propagated for
-    ``min_rho_eigenvalue`` (the default probe needs the stationary
-    state, so without ``rho0`` the error is raised). Every spectral
+    physical stationary state there is no fit: ``tau_fit_ms`` is None,
+    ``fit_error`` says why and ``mismatch`` is set, while rho0 is still
+    propagated for ``min_rho_eigenvalue`` (the default probe needs the
+    stationary state, so without ``rho0`` the error is raised). Every spectral
     step runs on the real form of R in the Hermitian basis; the
     eigenvector condition number (``eigvec_cond``) refers to that basis.
     """
@@ -470,8 +470,9 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     if rho_ss is not None:
         dm = m_t - float(np.real(_coords(rho_ss).real @ o))
         tau_fit_ms, residual, non_exp = _exp_fit(times, dm)
-    mismatch = (tau_fit_ms is not None
-                and abs(tau_fit_ms / tau_slow_ms - 1.0) > 0.05)
+    # no fit is a failed cross-check too: it must not read as agreement
+    mismatch = fit_error is not None or (
+        tau_fit_ms is not None and abs(tau_fit_ms / tau_slow_ms - 1.0) > 0.05)
     return RelaxationEstimate(tau_ms=tau_slow_ms, tau_slowest_ms=tau_slow_ms,
                               tau_fit_ms=tau_fit_ms, mismatch=mismatch,
                               fit_residual=residual, non_exponential=non_exp,

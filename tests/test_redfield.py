@@ -406,7 +406,7 @@ def test_fit_without_physical_stationary_state_is_reported():
     est = extract_relaxation_time(gen, ham, None, observable=Sz,
                                   rho0=np.diag([0.5, 0.5]))
     assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
-    assert est.tau_fit_ms is None and not est.mismatch
+    assert est.tau_fit_ms is None and est.mismatch
     assert "not physical" in est.fit_error
     # rho0 is still propagated: rho(t) leaves the physical states
     assert est.min_rho_eigenvalue < 0.0
