@@ -16,7 +16,7 @@ from .lattice import (DosCurve, ForceConstantSet, bose_population,
 from .redfield import (DensityMatrix, PhononCorrelation, RedfieldTensor,
                        assemble_redfield, equilibrium_state,
                        extract_relaxation_time, phonon_correlation_value,
-                       propagate, unitary_evolution)
+                       propagate)
 from .spins import (SpinCenter, SpinCoupling, SpinOperators, SpinSystem,
                     build_spin_operators)
 from .sweep import (RelaxationPipeline, RunParams, SweepPlan, SweepResult,

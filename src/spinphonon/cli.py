@@ -13,7 +13,7 @@ import sys
 
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
-from .coupling import coupling_norm_distribution
+from .coupling import CHANNELS, coupling_norm_distribution
 from .lattice import phonon_dos, phonon_spectrum
 from .project import (load_project, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
@@ -129,6 +129,9 @@ def _overrides(args):
         out["field_B"] = _parse_vec3(args.field, "--field")
     if args.channels is not None:
         out["channels"] = tuple(args.channels.split(","))
+        if set(out["channels"]) - set(CHANNELS):
+            raise _UsageError(f"--channels {args.channels!r}: allowed "
+                              f"channels are {CHANNELS}")
     if args.secular:
         out["secular"] = True
     return out

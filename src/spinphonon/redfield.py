@@ -29,10 +29,9 @@ ASSEMBLY_BLOCK = 1 << 16
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """d x d density matrix with basis tag and time stamp (ps)."""
+    """d x d density matrix with time stamp (ps)."""
 
     matrix: np.ndarray
-    basis: str = "eigen"  # "product" | "eigen"
     time_ps: float = 0.0
 
     def __post_init__(self):
@@ -106,10 +105,6 @@ class RedfieldTensor:
                 out += part
         return out
 
-    def apply(self, rho, channels=None):
-        d = self.dimension
-        return (self.matrix(channels) @ np.asarray(rho, complex).reshape(-1)).reshape(d, d)
-
 
 def assemble_redfield(stack, ham, pc, secular=False):
     """Assemble the (non-)secular Redfield tensor from a CouplingStack.
@@ -168,23 +163,13 @@ def assemble_redfield(stack, ham, pc, secular=False):
                           n_couplings=len(stack))
 
 
-def unitary_evolution(rho0, ham, t_ps):
-    """Interaction-picture phase evolution of the coherences."""
-    rho = np.asarray(rho0.matrix if isinstance(rho0, DensityMatrix) else rho0,
-                     dtype=complex)
-    phases = np.exp(-1j * ham.omega * ANGULAR_FREQUENCY_PER_CM1 * t_ps)
-    out = rho * phases
-    t0 = rho0.time_ps if isinstance(rho0, DensityMatrix) else 0.0
-    return DensityMatrix(matrix=out, basis="eigen", time_ps=t0 + t_ps)
-
-
 def equilibrium_state(ham, T):
     """rho_eq = exp(-H/kT)/Z in the eigenbasis (diagonal)."""
     if T <= 0:
         raise ValidationError("equilibrium_state requires T > 0")
     x = -(ham.eigvals - ham.eigvals.min()) / (KB_CM1_PER_K * T)
     w = np.exp(x)
-    return DensityMatrix(matrix=np.diag(w / w.sum()).astype(complex), basis="eigen")
+    return DensityMatrix(matrix=np.diag(w / w.sum()).astype(complex))
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,15 +199,16 @@ def _coords(m):
 
 
 def _matrix(x, d):
-    """Q x: the d x d matrix with coordinates x (Hermitian for real x)."""
+    """Q x: the d x d matrix with coordinates x (Hermitian for real x);
+    one matrix per row of a stack x of shape (..., d^2)."""
     p, q, _, _ = _hermitian_basis(d)
     h = np.sqrt(0.5)
-    s, a = x[d::2], x[d + 1::2]
-    flat = np.zeros(d * d, dtype=complex)
-    flat[p[:d]] = x[:d]
-    flat[p[d::2]] = h * (s + 1j * a)
-    flat[q[d::2]] = h * (s - 1j * a)
-    return flat.reshape(d, d)
+    s, a = x[..., d::2], x[..., d + 1::2]
+    flat = np.zeros(x.shape[:-1] + (d * d,), dtype=complex)
+    flat[..., p[:d]] = x[..., :d]
+    flat[..., p[d::2]] = h * (s + 1j * a)
+    flat[..., q[d::2]] = h * (s - 1j * a)
+    return flat.reshape(x.shape[:-1] + (d, d))
 
 
 def _real_form(R, channels=None):
@@ -269,31 +255,42 @@ def _real_form(R, channels=None):
     return out
 
 
-class _Propagator:
-    """exp(M t) from M's eigendecomposition (w, Vr), or by
-    scaling-and-squaring expm when Vr is missing, singular or
-    ill-conditioned (``fallback``). M keeps its dtype (the real form of
-    a generator is not copied to complex). ``cond`` is the 1-norm
-    condition number of Vr, ||Vr||_1 ||Vr^-1||_1, taken from the inverse
-    the propagation needs anyway; inf when there is no inverse."""
+class _Eigensystem:
+    """The eigendecomposition (w, Vr) of a real generator M (both None
+    when eig fails), and exp(M t) from it, or by scaling-and-squaring
+    expm when Vr is missing, singular or ill-conditioned (``fallback``).
+    Vr^-1 and its 1-norm condition number ``cond``, ||Vr||_1 ||Vr^-1||_1
+    (inf without an inverse), are formed on first use."""
 
-    def __init__(self, Rmat, w, Vr):
-        self.R = np.asarray(Rmat)
-        self.w, self.Vr = w, Vr
-        self.cond = np.inf
-        if Vr is not None:
+    def __init__(self, M):
+        self.M = M
+        try:
+            self.w, self.Vr = np.linalg.eig(M)
+        except np.linalg.LinAlgError:
+            self.w = self.Vr = None
+
+    @functools.cached_property
+    def cond(self):
+        if self.Vr is not None:
             try:
-                self.Vr_inv = np.linalg.inv(Vr)
-                self.cond = float(np.linalg.norm(Vr, 1)
-                                  * np.linalg.norm(self.Vr_inv, 1))
+                self.Vr_inv = np.linalg.inv(self.Vr)
+                return float(np.linalg.norm(self.Vr, 1)
+                             * np.linalg.norm(self.Vr_inv, 1))
             except np.linalg.LinAlgError:
                 pass
-        self.fallback = not self.cond <= 1e10
+        return np.inf
 
-    def apply(self, vec, t):
+    @property
+    def fallback(self):
+        return not self.cond <= 1e10
+
+    def evolve(self, x0, times):
+        """Real coordinates exp(M t) x0, one row per time."""
         if self.fallback:
-            return scipy.linalg.expm(self.R * t) @ vec
-        return self.Vr @ (np.exp(self.w * t) * (self.Vr_inv @ vec))
+            return np.array([scipy.linalg.expm(self.M * t) @ x0
+                             for t in times]).reshape(len(times), x0.size)
+        E = np.exp(np.multiply.outer(times, self.w))
+        return ((E * (self.Vr_inv @ x0)) @ self.Vr.T).real
 
 
 def propagate(rho0, R, times):
@@ -306,22 +303,14 @@ def propagate(rho0, R, times):
         raise ValidationError("times must be ascending and non-negative")
     rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
     d = rho0_mat.shape[0]
-    M = _real_form(R)
-    try:
-        w, Vr = np.linalg.eig(M)
-    except np.linalg.LinAlgError:
-        w = Vr = None
-    prop = _Propagator(M, w, Vr)
-    x0 = _coords(rho0_mat).real
-    out = []
-    for t in times:
-        x = prop.apply(x0, t).real
-        tr = np.sum(x[:d])
-        if abs(tr - 1.0) > 1e-8:
-            raise NumericalError(f"trace drift {tr - 1.0:.2e} at t={t}")
-        out.append(DensityMatrix(matrix=_matrix(x, d), basis="eigen",
-                                 time_ps=float(t)))
-    return out
+    X = _Eigensystem(_real_form(R)).evolve(_coords(rho0_mat).real, times)
+    drift = X[:, :d].sum(axis=1) - 1.0
+    bad = np.flatnonzero(~(np.abs(drift) <= 1e-8))  # NaN is drift too
+    if bad.size:
+        k = bad[0]
+        raise NumericalError(f"trace drift {drift[k]:.2e} at t={times[k]}")
+    return [DensityMatrix(matrix=m, time_ps=float(t))
+            for m, t in zip(_matrix(X, d), times)]
 
 
 @dataclass(frozen=True)
@@ -356,16 +345,12 @@ def stationary_state(w, Vr, dim, tol=1e-9):
     cand = np.nonzero(np.abs(w) <= max(tol * scale, 1e-300))[0]
     if cand.size == 0:
         cand = np.array([int(np.argmin(np.abs(w)))])
-    best = None
-    best_tr = 0.0
-    for k in cand:
-        tr = abs(np.sum(Vr[:dim, k])) / np.linalg.norm(Vr[:, k])
-        if tr > best_tr:
-            best_tr = tr
-            best = k
-    if best is None or best_tr < 1e-12:
+    tr = (np.abs(Vr[:dim, cand].sum(axis=0))
+          / np.linalg.norm(Vr[:, cand], axis=0))
+    best = int(np.argmax(tr))  # the first candidate of largest trace
+    if not tr[best] >= 1e-12:
         raise NumericalError("no stationary state with nonzero trace found")
-    x = Vr[:, best].real  # the Hermitian part of the null vector
+    x = Vr[:, cand[best]].real  # the Hermitian part of the null vector
     rho = _matrix(x / np.sum(x[:dim]), dim)
     lowest = float(np.linalg.eigvalsh(rho)[0])
     if lowest < -POSITIVITY_TOL:
@@ -393,8 +378,8 @@ def _exp_fit(times, dm):
     return (1.0 / coef[1]) / PS_PER_MS, residual, residual > 0.05
 
 
-def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
-                            method="both", rho0=None, channels=None):
+def extract_relaxation_time(R, ham, ops, observable=None, method="both",
+                            rho0=None, channels=None):
     """Relaxation time of the chosen observable (default Sz of a spin).
 
     slowest_mode: tau = 1 / |Re lambda| for the nonzero eigenvalue of R
@@ -406,15 +391,15 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     ``fit_error`` says why and ``mismatch`` is set, while rho0 is still
     propagated for ``min_rho_eigenvalue`` (the default probe needs the
     stationary state, so without ``rho0`` the error is raised). Every spectral
-    step runs on the real form of R in the Hermitian basis; the
-    eigenvector condition number (``eigvec_cond``) refers to that basis.
+    step runs on one eigendecomposition of the real form of R in the
+    Hermitian basis; ``eigvec_cond`` refers to that basis. Only the
+    exp-fit inverts the eigenvectors (``slowest_mode`` forms no inverse).
     """
     d = ham.dimension
     M = _real_form(R, channels)
     if observable is None:
-        if target_center is None:
-            target_center = min(ops.system.centers, key=lambda c: c.id).id
-        observable = ham.to_eigenbasis(ops.embedded[target_center][2])
+        first = min(ops.system.centers, key=lambda c: c.id).id
+        observable = ham.to_eigenbasis(ops.embedded[first][2])
     O = np.asarray(observable, dtype=complex)
     O_traceless = O - np.trace(O) / d * np.eye(d)
     o_vec = _coords(O_traceless)
@@ -423,7 +408,10 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
         raise ValidationError("observable has no traceless part")
     o_vec = o_vec / norm
 
-    w, Vr = np.linalg.eig(M)
+    eigsys = _Eigensystem(M)
+    w, Vr = eigsys.w, eigsys.Vr
+    if w is None:
+        raise NumericalError("eigendecomposition of the generator failed")
     scale = np.max(np.abs(w)) if w.size else 0.0
     if scale == 0.0:
         raise NumericalError("Redfield tensor is zero; no relaxation")
@@ -456,15 +444,10 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
     else:
         rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
     times = np.geomspace(0.02, 5.0, 24) * tau_slow_ps
-    prop = _Propagator(M, w, Vr)
-    x0 = _coords(rho0_mat).real
+    X = eigsys.evolve(_coords(rho0_mat).real, times)
     o = _coords(O)
-    m_t = np.empty(times.size)
-    min_eig = np.inf
-    for idx, t in enumerate(times):
-        x = prop.apply(x0, t).real
-        m_t[idx] = float(np.real(x @ o))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(_matrix(x, d))[0]))
+    m_t = np.real(X @ o)
+    min_eig = np.min(np.linalg.eigvalsh(_matrix(X, d))[:, 0])
     tau_fit_ms = residual = None
     non_exp = False
     if rho_ss is not None:
@@ -477,5 +460,5 @@ def extract_relaxation_time(R, ham, ops, target_center=None, observable=None,
                               tau_fit_ms=tau_fit_ms, mismatch=mismatch,
                               fit_residual=residual, non_exponential=non_exp,
                               min_rho_eigenvalue=float(min_eig),
-                              expm_fallback=prop.fallback,
-                              eigvec_cond=prop.cond, fit_error=fit_error)
+                              expm_fallback=eigsys.fallback,
+                              eigvec_cond=eigsys.cond, fit_error=fit_error)

@@ -164,15 +164,16 @@ class RelaxationPipeline:
     def mode_precursors(self, qgrid, omega_min=DEFAULT_OMEGA_MIN):
         """Cached ModeTensors of every usable mode of the paired grid,
         each carrying its q-point's weight, plus full-grid counts of the
-        imaginary modes and of those below omega_min."""
+        imaginary modes (omega < -omega_min, so no eigh round-off) and
+        of those with |omega| below omega_min."""
         key = (tuple(qgrid), omega_min)
         if key in self._precursor_cache:
             self._log.cache_hits += 1
             return self._precursor_cache[key]
         qpts, weights, omega, vecs = self.phonons(qgrid)
         nq = int(weights.sum())
-        imaginary = omega < 0
-        usable = ~imaginary & (omega >= omega_min)
+        imaginary = omega < -omega_min
+        usable = omega >= omega_min
         iq, branch = np.nonzero(usable)
         with self._timed("mode_tensors"):
             modes = mode_tensor_derivatives(self.derivs, qpts[iq],
@@ -500,16 +501,14 @@ def replicated_spin_system(pipeline, count, axis=0):
             tensors.append(base_derivs.tensors[k])
             prov.append(base_derivs.provenance[k])
     derivs = CouplingDerivativeSet(targets, atoms, ss, lvecs, tensors, prov)
+    base_of = {new_id: base_id for new_id, base_id, _ in mapping}
+    cell_of = {new_id: cell_idx for new_id, _, cell_idx in mapping}
     for cp in couplings:
-        ci = system.center(cp.i)
-        cj = system.center(cp.j)
-        cell_i = next(m[2] for m in mapping if m[0] == cp.i)
-        cell_j = next(m[2] for m in mapping if m[0] == cp.j)
-        base_i = next(m[1] for m in mapping if m[0] == cp.i)
-        base_j = next(m[1] for m in mapping if m[0] == cp.j)
         derivs = derivs.merged(dipolar_pair_records(
-            ci, cj, carrier[base_i], carrier[base_j],
-            lvec_j=tuple(cell_j * lshift), lvec_i=tuple(cell_i * lshift)))
+            system.center(cp.i), system.center(cp.j),
+            carrier[base_of[cp.i]], carrier[base_of[cp.j]],
+            lvec_j=tuple(cell_of[cp.j] * lshift),
+            lvec_i=tuple(cell_of[cp.i] * lshift)))
     return system, derivs
 
 

@@ -135,6 +135,18 @@ def test_relax_beyond_memory_is_capacity_error(tmp_path, monkeypatch,
     assert not os.path.exists(tmp_path / "r" / "relax.json")
 
 
+def test_unknown_channel_is_usage_error(vanadyl_config, tmp_path, capsys):
+    out = str(tmp_path / "ch")
+    assert main(["relax", "--config", vanadyl_config, "--channels",
+                 "zeeman,zeman", "--out", out]) == EXIT_USAGE
+    assert "zeman" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # a known channel without derivative records is a numerical failure
+    assert main(["relax", "--config", vanadyl_config, "--channels",
+                 "dipolar", "--out", out]) == EXIT_NUMERICAL
+    assert "Redfield tensor is zero" in capsys.readouterr().err
+
+
 def test_couple_output(tmp_path, capsys):
     cfg = _toy(tmp_path)
     out = str(tmp_path / "cp")

@@ -11,6 +11,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from spinphonon import redfield, sweep
@@ -25,7 +26,7 @@ from spinphonon.project import (load_crystal, load_derivatives,
                                 serialize_derivatives,
                                 serialize_force_constants)
 from spinphonon.redfield import (PhononCorrelation, assemble_redfield,
-                                 extract_relaxation_time)
+                                 extract_relaxation_time, propagate)
 from spinphonon.sweep import (RelaxationPipeline, RunParams, kpoint_grid,
                               paired_kpoint_grid)
 from spinphonon.toy import ToySpec, generate_toy_crystal
@@ -396,3 +397,28 @@ def test_tau_is_independent_of_the_eigenvector_gauge(case):
     rate = 1.0 / (est.tau_ms * redfield.PS_PER_MS)
     rate_turned = 1.0 / (est_turned.tau_ms * redfield.PS_PER_MS)
     assert abs(rate - rate_turned) <= 1e-10 * scale
+
+
+@FEW
+@given(case=spin_cases)
+def test_propagate_matches_expm_at_every_time(case):
+    ham, tensor, _, rng = _spin_case(**case)
+    d = case["d"]
+    R = tensor(ham)
+    B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho0 = B @ B.conj().T
+    rho0 /= np.trace(rho0)
+    M = redfield._real_form(R)
+    x0 = redfield._coords(rho0).real
+    # a random Redfield generator can have growing modes, slower than
+    # max|M|: times stay within a few 1/max|M|
+    times = np.array([0.0, 0.1, 1.0, 3.0, 10.0]) / np.max(np.abs(M))
+    states = propagate(rho0, R, times)
+    for t, state in zip(times, states):
+        rho = state.matrix
+        assert state.time_ps == t
+        assert abs(np.trace(rho) - 1.0) <= 1e-10
+        assert np.array_equal(rho, rho.conj().T)
+        x_ref = scipy.linalg.expm(M * t) @ x0
+        x = redfield._coords(rho).real
+        assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))

@@ -10,11 +10,10 @@ from spinphonon.redfield import (RATE_PREFACTOR, SECULAR_TOL_CM1,
                                  assemble_redfield, equilibrium_state,
                                  extract_relaxation_time,
                                  phonon_correlation_value, propagate,
-                                 stationary_state, unitary_evolution)
+                                 stationary_state)
 from spinphonon.lattice import bose_population, gaussian_kernel
 from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
-from spinphonon.units import (ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K,
-                              PS_PER_MS)
+from spinphonon.units import KB_CM1_PER_K, PS_PER_MS
 
 
 def _two_level(field=5.0):
@@ -113,7 +112,7 @@ def test_superoperator_conserves_trace_for_any_state():
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = m @ m.conj().T
         rho /= np.trace(rho)
-        drho = R.apply(rho)
+        drho = (R.matrix() @ rho.reshape(-1)).reshape(2, 2)
         assert abs(np.trace(drho)) < 1e-16
         assert np.max(np.abs(drho - drho.conj().T)) < 1e-16
 
@@ -252,24 +251,6 @@ def test_equilibrium_state_ratio_and_high_t_limit():
         equilibrium_state(ham, 0.0)
 
 
-def test_unitary_evolution_phases_and_periodicity():
-    _, ops, ham = _two_level()
-    rho0 = DensityMatrix(matrix=np.array([[0.5, 0.5], [0.5, 0.5]],
-                                         dtype=complex))
-    gap = float(ham.eigvals[1] - ham.eigvals[0])
-    period = 2 * np.pi / (gap * ANGULAR_FREQUENCY_PER_CM1)
-    quarter = unitary_evolution(rho0, ham, period / 4.0)
-    assert np.allclose(np.diag(quarter.matrix), 0.5, atol=1e-14)
-    assert abs(abs(quarter.matrix[0, 1]) - 0.5) < 1e-12
-    full = unitary_evolution(rho0, ham, period)
-    assert np.max(np.abs(full.matrix - rho0.matrix)) < 1e-10
-    # trace and Hermiticity preserved over a long stretch
-    late = unitary_evolution(rho0, ham, 1e3)
-    assert abs(np.trace(late.matrix) - 1.0) < 1e-14
-    assert np.max(np.abs(late.matrix - late.matrix.conj().T)) < 1e-14
-    assert late.time_ps == 1e3
-
-
 def test_propagate_validates_times_and_keeps_trace():
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
@@ -283,6 +264,17 @@ def test_propagate_validates_times_and_keeps_trace():
     for st in states:
         assert abs(np.trace(st.matrix) - 1.0) < 1e-10
         assert np.max(np.abs(st.matrix - st.matrix.conj().T)) < 1e-10
+
+
+def test_non_finite_generator_is_a_numerical_failure():
+    import types
+
+    gen = np.full((4, 4), np.nan)
+    with pytest.raises(NumericalError, match="trace drift nan"):
+        propagate(np.diag([1.0, 0.0]), gen, [0.0, 1.0])
+    with pytest.raises(NumericalError, match="eigendecomposition"):
+        extract_relaxation_time(gen, types.SimpleNamespace(dimension=2), None,
+                                observable=np.diag([1.0, -1.0]))
 
 
 def test_propagate_with_zero_generator_is_identity():
@@ -326,6 +318,30 @@ def test_both_estimates_share_one_eigendecomposition(monkeypatch):
     est = extract_relaxation_time(R, ham, ops, method="both")
     assert est.tau_fit_ms is not None
     assert len(calls) == 1
+
+
+def test_slowest_mode_estimate_forms_no_inverse_and_no_expm(monkeypatch):
+    import types
+
+    import scipy.linalg
+
+    _, ops, ham = _two_level()
+    pc = PhononCorrelation(sigma=0.5, temperature=20.0)
+    R = assemble_redfield(_coupling(ham, ops), ham, pc)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the slowest mode needs no propagation")
+
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    monkeypatch.setattr(scipy.linalg, "expm", forbidden)
+    est = extract_relaxation_time(R, ham, ops, method="slowest_mode")
+    assert est.tau_ms > 0 and est.eigvec_cond is None
+    # a defective generator, which only expm can propagate
+    est = extract_relaxation_time(_cascade_generator(),
+                                  types.SimpleNamespace(dimension=3), None,
+                                  observable=np.diag([1.0, 0.0, -1.0]),
+                                  method="slowest_mode")
+    assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
 
 
 def _cascade_generator(rate=1.0, dephasing=3.0):

@@ -7,6 +7,7 @@ import pytest
 from spinphonon import sweep
 from spinphonon.coupling import CHANNEL_OF_KIND
 from spinphonon.errors import CapacityError, NumericalError, ValidationError
+from spinphonon.lattice import ForceConstantSet
 from spinphonon.project import load_project
 from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
                               converge_protocol, kpoint_grid,
@@ -156,12 +157,14 @@ def test_replicated_spin_system_structure(soft_pipeline):
 
 
 def test_multi_spin_sweep_rows(soft_pipeline):
-    plan = SweepPlan(axis="n_spins", values=(1, 2), params=BASE)
+    plan = SweepPlan(axis="n_spins", values=(1, 2, 3), params=BASE)
     res = run_sweep(soft_pipeline, plan)
     assert res.plan_axis == "n_spins"
-    assert [row.value for row in res.rows] == [1, 2]
+    assert [row.value for row in res.rows] == [1, 2, 3]
     assert all(row.error is None for row in res.rows)
     assert all(np.isfinite(row.tau_ms) for row in res.rows)
+    # one unit cell is the base system itself
+    assert res.rows[0].tau_ms == soft_pipeline.relax(BASE).tau_ms
 
 
 def test_converge_protocol_reports_convergence(soft_pipeline):
@@ -355,3 +358,27 @@ def test_shipped_fixtures_keep_an_exp_fit(example, qgrid):
     point = RelaxationPipeline(crystal, fc, derivs, system).relax(params)
     assert point.diagnostics["fit_error"] is None
     assert np.isfinite(point.tau_fit_ms) and point.tau_fit_ms > 0
+
+
+def test_imaginary_modes_count_instabilities_not_round_off(soft_bundle):
+    from spinphonon.examples import examples_dir
+    crystal, fc, derivs, system, _ = load_project(
+        f"{examples_dir()}/vanadyl_fixture/config.json")
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    _, diag = pipeline.mode_precursors((8, 8, 8))
+    # the three Gamma acoustic modes are zero up to eigh round-off
+    assert pipeline.phonons((8, 8, 8))[2][0, :3].min() < 0.0
+    assert diag["imaginary_modes"] == 0
+    assert diag["skipped_modes"] == 3
+    # lowering every self-term makes the soft lattice unstable
+    crystal, fc, derivs, system = soft_bundle
+    self_terms = np.flatnonzero((fc.i == fc.j) & (fc.s == fc.t)
+                                & np.all(fc.lvecs == 0, axis=1))
+    values = fc.values.copy()
+    values[self_terms] -= 0.01
+    unstable = ForceConstantSet(crystal=crystal, lvecs=fc.lvecs, i=fc.i,
+                                s=fc.s, j=fc.j, t=fc.t, values=values)
+    _, diag = RelaxationPipeline(crystal, unstable, derivs, system,
+                                 enforce_sum_rule=False).mode_precursors(
+                                     (4, 4, 4))
+    assert diag["imaginary_modes"] > 0
