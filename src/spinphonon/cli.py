@@ -50,8 +50,6 @@ def _parse_grid(text):
         grid = tuple(int(p) for p in parts)
     except ValueError:
         raise _UsageError(f"--grid expects integers, got {text!r}")
-    if min(grid) < 1:
-        raise _UsageError("--grid divisions must be >= 1")
     return grid
 
 
@@ -100,7 +98,8 @@ def build_parser():
         _add_common(p)
     sub.choices["perturb"].add_argument(
         "--kind", choices=("coupling_x2", "freq_x0.8", "both"), default="both")
-    sub.choices["perturb"].add_argument("--channel", default="zeeman")
+    sub.choices["perturb"].add_argument("--channel", choices=CHANNELS,
+                                        default="zeeman")
 
     p = sub.add_parser("toygen", help="generate a synthetic project fixture")
     p.add_argument("--out", required=True, help="output directory")
@@ -118,20 +117,13 @@ def _overrides(args):
     if args.grid is not None:
         out["qgrid"] = _parse_grid(args.grid)
     if args.sigma is not None:
-        if args.sigma <= 0:
-            raise _UsageError("--sigma must be positive")
         out["sigma"] = args.sigma
     if args.temp is not None:
-        if args.temp < 0:
-            raise _UsageError("--temp must be non-negative")
         out["temperature"] = args.temp
     if args.field is not None:
         out["field_B"] = _parse_vec3(args.field, "--field")
     if args.channels is not None:
         out["channels"] = tuple(args.channels.split(","))
-        if set(out["channels"]) - set(CHANNELS):
-            raise _UsageError(f"--channels {args.channels!r}: allowed "
-                              f"channels are {CHANNELS}")
     if args.secular:
         out["secular"] = True
     return out
@@ -140,7 +132,10 @@ def _overrides(args):
 def _load_pipeline(args):
     crystal, fc, derivs, system, config = load_project(args.config)
     pipeline = RelaxationPipeline(crystal, fc, derivs, system)
-    params = config.run_params(**_overrides(args))
+    try:
+        params = config.run_params(**_overrides(args))
+    except ValidationError as exc:  # a bad flag value
+        raise _UsageError(str(exc)) from exc
     out_dir = args.out if args.out is not None else config.output_dir
     return pipeline, params, config, out_dir
 
@@ -213,12 +208,10 @@ def _cmd_relax(args):
 
 def _cmd_sweep(args):
     pipeline, params, config, out_dir = _load_pipeline(args)
-    plans = config.sweep_plans(threads=args.threads)
-    if not plans:
+    if not config.sweeps:
         raise ConfigError("config declares no sweep plans")
-    for k, plan in enumerate(plans):
-        if _overrides(args):
-            plan = dataclasses.replace(plan, params=params)
+    for k, plan in enumerate(config.sweeps):
+        plan = dataclasses.replace(plan, params=params, threads=args.threads)
         result = run_sweep(pipeline, plan)
         written = write_results(result, out_dir,
                                 basename=f"sweep_{k}_{plan.axis}",

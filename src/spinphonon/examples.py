@@ -96,8 +96,7 @@ def _check_digest(manifest, path):
 def _run_temperature_slope(manifest, path):
     crystal, fc, derivs, system, config = load_project(path)
     pipeline = RelaxationPipeline(crystal, fc, derivs, system)
-    plans = config.sweep_plans()
-    result = run_sweep(pipeline, plans[0])
+    result = run_sweep(pipeline, config.sweeps[0])
     errors = [r.error for r in result.rows if r.error]
     if errors:
         return False, f"sweep failures: {errors}"

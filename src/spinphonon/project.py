@@ -29,7 +29,7 @@ from .errors import (ConfigError, NumericalError, ParseError, SumRuleError,
 from .hamiltonian import dipolar_tensor
 from .lattice import ForceConstantSet, enforce_acoustic_sum_rule
 from .spins import SpinCenter, SpinCoupling, SpinSystem
-from .sweep import SWEEP_AXES, RunParams, SweepPlan
+from .sweep import RunParams, SweepPlan
 from .version import __version__
 
 #: max acceptable acoustic-sum-rule residual (eV/A^2) without enforcement
@@ -396,7 +396,13 @@ _CONFIG_KEYS = ("crystal", "force_constants", "derivatives", "spin_system",
                 "field_T", "temperature_K", "qgrid", "sigma_cm1", "channels",
                 "secular", "sweeps", "output_dir", "seed", "enforce_sum_rule",
                 "omega_min_cm1", "prune_sigma_mult")
-_SWEEP_KEYS = ("axis", "values", "channel", "replication_axis", "threads")
+#: config key -> RunParams field; RunParams holds the defaults and checks
+_RUN_PARAM_KEYS = {"qgrid": "qgrid", "sigma_cm1": "sigma",
+                   "temperature_K": "temperature", "field_T": "field_B",
+                   "channels": "channels", "secular": "secular",
+                   "omega_min_cm1": "omega_min",
+                   "prune_sigma_mult": "prune_sigma_mult"}
+_SWEEP_KEYS = ("axis", "values", "channel", "replication_axis")
 
 
 @dataclass(frozen=True)
@@ -410,17 +416,10 @@ class ProjectConfig:
     fc_path: str
     deriv_paths: tuple
     spin_system: dict = field(repr=False)
-    field_T: tuple = None
-    temperature_K: float = 20.0
-    qgrid: tuple = (8, 8, 8)
-    sigma_cm1: float = 1.0
-    channels: tuple = None
-    secular: bool = False
-    sweeps: tuple = ()
+    params: RunParams = field(default_factory=RunParams)
+    sweeps: tuple = ()  # SweepPlans on ``params``
     output_dir: str = "."
     enforce_sum_rule: bool = False
-    omega_min_cm1: float = 0.01
-    prune_sigma_mult: float = 20.0
 
     @property
     def config_hash(self):
@@ -428,26 +427,7 @@ class ProjectConfig:
         return hashlib.sha256(canon.encode()).hexdigest()[:12]
 
     def run_params(self, **overrides):
-        params = RunParams(qgrid=tuple(self.qgrid), sigma=self.sigma_cm1,
-                           temperature=self.temperature_K,
-                           field_B=None if self.field_T is None else tuple(self.field_T),
-                           channels=self.channels, secular=self.secular,
-                           omega_min=self.omega_min_cm1,
-                           prune_sigma_mult=self.prune_sigma_mult)
-        if overrides:
-            params = replace(params, **overrides)
-        return params
-
-    def sweep_plans(self, threads=None):
-        plans = []
-        for sw in self.sweeps:
-            plans.append(SweepPlan(
-                axis=sw["axis"], values=tuple(sw["values"]),
-                params=self.run_params(), channel=sw.get("channel"),
-                replication_axis=int(sw.get("replication_axis", 0)),
-                threads=int(threads if threads is not None
-                            else sw.get("threads", 1))))
-        return plans
+        return replace(self.params, **overrides)
 
 
 def load_config(path):
@@ -473,51 +453,29 @@ def load_config(path):
         if not os.path.exists(p):
             raise ConfigError(f"referenced file does not exist: {p}")
 
-    sigma = float(doc.get("sigma_cm1", 1.0))
-    if sigma <= 0:
-        raise ConfigError("sigma_cm1 must be positive")
-    temperature = float(doc.get("temperature_K", 20.0))
-    if temperature < 0:
-        raise ConfigError("temperature_K must be non-negative")
-    qgrid = tuple(int(x) for x in doc.get("qgrid", (8, 8, 8)))
-    if len(qgrid) != 3 or min(qgrid) < 1:
-        raise ConfigError("qgrid must be three integers >= 1")
-    field_T = doc.get("field_T")
-    if field_T is not None:
-        field_T = tuple(float(x) for x in field_T)
-        if len(field_T) != 3 or not all(np.isfinite(field_T)):
-            raise ConfigError("field_T must be a finite 3-vector")
-    channels = doc.get("channels")
-    if channels is not None:
-        channels = tuple(channels)
-        bad = set(channels) - set(CHANNELS)
-        if bad:
-            raise ConfigError(f"unknown channel(s) {sorted(bad)}; "
-                              f"allowed: {CHANNELS}")
-    sweeps = []
-    for k, sw in enumerate(doc.get("sweeps", ())):
-        _check_keys(sw, _SWEEP_KEYS, f"sweep plan {k}")
-        _require(sw, ("axis", "values"), f"sweep plan {k}")
-        if sw["axis"] not in SWEEP_AXES:
-            raise ConfigError(f"sweep plan {k}: unknown axis {sw['axis']!r}; "
-                              f"allowed: {SWEEP_AXES}")
-        sweeps.append(dict(sw))
-    omega_min = float(doc.get("omega_min_cm1", 0.01))
-    if omega_min <= 0:
-        raise ConfigError("omega_min_cm1 must be positive")
-    prune = doc.get("prune_sigma_mult", 20.0)
-    prune = None if prune is None else float(prune)
+    context = f"config file {path}"
+    try:
+        params = RunParams(**{name: doc[key]
+                              for key, name in _RUN_PARAM_KEYS.items()
+                              if key in doc})
+        sweeps = []
+        for k, sw in enumerate(doc.get("sweeps", ())):
+            context = f"sweep plan {k} of config file {path}"
+            _check_keys(sw, _SWEEP_KEYS, context)
+            _require(sw, ("axis", "values"), context)
+            sweeps.append(SweepPlan(
+                axis=sw["axis"], values=sw["values"], params=params,
+                channel=sw.get("channel"),
+                replication_axis=sw.get("replication_axis", 0)))
+    except ValidationError as exc:
+        raise ConfigError(f"{exc} in {context}") from exc
 
     return ProjectConfig(
         path=os.path.abspath(path), raw=doc, crystal_path=crystal_path,
         fc_path=fc_path, deriv_paths=deriv_paths,
-        spin_system=doc["spin_system"], field_T=field_T,
-        temperature_K=temperature, qgrid=qgrid, sigma_cm1=sigma,
-        channels=channels, secular=bool(doc.get("secular", False)),
-        sweeps=tuple(sweeps),
+        spin_system=doc["spin_system"], params=params, sweeps=tuple(sweeps),
         output_dir=resolve(doc.get("output_dir", ".")),
-        enforce_sum_rule=bool(doc.get("enforce_sum_rule", False)),
-        omega_min_cm1=omega_min, prune_sigma_mult=prune)
+        enforce_sum_rule=bool(doc.get("enforce_sum_rule", False)))
 
 
 def load_project(path):
@@ -543,7 +501,8 @@ def load_project(path):
                                    np.zeros((0, 3, 3)))
     for p in config.deriv_paths:
         derivs = derivs.merged(load_derivatives(p, crystal))
-    system = build_spin_system(config.spin_system, crystal, config.field_T)
+    system = build_spin_system(config.spin_system, crystal,
+                               config.params.field_B)
     # derivative records must reference declared spin centers
     ids = {c.id for c in system.centers}
     for k, (kind, key) in enumerate(derivs.targets):

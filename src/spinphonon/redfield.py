@@ -220,7 +220,8 @@ def _real_form(R, channels=None):
     block from each channel part, so no second complex d^2 x d^2 array
     is held. A generator that does not map Hermitian rho to Hermitian
     rho has no real form: a discarded imaginary part above 1e-12 of
-    max|R| raises ValidationError.
+    max|R| raises ValidationError. A non-finite entry raises
+    NumericalError.
     """
     if isinstance(R, RedfieldTensor):
         d = R.dimension
@@ -243,11 +244,14 @@ def _real_form(R, channels=None):
         rows = slice(start, start + step)
         Rp = sum(part[p[rows]] for part in parts)
         Rq = sum(part[q[rows]] for part in parts)
-        scale = max(scale, np.max(np.abs(Rp)), np.max(np.abs(Rq)))
+        # np.max, not max: a NaN must propagate into the scale
+        scale = np.max([scale, np.max(np.abs(Rp)), np.max(np.abs(Rq))])
         Z = alpha[rows, None].conj() * Rp + beta[rows, None].conj() * Rq
         block = Z[:, p] * alpha + Z[:, q] * beta
         out[rows] = block.real
         imag = max(imag, np.max(np.abs(block.imag)))
+    if not np.isfinite(scale):
+        raise NumericalError("generator has non-finite entries")
     if imag > 1e-12 * scale:
         raise ValidationError(
             f"generator does not preserve Hermiticity: imaginary part "
@@ -383,7 +387,8 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
     """Relaxation time of the chosen observable (default Sz of a spin).
 
     slowest_mode: tau = 1 / |Re lambda| for the nonzero eigenvalue of R
-    whose eigenvector overlaps the observable's traceless part the most.
+    whose eigenvector overlaps the observable's traceless part the most;
+    NumericalError when that mode grows (Re lambda > 0).
     exp_fit: log-linear single-exponential fit of M_z(t) between rho0
     and the stationary state. Both values are reported; a >5% mismatch
     or a non-exponential fit is flagged, never hidden. Without a
@@ -422,6 +427,10 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
     k = int(np.argmax(weights))
     if weights[k] < 0:
         raise NumericalError("no decaying mode overlaps the observable")
+    if w[k].real > 0:
+        raise NumericalError(
+            f"the mode that overlaps the observable most grows "
+            f"(Re lambda = {w[k].real:.3g} /ps); it has no relaxation time")
     tau_slow_ps = 1.0 / abs(w[k].real)
     tau_slow_ms = tau_slow_ps / PS_PER_MS
 

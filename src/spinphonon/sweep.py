@@ -99,9 +99,37 @@ class _PointLog(threading.local):
         self.cache_hits = 0
 
 
+def _number(name, value, low, strict=True):
+    """``value`` as a finite float above ``low`` (or at it, not strict)."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = float("nan")
+    if not (np.isfinite(x) and (x > low if strict else x >= low)):
+        bound = ">" if strict else ">="
+        raise ValidationError(
+            f"{name} must be a finite number {bound} {low:g}, got {value!r}")
+    return x
+
+
+def _channel_names(name, names):
+    """``names`` as a tuple of channel names from CHANNELS."""
+    names = tuple(names)
+    unknown = [ch for ch in names if ch not in CHANNELS]
+    if unknown:
+        raise ValidationError(f"{name}: unknown channel(s) {unknown}; "
+                              f"allowed: {CHANNELS}")
+    return names
+
+
 @dataclass(frozen=True)
 class RunParams:
-    """One relaxation-pipeline evaluation point."""
+    """One relaxation-pipeline evaluation point.
+
+    Every field is checked and normalised on construction, also by
+    ``dataclasses.replace``; a bad value raises ValidationError naming
+    the field.
+    """
 
     qgrid: tuple = (8, 8, 8)
     sigma: float = 1.0
@@ -113,6 +141,50 @@ class RunParams:
     freq_scale: float = 1.0
     coupling_scale: dict = None  # channel -> factor
     prune_sigma_mult: float = 20.0
+
+    def __post_init__(self):
+        def put(name, value):
+            object.__setattr__(self, name, value)
+
+        try:
+            grid = tuple(int(n) for n in self.qgrid)
+            ok = (len(grid) == 3 and min(grid) >= 1
+                  and all(g == n for g, n in zip(grid, self.qgrid)))
+        except (TypeError, ValueError):
+            ok = False
+        if not ok:
+            raise ValidationError(
+                f"qgrid must be three integers >= 1, got {self.qgrid!r}")
+        put("qgrid", grid)
+        put("sigma", _number("sigma", self.sigma, 0.0))
+        put("temperature", _number("temperature", self.temperature, 0.0,
+                                   strict=False))
+        put("omega_min", _number("omega_min", self.omega_min, 0.0))
+        put("freq_scale", _number("freq_scale", self.freq_scale, 0.0))
+        if self.prune_sigma_mult is not None:
+            put("prune_sigma_mult", _number("prune_sigma_mult",
+                                            self.prune_sigma_mult, 0.0))
+        if self.field_B is not None:
+            try:
+                B = tuple(float(b) for b in self.field_B)
+            except (TypeError, ValueError):
+                B = ()
+            if len(B) != 3 or not np.all(np.isfinite(B)):
+                raise ValidationError(f"field_B must be a finite 3-vector, "
+                                      f"got {self.field_B!r}")
+            put("field_B", B)
+        if self.channels is not None:
+            put("channels", _channel_names("channels", self.channels))
+        if self.coupling_scale is not None:
+            scale = dict(self.coupling_scale)
+            _channel_names("coupling_scale", scale)
+            put("coupling_scale",
+                {ch: _number(f"coupling_scale[{ch!r}]", f, -np.inf)
+                 for ch, f in scale.items()})
+        if self.secular not in (True, False):  # "false" is not False
+            raise ValidationError(f"secular must be true or false, got "
+                                  f"{self.secular!r}")
+        put("secular", bool(self.secular))
 
 
 @dataclass(frozen=True)
@@ -337,13 +409,25 @@ class SweepPlan:
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
-            raise ValidationError(f"unknown sweep axis {self.axis!r}")
-        vals = tuple(self.values)
+            raise ValidationError(f"unknown sweep axis {self.axis!r}; "
+                                  f"allowed: {SWEEP_AXES}")
+        try:
+            vals = tuple(self.values)
+            finite = self.axis == "qgrid" or all(np.isfinite(v) for v in vals)
+        except TypeError:
+            raise ValidationError("sweep values must be a list of numbers")
         if not vals:
             raise ValidationError("sweep values must be nonempty")
-        if self.axis != "qgrid" and not all(np.isfinite(v) for v in vals):
+        if not finite:
             raise ValidationError("sweep values must be finite")
         object.__setattr__(self, "values", vals)
+        if self.channel is not None and self.channel not in CHANNELS:
+            raise ValidationError(f"sweep channel {self.channel!r} is not a "
+                                  f"channel; allowed: {CHANNELS}")
+        if self.replication_axis not in (0, 1, 2):
+            raise ValidationError(f"replication_axis must be 0, 1 or 2, got "
+                                  f"{self.replication_axis!r}")
+        object.__setattr__(self, "replication_axis", int(self.replication_axis))
 
 
 @dataclass(frozen=True)
@@ -422,13 +506,14 @@ def perturbation_study(pipeline, params, kind, channel="hyperfine"):
     couplings or rescale every phonon frequency by 0.8."""
     if kind not in ("coupling_x2", "freq_x0.8"):
         raise ValidationError(f"unknown perturbation {kind!r}")
-    base = pipeline.relax(params)
+    # the perturbed point is checked before the baseline runs
     if kind == "coupling_x2":
         scale = dict(params.coupling_scale or {})
         scale[channel] = scale.get(channel, 1.0) * 2.0
         pert_params = replace(params, coupling_scale=scale)
     else:
         pert_params = replace(params, freq_scale=params.freq_scale * 0.8)
+    base = pipeline.relax(params)
     pert = pipeline.relax(pert_params)
     rows = (
         SweepRow(value="baseline", tau_ms=base.tau_ms,

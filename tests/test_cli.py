@@ -147,6 +147,41 @@ def test_unknown_channel_is_usage_error(vanadyl_config, tmp_path, capsys):
     assert "Redfield tensor is zero" in capsys.readouterr().err
 
 
+_ZEMAN_PLAN = {"axis": "coupling_scale", "values": [2.0], "channel": "zeman"}
+
+
+@pytest.mark.parametrize("argv, plan, code, named", [
+    (["perturb", "--kind", "coupling_x2", "--channel", "zeman"], None,
+     EXIT_USAGE, "zeman"),
+    (["relax"], _ZEMAN_PLAN, EXIT_PARSE, "zeman"),
+    (["relax", "--temp", "-1"], None, EXIT_USAGE, "temperature"),
+    (["relax", "--sigma", "0"], None, EXIT_USAGE, "sigma"),
+    (["relax", "--grid", "0"], None, EXIT_USAGE, "qgrid"),
+    (["relax", "--channels", "zeeman,zeman"], None, EXIT_USAGE, "zeman"),
+], ids=["perturb_channel", "sweep_channel", "temp", "sigma", "grid",
+        "channels"])
+def test_bad_run_point_exits_before_any_point(argv, plan, code, named,
+                                              vanadyl_config, tmp_path,
+                                              capsys):
+    cfg = vanadyl_config
+    if plan is not None:
+        # a bad sweep plan fails every verb when the config loads
+        doc = json.load(open(cfg))
+        base = os.path.dirname(cfg)
+        doc["crystal"] = os.path.join(base, doc["crystal"])
+        doc["force_constants"] = os.path.join(base, doc["force_constants"])
+        doc["derivatives"] = [os.path.join(base, p)
+                              for p in doc["derivatives"]]
+        doc["sweeps"] = [plan]
+        cfg = str(tmp_path / "config.json")
+        with open(cfg, "w") as fh:
+            json.dump(doc, fh)
+    out = str(tmp_path / "out")
+    assert main(argv + ["--config", cfg, "--out", out]) == code
+    assert named in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_couple_output(tmp_path, capsys):
     cfg = _toy(tmp_path)
     out = str(tmp_path / "cp")

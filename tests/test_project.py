@@ -205,9 +205,9 @@ def test_load_config_and_hash_stability(vanadyl_config):
     cfg2 = load_config(vanadyl_config)
     assert cfg1.config_hash == cfg2.config_hash
     assert len(cfg1.config_hash) == 12
-    assert cfg1.qgrid == (4, 4, 4)
-    assert cfg1.sigma_cm1 == 1.0
-    assert cfg1.temperature_K == 20.0
+    assert cfg1.params.qgrid == (4, 4, 4)
+    assert cfg1.params.sigma == 1.0
+    assert cfg1.params.temperature == 20.0
 
 
 def test_load_project_vanadyl_dimension(vanadyl_config):

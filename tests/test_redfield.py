@@ -270,11 +270,26 @@ def test_non_finite_generator_is_a_numerical_failure():
     import types
 
     gen = np.full((4, 4), np.nan)
-    with pytest.raises(NumericalError, match="trace drift nan"):
+    with pytest.raises(NumericalError, match="generator has non-finite"):
         propagate(np.diag([1.0, 0.0]), gen, [0.0, 1.0])
-    with pytest.raises(NumericalError, match="eigendecomposition"):
+    with pytest.raises(NumericalError, match="generator has non-finite"):
         extract_relaxation_time(gen, types.SimpleNamespace(dimension=2), None,
                                 observable=np.diag([1.0, -1.0]))
+
+
+def test_growing_mode_has_no_relaxation_time():
+    import types
+
+    # populations of a two-level system with transfer rates of -1 /ps:
+    # p0 - p1 grows as exp(2t); the coherences decay
+    gen = np.zeros((4, 4))
+    gen[[0, 3], [0, 3]] = 1.0
+    gen[[0, 3], [3, 0]] = -1.0
+    gen[[1, 2], [1, 2]] = -0.5
+    with pytest.raises(NumericalError, match="grows"):
+        extract_relaxation_time(gen, types.SimpleNamespace(dimension=2), None,
+                                observable=np.diag([1.0, -1.0]),
+                                method="slowest_mode")
 
 
 def test_propagate_with_zero_generator_is_identity():

@@ -130,6 +130,45 @@ def test_sweep_plan_validation():
         SweepPlan(axis="temperature", values=(np.nan,))
 
 
+@pytest.mark.parametrize("name, build", [
+    ("channels", lambda: RunParams(channels=("zeman",))),
+    ("coupling_scale", lambda: RunParams(coupling_scale={"zeman": 2})),
+    ("freq_scale", lambda: RunParams(freq_scale=0)),
+    ("prune_sigma_mult", lambda: RunParams(prune_sigma_mult=-1)),
+    ("qgrid", lambda: RunParams(qgrid=(0, 4, 4))),
+    ("field_B", lambda: RunParams(field_B=(0, 0))),
+    ("temperature", lambda: replace(BASE, temperature=-1.0)),
+    ("sigma", lambda: replace(BASE, sigma=np.nan)),
+    ("channel", lambda: SweepPlan(axis="coupling_scale", values=(2.0,),
+                                  channel="zeman")),
+    ("replication_axis", lambda: SweepPlan(axis="n_spins", values=(1,),
+                                           replication_axis=3)),
+    # the perturbed point is checked before any point runs: no pipeline
+    ("coupling_scale", lambda: perturbation_study(None, BASE, "coupling_x2",
+                                                  channel="zeman")),
+], ids=["channels", "coupling_scale", "freq_scale", "prune_sigma_mult",
+        "qgrid", "field_B", "temperature", "sigma", "sweep_channel",
+        "replication_axis", "perturb_channel"])
+def test_bad_run_point_is_rejected_when_built(name, build):
+    with pytest.raises(ValidationError, match=name):
+        build()
+
+
+def test_run_params_are_normalised():
+    params = RunParams(qgrid=[4.0, 4, 4], sigma=1, field_B=np.array([0, 0, 5]),
+                       channels=["zeeman"], secular=1)
+    assert params.qgrid == (4, 4, 4)
+    assert all(type(n) is int for n in params.qgrid)
+    assert params.sigma == 1.0 and type(params.sigma) is float
+    assert params.field_B == (0.0, 0.0, 5.0)
+    assert params.channels == ("zeeman",)
+    assert params.secular is True
+    with pytest.raises(ValidationError, match="qgrid"):
+        RunParams(qgrid=(4.5, 4, 4))
+    with pytest.raises(ValidationError, match="secular"):
+        RunParams(secular="false")
+
+
 def test_perturbation_coupling_x2(soft_pipeline):
     res = perturbation_study(soft_pipeline, BASE, "coupling_x2",
                              channel="zeeman")
