@@ -20,8 +20,8 @@ from .redfield import (DensityMatrix, PhononCorrelation, RedfieldTensor,
 from .spins import (SpinCenter, SpinCoupling, SpinOperators, SpinSystem,
                     build_spin_operators)
 from .sweep import (RelaxationPipeline, RunParams, SweepPlan, SweepResult,
-                    converge_protocol, kpoint_grid, multi_spin_scaling,
-                    perturbation_study, run_sweep)
+                    converge_protocol, kpoint_grid, perturbation_study,
+                    run_sweep)
 from .project import (ProjectConfig, load_config, load_crystal,
                       load_derivatives, load_force_constants, load_project,
                       load_results, write_bands_csv, write_coupling_csv,

@@ -17,9 +17,9 @@ from .coupling import CHANNELS, coupling_norm_distribution
 from .lattice import phonon_dos, phonon_spectrum
 from .project import (load_project, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
-from .sweep import (RelaxationPipeline, SweepResult, SweepRow,
-                    converge_protocol, kpoint_grid, paired_kpoint_grid,
-                    perturbation_study, run_sweep)
+from .sweep import (RelaxationPipeline, SweepResult, converge_protocol,
+                    kpoint_grid, paired_kpoint_grid, perturbation_study,
+                    run_sweep)
 from .toy import toy_preset, write_toy_project
 from .version import __version__
 
@@ -63,19 +63,35 @@ def _parse_vec3(text, flag):
         raise _UsageError(f"{flag} expects numbers, got {text!r}")
 
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", required=config_required,
-                   help="project configuration JSON")
-    p.add_argument("--grid", help="q-grid divisions n or n1,n2,n3")
-    p.add_argument("--sigma", type=float, help="Gaussian breadth (cm^-1)")
-    p.add_argument("--temp", type=float, help="temperature (K)")
-    p.add_argument("--field", help="magnetic field Bx,By,Bz (T)")
-    p.add_argument("--channels", help="comma-separated channel subset")
-    p.add_argument("--secular", action="store_true", default=None,
-                   help="apply the secular approximation")
-    p.add_argument("--out", help="output directory (default from config)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for sweep points")
+#: the flags of the project verbs -> add_argument keywords
+_FLAGS = {
+    "--grid": dict(help="q-grid divisions n or n1,n2,n3"),
+    "--sigma": dict(type=float, help="Gaussian breadth (cm^-1)"),
+    "--temp": dict(type=float, help="temperature (K)"),
+    "--field": dict(help="magnetic field Bx,By,Bz (T)"),
+    "--channels": dict(help="comma-separated channel subset"),
+    "--secular": dict(action="store_true", default=None,
+                      help="apply the secular approximation"),
+    "--threads": dict(type=int, default=1,
+                      help="worker threads for sweep points"),
+}
+_SPIN_FLAGS = ("--temp", "--field", "--channels", "--secular")
+_POINT_FLAGS = ("--grid", "--sigma") + _SPIN_FLAGS
+
+#: project verbs: (name, help, the run-point flags the verb reads)
+_VERBS = (
+    ("phonons", "phonon frequencies over the q-grid", ("--grid",)),
+    ("dos", "phonon density of states with rigid-body decomposition",
+     ("--grid", "--sigma")),
+    ("couple", "binned squared spin-phonon coupling norms", ("--grid",)),
+    ("relax", "single relaxation-time evaluation", _POINT_FLAGS),
+    ("sweep", "run the sweep plans declared in the config",
+     _POINT_FLAGS + ("--threads",)),
+    # the protocol sets sigma and the q-grid itself
+    ("converge", "nested sigma/q-grid convergence protocol", _SPIN_FLAGS),
+    ("perturb", "coupling-doubling and frequency-scaling checks",
+     _POINT_FLAGS),
+)
 
 
 def build_parser():
@@ -86,16 +102,13 @@ def build_parser():
                         version=f"spinphonon {__version__}")
     sub = parser.add_subparsers(dest="command")
 
-    for name, descr in (
-            ("phonons", "phonon frequencies over the q-grid"),
-            ("dos", "phonon density of states with rigid-body decomposition"),
-            ("couple", "binned squared spin-phonon coupling norms"),
-            ("relax", "single relaxation-time evaluation"),
-            ("sweep", "run the sweep plans declared in the config"),
-            ("converge", "nested sigma/q-grid convergence protocol"),
-            ("perturb", "coupling-doubling and frequency-scaling checks")):
+    for name, descr, flags in _VERBS:
         p = sub.add_parser(name, help=descr)
-        _add_common(p)
+        p.add_argument("--config", required=True,
+                       help="project configuration JSON")
+        p.add_argument("--out", help="output directory (default from config)")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     sub.choices["perturb"].add_argument(
         "--kind", choices=("coupling_x2", "freq_x0.8", "both"), default="both")
     sub.choices["perturb"].add_argument("--channel", choices=CHANNELS,
@@ -113,18 +126,21 @@ def build_parser():
 
 
 def _overrides(args):
+    """RunParams overrides from the run-point flags the verb has and
+    the user gave."""
+    given = {k: v for k, v in vars(args).items() if v is not None}
     out = {}
-    if args.grid is not None:
-        out["qgrid"] = _parse_grid(args.grid)
-    if args.sigma is not None:
-        out["sigma"] = args.sigma
-    if args.temp is not None:
-        out["temperature"] = args.temp
-    if args.field is not None:
-        out["field_B"] = _parse_vec3(args.field, "--field")
-    if args.channels is not None:
-        out["channels"] = tuple(args.channels.split(","))
-    if args.secular:
+    if "grid" in given:
+        out["qgrid"] = _parse_grid(given["grid"])
+    if "sigma" in given:
+        out["sigma"] = given["sigma"]
+    if "temp" in given:
+        out["temperature"] = given["temp"]
+    if "field" in given:
+        out["field_B"] = _parse_vec3(given["field"], "--field")
+    if "channels" in given:
+        out["channels"] = tuple(given["channels"].split(","))
+    if given.get("secular"):
         out["secular"] = True
     return out
 
@@ -188,18 +204,15 @@ def _cmd_couple(args):
 
 def _cmd_relax(args):
     pipeline, params, config, out_dir = _load_pipeline(args)
-    point = pipeline.relax(params)
-    row = SweepRow(value="single", tau_ms=point.tau_ms,
-                   tau_channel_ms=point.tau_channel_ms,
-                   diagnostics=point.diagnostics)
+    row = pipeline.relax(params, "single")
     result = SweepResult(plan_axis="single", rows=(row,),
                          metadata={"params": dataclasses.asdict(params)})
     written = write_results(result, out_dir, basename="relax",
                             config_hash=config.config_hash)
-    fit = ("n/a" if point.tau_fit_ms is None
-           else f"{point.tau_fit_ms:.9g} ms")
-    print(f"tau = {point.tau_ms:.9g} ms (exp-fit {fit})")
-    for ch, tau in sorted(point.tau_channel_ms.items()):
+    tau_fit = row.diagnostics["tau_fit_ms"]
+    fit = "n/a" if tau_fit is None else f"{tau_fit:.9g} ms"
+    print(f"tau = {row.tau_ms:.9g} ms (exp-fit {fit})")
+    for ch, tau in sorted(row.tau_channel_ms.items()):
         print(f"  {ch}: {tau:.9g} ms")
     for fmt, path in written.items():
         print(f"wrote {path}")

@@ -55,6 +55,16 @@ def _require(mapping, keys, context):
         raise ConfigError(f"missing key(s) {', '.join(missing)} in {context}")
 
 
+def _flag(mapping, key, default, context):
+    """The JSON bool at ``key`` (``default`` when absent); the string
+    "false" is not false."""
+    value = mapping.get(key, default)
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r} "
+                          f"in {context}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # crystal JSON
 
@@ -371,7 +381,8 @@ def build_spin_system(decl, crystal, field_T=None):
         couplings.append(SpinCoupling(i=i, j=j, tensor=tensor, tag=tag))
     return SpinSystem(
         centers=tuple(centers), couplings=tuple(couplings), field_B=field_T,
-        include_nuclear_zeeman=bool(decl.get("include_nuclear_zeeman", True)),
+        include_nuclear_zeeman=_flag(decl, "include_nuclear_zeeman", True,
+                                     "spin_system"),
         dimension_cap=int(decl.get("dimension_cap", 256)))
 
 
@@ -475,7 +486,8 @@ def load_config(path):
         fc_path=fc_path, deriv_paths=deriv_paths,
         spin_system=doc["spin_system"], params=params, sweeps=tuple(sweeps),
         output_dir=resolve(doc.get("output_dir", ".")),
-        enforce_sum_rule=bool(doc.get("enforce_sum_rule", False)))
+        enforce_sum_rule=_flag(doc, "enforce_sum_rule", False,
+                               f"config file {path}"))
 
 
 def load_project(path):
@@ -556,9 +568,8 @@ RESULT_CSV_COLUMNS = ("axis", "tau_total_ms", "tau_zeeman_ms",
                       "n_couplings", "error", "version", "config_hash")
 
 
-def write_results(result, out_dir, basename=None, formats=("csv", "json"),
-                  config_hash=None):
-    """Emit one SweepResult as CSV and/or a JSON sidecar.
+def write_results(result, out_dir, basename=None, config_hash=None):
+    """Emit one SweepResult as CSV and a JSON sidecar.
 
     The CSV carries 9 significant digits; the JSON sidecar keeps full
     precision so reloading reproduces tau values bit-exactly. Both embed
@@ -567,50 +578,45 @@ def write_results(result, out_dir, basename=None, formats=("csv", "json"),
     os.makedirs(out_dir, exist_ok=True)
     if basename is None:
         basename = f"sweep_{result.plan_axis}"
-    written = {}
-    if "csv" in formats:
-        path = os.path.join(out_dir, basename + ".csv")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RESULT_CSV_COLUMNS)
-            for row in result.rows:
-                ch = row.tau_channel_ms
-                diag = row.diagnostics
-                writer.writerow([
-                    row.value if isinstance(row.value, str) else _fmt9(row.value),
-                    _fmt9(row.tau_ms),
-                    _fmt9(ch.get("zeeman")),
-                    _fmt9(ch.get("hyperfine")),
-                    _fmt9(ch.get("dipolar")),
-                    _fmt9(diag.get("tau_fit_ms")),
-                    _fmt9(diag.get("fit_residual")),
-                    str(bool(diag.get("mismatch", False))).lower(),
-                    str(bool(diag.get("non_exponential", False))).lower(),
-                    diag.get("n_couplings", ""),
-                    row.error or "",
-                    __version__,
-                    config_hash or "",
-                ])
-        written["csv"] = path
-    if "json" in formats:
-        path = os.path.join(out_dir, basename + ".json")
-        doc = {
-            "version": __version__,
-            "config_hash": config_hash,
-            "plan_axis": result.plan_axis,
-            "metadata": _to_native(result.metadata),
-            "rows": [{
-                "value": _to_native(row.value),
-                "tau_ms": _to_native(row.tau_ms),
-                "tau_channel_ms": _to_native(row.tau_channel_ms),
-                "diagnostics": _to_native(row.diagnostics),
-                "error": row.error,
-            } for row in result.rows],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
-            fh.write("\n")
-        written["json"] = path
+    written = {"csv": os.path.join(out_dir, basename + ".csv"),
+               "json": os.path.join(out_dir, basename + ".json")}
+    with open(written["csv"], "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULT_CSV_COLUMNS)
+        for row in result.rows:
+            ch = row.tau_channel_ms
+            diag = row.diagnostics
+            writer.writerow([
+                row.value if isinstance(row.value, str) else _fmt9(row.value),
+                _fmt9(row.tau_ms),
+                _fmt9(ch.get("zeeman")),
+                _fmt9(ch.get("hyperfine")),
+                _fmt9(ch.get("dipolar")),
+                _fmt9(diag.get("tau_fit_ms")),
+                _fmt9(diag.get("fit_residual")),
+                str(bool(diag.get("mismatch", False))).lower(),
+                str(bool(diag.get("non_exponential", False))).lower(),
+                diag.get("n_couplings", ""),
+                row.error or "",
+                __version__,
+                config_hash or "",
+            ])
+    doc = {
+        "version": __version__,
+        "config_hash": config_hash,
+        "plan_axis": result.plan_axis,
+        "metadata": _to_native(result.metadata),
+        "rows": [{
+            "value": _to_native(row.value),
+            "tau_ms": _to_native(row.tau_ms),
+            "tau_channel_ms": _to_native(row.tau_channel_ms),
+            "diagnostics": _to_native(row.diagnostics),
+            "error": row.error,
+        } for row in result.rows],
+    }
+    with open(written["json"], "w") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
     return written
 
 

@@ -57,15 +57,12 @@ class PhononCorrelation:
 
     sigma: float  # cm^-1 (breadth)
     temperature: float  # K
-    kernel: str = "gaussian"
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValidationError("sigma must be positive")
         if self.temperature < 0:
             raise ValidationError("negative temperature")
-        if self.kernel != "gaussian":
-            raise ValidationError(f"unknown kernel {self.kernel!r}")
 
 
 def phonon_correlation_value(pc, omega_ij, omega_mode):
@@ -322,15 +319,14 @@ class RelaxationEstimate:
     """Relaxation time from the two extraction routes (ms)."""
 
     tau_ms: float  # headline: slowest-mode value
-    tau_slowest_ms: float
     tau_fit_ms: float = None
-    mismatch: bool = False
-    fit_residual: float = None
-    non_exponential: bool = False
+    fit_error: str = None  # why there is no exp-fit (no physical rho_ss)
     min_rho_eigenvalue: float = None
+    fit_residual: float = None
+    mismatch: bool = False
+    non_exponential: bool = False
     expm_fallback: bool = False  # propagation used expm, not (w, Vr)
     eigvec_cond: float = None  # 1-norm condition number of R's eigenvectors
-    fit_error: str = None  # why there is no exp-fit (no physical rho_ss)
 
 
 def stationary_state(w, Vr, dim, tol=1e-9):
@@ -435,7 +431,7 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
     tau_slow_ms = tau_slow_ps / PS_PER_MS
 
     if method == "slowest_mode":
-        return RelaxationEstimate(tau_ms=tau_slow_ms, tau_slowest_ms=tau_slow_ms)
+        return RelaxationEstimate(tau_ms=tau_slow_ms)
 
     # single-exponential fit of the observable decay, on real coordinates:
     # <O>(t) = Tr(rho(t) O) is x(t) . o
@@ -463,9 +459,9 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
         dm = m_t - float(np.real(_coords(rho_ss).real @ o))
         tau_fit_ms, residual, non_exp = _exp_fit(times, dm)
     # no fit is a failed cross-check too: it must not read as agreement
-    mismatch = fit_error is not None or (
+    mismatch = fit_error is not None or bool(
         tau_fit_ms is not None and abs(tau_fit_ms / tau_slow_ms - 1.0) > 0.05)
-    return RelaxationEstimate(tau_ms=tau_slow_ms, tau_slowest_ms=tau_slow_ms,
+    return RelaxationEstimate(tau_ms=tau_slow_ms,
                               tau_fit_ms=tau_fit_ms, mismatch=mismatch,
                               fit_residual=residual, non_exponential=non_exp,
                               min_rho_eigenvalue=float(min_eig),

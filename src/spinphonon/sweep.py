@@ -188,13 +188,23 @@ class RunParams:
 
 
 @dataclass(frozen=True)
-class RelaxationPoint:
-    """tau values (ms) and diagnostics for one parameter point."""
+class SweepRow:
+    """One tau point as the results writers take it: its label
+    (``value``), tau and the per-channel taus (ms), its diagnostics,
+    and the error of a point that raised."""
 
+    value: object
     tau_ms: float
-    tau_fit_ms: float
     tau_channel_ms: dict
     diagnostics: dict
+    error: str = None
+
+    @classmethod
+    def failed(cls, value, exc):
+        """The row of a point that raised ``exc``: tau NaN, no channel
+        taus and no diagnostics."""
+        return cls(value=value, tau_ms=float("nan"), tau_channel_ms={},
+                   diagnostics={}, error=f"{type(exc).__name__}: {exc}")
 
 
 class RelaxationPipeline:
@@ -334,8 +344,10 @@ class RelaxationPipeline:
             R = assemble_redfield(cpls, ham, pc, secular=params.secular)
         return R, ham, system, diag
 
-    def relax(self, params):
-        """Relaxation times for the point, with per-channel breakdown.
+    def relax(self, params, value=None):
+        """The SweepRow of the point, labelled ``value``: tau, the
+        per-channel taus, and diagnostics that carry every field of the
+        RelaxationEstimate but tau_ms.
 
         A one-channel tensor is diagonalised once: its channel tau is
         the total's."""
@@ -359,23 +371,14 @@ class RelaxationPipeline:
                 except NumericalError as exc:
                     tau_channel[ch] = float("nan")
                     channel_errors[ch] = str(exc)
-        diag = dict(diag)
-        diag.update({
-            "n_couplings": R.n_couplings,
-            "tau_fit_ms": est.tau_fit_ms,
-            "fit_error": est.fit_error,
-            "min_rho_eigenvalue": est.min_rho_eigenvalue,
-            "fit_residual": est.fit_residual,
-            "mismatch": bool(est.mismatch),
-            "non_exponential": bool(est.non_exponential),
-            "expm_fallback": bool(est.expm_fallback),
-            "eigvec_cond": est.eigvec_cond,
-            "channel_errors": channel_errors,
-            "timings_s": dict(self._log.timings),
-            "cache_hits": self._log.cache_hits,
-        })
-        return RelaxationPoint(tau_ms=est.tau_ms, tau_fit_ms=est.tau_fit_ms,
-                               tau_channel_ms=tau_channel, diagnostics=diag)
+        estimate = asdict(est)
+        tau_ms = estimate.pop("tau_ms")
+        diag = {**diag, "n_couplings": R.n_couplings, **estimate,
+                "channel_errors": channel_errors,
+                "timings_s": dict(self._log.timings),
+                "cache_hits": self._log.cache_hits}
+        return SweepRow(value=value, tau_ms=tau_ms, tau_channel_ms=tau_channel,
+                        diagnostics=diag)
 
     def _field_inverted_initial_state(self, params, system, ham):
         """Equilibrium of the field-reversed Hamiltonian, expressed in
@@ -431,73 +434,73 @@ class SweepPlan:
 
 
 @dataclass(frozen=True)
-class SweepRow:
-    value: object
-    tau_ms: float
-    tau_channel_ms: dict
-    diagnostics: dict
-    error: str = None
-
-
-@dataclass(frozen=True)
 class SweepResult:
     plan_axis: str
     rows: tuple
     metadata: dict
 
 
-def _point_params(plan, value):
+def _point(pipeline, plan, value):
+    """(pipeline, params, row label) of the sweep point at ``value``."""
     p = plan.params
+    if plan.axis == "n_spins":
+        # its own pipeline, on ``value`` cells; labelled by spin count
+        system, derivs = replicated_spin_system(pipeline, int(value),
+                                                plan.replication_axis)
+        cells = RelaxationPipeline(pipeline.crystal, pipeline.fc, derivs,
+                                   system, enforce_sum_rule=False)
+        return cells, p, len(system.centers)
     if plan.axis == "field_magnitude":
         base = np.asarray(p.field_B if p.field_B is not None else (0, 0, 1.0), float)
         n = np.linalg.norm(base)
         direction = base / n if n > 0 else np.array([0.0, 0.0, 1.0])
-        return replace(p, field_B=tuple(direction * float(value)))
-    if plan.axis == "temperature":
-        return replace(p, temperature=float(value))
-    if plan.axis == "qgrid":
+        p = replace(p, field_B=tuple(direction * float(value)))
+    elif plan.axis == "temperature":
+        p = replace(p, temperature=float(value))
+    elif plan.axis == "qgrid":
         g = (int(value),) * 3 if np.isscalar(value) else tuple(int(x) for x in value)
-        return replace(p, qgrid=g)
-    if plan.axis == "sigma":
-        return replace(p, sigma=float(value))
-    if plan.axis == "frequency_scale":
-        return replace(p, freq_scale=float(value))
-    if plan.axis == "coupling_scale":
+        p = replace(p, qgrid=g)
+    elif plan.axis == "sigma":
+        p = replace(p, sigma=float(value))
+    elif plan.axis == "frequency_scale":
+        p = replace(p, freq_scale=float(value))
+    else:  # coupling_scale
         scale = dict(p.coupling_scale or {})
         for ch in (CHANNELS if plan.channel is None else (plan.channel,)):
             scale[ch] = scale.get(ch, 1.0) * float(value)
-        return replace(p, coupling_scale=scale)
-    raise ValidationError(f"axis {plan.axis} handled elsewhere")
+        p = replace(p, coupling_scale=scale)
+    return pipeline, p, value
 
 
 def run_sweep(pipeline, plan):
-    """Evaluate tau along one axis; per-point failures are recorded in
-    the row and the sweep continues."""
-    if plan.axis == "n_spins":
-        return multi_spin_scaling(pipeline, plan)
+    """Evaluate tau along one axis, ``plan.threads`` points at a time;
+    per-point failures are recorded in the row and the sweep continues.
+    An n_spins point (1..3 cells of ``replicated_spin_system``) runs on
+    a pipeline of its own, and its row is labelled by its spin count."""
 
     def one(value):
         try:
-            point = pipeline.relax(_point_params(plan, value))
-            return SweepRow(value=value, tau_ms=point.tau_ms,
-                            tau_channel_ms=point.tau_channel_ms,
-                            diagnostics=point.diagnostics)
+            point_pipeline, params, label = _point(pipeline, plan, value)
+            return point_pipeline.relax(params, label)
         except Exception as exc:  # per-point failure stays in the row
-            return SweepRow(value=value, tau_ms=float("nan"),
-                            tau_channel_ms={}, diagnostics={},
-                            error=f"{type(exc).__name__}: {exc}")
+            return SweepRow.failed(value, exc)
 
     if plan.threads > 1:
-        # warm shared caches once so workers only read
-        try:
-            pipeline.phonons(plan.params.qgrid)
-        except Exception:
-            pass
+        # warm shared caches once so workers only read (an n_spins
+        # point builds a pipeline of its own)
+        if plan.axis != "n_spins":
+            try:
+                pipeline.phonons(plan.params.qgrid)
+            except Exception:
+                pass
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
             rows = list(pool.map(one, plan.values))
     else:
         rows = [one(v) for v in plan.values]
-    meta = {"axis": plan.axis, "params": asdict(plan.params)}
+    meta = {"axis": plan.axis}
+    if plan.axis == "n_spins":
+        meta["replication_axis"] = plan.replication_axis
+    meta["params"] = asdict(plan.params)
     return SweepResult(plan_axis=plan.axis, rows=tuple(rows), metadata=meta)
 
 
@@ -513,18 +516,13 @@ def perturbation_study(pipeline, params, kind, channel="hyperfine"):
         pert_params = replace(params, coupling_scale=scale)
     else:
         pert_params = replace(params, freq_scale=params.freq_scale * 0.8)
-    base = pipeline.relax(params)
-    pert = pipeline.relax(pert_params)
-    rows = (
-        SweepRow(value="baseline", tau_ms=base.tau_ms,
-                 tau_channel_ms=base.tau_channel_ms, diagnostics=base.diagnostics),
-        SweepRow(value=kind, tau_ms=pert.tau_ms,
-                 tau_channel_ms=pert.tau_channel_ms, diagnostics=pert.diagnostics),
-    )
+    base = pipeline.relax(params, "baseline")
+    pert = pipeline.relax(pert_params, kind)
     meta = {"kind": kind, "channel": channel,
             "tau_ratio": pert.tau_ms / base.tau_ms,
             "params": asdict(params)}
-    return SweepResult(plan_axis="perturbation", rows=rows, metadata=meta)
+    return SweepResult(plan_axis="perturbation", rows=(base, pert),
+                       metadata=meta)
 
 
 def replicated_spin_system(pipeline, count, axis=0):
@@ -555,10 +553,6 @@ def replicated_spin_system(pipeline, count, axis=0):
                                       position=c.position + cell_idx * cell_vec))
             mapping.append((cid, c.id, cell_idx))
             cid += 1
-    dim = 2 ** len(centers)
-    if dim > base_sys.dimension_cap:
-        raise CapacityError(
-            f"replicated Hilbert dimension {dim} exceeds cap {base_sys.dimension_cap}")
     couplings = []
     for a in range(len(centers)):
         for b in range(a + 1, len(centers)):
@@ -595,29 +589,6 @@ def replicated_spin_system(pipeline, count, axis=0):
             lvec_j=tuple(cell_of[cp.j] * lshift),
             lvec_i=tuple(cell_of[cp.i] * lshift)))
     return system, derivs
-
-
-def multi_spin_scaling(pipeline, plan):
-    """tau versus number of replicated electron pairs along one axis."""
-    rows = []
-    for count in plan.values:
-        try:
-            system, derivs = replicated_spin_system(pipeline, int(count),
-                                                    plan.replication_axis)
-            sub = RelaxationPipeline(pipeline.crystal, pipeline.fc, derivs,
-                                     system, enforce_sum_rule=False)
-            point = sub.relax(plan.params)
-            n_spins = len(system.centers)
-            rows.append(SweepRow(value=n_spins, tau_ms=point.tau_ms,
-                                 tau_channel_ms=point.tau_channel_ms,
-                                 diagnostics=point.diagnostics))
-        except Exception as exc:
-            rows.append(SweepRow(value=count, tau_ms=float("nan"),
-                                 tau_channel_ms={}, diagnostics={},
-                                 error=f"{type(exc).__name__}: {exc}"))
-    meta = {"axis": "n_spins", "replication_axis": plan.replication_axis,
-            "params": asdict(plan.params)}
-    return SweepResult(plan_axis="n_spins", rows=tuple(rows), metadata=meta)
 
 
 def converge_protocol(pipeline, params, sigmas=(4.0, 2.0, 1.0),

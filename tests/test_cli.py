@@ -237,6 +237,17 @@ def test_seed_is_only_a_toygen_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["converge", "--grid", "4"],
+                                  ["relax", "--threads", "2"]],
+                         ids=["converge_grid", "relax_threads"])
+def test_a_verb_rejects_the_flags_it_ignores(argv, tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(argv + ["--config", cfg, "--out", out]) == EXIT_USAGE
+    assert argv[1] in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_phonons_reads_gamma_from_the_grid(tmp_path, monkeypatch, capsys):
     cfg = _toy(tmp_path)
     calls = []

@@ -280,6 +280,23 @@ def test_sum_rule_error_and_enforcement(tmp_path, vanadyl_config):
     assert fc.sum_rule_residual() < 1e-12
 
 
+def test_enforce_sum_rule_must_be_a_json_bool(tmp_path, vanadyl_config):
+    path = _patched_config(tmp_path, vanadyl_config, enforce_sum_rule="false")
+    with pytest.raises(ConfigError, match="enforce_sum_rule"):
+        load_config(path)
+
+
+def test_include_nuclear_zeeman_must_be_a_json_bool(tmp_path, vanadyl_config):
+    spins = json.load(open(vanadyl_config))["spin_system"]
+    spins["include_nuclear_zeeman"] = "false"
+    path = _patched_config(tmp_path, vanadyl_config, spin_system=spins)
+    with pytest.raises(ConfigError, match="include_nuclear_zeeman"):
+        load_project(path)
+    spins["include_nuclear_zeeman"] = False
+    path = _patched_config(tmp_path, vanadyl_config, spin_system=spins)
+    assert load_project(path)[3].include_nuclear_zeeman is False
+
+
 def test_derivatives_must_reference_declared_centers(tmp_path, vanadyl_config):
     bad = _write(tmp_path, "d_bad.dat",
                  "g:99 0 0 0 0 0 1 0 0 0 1 0 0 0 1\n")

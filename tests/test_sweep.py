@@ -206,6 +206,48 @@ def test_multi_spin_sweep_rows(soft_pipeline):
     assert res.rows[0].tau_ms == soft_pipeline.relax(BASE).tau_ms
 
 
+def test_replication_above_the_dimension_cap_is_a_capacity_error(
+        soft_bundle):
+    crystal, fc, derivs, system = soft_bundle
+    capped = RelaxationPipeline(crystal, fc, derivs,
+                                replace(system, dimension_cap=4))
+    replicated_spin_system(capped, 2)
+    with pytest.raises(CapacityError, match="exceeds cap 4"):
+        replicated_spin_system(capped, 3)
+    row, = run_sweep(capped, SweepPlan(axis="n_spins", values=(3,),
+                                       params=BASE)).rows
+    assert row.error.startswith("CapacityError: ")
+
+
+def test_a_sweep_point_is_the_relax_row(soft_pipeline):
+    params = replace(BASE, temperature=70.0)
+    point = soft_pipeline.relax(params)
+    row, = run_sweep(soft_pipeline, SweepPlan(axis="temperature",
+                                              values=(70.0,),
+                                              params=BASE)).rows
+    assert (row.value, point.value) == (70.0, None)
+    assert row.tau_ms == point.tau_ms
+    assert row.tau_channel_ms == point.tau_channel_ms
+    assert row.diagnostics.keys() == point.diagnostics.keys()
+    assert row.diagnostics["tau_fit_ms"] == point.diagnostics["tau_fit_ms"]
+    # n_spins points run through the same thread pool
+    plan = SweepPlan(axis="n_spins", values=(1, 2), params=BASE)
+    serial = run_sweep(soft_pipeline, plan).rows
+    pooled = run_sweep(soft_pipeline, replace(plan, threads=2)).rows
+    assert [r.tau_ms for r in pooled] == [r.tau_ms for r in serial]
+
+
+def test_failed_points_give_rows_of_one_shape(soft_pipeline):
+    rows = [run_sweep(soft_pipeline, SweepPlan(axis=axis, values=(value,),
+                                               params=BASE)).rows[0]
+            for axis, value in (("n_spins", 4), ("temperature", -1.0))]
+    for row, value in zip(rows, (4, -1.0)):
+        assert row.value == value
+        assert row.error.startswith("ValidationError: ")
+        assert np.isnan(row.tau_ms)
+        assert (row.tau_channel_ms, row.diagnostics) == ({}, {})
+
+
 def test_converge_protocol_reports_convergence(soft_pipeline):
     report = converge_protocol(soft_pipeline, BASE, sigmas=(2.0, 1.0),
                                grids=((4, 4, 4), (8, 8, 8), (12, 12, 12)))
@@ -396,7 +438,8 @@ def test_shipped_fixtures_keep_an_exp_fit(example, qgrid):
         params = replace(params, qgrid=qgrid)
     point = RelaxationPipeline(crystal, fc, derivs, system).relax(params)
     assert point.diagnostics["fit_error"] is None
-    assert np.isfinite(point.tau_fit_ms) and point.tau_fit_ms > 0
+    tau_fit = point.diagnostics["tau_fit_ms"]
+    assert np.isfinite(tau_fit) and tau_fit > 0
 
 
 def test_imaginary_modes_count_instabilities_not_round_off(soft_bundle):
