@@ -10,7 +10,7 @@ from .crystal import Atom, CrystalModel
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
 from .hamiltonian import (SpinHamiltonian, assemble_hamiltonian, diagonalize,
-                          dipolar_tensor, magnetization)
+                          dipolar_tensor)
 from .lattice import (DosCurve, ForceConstantSet, bose_population,
                       enforce_acoustic_sum_rule, phonon_dos, phonon_spectrum)
 from .redfield import (DensityMatrix, PhononCorrelation, RedfieldTensor,
@@ -27,4 +27,3 @@ from .project import (ProjectConfig, load_config, load_crystal,
                       load_results, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
 from .toy import ToySpec, diatomic_chain, generate_toy_crystal
-from .units import UnitSystem

@@ -108,14 +108,14 @@ class CouplingDerivativeSet:
     targets[k] identifies the tensor (("g", center), ("A", (i, j)) or
     ("dip", (i, j))); atom/s/lvec locate the displaced degree of freedom;
     tensors[k] is the 3x3 derivative per Angstrom (g dimensionless/A,
-    A and dip in cm^-1/A).
+    A and dip in cm^-1/A). ``CouplingDerivativeSet()`` has no records.
     """
 
-    targets: tuple
-    atom: np.ndarray
-    s: np.ndarray
-    lvecs: np.ndarray
-    tensors: np.ndarray
+    targets: tuple = ()
+    atom: np.ndarray = ()
+    s: np.ndarray = ()
+    lvecs: np.ndarray = ()
+    tensors: np.ndarray = ()
     provenance: tuple = ()
 
     def __post_init__(self):
@@ -140,37 +140,6 @@ class CouplingDerivativeSet:
     @property
     def n_records(self):
         return len(self.targets)
-
-    def channel_of(self, k):
-        return CHANNEL_OF_KIND[self.targets[k][0]]
-
-    @property
-    def channels(self):
-        return tuple(c for c in CHANNELS
-                     if any(self.channel_of(k) == c for k in range(self.n_records)))
-
-    def select_channels(self, channels):
-        keep = [k for k in range(self.n_records) if self.channel_of(k) in channels]
-        return self._subset(keep)
-
-    def scaled(self, factor, channel=None):
-        """Scale derivative tensors, optionally only one channel's."""
-        t = self.tensors.copy()
-        for k in range(self.n_records):
-            if channel is None or self.channel_of(k) == channel:
-                t[k] *= factor
-        return CouplingDerivativeSet(self.targets, self.atom, self.s,
-                                     self.lvecs, t, self.provenance)
-
-    def _subset(self, keep):
-        return CouplingDerivativeSet(
-            targets=[self.targets[k] for k in keep],
-            atom=self.atom[keep],
-            s=self.s[keep],
-            lvecs=self.lvecs[keep],
-            tensors=self.tensors[keep],
-            provenance=[self.provenance[k] for k in keep],
-        )
 
     def merged(self, other):
         return CouplingDerivativeSet(

@@ -65,8 +65,3 @@ class CrystalModel:
         if not idx:
             raise KeyError(f"no molecule {molecule_id}")
         return np.array(idx)
-
-    def cart_position(self, atom_index, l_vec=(0, 0, 0)):
-        """Cartesian position of an atom in the cell replica at l_vec."""
-        frac = self.atoms[atom_index].frac + np.asarray(l_vec, dtype=float)
-        return frac @ self.cell

@@ -96,17 +96,3 @@ def dipolar_tensor(center_i, center_j, r_vec):
     gi, gj = center_i.g, center_j.g
     kernel = gi.T @ gj - 3.0 * np.outer(gi.T @ rhat, rhat @ gj)
     return DIPOLAR_PREFACTOR_CM1_A3 / r**3 * kernel
-
-
-def magnetization(rho, ops, center_id):
-    """M(i) = Tr{rho S(i)}: real 3-vector plus the imaginary residual."""
-    rho = np.asarray(rho, dtype=complex)
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-8:
-        raise ValidationError(f"density matrix trace {tr} != 1")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > 1e-8:
-        raise ValidationError(f"density matrix not Hermitian (residual {herm:.2e})")
-    S = ops.embedded[center_id]
-    m = np.einsum("ab,uba->u", rho, S)
-    return m.real, float(np.max(np.abs(m.imag)))

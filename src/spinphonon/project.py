@@ -39,6 +39,7 @@ _CRYSTAL_UNITS = {"length": "angstrom", "mass": "amu"}
 _SCAN_POINTS = 10
 #: integers in data files must fit the integer arrays that store them
 _INT_RANGE = np.iinfo(int)
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _check_keys(mapping, allowed, context):
@@ -65,17 +66,36 @@ def _flag(mapping, key, default, context):
     return value
 
 
+def _number(mapping, key, context, integer=False, default=None):
+    """The JSON number at ``key`` (``default`` when absent) as a float,
+    or with ``integer`` the JSON integer; 0.5 is not an integer, a bool
+    is neither, and a float must be finite (Python's json reads NaN,
+    Infinity and integers beyond the float range)."""
+    value = mapping.get(key, default)
+    kind, what = (int, "an integer") if integer else ((int, float), "a number")
+    if (isinstance(value, bool) or not isinstance(value, kind)
+            or not integer and not abs(value) <= _FLOAT_MAX):
+        raise ConfigError(f"{key} must be {what}, got {value!r} in {context}")
+    return value if integer else float(value)
+
+
+def _load_json(path):
+    """The JSON document at ``path``; a decode error is a ParseError at
+    its line and character offset."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc.msg}", path=path,
+                             line=exc.lineno, offset=exc.pos)
+
+
 # ---------------------------------------------------------------------------
 # crystal JSON
 
 def load_crystal(path):
     """Read a crystal JSON document (cell in Angstrom, masses in amu)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path=path,
-                             line=exc.lineno, offset=exc.pos)
+    doc = _load_json(path)
     _check_keys(doc, ("units", "cell", "atoms"), f"crystal file {path}")
     _require(doc, ("cell", "atoms"), f"crystal file {path}")
     if "units" not in doc:
@@ -89,11 +109,13 @@ def load_crystal(path):
                 path=path)
     atoms = []
     for k, rec in enumerate(doc["atoms"]):
-        _check_keys(rec, ("element", "mass", "frac", "molecule"),
-                    f"atom {k} of {path}")
-        _require(rec, ("element", "mass", "frac"), f"atom {k} of {path}")
-        atoms.append(Atom(element=rec["element"], mass=float(rec["mass"]),
-                          frac=rec["frac"], molecule=int(rec.get("molecule", 0))))
+        context = f"atom {k} of {path}"
+        _check_keys(rec, ("element", "mass", "frac", "molecule"), context)
+        _require(rec, ("element", "mass", "frac"), context)
+        atoms.append(Atom(element=rec["element"],
+                          mass=_number(rec, "mass", context), frac=rec["frac"],
+                          molecule=_number(rec, "molecule", context,
+                                           integer=True, default=0)))
     return CrystalModel(cell=np.asarray(doc["cell"], float), atoms=tuple(atoms))
 
 
@@ -111,7 +133,8 @@ def serialize_crystal(crystal):
 # line-oriented parsing helpers
 
 def _iter_records(path):
-    """Yield (line_number, byte_offset, tokens) for non-comment lines."""
+    """Yield (where, tokens) for non-comment lines; ``where`` holds the
+    path, line number and byte offset that a ParseError reports."""
     offset = 0
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -125,31 +148,46 @@ def _iter_records(path):
             stripped = text.split("#", 1)[0].strip()
             if not stripped:
                 continue
-            yield lineno, line_offset, stripped.split()
+            yield ({"path": path, "line": lineno, "offset": line_offset},
+                   stripped.split())
 
 
-def _parse_int(tok, what, path, lineno, offset):
+def _parse_int(tok, what, where):
     try:
         v = int(tok)
     except ValueError:
-        raise ParseError(f"bad integer for {what}: {tok!r}", path=path,
-                         line=lineno, offset=offset)
+        raise ParseError(f"bad integer for {what}: {tok!r}", **where)
     if not _INT_RANGE.min <= v <= _INT_RANGE.max:
-        raise ParseError(f"integer for {what} out of range: {tok!r}",
-                         path=path, line=lineno, offset=offset)
+        raise ParseError(f"integer for {what} out of range: {tok!r}", **where)
     return v
 
 
-def _parse_float(tok, what, path, lineno, offset):
+def _parse_float(tok, what, where):
     try:
         v = float(tok)
     except ValueError:
-        raise ParseError(f"bad number for {what}: {tok!r}", path=path,
-                         line=lineno, offset=offset)
+        raise ParseError(f"bad number for {what}: {tok!r}", **where)
     if not np.isfinite(v):
-        raise ParseError(f"non-finite value for {what}", path=path,
-                         line=lineno, offset=offset)
+        raise ParseError(f"non-finite value for {what}", **where)
     return v
+
+
+def _parse_lvec(tokens, where):
+    """The lattice vector of three integer tokens."""
+    return tuple(_parse_int(t, "lattice vector", where) for t in tokens)
+
+
+def _parse_site(tokens, names, n_atoms, where):
+    """(atom, Cartesian component) of two integer tokens, range-checked;
+    ``names`` label the two in a bad-integer message."""
+    atom = _parse_int(tokens[0], names[0], where)
+    s = _parse_int(tokens[1], names[1], where)
+    if not 0 <= atom < n_atoms:
+        raise ParseError(f"atom index out of range (n_atoms={n_atoms})",
+                         **where)
+    if not 0 <= s < 3:
+        raise ParseError("Cartesian component must be 0, 1 or 2", **where)
+    return atom, s
 
 
 # ---------------------------------------------------------------------------
@@ -160,30 +198,19 @@ def load_force_constants(path, crystal):
     ForceConstantSet for ``crystal``."""
     n = crystal.n_atoms
     lvecs, ii, ss, jj, tt, vals = [], [], [], [], [], []
-    for lineno, offset, tok in _iter_records(path):
+    for where, tok in _iter_records(path):
         if len(tok) != 8:
             raise ParseError(
                 f"force-constant record needs 8 fields, got {len(tok)}",
-                path=path, line=lineno, offset=offset)
-        lv = tuple(_parse_int(t, "lattice vector", path, lineno, offset)
-                   for t in tok[:3])
-        i = _parse_int(tok[3], "atom i", path, lineno, offset)
-        s = _parse_int(tok[4], "component s", path, lineno, offset)
-        j = _parse_int(tok[5], "atom j", path, lineno, offset)
-        t = _parse_int(tok[6], "component t", path, lineno, offset)
-        v = _parse_float(tok[7], "force constant", path, lineno, offset)
-        if not (0 <= i < n and 0 <= j < n):
-            raise ParseError(f"atom index out of range (n_atoms={n})",
-                             path=path, line=lineno, offset=offset)
-        if not (0 <= s < 3 and 0 <= t < 3):
-            raise ParseError("Cartesian component must be 0, 1 or 2",
-                             path=path, line=lineno, offset=offset)
-        lvecs.append(lv)
+                **where)
+        lvecs.append(_parse_lvec(tok[:3], where))
+        i, s = _parse_site(tok[3:5], ("atom i", "component s"), n, where)
+        j, t = _parse_site(tok[5:7], ("atom j", "component t"), n, where)
+        vals.append(_parse_float(tok[7], "force constant", where))
         ii.append(i)
         ss.append(s)
         jj.append(j)
         tt.append(t)
-        vals.append(v)
     if not vals:
         raise ParseError("no force-constant records found", path=path)
     return ForceConstantSet(crystal=crystal, lvecs=lvecs, i=ii, s=ss,
@@ -209,17 +236,40 @@ def _format_target(target):
     return f"{kind}:{key[0]}:{key[1]}"
 
 
-def _parse_target(tok, path, lineno, offset):
+def _parse_target(tok, where):
     parts = tok.split(":")
     if parts[0] == "g" and len(parts) == 2:
-        return ("g", _parse_int(parts[1], "center id", path, lineno, offset))
+        return ("g", _parse_int(parts[1], "center id", where))
     if parts[0] in ("A", "dip") and len(parts) == 3:
-        i = _parse_int(parts[1], "center id", path, lineno, offset)
-        j = _parse_int(parts[2], "center id", path, lineno, offset)
+        i = _parse_int(parts[1], "center id", where)
+        j = _parse_int(parts[2], "center id", where)
         return (parts[0], (i, j))
     raise ParseError(
         f"bad tensor id {tok!r} (expect g:<id>, A:<i>:<j> or dip:<i>:<j>)",
-        path=path, line=lineno, offset=offset)
+        **where)
+
+
+def _parse_record_head(tok, n_atoms, where):
+    """(target, atom, s, lattice vector) of ``tensor_id atom s l1 l2 l3``,
+    the fields that a direct record and a scan header share."""
+    target = _parse_target(tok[0], where)
+    atom, s = _parse_site(tok[1:3], ("atom", "component s"), n_atoms, where)
+    return target, atom, s, _parse_lvec(tok[3:6], where)
+
+
+def _fit_scan_block(head, where, rows):
+    """The record of a complete scan block: its header's fields, the
+    fitted derivative tensor and the provenance."""
+    target, atom, s, lv = head
+    try:
+        scan = DerivativeScan(target=target, atom=atom, direction=s,
+                              displacements=[r[0] for r in rows],
+                              tensors=[r[1] for r in rows])
+        d_tensor, _ = fit_derivative_scan(scan)
+    except (ValidationError, NumericalError) as exc:
+        raise ParseError(f"scan block: {exc}", **where) from exc
+    name = os.path.basename(where["path"])
+    return head + (d_tensor, f"scan-fit:{name}:{where['line']}")
 
 
 def load_derivatives(path, crystal):
@@ -230,94 +280,41 @@ def load_derivatives(path, crystal):
     the quartic-polynomial protocol on load.
     """
     n = crystal.n_atoms
-    targets, atoms, ss, lvecs, tensors, prov = [], [], [], [], [], []
-    records = _iter_records(path)
-    pending_scan = None  # (header info, rows collected)
-
-    def flush_scan():
-        nonlocal pending_scan
-        header, rows = pending_scan
-        target, atom, s, lv, lineno, offset = header
-        if len(rows) != _SCAN_POINTS:
-            raise ParseError(
-                f"scan block needs {_SCAN_POINTS} rows, got {len(rows)}",
-                path=path, line=lineno, offset=offset)
-        disp = np.array([r[0] for r in rows])
-        tens = np.array([r[1] for r in rows])
-        try:
-            scan = DerivativeScan(target=target, atom=atom, direction=s,
-                                  displacements=disp, tensors=tens)
-            d_tensor, _ = fit_derivative_scan(scan)
-        except (ValidationError, NumericalError) as exc:
-            raise ParseError(f"scan block: {exc}", path=path, line=lineno,
-                             offset=offset) from exc
-        targets.append(target)
-        atoms.append(atom)
-        ss.append(s)
-        lvecs.append(lv)
-        tensors.append(d_tensor)
-        prov.append(f"scan-fit:{os.path.basename(path)}:{lineno}")
-        pending_scan = None
-
-    for lineno, offset, tok in records:
-        if pending_scan is not None:
+    records = []  # (target, atom, s, lvec, tensor, provenance)
+    scan = None  # (header fields, header location, rows) of an open block
+    for where, tok in _iter_records(path):
+        if scan is not None:
             if len(tok) != 10:
                 raise ParseError(
                     f"scan row needs 10 fields (displacement + 9 components), "
-                    f"got {len(tok)}", path=path, line=lineno, offset=offset)
-            disp = _parse_float(tok[0], "displacement", path, lineno, offset)
-            comps = [_parse_float(t, "tensor component", path, lineno, offset)
+                    f"got {len(tok)}", **where)
+            disp = _parse_float(tok[0], "displacement", where)
+            comps = [_parse_float(t, "tensor component", where)
                      for t in tok[1:]]
-            pending_scan[1].append((disp, np.array(comps).reshape(3, 3)))
-            if len(pending_scan[1]) == _SCAN_POINTS:
-                flush_scan()
-            continue
-        if tok[0] == "scan":
+            scan[2].append((disp, np.array(comps).reshape(3, 3)))
+            if len(scan[2]) == _SCAN_POINTS:
+                records.append(_fit_scan_block(*scan))
+                scan = None
+        elif tok[0] == "scan":
             if len(tok) != 7:
                 raise ParseError(
                     "scan header needs 7 fields: scan tensor_id atom s l1 l2 l3",
-                    path=path, line=lineno, offset=offset)
-            target = _parse_target(tok[1], path, lineno, offset)
-            atom = _parse_int(tok[2], "atom", path, lineno, offset)
-            s = _parse_int(tok[3], "component s", path, lineno, offset)
-            lv = tuple(_parse_int(t, "lattice vector", path, lineno, offset)
-                       for t in tok[4:7])
-            if not 0 <= atom < n:
-                raise ParseError(f"atom index out of range (n_atoms={n})",
-                                 path=path, line=lineno, offset=offset)
-            if not 0 <= s < 3:
-                raise ParseError("Cartesian component must be 0, 1 or 2",
-                                 path=path, line=lineno, offset=offset)
-            pending_scan = ((target, atom, s, lv, lineno, offset), [])
-            continue
-        if len(tok) != 15:
-            raise ParseError(
-                f"derivative record needs 15 fields, got {len(tok)}",
-                path=path, line=lineno, offset=offset)
-        target = _parse_target(tok[0], path, lineno, offset)
-        atom = _parse_int(tok[1], "atom", path, lineno, offset)
-        s = _parse_int(tok[2], "component s", path, lineno, offset)
-        lv = tuple(_parse_int(t, "lattice vector", path, lineno, offset)
-                   for t in tok[3:6])
-        comps = [_parse_float(t, "tensor component", path, lineno, offset)
-                 for t in tok[6:15]]
-        if not 0 <= atom < n:
-            raise ParseError(f"atom index out of range (n_atoms={n})",
-                             path=path, line=lineno, offset=offset)
-        if not 0 <= s < 3:
-            raise ParseError("Cartesian component must be 0, 1 or 2",
-                             path=path, line=lineno, offset=offset)
-        targets.append(target)
-        atoms.append(atom)
-        ss.append(s)
-        lvecs.append(lv)
-        tensors.append(np.array(comps).reshape(3, 3))
-        prov.append(f"file:{os.path.basename(path)}:{lineno}")
-    if pending_scan is not None:
-        header = pending_scan[0]
-        raise ParseError("truncated scan block at end of file", path=path,
-                         line=header[4], offset=header[5])
-    return CouplingDerivativeSet(targets, atoms, ss, lvecs, tensors, prov)
+                    **where)
+            scan = (_parse_record_head(tok[1:], n, where), where, [])
+        else:
+            if len(tok) != 15:
+                raise ParseError(
+                    f"derivative record needs 15 fields, got {len(tok)}",
+                    **where)
+            head = _parse_record_head(tok, n, where)
+            comps = [_parse_float(t, "tensor component", where)
+                     for t in tok[6:15]]
+            records.append(head + (
+                np.array(comps).reshape(3, 3),
+                f"file:{os.path.basename(path)}:{where['line']}"))
+    if scan is not None:
+        raise ParseError("truncated scan block at end of file", **scan[1])
+    return CouplingDerivativeSet(*zip(*records))
 
 
 def serialize_derivatives(derivs):
@@ -346,26 +343,29 @@ def build_spin_system(decl, crystal, field_T=None):
     cart = crystal.cart_positions
     centers = []
     for k, rec in enumerate(decl["centers"]):
-        _check_keys(rec, _CENTER_KEYS, f"spin center {k}")
-        _require(rec, ("id", "kind", "s"), f"spin center {k}")
+        context = f"spin center {k}"
+        _check_keys(rec, _CENTER_KEYS, context)
+        _require(rec, ("id", "kind", "s"), context)
         if "position" in rec and "atom" in rec:
             raise ConfigError(f"spin center {k}: give position or atom, not both")
         position = rec.get("position")
         if "atom" in rec:
-            idx = int(rec["atom"])
+            idx = _number(rec, "atom", context, integer=True)
             if not 0 <= idx < crystal.n_atoms:
                 raise ConfigError(f"spin center {k}: atom index {idx} out of range")
             position = cart[idx]
-        centers.append(SpinCenter(id=int(rec["id"]), kind=rec["kind"],
-                                  s=float(rec["s"]), g=rec.get("g"),
-                                  position=position,
-                                  magneton=rec.get("magneton")))
+        centers.append(SpinCenter(
+            id=_number(rec, "id", context, integer=True), kind=rec["kind"],
+            s=_number(rec, "s", context), g=rec.get("g"), position=position,
+            magneton=rec.get("magneton")))
     by_id = {c.id: c for c in centers}
     couplings = []
     for k, rec in enumerate(decl.get("couplings", ())):
-        _check_keys(rec, _COUPLING_KEYS, f"spin coupling {k}")
-        _require(rec, ("i", "j"), f"spin coupling {k}")
-        i, j = int(rec["i"]), int(rec["j"])
+        context = f"spin coupling {k}"
+        _check_keys(rec, _COUPLING_KEYS, context)
+        _require(rec, ("i", "j"), context)
+        i = _number(rec, "i", context, integer=True)
+        j = _number(rec, "j", context, integer=True)
         tag = rec.get("tag", "custom")
         if rec.get("from_geometry"):
             if "tensor" in rec:
@@ -383,7 +383,8 @@ def build_spin_system(decl, crystal, field_T=None):
         centers=tuple(centers), couplings=tuple(couplings), field_B=field_T,
         include_nuclear_zeeman=_flag(decl, "include_nuclear_zeeman", True,
                                      "spin_system"),
-        dimension_cap=int(decl.get("dimension_cap", 256)))
+        dimension_cap=_number(decl, "dimension_cap", "spin_system",
+                              integer=True, default=256))
 
 
 def serialize_spin_system(system):
@@ -443,12 +444,7 @@ class ProjectConfig:
 
 def load_config(path):
     """Parse and validate the config document alone (no data files)."""
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", path=path,
-                             line=exc.lineno, offset=exc.pos)
+    doc = _load_json(path)
     _check_keys(doc, _CONFIG_KEYS, f"config file {path}")
     _require(doc, ("crystal", "force_constants", "spin_system"),
              f"config file {path}")
@@ -509,8 +505,7 @@ def load_project(path):
                 f"{SUM_RULE_THRESHOLD:.0e}; set enforce_sum_rule to adjust "
                 f"self-terms at load")
         fc = enforce_acoustic_sum_rule(fc)
-    derivs = CouplingDerivativeSet([], [], [], np.zeros((0, 3)),
-                                   np.zeros((0, 3, 3)))
+    derivs = CouplingDerivativeSet()
     for p in config.deriv_paths:
         derivs = derivs.merged(load_derivatives(p, crystal))
     system = build_spin_system(config.spin_system, crystal,
@@ -555,11 +550,6 @@ def _fmt9(x):
     if np.isnan(x):
         return "nan"
     return f"{x:.9g}"
-
-
-def _stamp(config_hash):
-    h = config_hash if config_hash else "none"
-    return f"# spinphonon {__version__} config {h}"
 
 
 RESULT_CSV_COLUMNS = ("axis", "tau_total_ms", "tau_zeeman_ms",
@@ -626,46 +616,40 @@ def load_results(path):
         return json.load(fh)
 
 
+def _write_table(path, config_hash, header, rows):
+    """A CSV of the version and config-hash stamp line, ``header`` and
+    ``rows`` of numbers in ``_fmt9``."""
+    stamp = f"# spinphonon {__version__} config {config_hash or 'none'}"
+    with open(path, "w", newline="") as fh:
+        fh.write(stamp + "\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt9(x) for x in row] for row in rows)
+    return path
+
+
 def write_dos_csv(dos, path, config_hash=None):
     """(omega, total, translational, rotational, intra) columns."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_stamp(config_hash) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(("omega_cm1", "total", "translational",
-                         "rotational", "intra"))
-        for k in range(dos.frequency.size):
-            writer.writerow([_fmt9(dos.frequency[k]), _fmt9(dos.total[k]),
-                             _fmt9(dos.translational[k]),
-                             _fmt9(dos.rotational[k]), _fmt9(dos.intra[k])])
-    return path
+    return _write_table(
+        path, config_hash,
+        ("omega_cm1", "total", "translational", "rotational", "intra"),
+        zip(dos.frequency, dos.total, dos.translational, dos.rotational,
+            dos.intra))
 
 
 def write_bands_csv(qpoints, omega, path, config_hash=None):
     """Per-q phonon frequencies: q1,q2,q3,omega_1..omega_3N."""
     omega = np.asarray(omega)
-    with open(path, "w", newline="") as fh:
-        fh.write(_stamp(config_hash) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["q1", "q2", "q3"]
-                        + [f"omega_{k + 1}" for k in range(omega.shape[1])])
-        for q, row in zip(np.asarray(qpoints), omega):
-            writer.writerow([_fmt9(x) for x in q] + [_fmt9(w) for w in row])
-    return path
+    return _write_table(
+        path, config_hash,
+        ["q1", "q2", "q3"] + [f"omega_{k + 1}" for k in range(omega.shape[1])],
+        (list(q) + list(row) for q, row in zip(np.asarray(qpoints), omega)))
 
 
 def write_coupling_csv(distribution, path, config_hash=None):
     """Binned squared coupling norms per channel versus frequency."""
-    first = next(iter(distribution.values()))
-    centers = first[0]
-    with open(path, "w", newline="") as fh:
-        fh.write(_stamp(config_hash) + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(["omega_cm1"] + [ch for ch in CHANNELS
-                                         if ch in distribution])
-        for k in range(len(centers)):
-            row = [_fmt9(centers[k])]
-            for ch in CHANNELS:
-                if ch in distribution:
-                    row.append(_fmt9(distribution[ch][1][k]))
-            writer.writerow(row)
-    return path
+    centers = next(iter(distribution.values()))[0]
+    channels = [ch for ch in CHANNELS if ch in distribution]
+    return _write_table(
+        path, config_hash, ["omega_cm1"] + channels,
+        zip(centers, *(distribution[ch][1] for ch in channels)))

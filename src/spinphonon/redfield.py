@@ -42,14 +42,6 @@ class DensityMatrix:
         if np.max(np.abs(m - m.conj().T)) > 1e-6:
             raise ValidationError("density matrix not Hermitian")
 
-    @property
-    def min_eigenvalue(self):
-        """Smallest eigenvalue; negative values flag positivity loss."""
-        return float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T))[0])
-
-    def populations(self):
-        return np.real(np.diag(self.matrix))
-
 
 @dataclass(frozen=True)
 class PhononCorrelation:
@@ -84,9 +76,6 @@ class RedfieldTensor:
 
     ham: object
     channels: dict = field(repr=False)
-    temperature: float = 0.0
-    sigma: float = 0.0
-    secular: bool = False
     n_couplings: int = 0
 
     @property
@@ -155,9 +144,7 @@ def assemble_redfield(stack, ham, pc, secular=False):
         if secular:
             R[off] = 0.0
         parts[ch] = R
-    return RedfieldTensor(ham=ham, channels=parts, temperature=pc.temperature,
-                          sigma=pc.sigma, secular=secular,
-                          n_couplings=len(stack))
+    return RedfieldTensor(ham=ham, channels=parts, n_couplings=len(stack))
 
 
 def equilibrium_state(ham, T):

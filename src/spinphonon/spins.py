@@ -157,15 +157,14 @@ def single_spin_matrices(s):
 
 @dataclass(frozen=True)
 class SpinOperators:
-    """Per-center spin matrices and their product-space embeddings.
+    """Per-center spin operators embedded in the product space.
 
-    ``local[i]`` is a (3, 2s+1, 2s+1) stack (Sx, Sy, Sz) for center i;
-    ``embedded[i]`` the same operators Kronecker-embedded in the full
-    d-dimensional product space, ordered by center id.
+    ``embedded[i]`` is the (3, d, d) stack (Sx, Sy, Sz) of center i
+    Kronecker-embedded in the full d-dimensional product space, ordered
+    by center id.
     """
 
     system: SpinSystem
-    local: dict = field(repr=False, default=None)
     embedded: dict = field(repr=False, default=None)
 
     @property
@@ -174,7 +173,7 @@ class SpinOperators:
 
 
 def build_spin_operators(system):
-    """Construct local and embedded spin operators for every center."""
+    """Construct the embedded spin operators of every center."""
     centers = sorted(system.centers, key=lambda c: c.id)
     local = {}
     for c in centers:
@@ -190,4 +189,4 @@ def build_spin_operators(system):
                 op = np.kron(op, blk)
             ops.append(op)
         embedded[c.id] = np.stack(ops)
-    return SpinOperators(system=system, local=local, embedded=embedded)
+    return SpinOperators(system=system, embedded=embedded)

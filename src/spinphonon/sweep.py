@@ -441,15 +441,18 @@ class SweepResult:
 
 
 def _point(pipeline, plan, value):
-    """(pipeline, params, row label) of the sweep point at ``value``."""
+    """(pipeline, params) of the sweep point at ``value``."""
     p = plan.params
     if plan.axis == "n_spins":
-        # its own pipeline, on ``value`` cells; labelled by spin count
+        # its own spins and records on ``value`` cells; the crystal and
+        # the sum-rule-clean force constants are the parent's, and so
+        # are the phonon spectra
         system, derivs = replicated_spin_system(pipeline, int(value),
                                                 plan.replication_axis)
         cells = RelaxationPipeline(pipeline.crystal, pipeline.fc, derivs,
                                    system, enforce_sum_rule=False)
-        return cells, p, len(system.centers)
+        cells._phonon_cache = pipeline._phonon_cache
+        return cells, p
     if plan.axis == "field_magnitude":
         base = np.asarray(p.field_B if p.field_B is not None else (0, 0, 1.0), float)
         n = np.linalg.norm(base)
@@ -469,30 +472,29 @@ def _point(pipeline, plan, value):
         for ch in (CHANNELS if plan.channel is None else (plan.channel,)):
             scale[ch] = scale.get(ch, 1.0) * float(value)
         p = replace(p, coupling_scale=scale)
-    return pipeline, p, value
+    return pipeline, p
 
 
 def run_sweep(pipeline, plan):
     """Evaluate tau along one axis, ``plan.threads`` points at a time;
     per-point failures are recorded in the row and the sweep continues.
-    An n_spins point (1..3 cells of ``replicated_spin_system``) runs on
-    a pipeline of its own, and its row is labelled by its spin count."""
+    Every row is labelled by its plan value; an n_spins point (1..3
+    cells of ``replicated_spin_system``) runs on a pipeline of its own
+    that shares this one's phonon spectra."""
 
     def one(value):
         try:
-            point_pipeline, params, label = _point(pipeline, plan, value)
-            return point_pipeline.relax(params, label)
+            point_pipeline, params = _point(pipeline, plan, value)
+            return point_pipeline.relax(params, value)
         except Exception as exc:  # per-point failure stays in the row
             return SweepRow.failed(value, exc)
 
     if plan.threads > 1:
-        # warm shared caches once so workers only read (an n_spins
-        # point builds a pipeline of its own)
-        if plan.axis != "n_spins":
-            try:
-                pipeline.phonons(plan.params.qgrid)
-            except Exception:
-                pass
+        # warm the shared phonon cache once so workers only read it
+        try:
+            pipeline.phonons(plan.params.qgrid)
+        except Exception:
+            pass
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
             rows = list(pool.map(one, plan.values))
     else:

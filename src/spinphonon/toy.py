@@ -236,8 +236,7 @@ def generate_toy_crystal(spec):
                         field_B=np.asarray(spec.field_B, float))
 
     # derivative records
-    derivs = CouplingDerivativeSet([], [], [], np.zeros((0, 3)),
-                                   np.zeros((0, 3, 3)))
+    derivs = CouplingDerivativeSet()
     for eid in electron_ids:
         mol = crystal.atoms[carrier[eid]].molecule
         mol_atoms = list(crystal.molecule_atoms(mol))

@@ -56,30 +56,3 @@ FREQ_CM1_PER_SQRT_EV_A2_AMU = math.sqrt(EV_J / (1.0e-20 * AMU_KG)) / (
 
 #: picoseconds per millisecond
 PS_PER_MS = 1.0e9
-
-
-class UnitSystem:
-    """Named constants of the working unit system (all positive)."""
-
-    bohr_magneton_cm1_per_T = BOHR_MAGNETON_CM1_PER_T
-    nuclear_magneton_cm1_per_T = NUCLEAR_MAGNETON_CM1_PER_T
-    kB_cm1_per_K = KB_CM1_PER_K
-    angular_frequency_per_cm1 = ANGULAR_FREQUENCY_PER_CM1
-    zero_point_length_A = ZERO_POINT_LENGTH_A
-    dipolar_prefactor_cm1_A3 = DIPOLAR_PREFACTOR_CM1_A3
-    freq_cm1_per_sqrt_eV_A2_amu = FREQ_CM1_PER_SQRT_EV_A2_AMU
-
-    energy = "cm^-1"
-    length = "Angstrom"
-    mass = "amu"
-    field = "T"
-    temperature = "K"
-    time = "ps"
-
-
-def cm1_to_rad_per_ps(energy_cm1):
-    return energy_cm1 * ANGULAR_FREQUENCY_PER_CM1
-
-
-def rad_per_ps_to_cm1(omega_rad_ps):
-    return omega_rad_ps / ANGULAR_FREQUENCY_PER_CM1

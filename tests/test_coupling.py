@@ -136,7 +136,9 @@ def test_mode_amplitude_scales_with_grid_size(toy_context):
 def test_mode_projection_linear_in_derivatives(toy_context):
     crystal, _, derivs, _, _, _, mode = toy_context
     t1 = _project(derivs, mode, crystal, 8)
-    t2 = _project(derivs.scaled(2.5), mode, crystal, 8)
+    scaled = CouplingDerivativeSet(derivs.targets, derivs.atom, derivs.s,
+                                   derivs.lvecs, 2.5 * derivs.tensors)
+    t2 = _project(scaled, mode, crystal, 8)
     for tgt in t1:
         assert np.allclose(t2[tgt], 2.5 * t1[tgt], atol=1e-15)
 
@@ -183,21 +185,6 @@ def test_stacked_projection_matches_single_modes(toy_context):
         one = _project(derivs, (q[k:k + 1], omega[k:k + 1], vecs[k:k + 1]),
                        crystal, 8)[stacked.targets[0]]
         assert np.max(np.abs(stacked.tensors[k, 0] - one)) <= 1e-14 * scale
-
-
-def test_channel_bookkeeping_and_scaling():
-    spec = ToySpec(atoms_per_molecule=2, a_baseline=(0.004, 0.004, 0.014),
-                   g_deriv_mag=1e-3, a_deriv_mag=1e-4, seed=5)
-    _, _, derivs, _ = generate_toy_crystal(spec)
-    assert derivs.channels == ("zeeman", "hyperfine")
-    only_a = derivs.select_channels(("hyperfine",))
-    assert only_a.channels == ("hyperfine",)
-    scaled = derivs.scaled(3.0, channel="hyperfine")
-    zee = derivs.select_channels(("zeeman",))
-    assert np.allclose(scaled.select_channels(("zeeman",)).tensors,
-                       zee.tensors, atol=0)
-    assert np.allclose(scaled.select_channels(("hyperfine",)).tensors,
-                       3.0 * only_a.tensors, atol=0)
 
 
 def test_coupling_norm_distribution_normalizes_by_grid(toy_context):

@@ -21,6 +21,13 @@ def _write(tmp_path, name, text):
     return str(p)
 
 
+def _assert_located(exc, message, path, line, offset):
+    """``exc`` is the ParseError ``message`` at ``line`` and byte
+    ``offset`` of ``path``, exactly."""
+    assert str(exc) == f"{message} ({path}, line {line}, byte offset {offset})"
+    assert (exc.path, exc.line, exc.offset) == (path, line, offset)
+
+
 # -- crystal ----------------------------------------------------------------
 
 def test_crystal_round_trip(tmp_path, soft_bundle):
@@ -63,7 +70,7 @@ def test_crystal_invalid_json_reports_location(tmp_path):
     path = _write(tmp_path, "c.json", '{"cell": [1, 2,\n')
     with pytest.raises(ParseError) as exc:
         load_crystal(path)
-    assert exc.value.line is not None
+    _assert_located(exc.value, "invalid JSON: Expecting value", path, 2, 16)
 
 
 # -- force constants ----------------------------------------------------------
@@ -82,24 +89,30 @@ def test_force_constants_field_count_error_has_location(tmp_path, soft_bundle):
     path = _write(tmp_path, "fc.dat", text)
     with pytest.raises(ParseError) as exc:
         load_force_constants(path, soft_bundle[0])
-    assert exc.value.line == 3
-    assert exc.value.offset == len("# comment\n0 0 0 0 0 0 0 1.0\n")
+    _assert_located(exc.value, "force-constant record needs 8 fields, got 7",
+                    path, 3, len("# comment\n0 0 0 0 0 0 0 1.0\n"))
 
 
 def test_force_constants_bad_number(tmp_path, soft_bundle):
     path = _write(tmp_path, "fc.dat", "0 0 0 0 0 0 0 abc\n")
     with pytest.raises(ParseError) as exc:
         load_force_constants(path, soft_bundle[0])
-    assert "abc" in str(exc.value)
+    _assert_located(exc.value, "bad number for force constant: 'abc'",
+                    path, 1, 0)
 
 
 def test_force_constants_index_out_of_range(tmp_path, soft_bundle):
+    n = soft_bundle[0].n_atoms
     path = _write(tmp_path, "fc.dat", "0 0 0 0 0 999 0 1.0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         load_force_constants(path, soft_bundle[0])
+    _assert_located(exc.value, f"atom index out of range (n_atoms={n})",
+                    path, 1, 0)
     path = _write(tmp_path, "fc2.dat", "0 0 0 0 5 0 0 1.0\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         load_force_constants(path, soft_bundle[0])
+    _assert_located(exc.value, "Cartesian component must be 0, 1 or 2",
+                    path, 1, 0)
 
 
 def test_force_constants_lattice_vector_overflow(tmp_path, soft_bundle):
@@ -107,8 +120,9 @@ def test_force_constants_lattice_vector_overflow(tmp_path, soft_bundle):
     path = _write(tmp_path, "fc.dat", text)
     with pytest.raises(ParseError) as exc:
         load_force_constants(path, soft_bundle[0])
-    assert "out of range" in str(exc.value)
-    assert exc.value.line == 2
+    _assert_located(exc.value, "integer for lattice vector out of range: "
+                    "'99999999999999999999'", path, 2,
+                    len("0 0 0 0 0 0 0 1.0\n"))
 
 
 def test_force_constants_empty_file(tmp_path, soft_bundle):
@@ -155,8 +169,8 @@ def test_truncated_scan_block_rejected(tmp_path, soft_bundle):
     path = _write(tmp_path, "d.dat", text)
     with pytest.raises(ParseError) as exc:
         load_derivatives(path, soft_bundle[0])
-    assert "truncated" in str(exc.value)
-    assert exc.value.line == 1
+    _assert_located(exc.value, "truncated scan block at end of file",
+                    path, 1, 0)
 
 
 @pytest.mark.parametrize("x, reason", [
@@ -179,8 +193,8 @@ def test_derivative_lattice_vector_overflow(tmp_path, soft_bundle):
                   "g:0 0 0 0 -99999999999999999999 0 1 0 0 0 1 0 0 0 1\n")
     with pytest.raises(ParseError) as exc:
         load_derivatives(path, soft_bundle[0])
-    assert "out of range" in str(exc.value)
-    assert exc.value.line == 1
+    _assert_located(exc.value, "integer for lattice vector out of range: "
+                    "'-99999999999999999999'", path, 1, 0)
 
 
 def test_bad_tensor_id_rejected(tmp_path, soft_bundle):
@@ -188,17 +202,96 @@ def test_bad_tensor_id_rejected(tmp_path, soft_bundle):
                   "q:0 0 0 0 0 0 1 0 0 0 1 0 0 0 1\n")
     with pytest.raises(ParseError) as exc:
         load_derivatives(path, soft_bundle[0])
-    assert "tensor id" in str(exc.value)
+    _assert_located(exc.value, "bad tensor id 'q:0' (expect g:<id>, "
+                    "A:<i>:<j> or dip:<i>:<j>)", path, 1, 0)
 
 
 def test_derivative_record_field_count(tmp_path, soft_bundle):
     path = _write(tmp_path, "d.dat", "g:0 0 0 0 0 0 1 0 0\n")
     with pytest.raises(ParseError) as exc:
         load_derivatives(path, soft_bundle[0])
-    assert "15 fields" in str(exc.value)
+    _assert_located(exc.value, "derivative record needs 15 fields, got 9",
+                    path, 1, 0)
+
+
+_FC_OK = "0 0 0 0 0 0 0 1.0"
+_DERIV_OK = "g:0 0 0 0 0 0 1 0 0 0 1 0 0 0 1"
+_SCAN = "scan g:0 0 1 0 0 0"
+_SCAN_ROW = "0.01 1 0 0 0 1 0 0 0 1"
+
+
+# One single-fault line per check, after a comment and a good record so
+# that line and byte offset are not the defaults; "{n}" is n_atoms. The
+# cases the tests above pin are not repeated here.
+@pytest.mark.parametrize("loader, lines, message", [
+    ("fc", [_FC_OK, "0 x 0 0 0 0 0 1.0"],
+     "bad integer for lattice vector: 'x'"),
+    ("fc", [_FC_OK, "0 0 0 99999999999999999999 0 0 0 1.0"],
+     "integer for atom i out of range: '99999999999999999999'"),
+    ("fc", [_FC_OK, "0 0 0 0 0 0 0 nan"],
+     "non-finite value for force constant"),
+    ("fc", [_FC_OK, "0 0 0 -1 0 0 0 1.0"],
+     "atom index out of range (n_atoms={n})"),
+    ("fc", [_FC_OK, "0 0 0 0 0 0 3 1.0"],
+     "Cartesian component must be 0, 1 or 2"),
+    ("deriv", [_DERIV_OK, "g:0 x 0 0 0 0 1 0 0 0 1 0 0 0 1"],
+     "bad integer for atom: 'x'"),
+    ("deriv", [_DERIV_OK,
+               "A:0:99999999999999999999 0 0 0 0 0 1 0 0 0 1 0 0 0 1"],
+     "integer for center id out of range: '99999999999999999999'"),
+    ("deriv", [_DERIV_OK, "g:0 0 0 0 0 0 1 0 0 0 abc 0 0 0 1"],
+     "bad number for tensor component: 'abc'"),
+    ("deriv", [_DERIV_OK, "g:0 0 0 0 0 0 1 0 0 0 inf 0 0 0 1"],
+     "non-finite value for tensor component"),
+    ("deriv", [_DERIV_OK, "g:0 999 0 0 0 0 1 0 0 0 1 0 0 0 1"],
+     "atom index out of range (n_atoms={n})"),
+    ("deriv", [_DERIV_OK, "g:0 0 3 0 0 0 1 0 0 0 1 0 0 0 1"],
+     "Cartesian component must be 0, 1 or 2"),
+    ("deriv", [_DERIV_OK, "scan g:0 0 1 0 0"],
+     "scan header needs 7 fields: scan tensor_id atom s l1 l2 l3"),
+    ("deriv", [_DERIV_OK, "scan dip:0 0 1 0 0 0"],
+     "bad tensor id 'dip:0' (expect g:<id>, A:<i>:<j> or dip:<i>:<j>)"),
+    ("deriv", [_DERIV_OK, "scan g:0 0 1 0 0 1.5"],
+     "bad integer for lattice vector: '1.5'"),
+    ("deriv", [_DERIV_OK, "scan g:0 0 1 0 0 99999999999999999999"],
+     "integer for lattice vector out of range: '99999999999999999999'"),
+    ("deriv", [_DERIV_OK, "scan g:0 999 1 0 0 0"],
+     "atom index out of range (n_atoms={n})"),
+    ("deriv", [_DERIV_OK, "scan g:0 0 -1 0 0 0"],
+     "Cartesian component must be 0, 1 or 2"),
+    ("deriv", [_SCAN, _SCAN_ROW, "0.02 1 0 0 0 1 0 0 1"],
+     "scan row needs 10 fields (displacement + 9 components), got 9"),
+    ("deriv", [_SCAN, _SCAN_ROW, "0.02 1 0 0 0 x 0 0 0 1"],
+     "bad number for tensor component: 'x'"),
+    ("deriv", [_SCAN, _SCAN_ROW, "nan 1 0 0 0 1 0 0 0 1"],
+     "non-finite value for displacement"),
+    # too few scan rows: the next record is read as a scan row
+    ("deriv", [_SCAN] + [_SCAN_ROW] * 4 + [_DERIV_OK],
+     "scan row needs 10 fields (displacement + 9 components), got 15"),
+])
+def test_parse_error_message_and_location(tmp_path, soft_bundle, loader,
+                                          lines, message):
+    """The last line holds the one fault; its ParseError is pinned."""
+    crystal = soft_bundle[0]
+    head = "# pinned\n" + "".join(ln + "\n" for ln in lines[:-1])
+    path = _write(tmp_path, "data.dat", head + lines[-1] + "\n")
+    load = load_force_constants if loader == "fc" else load_derivatives
+    with pytest.raises(ParseError) as exc:
+        load(path, crystal)
+    _assert_located(exc.value, message.format(n=crystal.n_atoms), path,
+                    len(lines) + 1, len(head.encode()))
 
 
 # -- config and project -------------------------------------------------------
+
+def test_invalid_config_json_reports_location(tmp_path):
+    path = _write(tmp_path, "config.json",
+                  '{\n "crystal": "c.json",\n oops\n}\n')
+    with pytest.raises(ParseError) as exc:
+        load_config(path)
+    _assert_located(exc.value, "invalid JSON: Expecting property name "
+                    "enclosed in double quotes", path, 3, 25)
+
 
 def test_load_config_and_hash_stability(vanadyl_config):
     cfg1 = load_config(vanadyl_config)
@@ -295,6 +388,53 @@ def test_include_nuclear_zeeman_must_be_a_json_bool(tmp_path, vanadyl_config):
     spins["include_nuclear_zeeman"] = False
     path = _patched_config(tmp_path, vanadyl_config, spin_system=spins)
     assert load_project(path)[3].include_nuclear_zeeman is False
+
+
+def _set(doc, path, value):
+    for key in path[:-1]:
+        doc = doc[key]
+    doc[path[-1]] = value
+
+
+# a JSON string, a float where an integer belongs, and a bool are
+# rejected alike, naming the key and where it is
+@pytest.mark.parametrize("where, key_path, value, message", [
+    ("spin_system", ("centers", 0, "id"), "x",
+     "id must be an integer, got 'x' in spin center 0"),
+    ("spin_system", ("couplings", 0, "j"), 0.9,
+     "j must be an integer, got 0.9 in spin coupling 0"),
+    ("spin_system", ("dimension_cap",), 256.9,
+     "dimension_cap must be an integer, got 256.9 in spin_system"),
+    ("spin_system", ("centers", 1, "s"), True,
+     "s must be a number, got True in spin center 1"),
+    ("crystal", ("atoms", 0, "mass"), "50",
+     "mass must be a number, got '50' in atom 0 of {crystal}"),
+    ("crystal", ("atoms", 0, "mass"), float("nan"),
+     "mass must be a number, got nan in atom 0 of {crystal}"),
+    ("spin_system", ("centers", 1, "s"), 10**400,
+     f"s must be a number, got {10**400!r} in spin center 1"),
+    ("crystal", ("atoms", 0, "molecule"), 0.5,
+     "molecule must be an integer, got 0.5 in atom 0 of {crystal}"),
+    ("crystal", ("atoms", 0, "molecule"), False,
+     "molecule must be an integer, got False in atom 0 of {crystal}"),
+])
+def test_declared_numbers_must_be_json_numbers(tmp_path, vanadyl_config,
+                                               where, key_path, value,
+                                               message):
+    base = os.path.dirname(vanadyl_config)
+    if where == "crystal":
+        doc = json.load(open(os.path.join(base, "crystal.json")))
+        _set(doc, key_path, value)
+        crystal = _write(tmp_path, "crystal.json", json.dumps(doc))
+        path = _patched_config(tmp_path, vanadyl_config, crystal=crystal)
+    else:
+        crystal = os.path.join(base, "crystal.json")
+        spins = json.load(open(vanadyl_config))["spin_system"]
+        _set(spins, key_path, value)
+        path = _patched_config(tmp_path, vanadyl_config, spin_system=spins)
+    with pytest.raises(ConfigError) as exc:
+        load_project(path)
+    assert str(exc.value) == message.format(crystal=crystal)
 
 
 def test_derivatives_must_reference_declared_centers(tmp_path, vanadyl_config):

@@ -13,6 +13,7 @@ from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
                               converge_protocol, kpoint_grid,
                               paired_kpoint_grid, perturbation_study,
                               replicated_spin_system, run_sweep)
+from spinphonon.toy import generate_toy_crystal, toy_preset
 
 
 BASE = RunParams(qgrid=(4, 4, 4), sigma=1.0, temperature=50.0)
@@ -190,7 +191,7 @@ def test_replicated_spin_system_structure(soft_pipeline):
     assert len(system.centers) == 2
     assert len(system.couplings) == 1
     assert system.couplings[0].tag == "dipolar"
-    assert "dipolar" in derivs.channels
+    assert any(kind == "dip" for kind, _ in derivs.targets)
     with pytest.raises(ValidationError):
         replicated_spin_system(soft_pipeline, 4)
 
@@ -204,6 +205,21 @@ def test_multi_spin_sweep_rows(soft_pipeline):
     assert all(np.isfinite(row.tau_ms) for row in res.rows)
     # one unit cell is the base system itself
     assert res.rows[0].tau_ms == soft_pipeline.relax(BASE).tau_ms
+
+
+def test_n_spins_rows_are_labelled_by_cells_and_share_phonons():
+    # two electron spins per cell: 1 and 2 cells hold 2 and 4 spins, and
+    # 4 cells is past the replication limit
+    spec = replace(toy_preset("soft", 0), molecules_per_cell=2,
+                   spin_molecules=2)
+    pipeline = RelaxationPipeline(*generate_toy_crystal(spec))
+    plan = SweepPlan(axis="n_spins", values=(1, 2, 4),
+                     params=replace(BASE, qgrid=(2, 2, 2)))
+    rows = run_sweep(pipeline, plan).rows
+    assert [row.value for row in rows] == [1, 2, 4]
+    assert [row.error is None for row in rows] == [True, True, False]
+    assert rows[1].diagnostics["cache_hits"] >= 1
+    assert rows[1].diagnostics["timings_s"]["phonons"] == 0
 
 
 def test_replication_above_the_dimension_cap_is_a_capacity_error(

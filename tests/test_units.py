@@ -1,5 +1,3 @@
-import numpy as np
-
 from spinphonon import units
 
 
@@ -29,14 +27,3 @@ def test_dipolar_prefactor():
 
 def test_dynamical_matrix_frequency_conversion():
     assert abs(units.FREQ_CM1_PER_SQRT_EV_A2_AMU - 521.471) < 1e-2
-
-
-def test_wavenumber_angular_frequency_round_trip():
-    x = np.linspace(0.1, 300.0, 17)
-    back = units.rad_per_ps_to_cm1(units.cm1_to_rad_per_ps(x))
-    assert np.allclose(back, x, rtol=1e-15)
-
-
-def test_unit_system_names():
-    u = units.UnitSystem
-    assert u.energy == "cm^-1" and u.time == "ps" and u.field == "T"
