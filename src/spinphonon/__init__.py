@@ -4,8 +4,9 @@ from .version import __version__
 
 from .coupling import (CouplingDerivativeSet, CouplingStack, DerivativeScan,
                        ModeTensors, coupling_norm_distribution,
-                       dipolar_derivative, dipolar_pair_records,
-                       fit_derivative_scan, mode_tensor_derivatives)
+                       dipolar_derivative, dipolar_network,
+                       dipolar_pair_records, fit_derivative_scan,
+                       mode_tensor_derivatives)
 from .crystal import Atom, CrystalModel
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)

@@ -2,10 +2,13 @@
 normal-mode projection and coupling-norm distributions."""
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
+from .hamiltonian import dipolar_tensor
+from .spins import SpinCoupling
 from .units import DIPOLAR_PREFACTOR_CM1_A3, ZERO_POINT_LENGTH_A
 
 #: channels, keyed by the target-tensor kind
@@ -13,6 +16,10 @@ CHANNEL_OF_KIND = {"g": "zeeman", "A": "hyperfine", "dip": "dipolar"}
 CHANNELS = ("zeeman", "hyperfine", "dipolar")
 
 DEFAULT_OMEGA_MIN = 0.01  # cm^-1, guards the 1/sqrt(omega) amplitude
+#: a fitted scan component is rejected when the standard error of its
+#: linear term exceeds this fraction of it
+SCAN_REJECTION_THRESHOLD = 0.07
+NORM_BIN_WIDTH_CM1 = 2.0  # frequency bins of coupling_norm_distribution
 
 
 @dataclass(frozen=True)
@@ -42,12 +49,12 @@ class DerivativeScan:
             raise ValidationError("scan tensors must be finite with shape (n, 3, 3)")
 
 
-def fit_derivative_scan(scan, rejection_threshold=0.07):
+def fit_derivative_scan(scan):
     """Quartic fit of each tensor component; returns the linear term.
 
     Each component is fitted with p0 + p1 x + ... + p4 x^4. A component
     is set to zero when the standard error of p1 exceeds
-    rejection_threshold * |p1|. Returns (d_tensor, decisions) where
+    SCAN_REJECTION_THRESHOLD * |p1|. Returns (d_tensor, decisions) where
     decisions[u][v] is one of "kept", "rejected", "zero".
     """
     x = scan.displacements
@@ -69,7 +76,7 @@ def fit_derivative_scan(scan, rejection_threshold=0.07):
             se = np.sqrt(var * XtX_inv[1, 1])
             if p1 == 0.0:
                 decisions[u][v] = "zero"
-            elif se > rejection_threshold * abs(p1):
+            elif se > SCAN_REJECTION_THRESHOLD * abs(p1):
                 decisions[u][v] = "rejected"
             else:
                 out[u, v] = p1
@@ -171,6 +178,28 @@ def dipolar_pair_records(center_i, center_j, atom_i, atom_j,
             tensors.append(sign * d)
             prov.append("analytic")
     return CouplingDerivativeSet(targets, atoms, ss, lvecs, tensors, prov)
+
+
+def dipolar_network(centers, atoms, cells=None):
+    """Point-dipole couplings of every electron pair a < b of
+    ``centers``, in itertools.combinations order, and their analytic
+    derivative records.
+
+    ``atoms[a]`` is the carrier atom of centers[a] and ``cells[a]`` the
+    lattice vector of its cell (default: the home cell). Returns
+    (list of SpinCoupling, CouplingDerivativeSet).
+    """
+    if cells is None:
+        cells = [(0, 0, 0)] * len(centers)
+    couplings, derivs = [], CouplingDerivativeSet()
+    for a, b in combinations(range(len(centers)), 2):
+        ci, cj = centers[a], centers[b]
+        couplings.append(SpinCoupling(
+            i=ci.id, j=cj.id, tag="dipolar",
+            tensor=dipolar_tensor(ci, cj, cj.position - ci.position)))
+        derivs = derivs.merged(dipolar_pair_records(
+            ci, cj, atoms[a], atoms[b], lvec_j=cells[b], lvec_i=cells[a]))
+    return couplings, derivs
 
 
 @dataclass(frozen=True)
@@ -288,20 +317,21 @@ def operator_terms(system, ops, target, T):
     return T.reshape(-1, 9), basis.reshape(9, *basis.shape[2:])
 
 
-def coupling_norm_distribution(modes, n_q, bin_width=2.0):
+def coupling_norm_distribution(modes, n_q):
     """q-averaged squared Frobenius norms of tensor derivatives vs omega.
 
     ``modes`` is a ModeTensors, e.g. from mode_tensor_derivatives over a
     grid; a mode that stands for weight-many q-points carries
     sqrt(weight) in its tensors and so counts weight times. Returns
     {channel: (bin_centers, V2)} with V2 = (1/N_q) sum |dT/dQ|_F^2
-    accumulated per frequency bin.
+    accumulated per NORM_BIN_WIDTH_CM1-wide frequency bin.
     """
-    nbins = int(np.ceil(np.max(modes.omega, initial=0.0) / bin_width)) + 1
-    bins = np.minimum((modes.omega / bin_width).astype(int), nbins - 1)
+    x = modes.omega / NORM_BIN_WIDTH_CM1
+    nbins = int(np.ceil(np.max(x, initial=0.0))) + 1
+    bins = np.minimum(x.astype(int), nbins - 1)
     norms = np.sum(np.abs(modes.tensors) ** 2, axis=(2, 3))
     kinds = np.array([CHANNEL_OF_KIND[t[0]] for t in modes.targets], dtype=str)
-    centers = (np.arange(nbins) + 0.5) * bin_width
+    centers = (np.arange(nbins) + 0.5) * NORM_BIN_WIDTH_CM1
     out = {}
     for ch in CHANNELS:
         weight = norms[:, kinds == ch].sum(axis=1)

@@ -4,13 +4,12 @@ Each example is described by an ExampleManifest: a fixture under
 ``examples_runs/``, a SHA-256 digest pinning the fixture's entry file
 (numerical outputs are judged against explicit tolerances instead, so
 the report stays stable across BLAS builds), and the tolerance spec the
-checker applies. Examples run independently and in parallel.
+checker applies. Examples run independently, one after another.
 """
 
 import hashlib
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,14 +22,8 @@ from .redfield import PhononCorrelation, assemble_redfield
 from .sweep import RelaxationPipeline, run_sweep
 from .units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
 
-ENV_EXAMPLES_DIR = "SPINPHONON_EXAMPLES_DIR"
-
-
 def examples_dir():
     """Root of the shipped example fixtures."""
-    env = os.environ.get(ENV_EXAMPLES_DIR)
-    if env:
-        return env
     here = os.path.dirname(os.path.abspath(__file__))
     return os.path.normpath(os.path.join(here, "..", "..", "examples_runs"))
 
@@ -205,9 +198,5 @@ def run_examples(filter=None, base_dir=None):
     manifest, in manifest order.
     """
     base = base_dir if base_dir is not None else examples_dir()
-    selected = [m for m in MANIFESTS
-                if filter is None or filter in m.example_id]
-    if not selected:
-        return []
-    with ThreadPoolExecutor(max_workers=len(selected)) as pool:
-        return list(pool.map(lambda m: _run_one(m, base), selected))
+    return [_run_one(m, base) for m in MANIFESTS
+            if filter is None or filter in m.example_id]

@@ -26,7 +26,6 @@ from .coupling import (CHANNELS, CouplingDerivativeSet, DerivativeScan,
 from .crystal import Atom, CrystalModel
 from .errors import (ConfigError, NumericalError, ParseError, SumRuleError,
                      UnitTagError, ValidationError)
-from .hamiltonian import dipolar_tensor
 from .lattice import ForceConstantSet, enforce_acoustic_sum_rule
 from .spins import SpinCenter, SpinCoupling, SpinSystem
 from .sweep import RunParams, SweepPlan
@@ -331,7 +330,7 @@ def serialize_derivatives(derivs):
 # spin system declaration
 
 _CENTER_KEYS = ("id", "kind", "s", "g", "position", "atom", "magneton")
-_COUPLING_KEYS = ("i", "j", "tag", "tensor", "from_geometry")
+_COUPLING_KEYS = ("i", "j", "tag", "tensor")
 _SPIN_SYSTEM_KEYS = ("centers", "couplings", "include_nuclear_zeeman",
                      "dimension_cap")
 
@@ -358,7 +357,6 @@ def build_spin_system(decl, crystal, field_T=None):
             id=_number(rec, "id", context, integer=True), kind=rec["kind"],
             s=_number(rec, "s", context), g=rec.get("g"), position=position,
             magneton=rec.get("magneton")))
-    by_id = {c.id: c for c in centers}
     couplings = []
     for k, rec in enumerate(decl.get("couplings", ())):
         context = f"spin coupling {k}"
@@ -366,19 +364,10 @@ def build_spin_system(decl, crystal, field_T=None):
         _require(rec, ("i", "j"), context)
         i = _number(rec, "i", context, integer=True)
         j = _number(rec, "j", context, integer=True)
-        tag = rec.get("tag", "custom")
-        if rec.get("from_geometry"):
-            if "tensor" in rec:
-                raise ConfigError(
-                    f"spin coupling {k}: tensor and from_geometry are exclusive")
-            if i not in by_id or j not in by_id:
-                raise ConfigError(f"spin coupling {k}: unknown center id")
-            ci, cj = by_id[i], by_id[j]
-            tensor = dipolar_tensor(ci, cj, cj.position - ci.position)
-        else:
-            _require(rec, ("tensor",), f"spin coupling {k}")
-            tensor = np.asarray(rec["tensor"], float)
-        couplings.append(SpinCoupling(i=i, j=j, tensor=tensor, tag=tag))
+        _require(rec, ("tensor",), context)
+        couplings.append(SpinCoupling(i=i, j=j,
+                                      tensor=np.asarray(rec["tensor"], float),
+                                      tag=rec.get("tag", "custom")))
     return SpinSystem(
         centers=tuple(centers), couplings=tuple(couplings), field_B=field_T,
         include_nuclear_zeeman=_flag(decl, "include_nuclear_zeeman", True,
@@ -552,6 +541,16 @@ def _fmt9(x):
     return f"{x:.9g}"
 
 
+def _axis_cell(value):
+    """CSV label of a row: a string as is, a number in ``_fmt9``, a
+    sequence as its items joined by "x" (a q-grid reads 2x2x2)."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "x".join(_axis_cell(v) for v in value)
+    return _fmt9(value)
+
+
 RESULT_CSV_COLUMNS = ("axis", "tau_total_ms", "tau_zeeman_ms",
                       "tau_hyperfine_ms", "tau_dipolar_ms", "tau_fit_ms",
                       "fit_residual", "mismatch", "non_exponential",
@@ -577,7 +576,7 @@ def write_results(result, out_dir, basename=None, config_hash=None):
             ch = row.tau_channel_ms
             diag = row.diagnostics
             writer.writerow([
-                row.value if isinstance(row.value, str) else _fmt9(row.value),
+                _axis_cell(row.value),
                 _fmt9(row.tau_ms),
                 _fmt9(ch.get("zeeman")),
                 _fmt9(ch.get("hyperfine")),

@@ -16,6 +16,7 @@ point, whichever axis moves. Each point records the wall time of its
 stages and its cache hits in its diagnostics.
 """
 
+import copy
 import os
 import threading
 import time
@@ -26,15 +27,14 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .coupling import (CHANNELS, CHANNEL_OF_KIND, DEFAULT_OMEGA_MIN,
-                       CouplingDerivativeSet, CouplingStack,
-                       dipolar_pair_records, mode_tensor_derivatives,
-                       operator_terms)
+                       CouplingDerivativeSet, CouplingStack, dipolar_network,
+                       mode_tensor_derivatives, operator_terms)
 from .errors import CapacityError, NumericalError, ValidationError
-from .hamiltonian import assemble_hamiltonian, dipolar_tensor
+from .hamiltonian import assemble_hamiltonian
 from .lattice import enforce_acoustic_sum_rule, phonon_spectrum
 from .redfield import (PhononCorrelation, assemble_redfield, equilibrium_state,
                        extract_relaxation_time)
-from .spins import SpinCenter, SpinCoupling, SpinSystem, build_spin_operators
+from .spins import SpinCenter, SpinSystem, build_spin_operators
 
 
 def kpoint_grid(n1, n2, n3):
@@ -210,13 +210,25 @@ class SweepRow:
 class RelaxationPipeline:
     """Full chain crystal + force constants + derivatives -> tau."""
 
-    def __init__(self, crystal, fc, derivs, system, enforce_sum_rule=True):
+    def __init__(self, crystal, fc, derivs, system):
         self.crystal = crystal
-        self.fc = enforce_acoustic_sum_rule(fc) if enforce_sum_rule else fc
-        self.derivs = derivs
-        self.system = system
-        self.ops = build_spin_operators(system)
+        self.fc = enforce_acoustic_sum_rule(fc)
         self._phonon_cache = {}
+        self._set_spins(system, derivs)
+
+    def with_spins(self, system, derivs):
+        """A pipeline for another spin system and derivative set on this
+        one's crystal: it shares the sum-rule-clean force constants and
+        the phonon spectra, and has its own spin operators, mode-tensor
+        cache and point log."""
+        sibling = copy.copy(self)
+        sibling._set_spins(system, derivs)
+        return sibling
+
+    def _set_spins(self, system, derivs):
+        self.system = system
+        self.derivs = derivs
+        self.ops = build_spin_operators(system)
         self._precursor_cache = {}
         self._log = _PointLog()
 
@@ -444,25 +456,20 @@ def _point(pipeline, plan, value):
     """(pipeline, params) of the sweep point at ``value``."""
     p = plan.params
     if plan.axis == "n_spins":
-        # its own spins and records on ``value`` cells; the crystal and
-        # the sum-rule-clean force constants are the parent's, and so
-        # are the phonon spectra
-        system, derivs = replicated_spin_system(pipeline, int(value),
-                                                plan.replication_axis)
-        cells = RelaxationPipeline(pipeline.crystal, pipeline.fc, derivs,
-                                   system, enforce_sum_rule=False)
-        cells._phonon_cache = pipeline._phonon_cache
-        return cells, p
+        return pipeline.with_spins(*replicated_spin_system(
+            pipeline, int(value), plan.replication_axis)), p
     if plan.axis == "field_magnitude":
-        base = np.asarray(p.field_B if p.field_B is not None else (0, 0, 1.0), float)
+        # the direction of the point's field, else of the system's
+        base = np.asarray(p.field_B if p.field_B is not None
+                          else pipeline.system.field_B, float)
         n = np.linalg.norm(base)
         direction = base / n if n > 0 else np.array([0.0, 0.0, 1.0])
         p = replace(p, field_B=tuple(direction * float(value)))
     elif plan.axis == "temperature":
         p = replace(p, temperature=float(value))
     elif plan.axis == "qgrid":
-        g = (int(value),) * 3 if np.isscalar(value) else tuple(int(x) for x in value)
-        p = replace(p, qgrid=g)
+        # RunParams checks the value: a scalar n stands for (n, n, n)
+        p = replace(p, qgrid=(value,) * 3 if np.isscalar(value) else value)
     elif plan.axis == "sigma":
         p = replace(p, sigma=float(value))
     elif plan.axis == "frequency_scale":
@@ -537,60 +544,38 @@ def replicated_spin_system(pipeline, count, axis=0):
         raise ValidationError("replication needs electronic spins")
     if not (1 <= count <= 3):
         raise ValidationError("replication count must be 1..3")
+    lshift = np.zeros(3, dtype=int)
+    lshift[axis] = 1
     cell_vec = pipeline.crystal.cell[axis]
-
     # carrier atoms: match electron positions against atom positions
     cart = pipeline.crystal.cart_positions
-    carrier = {}
-    for c in electrons:
-        k = int(np.argmin(np.linalg.norm(cart - c.position, axis=1)))
-        carrier[c.id] = k
+    carrier = [int(np.argmin(np.linalg.norm(cart - c.position, axis=1)))
+               for c in electrons]
 
-    centers = []
-    mapping = []  # (new_id, base_id, cell_index)
-    cid = 0
-    for cell_idx in range(count):
-        for c in electrons:
-            centers.append(SpinCenter(id=cid, kind="electronic", s=c.s, g=c.g,
-                                      position=c.position + cell_idx * cell_vec))
-            mapping.append((cid, c.id, cell_idx))
-            cid += 1
-    couplings = []
-    for a in range(len(centers)):
-        for b in range(a + 1, len(centers)):
-            D = dipolar_tensor(centers[a], centers[b],
-                               centers[b].position - centers[a].position)
-            couplings.append(SpinCoupling(i=centers[a].id, j=centers[b].id,
-                                          tensor=D, tag="dipolar"))
+    # new center k is electrons[k % n] in cell k // n
+    n = len(electrons)
+    cell = np.arange(count * n) // n
+    centers = [SpinCenter(id=k, kind="electronic", s=c.s, g=c.g,
+                          position=c.position + cell[k] * cell_vec)
+               for k, c in enumerate(electrons * count)]
+    couplings, dipolar = dipolar_network(centers, carrier * count,
+                                         [c * lshift for c in cell])
     system = SpinSystem(centers=tuple(centers), couplings=tuple(couplings),
                         field_B=base_sys.field_B,
                         dimension_cap=base_sys.dimension_cap)
 
-    lshift = np.zeros(3, dtype=int)
-    lshift[axis] = 1
-    base_derivs = pipeline.derivs
-    targets, atoms, ss, lvecs, tensors, prov = [], [], [], [], [], []
-    for new_id, base_id, cell_idx in mapping:
-        for k in range(base_derivs.n_records):
-            kind, key = base_derivs.targets[k]
-            if kind != "g" or key != base_id:
-                continue
-            targets.append(("g", new_id))
-            atoms.append(base_derivs.atom[k])
-            ss.append(base_derivs.s[k])
-            lvecs.append(base_derivs.lvecs[k] + cell_idx * lshift)
-            tensors.append(base_derivs.tensors[k])
-            prov.append(base_derivs.provenance[k])
-    derivs = CouplingDerivativeSet(targets, atoms, ss, lvecs, tensors, prov)
-    base_of = {new_id: base_id for new_id, base_id, _ in mapping}
-    cell_of = {new_id: cell_idx for new_id, _, cell_idx in mapping}
-    for cp in couplings:
-        derivs = derivs.merged(dipolar_pair_records(
-            system.center(cp.i), system.center(cp.j),
-            carrier[base_of[cp.i]], carrier[base_of[cp.j]],
-            lvec_j=tuple(cell_of[cp.j] * lshift),
-            lvec_i=tuple(cell_of[cp.i] * lshift)))
-    return system, derivs
+    # each base electron's g records, copied into every cell
+    base = pipeline.derivs
+    rows = [np.flatnonzero([t == ("g", c.id) for t in base.targets])
+            for c in electrons]
+    new_id = np.repeat(np.arange(count * n), [r.size for r in rows] * count)
+    idx = np.concatenate(rows * count)
+    g = CouplingDerivativeSet(
+        targets=[("g", int(k)) for k in new_id], atom=base.atom[idx],
+        s=base.s[idx], lvecs=base.lvecs[idx] + np.outer(cell[new_id], lshift),
+        tensors=base.tensors[idx],
+        provenance=[base.provenance[k] for k in idx])
+    return system, g.merged(dipolar)
 
 
 def converge_protocol(pipeline, params, sigmas=(4.0, 2.0, 1.0),

@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coupling import CouplingDerivativeSet, dipolar_pair_records
+from .coupling import CouplingDerivativeSet, dipolar_network
 from .crystal import Atom, CrystalModel
 from .errors import ConfigError, ValidationError
-from .hamiltonian import dipolar_tensor
 from .lattice import ForceConstantSet
 from .project import (serialize_crystal, serialize_derivatives,
                       serialize_force_constants, serialize_spin_system)
@@ -34,6 +33,9 @@ _PATTERN = np.array([
     [1.0, 0.0, 1.0],
     [0.0, 1.0, 1.0],
 ])
+
+INTRA_SPACING_A = 1.4  # scale of the intra-molecular placement pattern
+TRANSVERSE_FRACTION = 0.25  # transverse / longitudinal spring constant
 
 _MOLECULE_SITES = {
     1: [(0.0, 0.0, 0.0)],
@@ -58,8 +60,6 @@ class ToySpec:
     mass: float = 20.0
     k_intra: float = 2.0
     k_inter: float = 0.15
-    transverse_fraction: float = 0.25
-    intra_spacing: float = 1.4  # Angstrom
     jitter: float = 0.0  # fractional jitter on intra positions
     inter_cutoff: float = None  # Angstrom; default spans all three axes
     g_baseline: tuple = (2.0, 2.0, 2.0)
@@ -69,7 +69,6 @@ class ToySpec:
     nuclear_spin: float = 3.5
     spin_molecules: int = 1  # electrons on the first N molecules
     dipolar_couplings: bool = True
-    derivative_sum_rule: bool = True
     field_B: tuple = (0.0, 0.0, 1.0)
     seed: int = 0
 
@@ -95,9 +94,10 @@ def _build_crystal(spec, rng):
     for mol, site in enumerate(_MOLECULE_SITES[spec.molecules_per_cell]):
         center_cart = np.asarray(site) @ cell
         for k in range(spec.atoms_per_molecule):
-            offs = _PATTERN[k] * spec.intra_spacing
+            offs = _PATTERN[k] * INTRA_SPACING_A
             if spec.jitter > 0:
-                offs = offs + rng.normal(scale=spec.jitter * spec.intra_spacing, size=3)
+                offs = offs + rng.normal(scale=spec.jitter * INTRA_SPACING_A,
+                                         size=3)
             frac = (center_cart + offs) @ inv_cell
             atoms.append(Atom(element="X", mass=spec.mass, frac=frac, molecule=mol))
     return CrystalModel(cell=cell, atoms=tuple(atoms))
@@ -117,7 +117,6 @@ def _build_force_constants(spec, crystal):
     cutoff = spec.inter_cutoff
     if cutoff is None:
         cutoff = 1.05 * max(np.linalg.norm(cell[k]) for k in range(3))
-    kt_frac = spec.transverse_fraction
 
     blocks = {}
 
@@ -146,7 +145,7 @@ def _build_force_constants(spec, crystal):
                     k_long = spec.k_inter
                 else:
                     continue
-                K = _spring_matrix(d_vec, k_long, kt_frac * k_long)
+                K = _spring_matrix(d_vec, k_long, TRANSVERSE_FRACTION * k_long)
                 neg_lv = tuple(-x for x in lv)
                 add_block(lv, i, j, -K)
                 add_block(neg_lv, j, i, -K)
@@ -168,16 +167,14 @@ def _build_force_constants(spec, crystal):
                             j=jj, t=tt, values=vals)
 
 
-def _synthetic_channel_records(rng, target, atom_indices, magnitude, sum_rule):
-    """Random derivative tensors for one target over a molecule's atoms."""
+def _synthetic_channel_records(rng, target, atom_indices, magnitude):
+    """Random derivative tensors for one target over a molecule's atoms,
+    summing to zero over the atoms (a single carrier cannot)."""
     targets, atoms, ss, lvecs, tensors = [], [], [], [], []
     n = len(atom_indices)
     raw = rng.normal(scale=magnitude, size=(n, 3, 3, 3))  # (atom, s, 3, 3)
-    if sum_rule and n > 1:
+    if n > 1:
         raw -= raw.mean(axis=0, keepdims=True)
-    elif sum_rule and n == 1:
-        # a single carrier cannot satisfy the atom-sum rule; keep as is
-        pass
     for a_idx, atom in enumerate(atom_indices):
         for s in range(3):
             targets.append(target)
@@ -223,41 +220,28 @@ def generate_toy_crystal(spec):
         couplings.append(SpinCoupling(i=0, j=nuclear_id, tensor=a_diag,
                                       tag="hyperfine"))
         cid += 1
-    electron_ids = [c.id for c in centers if c.kind == "electronic"]
+    electrons = [c for c in centers if c.kind == "electronic"]
+    dipolar = CouplingDerivativeSet()
     if spec.dipolar_couplings:
-        for a in range(len(electron_ids)):
-            for b in range(a + 1, len(electron_ids)):
-                ci = centers[a]
-                cj = centers[b]
-                D = dipolar_tensor(ci, cj, cj.position - ci.position)
-                couplings.append(SpinCoupling(i=ci.id, j=cj.id, tensor=D,
-                                              tag="dipolar"))
+        pairs, dipolar = dipolar_network(
+            electrons, [carrier[c.id] for c in electrons])
+        couplings.extend(pairs)
     system = SpinSystem(centers=tuple(centers), couplings=tuple(couplings),
                         field_B=np.asarray(spec.field_B, float))
 
     # derivative records
     derivs = CouplingDerivativeSet()
-    for eid in electron_ids:
-        mol = crystal.atoms[carrier[eid]].molecule
+    for c in electrons:
+        mol = crystal.atoms[carrier[c.id]].molecule
         mol_atoms = list(crystal.molecule_atoms(mol))
         if spec.g_deriv_mag > 0:
             derivs = derivs.merged(_synthetic_channel_records(
-                rng, ("g", eid), mol_atoms, spec.g_deriv_mag,
-                spec.derivative_sum_rule))
+                rng, ("g", c.id), mol_atoms, spec.g_deriv_mag))
     if has_hyperfine and spec.a_deriv_mag > 0:
         mol_atoms = list(crystal.molecule_atoms(0))
         derivs = derivs.merged(_synthetic_channel_records(
-            rng, ("A", (0, nuclear_id)), mol_atoms, spec.a_deriv_mag,
-            spec.derivative_sum_rule))
-    if spec.dipolar_couplings:
-        for cp in couplings:
-            if cp.tag != "dipolar":
-                continue
-            ci = system.center(cp.i)
-            cj = system.center(cp.j)
-            derivs = derivs.merged(dipolar_pair_records(
-                ci, cj, carrier[cp.i], carrier[cp.j]))
-    return crystal, fc, derivs, system
+            rng, ("A", (0, nuclear_id)), mol_atoms, spec.a_deriv_mag))
+    return crystal, fc, derivs.merged(dipolar), system
 
 
 def diatomic_chain(m1=10.0, m2=14.0, k=1.0, a=4.0):

@@ -314,3 +314,49 @@ def test_relax_reports_fit_error_without_physical_stationary_state(
     assert set(row["tau_channel_ms"]) == {"zeeman", "hyperfine", "dipolar"}
     assert diag["min_rho_eigenvalue"] >= -1e-8
 
+
+
+def _sweep_config(tmp_path, values):
+    cfg = _toy(tmp_path)
+    doc = json.load(open(cfg))
+    doc["sweeps"] = [{"axis": "qgrid", "values": values}]
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    return cfg
+
+
+def test_qgrid_sweep_takes_triples(tmp_path, capsys):
+    cfg = _sweep_config(tmp_path, [[2, 2, 2], [3, 2, 2]])
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    rows = list(csv.DictReader(open(os.path.join(out, "sweep_0_qgrid.csv"))))
+    assert [r["axis"] for r in rows] == ["2x2x2", "3x2x2"]
+    assert all(r["error"] == "" for r in rows)
+    doc = json.load(open(os.path.join(out, "sweep_0_qgrid.json")))
+    assert [r["value"] for r in doc["rows"]] == [[2, 2, 2], [3, 2, 2]]
+
+
+def test_qgrid_sweep_rejects_a_fractional_grid(tmp_path, capsys):
+    # 4.5 is not truncated to 4: its row fails and names the field
+    cfg = _sweep_config(tmp_path, [2, 4.5])
+    out = str(tmp_path / "sw")
+    assert main(["sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    capsys.readouterr()
+    rows = list(csv.DictReader(open(os.path.join(out, "sweep_0_qgrid.csv"))))
+    assert [r["axis"] for r in rows] == ["2", "4.5"]
+    assert rows[0]["error"] == ""
+    assert rows[1]["error"].startswith("ValidationError: qgrid must be")
+    assert rows[1]["tau_total_ms"] == "nan"
+
+
+def test_geometry_couplings_are_not_a_config_key(tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    doc = json.load(open(cfg))
+    doc["spin_system"]["couplings"] = [{"i": 0, "j": 0,
+                                        "from_geometry": True}]
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    assert main(["relax", "--config", cfg, "--grid", "2,2,2",
+                 "--out", str(tmp_path / "r")]) == EXIT_PARSE
+    assert "from_geometry" in capsys.readouterr().err

@@ -3,8 +3,9 @@ import pytest
 
 from spinphonon.coupling import (CouplingDerivativeSet, CouplingStack,
                                  DerivativeScan, coupling_norm_distribution,
-                                 dipolar_derivative, dipolar_pair_records,
-                                 fit_derivative_scan, mode_tensor_derivatives)
+                                 dipolar_derivative, dipolar_network,
+                                 dipolar_pair_records, fit_derivative_scan,
+                                 mode_tensor_derivatives)
 from spinphonon.errors import ValidationError
 from spinphonon.hamiltonian import assemble_hamiltonian, dipolar_tensor
 from spinphonon.lattice import phonon_spectrum
@@ -98,6 +99,27 @@ def test_dipolar_pair_records_are_antisymmetric_under_carrier_swap():
         plus = recs.tensors[2 * s]
         minus = recs.tensors[2 * s + 1]
         assert np.allclose(plus, -minus, atol=1e-14)
+
+
+def test_dipolar_network_covers_every_pair_in_order():
+    centers = [SpinCenter(id=k, kind="electronic", s=0.5,
+                          position=np.array([0.0, 0.0, 5.0 * k]))
+               for k in range(3)]
+    cells = [(0, 0, 0), (0, 0, 1), (0, 0, 2)]
+    couplings, derivs = dipolar_network(centers, [4, 5, 6], cells)
+    assert [(cp.i, cp.j, cp.tag) for cp in couplings] == [
+        (0, 1, "dipolar"), (0, 2, "dipolar"), (1, 2, "dipolar")]
+    assert np.array_equal(couplings[1].tensor, dipolar_tensor(
+        centers[0], centers[2], np.array([0.0, 0.0, 10.0])))
+    last = dipolar_pair_records(centers[1], centers[2], 5, 6,
+                                lvec_j=cells[2], lvec_i=cells[1])
+    assert derivs.n_records == 18
+    assert derivs.targets[12:] == last.targets
+    assert np.array_equal(derivs.atom[12:], last.atom)
+    assert np.array_equal(derivs.lvecs[12:], last.lvecs)
+    assert np.array_equal(derivs.tensors[12:], last.tensors)
+    # without cells every carrier sits in the home cell
+    assert not np.any(dipolar_network(centers, [4, 5, 6])[1].lvecs)
 
 
 @pytest.fixture(scope="module")

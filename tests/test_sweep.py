@@ -222,6 +222,32 @@ def test_n_spins_rows_are_labelled_by_cells_and_share_phonons():
     assert rows[1].diagnostics["timings_s"]["phonons"] == 0
 
 
+def test_sibling_pipeline_shares_the_lattice_not_the_spins(soft_pipeline):
+    system, derivs = replicated_spin_system(soft_pipeline, 2)
+    cells = soft_pipeline.with_spins(system, derivs)
+    assert cells.crystal is soft_pipeline.crystal
+    assert cells.fc is soft_pipeline.fc
+    assert cells._phonon_cache is soft_pipeline._phonon_cache
+    assert (cells.system, cells.derivs) == (system, derivs)
+    assert cells.ops.dimension == 4 and soft_pipeline.ops.dimension == 2
+    assert cells._precursor_cache is not soft_pipeline._precursor_cache
+    assert cells._log is not soft_pipeline._log
+
+
+def test_field_magnitude_sweep_keeps_the_system_field_direction(
+        soft_bundle):
+    crystal, fc, derivs, system = soft_bundle
+    pipeline = RelaxationPipeline(crystal, fc, derivs,
+                                  system.with_field((5.0, 0.0, 0.0)))
+    params = replace(BASE, qgrid=(2, 2, 2))
+    row, = run_sweep(pipeline, SweepPlan(axis="field_magnitude",
+                                         values=(3.0,), params=params)).rows
+    along_x, along_z = (pipeline.relax(replace(params, field_B=B)).tau_ms
+                        for B in ((3.0, 0.0, 0.0), (0.0, 0.0, 3.0)))
+    assert row.tau_ms == along_x
+    assert along_x != along_z
+
+
 def test_replication_above_the_dimension_cap_is_a_capacity_error(
         soft_bundle):
     crystal, fc, derivs, system = soft_bundle
@@ -468,15 +494,11 @@ def test_imaginary_modes_count_instabilities_not_round_off(soft_bundle):
     assert pipeline.phonons((8, 8, 8))[2][0, :3].min() < 0.0
     assert diag["imaginary_modes"] == 0
     assert diag["skipped_modes"] == 3
-    # lowering every self-term makes the soft lattice unstable
+    # negating every force constant keeps the sum rule and turns the
+    # stable soft lattice into an unstable one: omega^2 -> -omega^2
     crystal, fc, derivs, system = soft_bundle
-    self_terms = np.flatnonzero((fc.i == fc.j) & (fc.s == fc.t)
-                                & np.all(fc.lvecs == 0, axis=1))
-    values = fc.values.copy()
-    values[self_terms] -= 0.01
     unstable = ForceConstantSet(crystal=crystal, lvecs=fc.lvecs, i=fc.i,
-                                s=fc.s, j=fc.j, t=fc.t, values=values)
-    _, diag = RelaxationPipeline(crystal, unstable, derivs, system,
-                                 enforce_sum_rule=False).mode_precursors(
-                                     (4, 4, 4))
-    assert diag["imaginary_modes"] > 0
+                                s=fc.s, j=fc.j, t=fc.t, values=-fc.values)
+    counts = [RelaxationPipeline(crystal, f, derivs, system).mode_precursors(
+        (4, 4, 4))[1]["imaginary_modes"] for f in (fc, unstable)]
+    assert counts == [0, 381]
