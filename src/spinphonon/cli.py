@@ -6,6 +6,7 @@ parse/validation error, 3 numerical failure.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -27,6 +28,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
+
+#: blocks of this size and more get a mapping of their own, unmapped
+#: when freed (glibc's M_MMAP_THRESHOLD; M_TRIM_THRESHOLD is twice it)
+MMAP_THRESHOLD_BYTES = 4 << 20
 
 
 class _UsageError(Exception):
@@ -304,7 +309,20 @@ _COMMANDS = {
 }
 
 
+def _fix_malloc_thresholds():
+    """Pin the allocator thresholds (Linux). glibc would raise its mmap
+    threshold to each mapped block it frees, so after the first d^2 x d^2
+    array later ones come from the heap, whose holes are reused or not
+    from run to run: the peak RSS of repeated d=32 relax calls moved by
+    one such array between otherwise identical runs."""
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None)
+        libc.mallopt(-3, MMAP_THRESHOLD_BYTES)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 2 * MMAP_THRESHOLD_BYTES)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None):
+    _fix_malloc_thresholds()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

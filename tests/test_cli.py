@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import platform
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -360,3 +363,35 @@ def test_geometry_couplings_are_not_a_config_key(tmp_path, capsys):
     assert main(["relax", "--config", cfg, "--grid", "2,2,2",
                  "--out", str(tmp_path / "r")]) == EXIT_PARSE
     assert "from_geometry" in capsys.readouterr().err
+
+
+# In a fresh process: RSS in MB before, and after each of two 16 MiB
+# arrays is touched and freed. Under glibc's own rule the first free
+# raises the mmap threshold, so the second array comes from the heap
+# and its pages stay resident after it is freed.
+_FREED_PAGES_PROBE = """
+import contextlib, io, os
+import numpy as np
+from spinphonon.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main([])
+def rss():
+    with open("/proc/self/statm") as fh:
+        return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
+out = [rss()]
+for _ in range(2):
+    a = np.ones(2**21)
+    del a
+    out.append(rss())
+print(*out)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="mallopt thresholds are glibc's")
+def test_freed_large_arrays_leave_no_resident_pages():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", _FREED_PAGES_PROBE],
+                         capture_output=True, text=True, env=env, check=True)
+    before, first, second = map(float, run.stdout.split())
+    assert first - before < 2 and second - before < 2
