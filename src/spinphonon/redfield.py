@@ -1,12 +1,18 @@
 """Non-secular Redfield superoperator, propagation and relaxation times.
 
+rho evolves under L = -i diag(omega_ab) + R in the eigenbasis of the spin
+Hamiltonian. Every spectral step diagonalises L on clusters of Bohr
+frequencies (``bohr_clusters``, ``_BlockEigensystem``): the partial-
+secular approximation, which drops the elements of R between clusters
+at least CLUSTER_GAP_FACTOR rates apart.
+
 Rate units: with spin energies in cm^-1 and the one-phonon correlation
 function carrying 1/cm^-1, the master-matrix elements come out in 1/ps
 after multiplying by the rad/ps-per-cm^-1 conversion (hbar = 1).
 """
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
@@ -19,6 +25,10 @@ from .units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K, PS_PER_MS
 RATE_PREFACTOR = 0.5 * np.pi * ANGULAR_FREQUENCY_PER_CM1
 
 SECULAR_TOL_CM1 = 1e-8
+
+#: partial-secular rule: Bohr frequencies further apart than this many
+#: times the rate scale fall into different clusters
+CLUSTER_GAP_FACTOR = 100
 
 #: most negative eigenvalue a stationary state may have
 POSITIVITY_TOL = 1e-8
@@ -81,6 +91,14 @@ class RedfieldTensor:
     @property
     def dimension(self):
         return self.ham.dimension
+
+    @functools.cached_property
+    def clusters(self):
+        """BohrClusters of the total generator, which every channel
+        selection shares."""
+        return bohr_clusters(
+            self.ham.omega.reshape(-1) * ANGULAR_FREQUENCY_PER_CM1,
+            list(self.channels.values()))
 
     def matrix(self, channels=None):
         """Superoperator (1/ps) summed over the requested channels."""
@@ -156,149 +174,246 @@ def equilibrium_state(ham, T):
     return DensityMatrix(matrix=np.diag(w / w.sum()).astype(complex))
 
 
-@functools.lru_cache(maxsize=None)
-def _hermitian_basis(d):
-    """Index arrays of the unitary Q onto the orthonormal Hermitian basis
-    of d x d matrices: E_aa for each a, then (E_ab + E_ba)/sqrt(2) and
-    i(E_ab - E_ba)/sqrt(2) for each a < b. Column k of Q is
-    alpha[k] e_p[k] + beta[k] e_q[k] in the vectorised (ab) index."""
-    a, b = np.triu_indices(d, 1)
-    diag = np.arange(d) * (d + 1)
-    h = np.sqrt(0.5)
-    p = np.concatenate([diag, np.repeat(a * d + b, 2)])
-    q = np.concatenate([diag, np.repeat(b * d + a, 2)])
-    alpha = np.concatenate([np.ones(d), np.tile([h, 1j * h], a.size)])
-    beta = np.concatenate([np.zeros(d), np.tile([h, -1j * h], a.size)])
-    for x in (p, q, alpha, beta):
-        x.flags.writeable = False
-    return p, q, alpha, beta
+@dataclass(frozen=True)
+class BohrClusters:
+    """The d^2 coherences rho_ab, in the vectorised (ab) index, grouped by
+    Bohr frequency omega_ab (rad/ps): sorted, then split wherever two
+    neighbours differ by more than CLUSTER_GAP_FACTOR times ``rate``,
+    the Gershgorin row-sum bound of the generator (1/ps).
 
-
-def _coords(m):
-    """Q^H vec(m): coordinates of a d x d matrix in the Hermitian basis,
-    real when m is Hermitian. The trace is the sum of the first d."""
-    p, q, alpha, beta = _hermitian_basis(m.shape[0])
-    flat = np.asarray(m).reshape(-1)
-    return alpha.conj() * flat[p] + beta.conj() * flat[q]
-
-
-def _matrix(x, d):
-    """Q x: the d x d matrix with coordinates x (Hermitian for real x);
-    one matrix per row of a stack x of shape (..., d^2)."""
-    p, q, _, _ = _hermitian_basis(d)
-    h = np.sqrt(0.5)
-    s, a = x[..., d::2], x[..., d + 1::2]
-    flat = np.zeros(x.shape[:-1] + (d * d,), dtype=complex)
-    flat[..., p[:d]] = x[..., :d]
-    flat[..., p[d::2]] = h * (s + 1j * a)
-    flat[..., q[d::2]] = h * (s - 1j * a)
-    return flat.reshape(x.shape[:-1] + (d, d))
-
-
-def _real_form(R, channels=None):
-    """Q^H R Q: the generator as a real d^2 x d^2 matrix on the
-    coordinates of Hermitian rho, with the same eigenvalues as R.
-
-    ``R`` is a RedfieldTensor (summed over ``channels``) or a raw
-    d^2 x d^2 array in its (ab, cd) layout. The rows are built block by
-    block from each channel part, so no second complex d^2 x d^2 array
-    is held. A generator that does not map Hermitian rho to Hermitian
-    rho has no real form: a discarded imaginary part above 1e-12 of
-    max|R| raises ValidationError. A non-finite entry raises
-    NumericalError.
+    ``kept`` holds the zero-frequency cluster, which contains every
+    population and is its own conjugate, then the clusters of positive
+    frequency. A negative cluster is the conjugate of a kept one on
+    transposed indices (rho_ba = conj rho_ab) and is not stored.
+    ``count`` and ``largest`` cover every cluster; ``gap_ratio`` is
+    ``rate`` over the smallest gap between clusters (0 for one cluster).
     """
-    if isinstance(R, RedfieldTensor):
-        d = R.dimension
-        parts = [part for ch, part in R.channels.items()
-                 if channels is None or ch in channels]
-    else:
-        parts = [np.asarray(R)]
-        d = int(round(np.sqrt(parts[0].shape[0])))
-        if parts[0].shape != (d * d, d * d):
-            raise ValidationError(
-                f"generator of shape {parts[0].shape} is not d^2 x d^2")
-    p, q, alpha, beta = _hermitian_basis(d)
-    n = d * d
-    out = np.zeros((n, n))
-    if not parts:
-        return out
+
+    omega: np.ndarray
+    rate: float
+    kept: tuple
+    count: int
+    largest: int
+    gap_ratio: float
+
+
+def bohr_clusters(omega, parts):
+    """BohrClusters of the generator sum(parts), (d^2, d^2) arrays in the
+    (ab, cd) layout, at Bohr frequencies ``omega`` (d^2,) in rad/ps.
+    The row sums are taken block by block, so the sum is never held.
+    A non-finite entry raises NumericalError."""
+    n = omega.size
+    rate = 0.0
     step = max(1, ASSEMBLY_BLOCK // n)
-    scale = imag = 0.0
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        Rp = sum(part[p[rows]] for part in parts)
-        Rq = sum(part[q[rows]] for part in parts)
-        # np.max, not max: a NaN must propagate into the scale
-        scale = np.max([scale, np.max(np.abs(Rp)), np.max(np.abs(Rq))])
-        Z = alpha[rows, None].conj() * Rp + beta[rows, None].conj() * Rq
-        block = Z[:, p] * alpha + Z[:, q] * beta
-        out[rows] = block.real
-        imag = max(imag, np.max(np.abs(block.imag)))
-    if not np.isfinite(scale):
+    for start in range(0, n if parts else 0, step):
+        rows = sum(part[start:start + step] for part in parts)
+        # np.max, not max: a NaN must propagate into the rate
+        rate = np.max([rate, np.max(np.sum(np.abs(rows), axis=1))])
+    if not np.isfinite(rate):
         raise NumericalError("generator has non-finite entries")
-    if imag > 1e-12 * scale:
-        raise ValidationError(
-            f"generator does not preserve Hermiticity: imaginary part "
-            f"{imag:.2e} of its real form (max|R| {scale:.2e})")
-    return out
+    order = np.argsort(omega, kind="stable")
+    gaps = np.diff(omega[order])
+    cut = np.flatnonzero(gaps > CLUSTER_GAP_FACTOR * rate)
+    groups = np.split(order, cut + 1)
+    # the zero cluster first, then those that lie above zero
+    kept = [g for g in groups if omega[g].min() <= 0.0 <= omega[g].max()]
+    kept += [g for g in groups if omega[g].min() > 0.0]
+    return BohrClusters(
+        omega=omega, rate=float(rate), kept=tuple(kept), count=len(groups),
+        largest=max(g.size for g in groups),
+        gap_ratio=float(rate / gaps[cut].min()) if cut.size else 0.0)
 
 
-class _Eigensystem:
-    """The eigendecomposition (w, Vr) of a real generator M (both None
-    when eig fails), and exp(M t) from it, or by scaling-and-squaring
-    expm when Vr is missing, singular or ill-conditioned (``fallback``).
-    Vr^-1 and its 1-norm condition number ``cond``, ||Vr||_1 ||Vr^-1||_1
-    (inf without an inverse), are formed on first use."""
+def _generator(R, channels=None):
+    """(channel parts, BohrClusters) of a RedfieldTensor summed over
+    ``channels``, clustered as its total generator is, or of a raw
+    d^2 x d^2 array in its (ab, cd) layout, whose Bohr frequencies are
+    all zero: one cluster."""
+    if isinstance(R, RedfieldTensor):
+        return ([part for ch, part in R.channels.items()
+                 if channels is None or ch in channels], R.clusters)
+    part = np.asarray(R)
+    d = int(round(np.sqrt(part.shape[0]))) if part.ndim == 2 else 0
+    if d == 0 or part.shape != (d * d, d * d):
+        raise ValidationError(f"generator of shape {part.shape} is not "
+                              f"d^2 x d^2")
+    return [part], bohr_clusters(np.zeros(d * d), [part])
 
-    def __init__(self, M):
-        self.M = M
+
+def _transposed(idx, d):
+    """The (ba) index of each (ab) index."""
+    return idx % d * d + idx // d
+
+
+class _ClusterStack:
+    """Clusters of one size n, stacked: (ab) indices ``idx`` (k, n) and
+    their transposes ``tidx``, mean frequencies ``mean`` (k,), which row
+    is the zero cluster (``zero``), the shifted blocks
+    L_c = R_c - i diag(omega - mean_c) (k, n, n) and their eigenvalues
+    ``w`` (k, n) and eigenvectors ``V`` (k, n, n), all NaN when the
+    stacked eig fails. V^-1 and the 1-norm condition ``cond`` of each
+    V, ||V||_1 ||V^-1||_1, are formed on first use (inf for the whole
+    stack when one V is singular); a block whose condition is above 1e10
+    (``fallback``) propagates by scaling-and-squaring expm."""
+
+    def __init__(self, idx, d, L, mean, zero):
+        self.idx, self.tidx = idx, _transposed(idx, d)
+        self.L, self.mean, self.zero = L, mean, zero
+        if idx.shape[1] == 1:
+            self.w, self.V = L[:, :, 0], np.ones_like(L)
+            return
         try:
-            self.w, self.Vr = np.linalg.eig(M)
+            self.w, self.V = np.linalg.eig(L)
         except np.linalg.LinAlgError:
-            self.w = self.Vr = None
+            self.w = np.full(idx.shape, np.nan + 0j)
+            self.V = np.full_like(L, np.nan)
 
     @functools.cached_property
+    def _inverse(self):
+        try:
+            inv = np.linalg.inv(self.V)
+        except np.linalg.LinAlgError:
+            inv = np.full_like(self.V, np.nan)
+        cond = (np.linalg.norm(self.V, 1, axis=(1, 2))
+                * np.linalg.norm(inv, 1, axis=(1, 2)))
+        return inv, np.where(np.isfinite(cond), cond, np.inf)
+
+    @property
     def cond(self):
-        if self.Vr is not None:
-            try:
-                self.Vr_inv = np.linalg.inv(self.Vr)
-                return float(np.linalg.norm(self.Vr, 1)
-                             * np.linalg.norm(self.Vr_inv, 1))
-            except np.linalg.LinAlgError:
-                pass
-        return np.inf
+        return self._inverse[1]
 
     @property
     def fallback(self):
-        return not self.cond <= 1e10
+        return ~(self.cond <= 1e10)
 
     def evolve(self, x0, times):
-        """Real coordinates exp(M t) x0, one row per time."""
-        if self.fallback:
-            return np.array([scipy.linalg.expm(self.M * t) @ x0
-                             for t in times]).reshape(len(times), x0.size)
-        E = np.exp(np.multiply.outer(times, self.w))
-        return ((E * (self.Vr_inv @ x0)) @ self.Vr.T).real
+        """exp(L_c t) x0_c e^{-i mean_c t} for each cluster c, (T, k, n)."""
+        x = x0[self.idx]
+        out = np.empty((times.size,) + x.shape, dtype=complex)
+        good = ~self.fallback
+        if good.any():
+            coef = np.einsum("kij,kj->ki", self._inverse[0][good], x[good])
+            E = np.exp(times[:, None, None] * self.w[good])
+            out[:, good] = np.einsum("kij,tkj->tki", self.V[good], E * coef)
+        for k in np.flatnonzero(self.fallback):
+            out[:, k] = [scipy.linalg.expm(self.L[k] * t) @ x[k]
+                         for t in times]
+        phase = np.exp(-1j * np.multiply.outer(times, self.mean))
+        return out * phase[..., None]
+
+
+class _BlockEigensystem:
+    """Eigensystem of L = -i diag(omega_ab) + R, cluster by cluster.
+
+    ``R`` is a RedfieldTensor (summed over ``channels``) or a raw
+    d^2 x d^2 array. For each kept Bohr cluster (``BohrClusters``) the
+    in-cluster elements are gathered from each channel part, and the
+    mean frequency is taken out: L_c = R_c - i diag(omega - mean_c),
+    whose eigenvalues are those of L plus i mean_c. Elements between
+    clusters are dropped, which moves the eigenvalues by
+    O(rate^2 / gap). Clusters of one size share one stacked eig call.
+
+    A generator must map Hermitian rho to Hermitian rho: in-cluster
+    elements with R_ba,dc != conj R_ab,cd beyond 1e-12 of their max|R|
+    raise ValidationError. ``rate`` is the Gershgorin row-sum bound of
+    the in-cluster R, the scale of every rate tolerance.
+    """
+
+    def __init__(self, R, channels=None):
+        parts, self.clusters = _generator(R, channels)
+        omega = self.clusters.omega
+        self.d = d = int(round(np.sqrt(omega.size)))
+        kept = self.clusters.kept
+        sizes = np.array([idx.size for idx in kept])
+        gathered, scale, asym, rate = [], 0.0, 0.0, 0.0
+        for n in np.unique(sizes):
+            members = np.flatnonzero(sizes == n)
+            idx = np.stack([kept[k] for k in members])
+            tidx = _transposed(idx, d)
+            block = np.zeros((len(members), n, n), dtype=complex)
+            twin = np.zeros_like(block)
+            for part in parts:
+                block += part[idx[:, :, None], idx[:, None, :]]
+                twin += part[tidx[:, :, None], tidx[:, None, :]]
+            size = np.abs(block)
+            scale = max(scale, np.max(size), np.max(np.abs(twin)))
+            asym = max(asym, np.max(np.abs(twin - block.conj())))
+            rate = max(rate, np.max(np.sum(size, axis=2)))
+            gathered.append((idx, block, members == 0))
+        if asym > 1e-12 * scale:
+            raise ValidationError(
+                f"generator does not preserve Hermiticity: R_ba,dc differs "
+                f"from conj R_ab,cd by {asym:.2e} (max|R| {scale:.2e})")
+        self.rate = float(rate)
+        self.blocks = []
+        for idx, L, zero in gathered:
+            mean = np.where(zero, 0.0, omega[idx].mean(axis=1))
+            n = idx.shape[1]
+            L[:, range(n), range(n)] -= 1j * (omega[idx] - mean[:, None])
+            self.blocks.append(_ClusterStack(idx, d, L, mean, zero))
+
+    @property
+    def zero(self):
+        """(block, row) of the zero-frequency cluster."""
+        for b in self.blocks:
+            if b.zero.any():
+                return b, int(np.flatnonzero(b.zero)[0])
+
+    def eigenvalues(self):
+        """The eigenvalues of L on the kept clusters, one array; the
+        conjugate clusters have their complex conjugates."""
+        return np.concatenate([(b.w - 1j * b.mean[:, None]).reshape(-1)
+                               for b in self.blocks])
+
+    def overlaps(self, o):
+        """|<o, v>| / ||v|| of each eigenvector v, in ``eigenvalues``
+        order."""
+        return np.concatenate([
+            (np.abs(np.einsum("kn,knj->kj", o[b.idx].conj(), b.V))
+             / np.linalg.norm(b.V, axis=1)).reshape(-1) for b in self.blocks])
+
+    @property
+    def cond(self):
+        """The largest 1-norm condition number of a block's eigenvectors."""
+        return float(max(np.max(b.cond) for b in self.blocks))
+
+    @property
+    def fallback(self):
+        return any(b.fallback.any() for b in self.blocks)
+
+    def evolve(self, x0, times):
+        """Vectorised exp(L t) x0 of a Hermitian x0, one row per time."""
+        X = np.zeros((times.size, x0.size), dtype=complex)
+        for b in self.blocks:
+            Y = b.evolve(x0, times)
+            X[:, b.idx] = Y
+            X[:, b.tidx[~b.zero]] = Y[:, ~b.zero].conj()
+        return X
+
+
+def _hermitian_part(M):
+    """(M + M^H) / 2 of a matrix or a stack of them."""
+    return 0.5 * (M + np.swapaxes(M, -1, -2).conj())
 
 
 def propagate(rho0, R, times):
-    """rho(t) = exp(Rt) rho(0) at the requested times (ps, ascending).
-
-    Propagation runs on the real form of R; the Hermitian part of rho(0)
-    is propagated."""
+    """rho(t) = exp(L t) rho(0) at the requested times (ps, ascending),
+    with L = -i diag(omega_ab) + R on its Bohr clusters
+    (``_BlockEigensystem``); the Hermitian part of rho(0) is propagated."""
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
         raise ValidationError("times must be ascending and non-negative")
     rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
     d = rho0_mat.shape[0]
-    X = _Eigensystem(_real_form(R)).evolve(_coords(rho0_mat).real, times)
-    drift = X[:, :d].sum(axis=1) - 1.0
+    X = _BlockEigensystem(R).evolve(_hermitian_part(rho0_mat).reshape(-1),
+                                    times)
+    drift = X[:, ::d + 1].sum(axis=1).real - 1.0
     bad = np.flatnonzero(~(np.abs(drift) <= 1e-8))  # NaN is drift too
     if bad.size:
         k = bad[0]
         raise NumericalError(f"trace drift {drift[k]:.2e} at t={times[k]}")
     return [DensityMatrix(matrix=m, time_ps=float(t))
-            for m, t in zip(_matrix(X, d), times)]
+            for m, t in zip(_hermitian_part(X.reshape(-1, d, d)), times)]
 
 
 @dataclass(frozen=True)
@@ -313,32 +428,38 @@ class RelaxationEstimate:
     mismatch: bool = False
     non_exponential: bool = False
     expm_fallback: bool = False  # propagation used expm, not (w, Vr)
-    eigvec_cond: float = None  # 1-norm condition number of R's eigenvectors
+    eigvec_cond: float = None  # largest 1-norm condition of a block's Vr
+    bohr_clusters: int = None  # clusters of the Bohr frequencies
+    largest_cluster: int = None  # coherences in the largest cluster
+    cluster_gap_ratio: float = None  # rate / smallest gap between clusters
 
 
-def stationary_state(w, Vr, dim, tol=1e-9):
-    """Trace-one stationary state of the superoperator, as a d x d matrix.
+def stationary_state(eigsys, tol=1e-9):
+    """Trace-one stationary state of the generator, as a d x d matrix.
 
-    ``w, Vr`` is the eigendecomposition of the real form of the
-    superoperator (coordinates in the Hermitian basis), as
-    ``np.linalg.eig`` returns it. Non-secular tensors in the
-    interaction picture can carry additional traceless null modes in the
+    ``eigsys`` is the ``_BlockEigensystem`` of the generator; the
+    stationary state lies in its zero-frequency cluster. Non-secular
+    generators can carry additional traceless null modes in the
     coherence sector; the physical fixed point is the null vector with
     non-vanishing trace. A trace-one candidate with an eigenvalue below
     -``POSITIVITY_TOL`` is not a physical state (it can reach outside
     the range of any observable) and raises NumericalError.
     """
-    scale = float(np.max(np.abs(w)))
-    cand = np.nonzero(np.abs(w) <= max(tol * scale, 1e-300))[0]
+    block, k = eigsys.zero
+    d, w, V, idx = eigsys.d, block.w[k], block.V[k], block.idx[k]
+    diag = idx % (d + 1) == 0
+    cand = np.nonzero(np.abs(w) <= max(tol * eigsys.rate, 1e-300))[0]
     if cand.size == 0:
         cand = np.array([int(np.argmin(np.abs(w)))])
-    tr = (np.abs(Vr[:dim, cand].sum(axis=0))
-          / np.linalg.norm(Vr[:, cand], axis=0))
+    tr = (np.abs(V[diag][:, cand].sum(axis=0))
+          / np.linalg.norm(V[:, cand], axis=0))
     best = int(np.argmax(tr))  # the first candidate of largest trace
     if not tr[best] >= 1e-12:
         raise NumericalError("no stationary state with nonzero trace found")
-    x = Vr[:, cand[best]].real  # the Hermitian part of the null vector
-    rho = _matrix(x / np.sum(x[:dim]), dim)
+    v = V[:, cand[best]]
+    x = np.zeros(d * d, dtype=complex)
+    x[idx] = v / np.sum(v[diag])
+    rho = _hermitian_part(x.reshape(d, d))
     lowest = float(np.linalg.eigvalsh(rho)[0])
     if lowest < -POSITIVITY_TOL:
         raise NumericalError(
@@ -349,18 +470,18 @@ def stationary_state(w, Vr, dim, tol=1e-9):
 
 def _exp_fit(times, dm):
     """(tau_fit_ms, rms residual, non_exponential) of a log-linear fit of
-    the deviation dm(t) from equilibrium; (None, None, False) when dm
+    the deviation dm(t) from equilibrium; (None, None, True) when dm
     has fewer than three points of one sign or does not decay."""
     ref = np.max(np.abs(dm))
     mask = np.abs(dm) > 1e-12 * max(ref, 1e-300)
     same_sign = mask.any() and ((dm[mask] > 0).all() or (dm[mask] < 0).all())
     if not (ref > 0 and np.count_nonzero(mask) >= 3 and same_sign):
-        return None, None, False
+        return None, None, True
     y = np.log(np.abs(dm[mask]))
     A = np.vstack([np.ones(mask.sum()), -times[mask]]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
     if coef[1] <= 0:
-        return None, None, False
+        return None, None, True
     residual = float(np.sqrt(np.mean((y - A @ coef) ** 2)))
     return (1.0 / coef[1]) / PS_PER_MS, residual, residual > 0.05
 
@@ -369,61 +490,66 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
                             rho0=None, channels=None):
     """Relaxation time of the chosen observable (default Sz of a spin).
 
-    slowest_mode: tau = 1 / |Re lambda| for the nonzero eigenvalue of R
+    Every step runs on one ``_BlockEigensystem`` of
+    L = -i diag(omega_ab) + R (summed over ``channels``, on the Bohr
+    clusters of the total generator).
+
+    slowest_mode: tau = 1 / |Re lambda| for the decaying eigenvalue of L
     whose eigenvector overlaps the observable's traceless part the most;
-    NumericalError when that mode grows (Re lambda > 0).
+    NumericalError when that mode grows (Re lambda > 0). A mode with
+    |Re lambda| below 1e-14 of the rate scale does not decay.
     exp_fit: log-linear single-exponential fit of M_z(t) between rho0
     and the stationary state. Both values are reported; a >5% mismatch
-    or a non-exponential fit is flagged, never hidden. Without a
-    physical stationary state there is no fit: ``tau_fit_ms`` is None,
-    ``fit_error`` says why and ``mismatch`` is set, while rho0 is still
-    propagated for ``min_rho_eigenvalue`` (the default probe needs the
-    stationary state, so without ``rho0`` the error is raised). Every spectral
-    step runs on one eigendecomposition of the real form of R in the
-    Hermitian basis; ``eigvec_cond`` refers to that basis. Only the
-    exp-fit inverts the eigenvectors (``slowest_mode`` forms no inverse).
+    or a fit that fails is flagged, never hidden: a deviation that
+    changes sign or does not decay has no fit, and sets both
+    ``non_exponential`` and ``mismatch``. Without a physical stationary
+    state there is no fit either: ``tau_fit_ms`` is None, ``fit_error``
+    says why and ``mismatch`` is set, while rho0 is still propagated for
+    ``min_rho_eigenvalue`` (the default probe needs the stationary
+    state, so without ``rho0`` the error is raised). Only the exp-fit
+    inverts the eigenvectors (``slowest_mode`` forms no inverse).
     """
     d = ham.dimension
-    M = _real_form(R, channels)
+    eigsys = _BlockEigensystem(R, channels)
     if observable is None:
         first = min(ops.system.centers, key=lambda c: c.id).id
         observable = ham.to_eigenbasis(ops.embedded[first][2])
     O = np.asarray(observable, dtype=complex)
     O_traceless = O - np.trace(O) / d * np.eye(d)
-    o_vec = _coords(O_traceless)
-    norm = np.linalg.norm(o_vec)
+    norm = np.linalg.norm(O_traceless)
     if norm == 0:
         raise ValidationError("observable has no traceless part")
-    o_vec = o_vec / norm
+    o_vec = O_traceless.reshape(-1) / norm
 
-    eigsys = _Eigensystem(M)
-    w, Vr = eigsys.w, eigsys.Vr
-    if w is None:
-        raise NumericalError("eigendecomposition of the generator failed")
-    scale = np.max(np.abs(w)) if w.size else 0.0
-    if scale == 0.0:
+    if eigsys.rate == 0.0:
         raise NumericalError("Redfield tensor is zero; no relaxation")
-    stat = int(np.argmin(np.abs(w)))
-    weights = np.abs(o_vec.conj() @ (Vr / np.linalg.norm(Vr, axis=0)))
-    weights[stat] = -1.0
-    weights[np.abs(w.real) < 1e-14 * scale] = -1.0
+    lam = eigsys.eigenvalues()
+    if not np.all(np.isfinite(lam)):
+        raise NumericalError("eigendecomposition of the generator failed")
+    weights = eigsys.overlaps(o_vec)
+    weights[int(np.argmin(np.abs(lam)))] = -1.0
+    weights[np.abs(lam.real) < 1e-14 * eigsys.rate] = -1.0
     k = int(np.argmax(weights))
     if weights[k] < 0:
         raise NumericalError("no decaying mode overlaps the observable")
-    if w[k].real > 0:
+    if lam[k].real > 0:
         raise NumericalError(
             f"the mode that overlaps the observable most grows "
-            f"(Re lambda = {w[k].real:.3g} /ps); it has no relaxation time")
-    tau_slow_ps = 1.0 / abs(w[k].real)
-    tau_slow_ms = tau_slow_ps / PS_PER_MS
+            f"(Re lambda = {lam[k].real:.3g} /ps); it has no relaxation time")
+    tau_slow_ps = 1.0 / abs(lam[k].real)
+    clusters = eigsys.clusters
+    estimate = RelaxationEstimate(
+        tau_ms=tau_slow_ps / PS_PER_MS, bohr_clusters=clusters.count,
+        largest_cluster=clusters.largest,
+        cluster_gap_ratio=clusters.gap_ratio)
 
     if method == "slowest_mode":
-        return RelaxationEstimate(tau_ms=tau_slow_ms)
+        return estimate
 
-    # single-exponential fit of the observable decay, on real coordinates:
-    # <O>(t) = Tr(rho(t) O) is x(t) . o
+    # single-exponential fit of the observable decay:
+    # <O>(t) = Tr(rho(t) O) = x(t) . vec(O^T)
     try:
-        rho_ss = stationary_state(w, Vr, d)
+        rho_ss = stationary_state(eigsys)
         fit_error = None
     except NumericalError as exc:
         if rho0 is None:
@@ -436,21 +562,22 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
     else:
         rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
     times = np.geomspace(0.02, 5.0, 24) * tau_slow_ps
-    X = eigsys.evolve(_coords(rho0_mat).real, times)
-    o = _coords(O)
+    X = eigsys.evolve(_hermitian_part(np.asarray(rho0_mat)).reshape(-1),
+                      times)
+    o = O.T.reshape(-1)
     m_t = np.real(X @ o)
-    min_eig = np.min(np.linalg.eigvalsh(_matrix(X, d))[:, 0])
+    min_eig = np.min(np.linalg.eigvalsh(
+        _hermitian_part(X.reshape(-1, d, d)))[:, 0])
     tau_fit_ms = residual = None
     non_exp = False
     if rho_ss is not None:
-        dm = m_t - float(np.real(_coords(rho_ss).real @ o))
+        dm = m_t - float(np.real(rho_ss.reshape(-1) @ o))
         tau_fit_ms, residual, non_exp = _exp_fit(times, dm)
     # no fit is a failed cross-check too: it must not read as agreement
-    mismatch = fit_error is not None or bool(
-        tau_fit_ms is not None and abs(tau_fit_ms / tau_slow_ms - 1.0) > 0.05)
-    return RelaxationEstimate(tau_ms=tau_slow_ms,
-                              tau_fit_ms=tau_fit_ms, mismatch=mismatch,
-                              fit_residual=residual, non_exponential=non_exp,
-                              min_rho_eigenvalue=float(min_eig),
-                              expm_fallback=eigsys.fallback,
-                              eigvec_cond=eigsys.cond, fit_error=fit_error)
+    mismatch = tau_fit_ms is None or abs(
+        tau_fit_ms / estimate.tau_ms - 1.0) > 0.05
+    return replace(estimate, tau_fit_ms=tau_fit_ms, mismatch=bool(mismatch),
+                   fit_residual=residual, non_exponential=non_exp,
+                   min_rho_eigenvalue=float(min_eig),
+                   expm_fallback=eigsys.fallback, eigvec_cond=eigsys.cond,
+                   fit_error=fit_error)

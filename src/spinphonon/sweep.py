@@ -82,10 +82,13 @@ def physical_memory_bytes():
 
 
 def redfield_bytes(d, n_channels):
-    """Estimated bytes of the d^2 x d^2 arrays of one relax point: a
-    complex tensor per channel, the real generator, and its complex
-    eigenvectors and their inverse."""
-    return d ** 4 * (16 * n_channels + 8 + 16 + 16)
+    """Estimated bytes of the largest arrays of one relax point: a
+    complex d^2 x d^2 tensor per channel, then the Bohr-cluster blocks
+    of L, their eigenvectors and the inverse, complex too. The blocks
+    hold sum n_c^2 <= d^4 elements; they are charged at that bound,
+    which one cluster of all d^2 coherences reaches (no Bohr gap wider
+    than 100 rates, as at zero field)."""
+    return d ** 4 * (16 * n_channels + 3 * 16)
 
 
 class _PointLog(threading.local):
@@ -340,7 +343,7 @@ class RelaxationPipeline:
 
     def redfield(self, params):
         """Redfield tensor of the point. Raises CapacityError, before
-        assembly, when the point's d^2 x d^2 arrays would not fit in
+        assembly, when the point's Redfield arrays would not fit in
         physical memory (``redfield_bytes``)."""
         system, ham = self.hamiltonian(params.field_B)
         cpls, diag = self.couplings(params, ham, system)
@@ -361,6 +364,7 @@ class RelaxationPipeline:
         per-channel taus, and diagnostics that carry every field of the
         RelaxationEstimate but tau_ms.
 
+        The channel taus reuse the Bohr clusters of the total generator.
         A one-channel tensor is diagonalised once: its channel tau is
         the total's."""
         self._log.reset()
@@ -456,6 +460,9 @@ def _point(pipeline, plan, value):
     """(pipeline, params) of the sweep point at ``value``."""
     p = plan.params
     if plan.axis == "n_spins":
+        if int(value) != value:
+            raise ValidationError(
+                f"n_spins must be a whole number of cells, got {value!r}")
         return pipeline.with_spins(*replicated_spin_system(
             pipeline, int(value), plan.replication_axis)), p
     if plan.axis == "field_magnitude":

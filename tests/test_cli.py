@@ -292,12 +292,11 @@ def test_overflowing_lattice_vector_is_parse_error(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
-def test_relax_reports_fit_error_without_physical_stationary_state(
-        tmp_path, capsys):
+def test_relax_flags_a_failed_fit_on_the_pair_project(tmp_path, capsys):
     from spinphonon.toy import ToySpec, write_toy_project
     # the d=32 pair project: two S=1/2 electrons on two molecules plus an
-    # I=7/2 nucleus; its generator has 128 near-zero eigenvalues and no
-    # null vector that is a physical state
+    # I=7/2 nucleus. Its stationary state is physical, but Sz(t) crosses
+    # its stationary value, so the exp-fit fails, which is flagged
     spec = ToySpec(lattice=(7.0, 7.0, 7.0), molecules_per_cell=2,
                    atoms_per_molecule=2, mass=120.0, k_intra=1.0,
                    k_inter=0.003, g_baseline=(1.9830, 1.9814, 1.9274),
@@ -311,12 +310,15 @@ def test_relax_reports_fit_error_without_physical_stationary_state(
     assert "exp-fit n/a" in capsys.readouterr().out
     row = json.load(open(os.path.join(out, "relax.json")))["rows"][0]
     diag = row["diagnostics"]
-    assert "stationary state is not physical" in diag["fit_error"]
-    assert diag["tau_fit_ms"] is None and diag["mismatch"] is True
-    assert np.isfinite(row["tau_ms"]) and row["tau_ms"] > 0
+    assert diag["fit_error"] is None and diag["tau_fit_ms"] is None
+    assert diag["mismatch"] is True and diag["non_exponential"] is True
+    assert row["tau_ms"] == pytest.approx(38561.0, rel=1e-4)
     assert set(row["tau_channel_ms"]) == {"zeeman", "hyperfine", "dipolar"}
+    assert all(np.isfinite(t) and t > 0
+               for t in row["tau_channel_ms"].values())
     assert diag["min_rho_eigenvalue"] >= -1e-8
-
+    assert (diag["bohr_clusters"], diag["largest_cluster"]) == (407, 32)
+    assert 0.0 < diag["cluster_gap_ratio"] <= 0.01
 
 
 def _sweep_config(tmp_path, values):

@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 from spinphonon import redfield, sweep
 from spinphonon.coupling import CouplingStack
 from spinphonon.errors import NumericalError, ParseError
-from spinphonon.hamiltonian import SpinHamiltonian, diagonalize
+from spinphonon.hamiltonian import (SpinHamiltonian, assemble_hamiltonian,
+                                    diagonalize)
 from spinphonon.lattice import (ForceConstantSet, decomposition_weights,
                                 dynamical_matrices, enforce_acoustic_sum_rule,
                                 phonon_dos, phonon_spectrum)
@@ -27,9 +28,11 @@ from spinphonon.project import (load_crystal, load_derivatives,
                                 serialize_force_constants)
 from spinphonon.redfield import (PhononCorrelation, assemble_redfield,
                                  extract_relaxation_time, propagate)
+from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
 from spinphonon.sweep import (RelaxationPipeline, RunParams, kpoint_grid,
                               paired_kpoint_grid)
 from spinphonon.toy import ToySpec, generate_toy_crystal
+from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1
 
 FEW = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 
@@ -316,67 +319,152 @@ def _spin_case(d, m, seed, secular, temperature):
     return ham, tensor, O, rng
 
 
-def _hermitian_basis_matrix(d):
-    """Q column by column: E_aa, then (E_ab + E_ba)/sqrt2 and
-    i(E_ab - E_ba)/sqrt2 for each a < b."""
-    cols = []
-    for a in range(d):
-        E = np.zeros((d, d), dtype=complex)
-        E[a, a] = 1.0
-        cols.append(E)
-    for a in range(d):
-        for b in range(a + 1, d):
-            S = np.zeros((d, d), dtype=complex)
-            S[a, b] = S[b, a] = np.sqrt(0.5)
-            A = np.zeros((d, d), dtype=complex)
-            A[a, b], A[b, a] = 1j * np.sqrt(0.5), -1j * np.sqrt(0.5)
-            cols += [S, A]
-    return np.stack([c.reshape(-1) for c in cols], axis=1)
+#: rate scale over the largest Bohr frequency, as a power of ten: from
+#: narrow clusters around each frequency to a few broad ones
+block_cases = st.fixed_dictionaries({
+    "case": spin_cases,
+    "log_ratio": st.floats(-6.0, -2.0),
+})
+
+
+def _clustered_tensor(case, log_ratio):
+    """The case's R, rescaled so that its rate scale is 10**log_ratio of
+    the largest Bohr frequency, and its Hamiltonian."""
+    ham, tensor, _, _ = _spin_case(**case)
+    R = tensor(ham)
+    omega = np.abs(ham.omega).max() * ANGULAR_FREQUENCY_PER_CM1
+    c = np.sqrt(10.0 ** log_ratio * omega / R.clusters.rate)
+    return ham, tensor(ham, c)
+
+
+def _cluster_labels(R):
+    """(omega_ab in rad/ps, rate, cluster label of each (ab) index) by
+    the partial-secular rule, from the dense R: sort the Bohr
+    frequencies and split where neighbours differ by more than
+    CLUSTER_GAP_FACTOR times the largest absolute row sum of R."""
+    omega = R.ham.omega.reshape(-1) * ANGULAR_FREQUENCY_PER_CM1
+    rate = np.max(np.sum(np.abs(R.matrix()), axis=1))
+    order = np.argsort(omega)
+    split = np.diff(omega[order]) > redfield.CLUSTER_GAP_FACTOR * rate
+    labels = np.empty(omega.size, dtype=int)
+    labels[order] = np.concatenate([[0], np.cumsum(split)])
+    return omega, rate, labels
+
+
+def _transposed(idx, d):
+    return idx % d * d + idx // d
 
 
 @FEW
-@given(case=spin_cases)
-def test_real_form_is_the_real_change_of_basis(case):
-    ham, tensor, _, _ = _spin_case(**case)
-    R = tensor(ham)
-    Rmat = R.matrix()
-    d2 = case["d"] ** 2
-    Q = _hermitian_basis_matrix(case["d"])
-    assert np.allclose(Q.conj().T @ Q, np.eye(d2), atol=1e-15)
-    full = Q.conj().T @ Rmat @ Q
-    scale = np.max(np.abs(Rmat))
-    M = redfield._real_form(R)
-    assert M.dtype == np.float64 and M.shape == (d2, d2)
-    assert np.max(np.abs(full.imag)) <= 1e-12 * scale
-    assert np.max(np.abs(M - full.real)) <= 1e-12 * scale
-    # one channel at a time, as relax diagonalises them
-    for ch in R.channels:
-        part = Q.conj().T @ R.matrix((ch,)) @ Q
-        assert (np.max(np.abs(redfield._real_form(R, (ch,)) - part.real))
-                <= 1e-12 * scale)
+@given(case=block_cases)
+def test_blocks_are_the_in_cluster_elements_of_L(case):
+    ham, R = _clustered_tensor(**case)
+    d = ham.dimension
+    omega, rate, labels = _cluster_labels(R)
+    sizes = np.bincount(labels)
+    clusters = R.clusters
+    assert clusters.rate == pytest.approx(rate, rel=1e-12, abs=0)
+    assert (clusters.count, clusters.largest) == (sizes.size, sizes.max())
+    assert clusters.gap_ratio <= 1.0 / redfield.CLUSTER_GAP_FACTOR
+    # the total's clusters serve every channel selection
+    for channels in (None,) + tuple((ch,) for ch in R.channels):
+        L = R.matrix(channels) - 1j * np.diag(omega)
+        scale = np.max(np.abs(L))
+        seen = []
+        for block in redfield._BlockEigensystem(R, channels).blocks:
+            for idx, Lc, mean, zero in zip(block.idx, block.L, block.mean,
+                                           block.zero):
+                # a whole cluster, at its mean frequency
+                assert np.unique(labels[idx]).size == 1
+                assert sizes[labels[idx[0]]] == idx.size
+                assert mean == (0.0 if zero else np.mean(omega[idx]))
+                want = L[np.ix_(idx, idx)] + 1j * mean * np.eye(idx.size)
+                assert np.max(np.abs(Lc - want)) <= 1e-12 * scale
+                seen.append(idx)
+                if not zero:
+                    seen.append(_transposed(idx, d))
+        # the kept clusters and their conjugates cover every coherence once
+        assert np.array_equal(np.sort(np.concatenate(seen)),
+                              np.arange(d * d))
 
 
 @FEW
-@given(case=spin_cases)
-def test_real_form_has_the_eigenvalues_of_the_generator(case):
-    ham, tensor, _, _ = _spin_case(**case)
-    R = tensor(ham)
-    lam = np.linalg.eigvals(R.matrix())
-    lam_real = np.linalg.eigvals(redfield._real_form(R))
-    tol = 1e-10 * np.max(np.abs(lam))
-    gap = np.abs(lam[:, None] - lam_real[None, :])
+@given(case=block_cases)
+def test_block_eigenvalues_match_the_dense_generator(case):
+    ham, R = _clustered_tensor(**case)
+    omega, rate, _ = _cluster_labels(R)
+    lam = np.linalg.eigvals(R.matrix() - 1j * np.diag(omega))
+    eigsys = redfield._BlockEigensystem(R)
+    conjugates = [(b.w - 1j * b.mean[:, None])[~b.zero].conj().reshape(-1)
+                  for b in eigsys.blocks]
+    lam_blocks = np.concatenate([eigsys.eigenvalues()] + conjugates)
+    assert lam_blocks.size == lam.size
+    # dropping the elements between clusters moves an eigenvalue by
+    # O(rate^2 / gap); a dense eig resolves it to round-off on |L|
+    tol = rate * R.clusters.gap_ratio + 1e-12 * np.max(np.abs(omega))
+    gap = np.abs(lam[:, None] - lam_blocks[None, :])
     assert np.max(np.min(gap, axis=1)) <= tol
     assert np.max(np.min(gap, axis=0)) <= tol
 
 
 @FEW
-@given(case=spin_cases)
-def test_real_form_preserves_the_trace(case):
-    ham, tensor, _, _ = _spin_case(**case)
-    M = redfield._real_form(tensor(ham))
-    # Tr(rho) is the sum of the first d coordinates
-    trace_row = M[:case["d"]].sum(axis=0)
-    assert np.max(np.abs(trace_row)) <= 1e-12 * np.max(np.abs(M))
+@given(case=block_cases)
+def test_blocks_preserve_the_trace_and_hermiticity(case):
+    ham, R = _clustered_tensor(**case)
+    d = ham.dimension
+    Rmat = R.matrix()
+    scale = np.max(np.abs(Rmat))
+    eigsys = redfield._BlockEigensystem(R)
+    block, k = eigsys.zero
+    idx, L0 = block.idx[k], block.L[k]
+    # Tr(rho) is the sum of the populations, which all lie in the zero
+    # cluster
+    populations = idx % (d + 1) == 0
+    assert np.count_nonzero(populations) == d
+    assert np.max(np.abs(L0[populations].sum(axis=0))) <= 1e-12 * scale
+    # R_ba,dc = conj R_ab,cd inside every cluster, so a Hermitian rho
+    # stays Hermitian
+    for b in eigsys.blocks:
+        for idx in b.idx:
+            t = _transposed(idx, d)
+            assert (np.max(np.abs(Rmat[np.ix_(t, t)]
+                                  - Rmat[np.ix_(idx, idx)].conj()))
+                    <= 1e-12 * scale)
+
+
+two_level_cases = st.fixed_dictionaries({
+    "field": st.floats(1.0, 10.0),
+    "strength": st.floats(1e-6, 1e-4),
+    "detuning": st.floats(0.0, 0.5),
+    "sigma": st.floats(0.3, 2.0),
+    "temperature": st.floats(1.0, 300.0),
+    "seed": st.integers(0, 2**16),
+})
+
+
+@FEW
+@given(case=two_level_cases)
+def test_block_tau_equals_secular_tau_on_a_two_level_system(case):
+    system = SpinSystem(centers=(SpinCenter(id=0, kind="electronic",
+                                            s=0.5),),
+                        field_B=np.array([0.0, 0.0, case["field"]]))
+    ops = build_spin_operators(system)
+    ham = assemble_hamiltonian(system, ops)
+    gap = float(ham.eigvals[1] - ham.eigvals[0])
+    rng = np.random.default_rng(case["seed"])
+    V = case["strength"] * _hermitian(rng, 3, 2, 2)
+    stack = CouplingStack(omega=gap + case["detuning"] + np.arange(3) * 0.1,
+                          channel=["zeeman"] * 3, V=V)
+    pc = PhononCorrelation(sigma=case["sigma"],
+                           temperature=case["temperature"])
+    R = assemble_redfield(stack, ham, pc)
+    # the two coherences lie far from zero and from each other
+    assert R.clusters.count == 3 and R.clusters.gap_ratio < 1e-3
+    tau, tau_secular = (
+        extract_relaxation_time(assemble_redfield(stack, ham, pc, secular=s),
+                                ham, ops, method="slowest_mode").tau_ms
+        for s in (False, True))
+    assert tau == pytest.approx(tau_secular, rel=1e-9)
 
 
 @FEW
@@ -421,25 +509,29 @@ def test_rates_scale_with_the_square_of_the_coupling(case, c):
 
 
 @FEW
-@given(case=spin_cases)
+@given(case=block_cases)
 def test_propagate_matches_expm_at_every_time(case):
-    ham, tensor, _, rng = _spin_case(**case)
-    d = case["d"]
-    R = tensor(ham)
+    ham, R = _clustered_tensor(**case)
+    d = ham.dimension
+    rng = np.random.default_rng(case["case"]["seed"])
     B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho0 = B @ B.conj().T
     rho0 /= np.trace(rho0)
-    M = redfield._real_form(R)
-    x0 = redfield._coords(rho0).real
-    # a random Redfield generator can have growing modes, slower than
-    # max|M|: times stay within a few 1/max|M|
-    times = np.array([0.0, 0.1, 1.0, 3.0, 10.0]) / np.max(np.abs(M))
+    # L on its clusters, built densely here
+    omega, rate, labels = _cluster_labels(R)
+    same = labels[:, None] == labels[None, :]
+    L = np.where(same, R.matrix(), 0.0) - 1j * np.diag(omega)
+    # a random Redfield generator can have growing modes, no faster than
+    # the rate scale: times stay within a few 1/rate
+    times = np.array([0.0, 0.1, 1.0, 3.0, 10.0]) / rate
     states = propagate(rho0, R, times)
     for t, state in zip(times, states):
         rho = state.matrix
         assert state.time_ps == t
         assert abs(np.trace(rho) - 1.0) <= 1e-10
         assert np.array_equal(rho, rho.conj().T)
-        x_ref = scipy.linalg.expm(M * t) @ x0
-        x = redfield._coords(rho).real
-        assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
+        x_ref = scipy.linalg.expm(L * t) @ rho0.reshape(-1)
+        # expm squares |L t| up to 1e7: its error grows with it
+        tol = 1e-14 * (1.0 + np.max(np.abs(L)) * t)
+        assert (np.max(np.abs(rho.reshape(-1) - x_ref))
+                <= tol * np.max(np.abs(x_ref)))

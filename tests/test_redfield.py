@@ -301,7 +301,7 @@ def test_stationary_state_matches_equilibrium():
     T = 25.0
     pc = PhononCorrelation(sigma=0.1, temperature=T)
     R = assemble_redfield(_coupling(ham, ops), ham, pc)
-    rho_ss = stationary_state(*np.linalg.eig(redfield._real_form(R)), 2)
+    rho_ss = stationary_state(redfield._BlockEigensystem(R))
     eq = equilibrium_state(ham, T)
     assert np.max(np.abs(rho_ss - eq.matrix)) < 1e-5
 
@@ -404,12 +404,14 @@ def test_generator_that_breaks_hermiticity_is_rejected():
                                     observable=np.diag([1.0, -1.0]))
         with pytest.raises(ValidationError, match="Hermiticity"):
             propagate(rho0, gen, [1.0])
-    # a round-off imaginary part below 1e-12 of max|R| is discarded
+    # a round-off imaginary part below 1e-12 of max|R| is tolerated
     _, ops, ham2 = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
     Rmat = assemble_redfield(_coupling(ham2, ops), ham2, pc).matrix()
     noisy = Rmat + 1e-14 * np.max(np.abs(Rmat)) * 1j * rng.normal(size=(4, 4))
-    assert np.allclose(redfield._real_form(noisy), redfield._real_form(Rmat),
+    lam = redfield._BlockEigensystem(Rmat).eigenvalues()
+    lam_noisy = redfield._BlockEigensystem(noisy).eigenvalues()
+    assert np.allclose(np.sort_complex(lam_noisy), np.sort_complex(lam),
                        rtol=0, atol=1e-13 * np.max(np.abs(Rmat)))
 
 
@@ -421,9 +423,9 @@ def _non_physical_fixed_point():
 
 
 def test_stationary_state_rejects_a_non_physical_state():
-    M = redfield._real_form(_non_physical_fixed_point())
+    eigsys = redfield._BlockEigensystem(_non_physical_fixed_point())
     with pytest.raises(NumericalError, match="not physical"):
-        stationary_state(*np.linalg.eig(M), 2)
+        stationary_state(eigsys)
 
 
 def test_fit_without_physical_stationary_state_is_reported():
@@ -442,3 +444,37 @@ def test_fit_without_physical_stationary_state_is_reported():
     # the default probe is built from the stationary state
     with pytest.raises(NumericalError, match="not physical"):
         extract_relaxation_time(gen, ham, None, observable=Sz)
+
+
+def _driven_two_level(drive=10.0, decay=1.0):
+    """d=2 Lindblad generator, (ab) layout: a Rabi drive H = drive Sx
+    and decay 1 -> 0 at ``decay`` /ps. Sz oscillates about its
+    stationary value while it relaxes."""
+    H = 0.5 * drive * np.array([[0.0, 1.0], [1.0, 0.0]])
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    P = lower.T @ lower
+    one = np.eye(2)
+    return (-1j * (np.kron(H, one) - np.kron(one, H.T))
+            + decay * (np.kron(lower, lower)
+                       - 0.5 * (np.kron(P, one) + np.kron(one, P.T))))
+
+
+def test_failed_exp_fit_is_flagged_not_agreement():
+    import types
+
+    ham = types.SimpleNamespace(dimension=2)
+    est = extract_relaxation_time(_driven_two_level(), ham, None,
+                                  observable=np.diag([0.5, -0.5]),
+                                  rho0=np.diag([0.0, 1.0]))
+    # the deviation from the stationary Sz changes sign: no fit
+    assert est.tau_fit_ms is None and est.fit_residual is None
+    assert est.non_exponential and est.mismatch
+    # the stationary state is physical, so there is no fit_error
+    assert est.fit_error is None
+    assert est.min_rho_eigenvalue > -1e-12
+    # without the drive Sz decays at 1 /ps, and the fit agrees
+    est = extract_relaxation_time(_driven_two_level(drive=0.0), ham, None,
+                                  observable=np.diag([0.5, -0.5]),
+                                  rho0=np.diag([0.0, 1.0]))
+    assert est.tau_fit_ms == pytest.approx(1.0 / PS_PER_MS, rel=1e-9)
+    assert not est.non_exponential and not est.mismatch

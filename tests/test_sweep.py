@@ -222,6 +222,19 @@ def test_n_spins_rows_are_labelled_by_cells_and_share_phonons():
     assert rows[1].diagnostics["timings_s"]["phonons"] == 0
 
 
+def test_fractional_cell_counts_fail_their_rows(soft_pipeline):
+    plan = SweepPlan(axis="n_spins", values=(1, 1.5, 2.9, 2.0),
+                     params=replace(BASE, qgrid=(2, 2, 2)))
+    rows = run_sweep(soft_pipeline, plan).rows
+    assert [row.value for row in rows] == [1, 1.5, 2.9, 2.0]
+    assert [row.error is None for row in rows] == [True, False, False, True]
+    for row in rows[1:3]:
+        assert row.error.startswith("ValidationError: n_spins")
+        assert np.isnan(row.tau_ms)
+    assert rows[3].tau_ms == run_sweep(
+        soft_pipeline, replace(plan, values=(2,))).rows[0].tau_ms
+
+
 def test_sibling_pipeline_shares_the_lattice_not_the_spins(soft_pipeline):
     system, derivs = replicated_spin_system(soft_pipeline, 2)
     cells = soft_pipeline.with_spins(system, derivs)
@@ -502,3 +515,36 @@ def test_imaginary_modes_count_instabilities_not_round_off(soft_bundle):
     counts = [RelaxationPipeline(crystal, f, derivs, system).mode_precursors(
         (4, 4, 4))[1]["imaginary_modes"] for f in (fc, unstable)]
     assert counts == [0, 381]
+
+
+def test_vanadyl_fixture_reports_its_bohr_clusters(monkeypatch):
+    from spinphonon.examples import examples_dir
+    from spinphonon.redfield import CLUSTER_GAP_FACTOR
+    crystal, fc, derivs, system, config = load_project(
+        f"{examples_dir()}/vanadyl_fixture/config.json")
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    params = replace(config.params, qgrid=(8, 8, 8), temperature=20.0)
+    calls = []
+    real = np.linalg.eig
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    point = pipeline.relax(params)
+    monkeypatch.undo()
+    diag = point.diagnostics
+    assert (diag["bohr_clusters"], diag["largest_cluster"]) == (241, 16)
+    assert 0.0 < diag["cluster_gap_ratio"] <= 1.0 / CLUSTER_GAP_FACTOR
+    # one stacked eig per distinct size above 1 of the kept clusters, for
+    # the total and for each of the two channels
+    R = pipeline.redfield(params)[0]
+    sizes = {idx.size for idx in R.clusters.kept if idx.size > 1}
+    assert len(point.tau_channel_ms) == 2
+    assert len(calls) == 3 * len(sizes)
+    # both estimates agree, and the slowest mode is the secular one
+    assert not diag["mismatch"] and not diag["non_exponential"]
+    assert point.tau_ms == pytest.approx(13300.1, rel=1e-5)
+    secular = pipeline.relax(replace(params, secular=True)).tau_ms
+    assert point.tau_ms == pytest.approx(secular, rel=1e-6)
