@@ -12,6 +12,7 @@ after multiplying by the rad/ps-per-cm^-1 conversion (hbar = 1).
 """
 
 import functools
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,7 +34,7 @@ CLUSTER_GAP_FACTOR = 100
 #: most negative eigenvalue a stationary state may have
 POSITIVITY_TOL = 1e-8
 
-#: rows x d^2 entries per block of the assembly products
+#: elements of each temporary array of the two assembly passes
 ASSEMBLY_BLOCK = 1 << 16
 
 
@@ -78,91 +79,117 @@ def phonon_correlation_value(pc, omega_ij, omega_mode):
 
 @dataclass(frozen=True)
 class RedfieldTensor:
-    """d^2 x d^2 superoperator on vectorized rho in the eigenbasis.
-
-    Channel-resolved partial tensors are retained so single-channel
-    relaxation curves need no reassembly.
-    """
+    """The superoperator on vectorized rho, in the eigenbasis, inside the
+    Bohr clusters of the total generator: one complex element vector
+    (1/ps) per channel, laid out as ``clusters``. Channel selections
+    share the total's clusters and need no reassembly."""
 
     ham: object
     channels: dict = field(repr=False)
+    clusters: object = field(repr=False)
     n_couplings: int = 0
 
     @property
     def dimension(self):
         return self.ham.dimension
 
-    @functools.cached_property
-    def clusters(self):
-        """BohrClusters of the total generator, which every channel
-        selection shares."""
-        return bohr_clusters(
-            self.ham.omega.reshape(-1) * ANGULAR_FREQUENCY_PER_CM1,
-            list(self.channels.values()))
-
     def matrix(self, channels=None):
-        """Superoperator (1/ps) summed over the requested channels."""
-        d2 = self.dimension ** 2
-        out = np.zeros((d2, d2), dtype=complex)
-        for ch, part in self.channels.items():
-            if channels is None or ch in channels:
-                out += part
+        """Dense d^2 x d^2 superoperator (1/ps) summed over the requested
+        channels, zero between clusters: for checks at small d."""
+        out = np.zeros((self.dimension ** 2,) * 2, dtype=complex)
+        out[self.clusters.pairs()] = _generator(self, channels)[1]
         return out
 
 
-def assemble_redfield(stack, ham, pc, secular=False):
-    """Assemble the (non-)secular Redfield tensor from a CouplingStack.
+def _chunks(stack, G, which, size):
+    """(channel, V, G) of up to ``size`` rows of one channel as (d, d,
+    rows) arrays; ``G`` is (d, d, distinct frequency), ``which`` per row."""
+    ch = stack.channel
+    edges = np.r_[0, np.flatnonzero(ch[1:] != ch[:-1]) + 1, ch.size]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        for start in range(lo, hi, size):
+            rows = slice(start, min(start + size, hi))
+            yield (str(ch[lo]),
+                   np.ascontiguousarray(stack.V[rows].transpose(1, 2, 0)),
+                   np.take(G, which[rows], axis=2))
 
-    The rows' V matrices must be in the eigenbasis of ``ham``. Only
-    same-channel coupling products enter (cross-channel interference
-    excluded); each channel is
 
-        R_{ab,cd} = sum_m (V G)_ac V_db + V_ac (V G^T)_db
+def _stack_sums(chunks, d):
+    """S1 and S2 of each channel, and bound[a, b] >= sum_cd |R_ab,cd|
+    less the S terms, over the (channel, V, G) chunks of a stack."""
+    S1, S2, bound = {}, {}, np.zeros((d, d))
+    for ch, V, g in chunks:
+        Vc, gT = V.transpose(1, 0, 2), g.transpose(1, 0, 2)
+        # each a (d x n)(n x d) product over n = (b, m)
+        S1[ch] = S1.get(ch, 0.0) + V.reshape(d, -1) @ np.multiply(
+            Vc, gT, order="C").reshape(d, -1).T
+        S2[ch] = S2.get(ch, 0.0) + (V * gT).reshape(d, -1) @ Vc.reshape(
+            d, -1).T
+        A = np.abs(V)
+        bound += (A * g).sum(axis=1) @ A.sum(axis=0).T
+        bound += A.sum(axis=1) @ (A * gT).sum(axis=0).T
+    return S1, S2, bound
+
+
+def assemble_redfield(stack, ham, pc, secular=False, check=None):
+    """In-cluster elements of the (non-)secular Redfield tensor of a
+    CouplingStack in the eigenbasis of ``ham``; per channel
+
+        R_{ab,cd} = sum_m V_ac V_db (G_ac + G_bd)
                     - delta_bd S1_ac - delta_ac S2_db,
         S1 = sum_m V (G V),  S2 = sum_m (V G^T) V,
 
-    with G_m = G(omega_xy; omega_m) multiplied elementwise, which
-    conserves the trace exactly and obeys detailed balance. The first
-    two terms are (d^2 x M)(M x d^2) products over blocks of rows.
-    """
+    G_m = G(omega_xy; omega_m) elementwise: R conserves the trace. No
+    product of two rows enters, even within a channel. One row obeys
+    detailed balance, R_bb,aa / R_aa,bb = exp(-omega_m / kT), for omega_m
+    and omega_ba several sigma above zero; a sum of rows need not.
+
+    Pass 1 evaluates G once per distinct mode frequency, sums S1, S2 and
+    the triangle-inequality bound of the row sums of R, and clusters the
+    Bohr frequencies at that rate; ``check(clusters, n_channels)`` may
+    raise. Pass 2 dots gathered V and G over the rows for the elements
+    of every cluster, conjugates too. Temporaries hold ASSEMBLY_BLOCK
+    elements or one chunk of rows."""
     d = ham.dimension
     if stack.V.shape[1:] != (d, d):
         raise ValidationError(
             "coupling not rotated into the Hamiltonian eigenbasis")
     omega = ham.omega  # (x, y): E_x - E_y
+    freqs, which = np.unique(stack.omega, return_inverse=True)
+    G = phonon_correlation_value(pc, omega[:, :, None], freqs)
     step = max(1, ASSEMBLY_BLOCK // (d * d))
-    if secular:
-        # elements coupling rho_ab to rho_cd with w_ab != w_cd
-        off = (np.abs(omega.reshape(-1, 1) - omega.reshape(1, -1))
-               > SECULAR_TOL_CM1)
-    parts = {}
-    for ch in stack.distinct_channels():
-        rows = np.flatnonzero(stack.channel == ch)
-        X = np.zeros((d * d, d * d), dtype=complex)  # (ac, db)
-        S1 = np.zeros((d, d), dtype=complex)
-        S2 = np.zeros((d, d), dtype=complex)
-        for start in range(0, rows.size, step):
-            idx = rows[start:start + step]
-            V = stack.V[idx]
-            G = phonon_correlation_value(pc, omega,
-                                         stack.omega[idx, None, None])
-            VG = V * G
-            VGT = V * G.transpose(0, 2, 1)
-            flat = V.reshape(idx.size, d * d)
-            X += VG.reshape(idx.size, d * d).T @ flat
-            X += flat.T @ VGT.reshape(idx.size, d * d)
-            S1 += np.einsum("mab,mbc->ac", V, VG, optimize=True)
-            S2 += np.einsum("mab,mbc->ac", VGT, V, optimize=True)
-        R = np.ascontiguousarray(X.reshape(d, d, d, d).transpose(0, 3, 1, 2))
-        for k in range(d):
-            R[:, k, :, k] -= S1
-            R[k, :, k, :] -= S2.T
-        R = R.reshape(d * d, d * d)
-        R *= RATE_PREFACTOR
+    S1, S2, bound = _stack_sums(_chunks(stack, G, which, step), d)
+    bound += np.abs(sum(S1.values(), np.zeros((d, d)))).sum(axis=1)[:, None]
+    bound += np.abs(sum(S2.values(), np.zeros((d, d)))).sum(axis=0)
+    # np.max, not max: a NaN must propagate into the rate
+    clusters = bohr_clusters(omega.reshape(-1) * ANGULAR_FREQUENCY_PER_CM1,
+                             RATE_PREFACTOR * np.max(bound))
+    if check is not None:
+        check(clusters, len(S1))
+
+    ab, cd = clusters.pairs()
+    (a, b), (c, e) = np.divmod(ab, d), np.divmod(cd, d)
+    ac, db, bd = a * d + c, e * d + b, b * d + e
+    parts = {ch: np.zeros(ab.size, dtype=complex) for ch in S1}
+    for ch, V, g in _chunks(stack, G, which, step):
+        V, g = V.reshape(d * d, -1), g.reshape(d * d, -1)
+        size = max(1, ASSEMBLY_BLOCK // V.shape[1])
+        for start in range(0, ab.size, size):
+            k = slice(start, start + size)
+            x = np.take(g, ac[k], axis=0)
+            x += np.take(g, bd[k], axis=0)
+            x = x * np.take(V, ac[k], axis=0)
+            parts[ch][k] += np.einsum("km,km->k", x, np.take(V, db[k], 0))
+    w = omega.reshape(-1)
+    for ch, x in parts.items():
+        x[b == e] -= S1[ch].reshape(-1)[ac[b == e]]
+        x[a == c] -= S2[ch].reshape(-1)[db[a == c]]
+        x *= RATE_PREFACTOR
         if secular:
-            R[off] = 0.0
-        parts[ch] = R
-    return RedfieldTensor(ham=ham, channels=parts, n_couplings=len(stack))
+            # elements coupling rho_ab to rho_cd with w_ab != w_cd
+            x[np.abs(w[ab] - w[cd]) > SECULAR_TOL_CM1] = 0.0
+    return RedfieldTensor(ham=ham, channels=parts, clusters=clusters,
+                          n_couplings=len(stack))
 
 
 def equilibrium_state(ham, T):
@@ -178,66 +205,75 @@ def equilibrium_state(ham, T):
 class BohrClusters:
     """The d^2 coherences rho_ab, in the vectorised (ab) index, grouped by
     Bohr frequency omega_ab (rad/ps): sorted, then split wherever two
-    neighbours differ by more than CLUSTER_GAP_FACTOR times ``rate``,
-    the Gershgorin row-sum bound of the generator (1/ps).
+    neighbours differ by more than CLUSTER_GAP_FACTOR times ``rate``, a
+    bound on the row sums of the generator (1/ps).
 
     ``kept`` holds the zero-frequency cluster, which contains every
-    population and is its own conjugate, then the clusters of positive
-    frequency. A negative cluster is the conjugate of a kept one on
-    transposed indices (rho_ba = conj rho_ab) and is not stored.
-    ``count`` and ``largest`` cover every cluster; ``gap_ratio`` is
-    ``rate`` over the smallest gap between clusters (0 for one cluster).
-    """
+    population and is its own conjugate, then those of positive
+    frequency; ``assembled`` adds the conjugates of the latter on
+    transposed indices (rho_ba = conj rho_ab). An element vector holds
+    their row-major n x n blocks from ``offsets`` on. ``count`` and
+    ``largest`` cover every cluster; ``gap_ratio`` is ``rate`` over the
+    smallest gap between clusters (0 for one cluster)."""
 
     omega: np.ndarray
     rate: float
     kept: tuple
+    assembled: tuple
+    offsets: np.ndarray
     count: int
     largest: int
     gap_ratio: float
 
+    def pairs(self):
+        """(ab, cd) of each element of an element vector."""
+        n = np.array([g.size for g in self.assembled])
+        first, start, n = (np.repeat(x, n * n) for x in (
+            np.cumsum(n) - n, self.offsets[:-1], n))
+        i, j = np.divmod(np.arange(n.size) - start, n)
+        members = np.concatenate(self.assembled)
+        return members[first + i], members[first + j]
 
-def bohr_clusters(omega, parts):
-    """BohrClusters of the generator sum(parts), (d^2, d^2) arrays in the
-    (ab, cd) layout, at Bohr frequencies ``omega`` (d^2,) in rad/ps.
-    The row sums are taken block by block, so the sum is never held.
-    A non-finite entry raises NumericalError."""
-    n = omega.size
-    rate = 0.0
-    step = max(1, ASSEMBLY_BLOCK // n)
-    for start in range(0, n if parts else 0, step):
-        rows = sum(part[start:start + step] for part in parts)
-        # np.max, not max: a NaN must propagate into the rate
-        rate = np.max([rate, np.max(np.sum(np.abs(rows), axis=1))])
+
+def bohr_clusters(omega, rate):
+    """BohrClusters of Bohr frequencies ``omega`` (d^2,) in rad/ps at the
+    rate scale ``rate`` (1/ps). A non-finite rate raises
+    NumericalError."""
     if not np.isfinite(rate):
         raise NumericalError("generator has non-finite entries")
     order = np.argsort(omega, kind="stable")
     gaps = np.diff(omega[order])
     cut = np.flatnonzero(gaps > CLUSTER_GAP_FACTOR * rate)
     groups = np.split(order, cut + 1)
-    # the zero cluster first, then those that lie above zero
-    kept = [g for g in groups if omega[g].min() <= 0.0 <= omega[g].max()]
-    kept += [g for g in groups if omega[g].min() > 0.0]
+    # the zero cluster (every population lies in it), then those above
+    kept = tuple(g for g in groups if omega[g[-1]] >= 0.0)
+    d = math.isqrt(omega.size)
+    assembled = kept + tuple(_transposed(g, d) for g in kept[1:])
     return BohrClusters(
-        omega=omega, rate=float(rate), kept=tuple(kept), count=len(groups),
-        largest=max(g.size for g in groups),
+        omega=omega, rate=float(rate), kept=kept, assembled=assembled,
+        offsets=np.cumsum([0] + [g.size ** 2 for g in assembled]),
+        count=len(groups), largest=max(g.size for g in groups),
         gap_ratio=float(rate / gaps[cut].min()) if cut.size else 0.0)
 
 
 def _generator(R, channels=None):
-    """(channel parts, BohrClusters) of a RedfieldTensor summed over
+    """(BohrClusters, element vector) of a RedfieldTensor summed over
     ``channels``, clustered as its total generator is, or of a raw
     d^2 x d^2 array in its (ab, cd) layout, whose Bohr frequencies are
-    all zero: one cluster."""
+    all zero: one cluster, at the array's largest absolute row sum."""
     if isinstance(R, RedfieldTensor):
-        return ([part for ch, part in R.channels.items()
-                 if channels is None or ch in channels], R.clusters)
+        return R.clusters, sum((x for ch, x in R.channels.items()
+                                if channels is None or ch in channels),
+                               np.zeros(R.clusters.offsets[-1], complex))
     part = np.asarray(R)
-    d = int(round(np.sqrt(part.shape[0]))) if part.ndim == 2 else 0
+    d = math.isqrt(part.shape[0]) if part.ndim == 2 else 0
     if d == 0 or part.shape != (d * d, d * d):
         raise ValidationError(f"generator of shape {part.shape} is not "
                               f"d^2 x d^2")
-    return [part], bohr_clusters(np.zeros(d * d), [part])
+    # np.max, not max: a NaN must propagate into the rate
+    rate = np.max(np.sum(np.abs(part), axis=1))
+    return (bohr_clusters(np.zeros(d * d), rate),
+            part.reshape(-1).astype(complex))
 
 
 def _transposed(idx, d):
@@ -306,35 +342,42 @@ class _BlockEigensystem:
     """Eigensystem of L = -i diag(omega_ab) + R, cluster by cluster.
 
     ``R`` is a RedfieldTensor (summed over ``channels``) or a raw
-    d^2 x d^2 array. For each kept Bohr cluster (``BohrClusters``) the
-    in-cluster elements are gathered from each channel part, and the
-    mean frequency is taken out: L_c = R_c - i diag(omega - mean_c),
-    whose eigenvalues are those of L plus i mean_c. Elements between
-    clusters are dropped, which moves the eigenvalues by
-    O(rate^2 / gap). Clusters of one size share one stacked eig call.
+    d^2 x d^2 array. Each kept Bohr cluster's block is read from the
+    element vector (``BohrClusters.offsets``), and the mean frequency is
+    taken out: L_c = R_c - i diag(omega - mean_c), whose eigenvalues are
+    those of L plus i mean_c. Elements between clusters are dropped,
+    which moves the eigenvalues by O(rate^2 / gap). Clusters of one size
+    share one stacked eig call.
 
     A generator must map Hermitian rho to Hermitian rho: in-cluster
     elements with R_ba,dc != conj R_ab,cd beyond 1e-12 of their max|R|
-    raise ValidationError. ``rate`` is the Gershgorin row-sum bound of
-    the in-cluster R, the scale of every rate tolerance.
+    raise ValidationError. R_ba,dc comes from the conjugate cluster,
+    assembled on its own (the zero cluster is its own conjugate).
+    ``rate`` is the Gershgorin row-sum bound of the in-cluster R, the
+    scale of every rate tolerance.
     """
 
     def __init__(self, R, channels=None):
-        parts, self.clusters = _generator(R, channels)
+        self.clusters, x = _generator(R, channels)
         omega = self.clusters.omega
-        self.d = d = int(round(np.sqrt(omega.size)))
-        kept = self.clusters.kept
+        self.d = d = math.isqrt(omega.size)
+        kept, start = self.clusters.kept, self.clusters.offsets
         sizes = np.array([idx.size for idx in kept])
         gathered, scale, asym, rate = [], 0.0, 0.0, 0.0
         for n in np.unique(sizes):
             members = np.flatnonzero(sizes == n)
             idx = np.stack([kept[k] for k in members])
-            tidx = _transposed(idx, d)
-            block = np.zeros((len(members), n, n), dtype=complex)
-            twin = np.zeros_like(block)
-            for part in parts:
-                block += part[idx[:, :, None], idx[:, None, :]]
-                twin += part[tidx[:, :, None], tidx[:, None, :]]
+            span = np.arange(n * n)
+            block = x[start[members][:, None] + span].reshape(-1, n, n)
+            # the conjugate of kept cluster k > 0 is assembled cluster
+            # len(kept) + k - 1
+            twin_of = np.where(members == 0, 0, members + len(kept) - 1)
+            twin = x[start[twin_of][:, None] + span].reshape(-1, n, n)
+            if members[0] == 0:
+                where = np.empty(d * d, dtype=int)
+                where[idx[0]] = np.arange(n)
+                t = where[_transposed(idx[0], d)]
+                twin[0] = block[0][np.ix_(t, t)]
             size = np.abs(block)
             scale = max(scale, np.max(size), np.max(np.abs(twin)))
             asym = max(asym, np.max(np.abs(twin - block.conj())))

@@ -17,6 +17,7 @@ stages and its cache hits in its diagnostics.
 """
 
 import copy
+import math
 import os
 import threading
 import time
@@ -81,14 +82,25 @@ def physical_memory_bytes():
         return float("inf")
 
 
-def redfield_bytes(d, n_channels):
-    """Estimated bytes of the largest arrays of one relax point: a
-    complex d^2 x d^2 tensor per channel, then the Bohr-cluster blocks
-    of L, their eigenvectors and the inverse, complex too. The blocks
-    hold sum n_c^2 <= d^4 elements; they are charged at that bound,
-    which one cluster of all d^2 coherences reaches (no Bohr gap wider
-    than 100 rates, as at zero field)."""
-    return d ** 4 * (16 * n_channels + 3 * 16)
+def redfield_bytes(elements, n_channels):
+    """Estimated bytes of the largest arrays of one relax point with
+    ``elements`` = sum n_c^2 in-cluster elements of R: a complex vector
+    per channel, then the Bohr-cluster blocks of L, their eigenvectors
+    and the inverse, complex too."""
+    return elements * (16 * n_channels + 3 * 16)
+
+
+def _check_memory(clusters, n_channels):
+    """CapacityError when the Redfield arrays of a point with these Bohr
+    clusters would not fit in physical memory."""
+    need = redfield_bytes(int(clusters.offsets[-1]), n_channels)
+    have = physical_memory_bytes()
+    if need > have:
+        d = math.isqrt(clusters.omega.size)
+        raise CapacityError(
+            f"a d={d} point with {n_channels} channels needs about "
+            f"{need / 1e9:.3g} GB for its Redfield arrays, more than the "
+            f"{have / 1e9:.3g} GB of physical memory")
 
 
 class _PointLog(threading.local):
@@ -342,21 +354,16 @@ class RelaxationPipeline:
         return stack, diag
 
     def redfield(self, params):
-        """Redfield tensor of the point. Raises CapacityError, before
-        assembly, when the point's Redfield arrays would not fit in
-        physical memory (``redfield_bytes``)."""
+        """Redfield tensor of the point. Raises CapacityError once its
+        Bohr clusters are known, before any element is assembled, when
+        the point's Redfield arrays would not fit in physical memory
+        (``redfield_bytes``)."""
         system, ham = self.hamiltonian(params.field_B)
         cpls, diag = self.couplings(params, ham, system)
-        d, n_channels = ham.dimension, len(cpls.distinct_channels())
-        need, have = redfield_bytes(d, n_channels), physical_memory_bytes()
-        if need > have:
-            raise CapacityError(
-                f"a d={d} point with {n_channels} channels needs about "
-                f"{need / 1e9:.3g} GB for its Redfield arrays, more than the "
-                f"{have / 1e9:.3g} GB of physical memory")
         pc = PhononCorrelation(sigma=params.sigma, temperature=params.temperature)
         with self._timed("assembly"):
-            R = assemble_redfield(cpls, ham, pc, secular=params.secular)
+            R = assemble_redfield(cpls, ham, pc, secular=params.secular,
+                                  check=_check_memory)
         return R, ham, system, diag
 
     def relax(self, params, value=None):

@@ -32,7 +32,11 @@ from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
 from spinphonon.sweep import (RelaxationPipeline, RunParams, kpoint_grid,
                               paired_kpoint_grid)
 from spinphonon.toy import ToySpec, generate_toy_crystal
-from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1
+from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
+
+from dense_reference import (assert_matches_dense, bohr_omega, cluster_labels,
+                             dense_redfield, gershgorin_rate, in_cluster,
+                             smallest_gap)
 
 FEW = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 
@@ -156,10 +160,14 @@ def test_paired_grid_gives_the_full_grid_redfield_tensor(spec, grid, secular,
         R_full, *_, diag_full = RelaxationPipeline(crystal, fc, derivs,
                                                    system).redfield(params)
     assert R.channels.keys() == R_full.channels.keys()
+    # the two stacks bound the rate a little differently: compare the
+    # elements that both tensors hold
+    common = in_cluster(R) & in_cluster(R_full)
     scale = max((np.max(np.abs(p)) for p in R_full.channels.values()),
                 default=0.0)
-    for ch, part in R_full.channels.items():
-        assert np.max(np.abs(R.channels[ch] - part)) <= 1e-12 * scale
+    for ch in R_full.channels:
+        diff = R.matrix((ch,)) - R_full.matrix((ch,))
+        assert np.max(np.abs(diff[common])) <= 1e-12 * scale
     for key in ("n_q", "skipped_modes", "imaginary_modes", "pruned_modes"):
         assert diag[key] == diag_full[key]
 
@@ -311,11 +319,13 @@ def _spin_case(d, m, seed, secular, temperature):
                            temperature=temperature)
     O = _hermitian(rng, d, d)
 
-    def tensor(h, c=1.0):
-        """R of the couplings c V, in the eigenbasis of h."""
+    def tensor(h, c=1.0, dense=False):
+        """R of the couplings c V, in the eigenbasis of h, or with
+        ``dense`` its dense reference {channel: R}."""
         stack = CouplingStack(omega=omega, channel=channel,
                               V=h.to_eigenbasis(c * V))
-        return assemble_redfield(stack, h, pc, secular=secular)
+        build = dense_redfield if dense else assemble_redfield
+        return build(stack, h, pc, secular=secular)
     return ham, tensor, O, rng
 
 
@@ -328,27 +338,13 @@ block_cases = st.fixed_dictionaries({
 
 
 def _clustered_tensor(case, log_ratio):
-    """The case's R, rescaled so that its rate scale is 10**log_ratio of
-    the largest Bohr frequency, and its Hamiltonian."""
+    """The case's Hamiltonian, its R rescaled so that its rate scale is
+    10**log_ratio of the largest Bohr frequency, and the dense
+    reference of that R."""
     ham, tensor, _, _ = _spin_case(**case)
-    R = tensor(ham)
     omega = np.abs(ham.omega).max() * ANGULAR_FREQUENCY_PER_CM1
-    c = np.sqrt(10.0 ** log_ratio * omega / R.clusters.rate)
-    return ham, tensor(ham, c)
-
-
-def _cluster_labels(R):
-    """(omega_ab in rad/ps, rate, cluster label of each (ab) index) by
-    the partial-secular rule, from the dense R: sort the Bohr
-    frequencies and split where neighbours differ by more than
-    CLUSTER_GAP_FACTOR times the largest absolute row sum of R."""
-    omega = R.ham.omega.reshape(-1) * ANGULAR_FREQUENCY_PER_CM1
-    rate = np.max(np.sum(np.abs(R.matrix()), axis=1))
-    order = np.argsort(omega)
-    split = np.diff(omega[order]) > redfield.CLUSTER_GAP_FACTOR * rate
-    labels = np.empty(omega.size, dtype=int)
-    labels[order] = np.concatenate([[0], np.cumsum(split)])
-    return omega, rate, labels
+    c = np.sqrt(10.0 ** log_ratio * omega / tensor(ham).clusters.rate)
+    return ham, tensor(ham, c), tensor(ham, c, dense=True)
 
 
 def _transposed(idx, d):
@@ -358,17 +354,21 @@ def _transposed(idx, d):
 @FEW
 @given(case=block_cases)
 def test_blocks_are_the_in_cluster_elements_of_L(case):
-    ham, R = _clustered_tensor(**case)
+    ham, R, ref = _clustered_tensor(**case)
     d = ham.dimension
-    omega, rate, labels = _cluster_labels(R)
+    # the elements match the dense formula; the rate bounds its row sums
+    # and the clusters are the rule's at that rate
+    assert_matches_dense(R, ref)
+    omega = bohr_omega(ham)
+    labels = cluster_labels(omega, R.clusters.rate)
     sizes = np.bincount(labels)
     clusters = R.clusters
-    assert clusters.rate == pytest.approx(rate, rel=1e-12, abs=0)
     assert (clusters.count, clusters.largest) == (sizes.size, sizes.max())
     assert clusters.gap_ratio <= 1.0 / redfield.CLUSTER_GAP_FACTOR
     # the total's clusters serve every channel selection
     for channels in (None,) + tuple((ch,) for ch in R.channels):
-        L = R.matrix(channels) - 1j * np.diag(omega)
+        L = sum(part for ch, part in ref.items()
+                if channels is None or ch in channels) - 1j * np.diag(omega)
         scale = np.max(np.abs(L))
         seen = []
         for block in redfield._BlockEigensystem(R, channels).blocks:
@@ -391,17 +391,21 @@ def test_blocks_are_the_in_cluster_elements_of_L(case):
 @FEW
 @given(case=block_cases)
 def test_block_eigenvalues_match_the_dense_generator(case):
-    ham, R = _clustered_tensor(**case)
-    omega, rate, _ = _cluster_labels(R)
-    lam = np.linalg.eigvals(R.matrix() - 1j * np.diag(omega))
+    ham, R, ref = _clustered_tensor(**case)
+    omega = bohr_omega(ham)
+    total = sum(ref.values())
+    lam = np.linalg.eigvals(total - 1j * np.diag(omega))
     eigsys = redfield._BlockEigensystem(R)
     conjugates = [(b.w - 1j * b.mean[:, None])[~b.zero].conj().reshape(-1)
                   for b in eigsys.blocks]
     lam_blocks = np.concatenate([eigsys.eigenvalues()] + conjugates)
     assert lam_blocks.size == lam.size
     # dropping the elements between clusters moves an eigenvalue by
-    # O(rate^2 / gap); a dense eig resolves it to round-off on |L|
-    tol = rate * R.clusters.gap_ratio + 1e-12 * np.max(np.abs(omega))
+    # O(rate^2 / gap), at the dense generator's own rate; a dense eig
+    # resolves it to round-off on |L|
+    rate = gershgorin_rate(total)
+    min_gap = smallest_gap(omega, cluster_labels(omega, R.clusters.rate))
+    tol = rate * rate / min_gap + 1e-12 * np.max(np.abs(omega))
     gap = np.abs(lam[:, None] - lam_blocks[None, :])
     assert np.max(np.min(gap, axis=1)) <= tol
     assert np.max(np.min(gap, axis=0)) <= tol
@@ -410,7 +414,7 @@ def test_block_eigenvalues_match_the_dense_generator(case):
 @FEW
 @given(case=block_cases)
 def test_blocks_preserve_the_trace_and_hermiticity(case):
-    ham, R = _clustered_tensor(**case)
+    ham, R, _ = _clustered_tensor(**case)
     d = ham.dimension
     Rmat = R.matrix()
     scale = np.max(np.abs(Rmat))
@@ -430,6 +434,31 @@ def test_blocks_preserve_the_trace_and_hermiticity(case):
             assert (np.max(np.abs(Rmat[np.ix_(t, t)]
                                   - Rmat[np.ix_(idx, idx)].conj()))
                     <= 1e-12 * scale)
+
+
+@FEW
+@given(d=st.integers(2, 6), seed=st.integers(0, 2**16),
+       sigma=st.floats(0.3, 2.0), temperature=st.floats(20.0, 300.0),
+       detuning=st.floats(-1.0, 1.0))
+def test_one_row_obeys_detailed_balance(d, seed, sigma, temperature,
+                                        detuning):
+    # levels at least 3 sigma apart, in a random basis; one mode near
+    # the gap of a random pair of levels: the up rate over the down rate
+    # is n / (n + 1) of the mode, up to a kernel tail below 1e-15
+    rng = np.random.default_rng(seed)
+    levels = np.cumsum(rng.uniform(3.0 * sigma, 10.0, size=d))
+    Q, _ = np.linalg.qr(_hermitian(rng, d, d))
+    ham = diagonalize(Q @ np.diag(levels) @ Q.conj().T)
+    a, b = np.sort(rng.choice(d, size=2, replace=False))
+    gap = float(ham.eigvals[b] - ham.eigvals[a])
+    omega_m = max(gap + detuning * sigma, 3.0 * sigma)
+    V = ham.to_eigenbasis(_hermitian(rng, d, d))
+    pc = PhononCorrelation(sigma=sigma, temperature=temperature)
+    R = assemble_redfield(CouplingStack(omega=[omega_m], channel=["zeeman"],
+                                        V=[V]), ham, pc).matrix()
+    up, down = R[b * d + b, a * d + a].real, R[a * d + a, b * d + b].real
+    boltzmann = np.exp(-omega_m / (KB_CM1_PER_K * temperature))
+    assert abs(up / down / boltzmann - 1.0) <= 1e-10
 
 
 two_level_cases = st.fixed_dictionaries({
@@ -493,7 +522,8 @@ def test_tau_is_independent_of_the_eigenvector_gauge(case):
     assert (rate_plain is None) == (rate_turned is None)
     if rate_plain is not None:
         # rates agree to round-off on the generator's scale
-        scale = np.max(np.abs(np.linalg.eigvals(R.matrix())))
+        dense = sum(tensor(ham, dense=True).values())
+        scale = np.max(np.abs(np.linalg.eigvals(dense)))
         assert abs(rate_plain - rate_turned) <= 1e-10 * scale
 
 
@@ -503,24 +533,28 @@ def test_rates_scale_with_the_square_of_the_coupling(case, c):
     ham, tensor, _, _ = _spin_case(**case)
     R, R_c = tensor(ham), tensor(ham, c)
     assert R_c.channels.keys() == R.channels.keys()
+    # the clusters move with the rate scale: compare the elements that
+    # both tensors hold
+    common = in_cluster(R) & in_cluster(R_c)
     scale = max(np.max(np.abs(part)) for part in R_c.channels.values())
-    for ch, part in R.channels.items():
-        assert np.max(np.abs(R_c.channels[ch] - c**2 * part)) <= 1e-12 * scale
+    for ch in R.channels:
+        diff = R_c.matrix((ch,)) - c**2 * R.matrix((ch,))
+        assert np.max(np.abs(diff[common])) <= 1e-12 * scale
 
 
 @FEW
 @given(case=block_cases)
 def test_propagate_matches_expm_at_every_time(case):
-    ham, R = _clustered_tensor(**case)
+    ham, R, ref = _clustered_tensor(**case)
     d = ham.dimension
     rng = np.random.default_rng(case["case"]["seed"])
     B = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho0 = B @ B.conj().T
     rho0 /= np.trace(rho0)
-    # L on its clusters, built densely here
-    omega, rate, labels = _cluster_labels(R)
-    same = labels[:, None] == labels[None, :]
-    L = np.where(same, R.matrix(), 0.0) - 1j * np.diag(omega)
+    # L on its clusters: the elements that R holds, built densely here
+    omega = bohr_omega(ham)
+    rate = gershgorin_rate(sum(ref.values()))
+    L = R.matrix() - 1j * np.diag(omega)
     # a random Redfield generator can have growing modes, no faster than
     # the rate scale: times stay within a few 1/rate
     times = np.array([0.0, 0.1, 1.0, 3.0, 10.0]) / rate

@@ -5,15 +5,16 @@ from spinphonon import redfield
 from spinphonon.coupling import CouplingStack
 from spinphonon.errors import NumericalError, ValidationError
 from spinphonon.hamiltonian import assemble_hamiltonian, diagonalize
-from spinphonon.redfield import (RATE_PREFACTOR, SECULAR_TOL_CM1,
-                                 DensityMatrix, PhononCorrelation,
-                                 assemble_redfield, equilibrium_state,
-                                 extract_relaxation_time,
+from spinphonon.redfield import (RATE_PREFACTOR, DensityMatrix,
+                                 PhononCorrelation, assemble_redfield,
+                                 equilibrium_state, extract_relaxation_time,
                                  phonon_correlation_value, propagate,
                                  stationary_state)
 from spinphonon.lattice import bose_population, gaussian_kernel
 from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
 from spinphonon.units import KB_CM1_PER_K, PS_PER_MS
+
+from dense_reference import assert_matches_dense, dense_redfield, in_cluster
 
 
 def _two_level(field=5.0):
@@ -170,19 +171,6 @@ def test_rate_scales_quadratically_with_coupling_strength():
     assert np.allclose(R2.matrix(), 4.0 * R1.matrix(), atol=1e-20)
 
 
-def _reference_part(V, G):
-    """One coupling's tensor, written out term by term:
-    R_{ab,cd} = (V G)_ac V_db + V_ac (V G^T)_db
-                - delta_bd (V (G V))_ac - delta_ac ((V G^T) V)_db."""
-    d = V.shape[0]
-    eye = np.eye(d)
-    R = np.einsum("ac,db->abcd", V * G, V)
-    R += np.einsum("ac,db->abcd", V, V * G.T)
-    R -= np.einsum("ac,bd->abcd", V @ (G * V), eye)
-    R -= np.einsum("ac,db->abcd", eye, (V * G.T) @ V)
-    return RATE_PREFACTOR * R.reshape(d * d, d * d)
-
-
 @pytest.mark.parametrize("secular", [False, True])
 @pytest.mark.parametrize("d", [2, 3, 4, 8])
 def test_assembly_matches_per_coupling_reference(d, secular, monkeypatch):
@@ -197,21 +185,18 @@ def test_assembly_matches_per_coupling_reference(d, secular, monkeypatch):
     omega = rng.uniform(0.5, 1.5 * d, size=m)
     channel = rng.choice(["zeeman", "hyperfine"], size=m)
     pc = PhononCorrelation(sigma=0.7, temperature=15.0)
-    R = assemble_redfield(CouplingStack(omega=omega, channel=channel, V=V),
-                          ham, pc, secular=secular)
+    stack = CouplingStack(omega=omega, channel=channel, V=V)
+    R = assemble_redfield(stack, ham, pc, secular=secular)
     assert R.n_couplings == m
     assert set(R.channels) == {"zeeman", "hyperfine"}
-    diff = np.abs(ham.omega.reshape(-1, 1) - ham.omega.reshape(1, -1))
-    for ch, part in R.channels.items():
-        ref = sum(_reference_part(V[k], phonon_correlation_value(
-            pc, ham.omega, omega[k])) for k in np.flatnonzero(channel == ch))
-        if secular:
-            ref[diff > SECULAR_TOL_CM1] = 0.0
-        coherence = ~np.eye(d, dtype=bool).reshape(-1)
-        assert np.any(part[np.ix_(coherence, coherence)] != 0.0)
-        # every element, coherences included, against the tensor's scale
-        scale = np.max(np.abs(ref))
-        assert np.max(np.abs(part - ref)) <= 1e-12 * scale
+    ref = dense_redfield(stack, ham, pc, secular=secular)
+    # every in-cluster element, coherences included, against the
+    # tensor's scale
+    assert_matches_dense(R, ref)
+    coherence = ~np.eye(d, dtype=bool).reshape(-1)
+    inside = in_cluster(R) & np.outer(coherence, coherence)
+    for ch in R.channels:
+        assert np.any(R.matrix((ch,))[inside] != 0.0)
 
 
 def test_channel_resolved_tensor_parts():

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from spinphonon import sweep
+from spinphonon import redfield, sweep
 from spinphonon.coupling import CHANNEL_OF_KIND
 from spinphonon.errors import CapacityError, NumericalError, ValidationError
 from spinphonon.lattice import ForceConstantSet
@@ -13,7 +13,7 @@ from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
                               converge_protocol, kpoint_grid,
                               paired_kpoint_grid, perturbation_study,
                               replicated_spin_system, run_sweep)
-from spinphonon.toy import generate_toy_crystal, toy_preset
+from spinphonon.toy import ToySpec, generate_toy_crystal, toy_preset
 
 
 BASE = RunParams(qgrid=(4, 4, 4), sigma=1.0, temperature=50.0)
@@ -471,15 +471,55 @@ def test_points_record_stage_timings_and_cache_hits(soft_bundle):
 
 def test_point_beyond_memory_fails_before_assembly(soft_pipeline,
                                                    monkeypatch):
-    assert sweep.physical_memory_bytes() > sweep.redfield_bytes(32, 3)
-    need = sweep.redfield_bytes(2, 1)
-    assembled = []
-    monkeypatch.setattr(sweep, "assemble_redfield",
-                        lambda *a, **k: assembled.append(1))
+    # a d=32 point with all d^2 coherences in one cluster fits
+    assert sweep.physical_memory_bytes() > sweep.redfield_bytes(32 ** 4, 3)
+    R = soft_pipeline.redfield(BASE)[0]
+    need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels))
+    passes = []
+    real = redfield._chunks
+    monkeypatch.setattr(redfield, "_chunks",
+                        lambda *args: passes.append(1) or real(*args))
     monkeypatch.setattr(sweep, "physical_memory_bytes", lambda: need - 1)
     with pytest.raises(CapacityError, match=f"{need / 1e9:.3g} GB"):
         soft_pipeline.relax(BASE)
-    assert not assembled
+    # pass 1 found the clusters; pass 2 assembled no element
+    assert len(passes) == 1
+
+
+def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
+    import tracemalloc
+    # the pair project of the benchmark, with an I=15/2 nucleus:
+    # d = 2 * 2 * 16 = 64
+    spec = ToySpec(lattice=(7.0, 7.0, 7.0), molecules_per_cell=2,
+                   atoms_per_molecule=2, mass=120.0, k_intra=1.0,
+                   k_inter=0.003, g_baseline=(1.9830, 1.9814, 1.9274),
+                   a_baseline=(0.00354, 0.00396, 0.01396), nuclear_spin=7.5,
+                   g_deriv_mag=1e-3, a_deriv_mag=1e-4, spin_molecules=2,
+                   dipolar_couplings=True, field_B=(0.0, 0.0, 5.0), seed=1)
+    crystal, fc, derivs, system = generate_toy_crystal(spec)
+    assert system.dimension == 64
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    assembled, peaks = [], []
+    real = sweep.assemble_redfield
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            assembled.append(real(*args, **kwargs))
+            return assembled[-1]
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(sweep, "assemble_redfield", traced)
+    row = pipeline.relax(RunParams(qgrid=(2, 2, 2), sigma=1.0,
+                                   temperature=20.0))
+    assert np.isfinite(row.tau_ms) and row.tau_ms > 0
+    R, = assembled
+    # sum n_c^2 elements, where d^4 is 16.8 million
+    need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels))
+    assert need < 100e6
+    assert peaks[0] < 64e6
 
 
 @pytest.mark.parametrize("example, qgrid", [("vanadyl_fixture", (8, 8, 8)),
