@@ -188,6 +188,10 @@ def _cmd_dos(args):
                          config_hash=config.config_hash)
     print(f"DOS area {dos.area():.6f} (3N = {3 * pipeline.crystal.n_atoms}), "
           f"sigma {params.sigma} cm^-1")
+    t = dos.timings_s
+    print(f"dos timings_s spectrum {t['spectrum']:.3f} decomposition "
+          f"{t['decomposition']:.3f} kernel {t['kernel']:.3f}; "
+          f"{dos.imaginary_modes} imaginary modes excluded")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -15,7 +15,6 @@ from .units import DIPOLAR_PREFACTOR_CM1_A3, ZERO_POINT_LENGTH_A
 CHANNEL_OF_KIND = {"g": "zeeman", "A": "hyperfine", "dip": "dipolar"}
 CHANNELS = ("zeeman", "hyperfine", "dipolar")
 
-DEFAULT_OMEGA_MIN = 0.01  # cm^-1, guards the 1/sqrt(omega) amplitude
 #: a fitted scan component is rejected when the standard error of its
 #: linear term exceeds this fraction of it
 SCAN_REJECTION_THRESHOLD = 0.07

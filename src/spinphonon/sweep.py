@@ -27,12 +27,13 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .coupling import (CHANNELS, CHANNEL_OF_KIND, DEFAULT_OMEGA_MIN,
-                       CouplingDerivativeSet, CouplingStack, dipolar_network,
-                       mode_tensor_derivatives, operator_terms)
+from .coupling import (CHANNELS, CHANNEL_OF_KIND, CouplingDerivativeSet,
+                       CouplingStack, dipolar_network, mode_tensor_derivatives,
+                       operator_terms)
 from .errors import CapacityError, NumericalError, ValidationError
 from .hamiltonian import assemble_hamiltonian
-from .lattice import enforce_acoustic_sum_rule, phonon_spectrum
+from .lattice import (DEFAULT_OMEGA_MIN, enforce_acoustic_sum_rule,
+                      phonon_spectrum)
 from .redfield import (PhononCorrelation, assemble_redfield, equilibrium_state,
                        extract_relaxation_time)
 from .spins import SpinCenter, SpinSystem, build_spin_operators

@@ -8,7 +8,7 @@ from spinphonon.lattice import (ForceConstantSet, bose_population,
                                 enforce_acoustic_sum_rule, gaussian_kernel,
                                 phonon_dos, phonon_spectrum)
 from spinphonon import lattice
-from spinphonon.sweep import kpoint_grid
+from spinphonon.sweep import kpoint_grid, paired_kpoint_grid
 from spinphonon.toy import (ToySpec, diatomic_chain,
                             diatomic_chain_dispersion, generate_toy_crystal)
 from spinphonon.units import FREQ_CM1_PER_SQRT_EV_A2_AMU, KB_CM1_PER_K
@@ -151,12 +151,13 @@ def test_dos_of_single_atom_molecules_is_translational():
 
 
 def _full_kernel_dos(fc, qpoints, sigma, freq_grid):
-    """Every mode's kernel on every grid point, one q-point at a time."""
+    """Every mode's kernel on every grid point, one q-point at a time;
+    the modes left out are those phonon_dos counts as imaginary."""
     omega, vecs = phonon_spectrum(fc, qpoints)
     weights = decomposition_weights(fc.crystal, vecs)
     curves = np.zeros((4, freq_grid.size))
     for iq in range(len(qpoints)):
-        sel = omega[iq] >= 0
+        sel = omega[iq] >= -lattice.DEFAULT_OMEGA_MIN
         k = gaussian_kernel(freq_grid[:, None] - omega[iq, sel][None, :], sigma)
         curves[0] += k.sum(axis=1)
         for curve, w in zip(curves[1:], weights):
@@ -181,6 +182,64 @@ def test_windowed_dos_matches_full_kernel(sigma):
         assert np.max(np.abs(curve - expected)) <= 1e-12 * np.max(expected)
 
 
+def test_dos_keeps_gamma_acoustic_modes_of_either_sign(monkeypatch):
+    crystal, fc, _, _ = generate_toy_crystal(
+        ToySpec(atoms_per_molecule=2, k_intra=2.0, k_inter=0.15, seed=3))
+    qpoints = kpoint_grid(6, 6, 6)
+    real = lattice.phonon_spectrum
+    gamma = []
+
+    def signed(sign):
+        def spectrum(fc, qpoints):
+            omega, vecs = real(fc, qpoints)
+            at_gamma = np.all(np.asarray(qpoints) == 0.0, axis=1)
+            omega[at_gamma, :3] = sign * np.abs(omega[at_gamma, :3])
+            gamma.extend(omega[at_gamma, :3].reshape(-1))
+            return omega, vecs
+        return spectrum
+
+    sigma = 1.0
+    curves = []
+    for sign in (1.0, -1.0):
+        monkeypatch.setattr(lattice, "phonon_spectrum", signed(sign))
+        dos = phonon_dos(fc, qpoints, sigma)
+        assert dos.imaginary_modes == 0
+        curves.append((dos.total, dos.translational, dos.rotational,
+                       dos.intra))
+    assert 0.0 < np.max(np.abs(gamma)) < lattice.DEFAULT_OMEGA_MIN
+    # flipping a sign moves a kernel's centre by 2|omega|, which changes
+    # it by at most that times the kernel's largest slope,
+    # sqrt(2 / e / pi) / sigma^2; leaving the mode out would change it
+    # by up to 1 / (sigma sqrt(pi)), some 10^5 times more here
+    slope = np.sqrt(2 / np.e / np.pi) / sigma**2
+    shift = 2 * np.sum(np.abs(gamma[:3])) * slope
+    for plus, minus in zip(*curves):
+        bound = 1e-12 * np.max(plus) + shift / len(qpoints)
+        assert np.max(np.abs(plus - minus)) <= bound
+
+
+def test_dos_counts_the_imaginary_modes_it_leaves_out(monkeypatch):
+    crystal, fc, _, _ = generate_toy_crystal(
+        ToySpec(atoms_per_molecule=2, k_intra=2.0, k_inter=0.15, seed=3))
+    qpoints, weights = paired_kpoint_grid(4, 4, 4)
+    real = lattice.phonon_spectrum
+
+    def spectrum(fc, qpoints):
+        omega, vecs = real(fc, qpoints)
+        omega[:, 0] = -1.0  # one imaginary branch on every q-point
+        return omega, vecs
+
+    monkeypatch.setattr(lattice, "phonon_spectrum", spectrum)
+    dos = phonon_dos(fc, qpoints, 1.0, weights)
+    assert dos.imaginary_modes == 64
+    # the two Gamma acoustic modes left at omega ~ 0 put half their
+    # kernel below the grid
+    branches = 3 * crystal.n_atoms
+    assert dos.area() == pytest.approx(branches - 1 - 1 / 64, rel=1e-6)
+    assert set(dos.timings_s) == {"spectrum", "decomposition", "kernel"}
+    assert all(t >= 0.0 for t in dos.timings_s.values())
+
+
 def test_empty_force_constants_rejected():
     crystal, fc = diatomic_chain()
     empty = ForceConstantSet(crystal=crystal, lvecs=[], i=[], s=[], j=[],
@@ -203,3 +262,18 @@ def test_asymmetric_force_constants_rejected_on_every_qpoint():
         phonon_spectrum(fc, kpoint_grid(4, 1, 1))
     with pytest.raises(ValidationError, match="asymmetry"):
         phonon_dos(fc, kpoint_grid(4, 1, 1), 1.0)
+
+
+def test_force_constants_without_their_minus_l_partner_rejected():
+    crystal, fc = diatomic_chain(m1=10.0)
+    assert not np.any(np.all(fc.lvecs == (0, -1, 0), axis=1))
+    # Phi_0y,0y((0,1,0)) = 0.01 with nothing at (0,-1,0): D - D^H has
+    # 0.002 sin(2 pi q_y) on that diagonal element, zero at Gamma and
+    # worst at q_y = +-1/4
+    fc = ForceConstantSet(
+        crystal=crystal, lvecs=[*fc.lvecs, (0, 1, 0)], i=[*fc.i, 0],
+        s=[*fc.s, 1], j=[*fc.j, 0], t=[*fc.t, 1], values=[*fc.values, 0.01])
+    dynamical_matrices(fc, [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)])
+    worst = r"asymmetry 2\.00e-03 above 1e-09 at q=\[0\.0, 0\.25, 0\.0\]"
+    with pytest.raises(ValidationError, match=worst):
+        dynamical_matrices(fc, kpoint_grid(1, 4, 1))

@@ -7,14 +7,16 @@ Hypothesis runs derandomized with a bounded number of examples, so every
 run checks the same cases.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spinphonon import redfield, sweep
+from spinphonon import lattice, redfield, sweep
+from spinphonon.crystal import CrystalModel
 from spinphonon.coupling import CouplingStack
 from spinphonon.errors import NumericalError, ParseError
 from spinphonon.hamiltonian import (SpinHamiltonian, assemble_hamiltonian,
@@ -36,7 +38,8 @@ from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
 
 from dense_reference import (assert_matches_dense, bohr_omega, cluster_labels,
                              dense_redfield, gershgorin_rate, in_cluster,
-                             smallest_gap)
+                             reference_decomposition_weights, reference_dos,
+                             reference_dynamical_matrices, smallest_gap)
 
 FEW = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 
@@ -93,6 +96,92 @@ def test_decomposition_weights_sum_to_one(spec, q):
     _, vecs = phonon_spectrum(fc, [q, (0.0, 0.0, 0.0)])
     w_t, w_r, w_i = decomposition_weights(crystal, vecs)
     assert np.max(np.abs(w_t + w_r + w_i - 1.0)) < 1e-8
+
+
+@FEW
+@given(spec=toy_specs, q=st.lists(qpoints, min_size=1, max_size=4))
+def test_dynamical_matrices_match_the_per_block_reference(spec, q):
+    _, fc, _, _ = generate_toy_crystal(spec)
+    q = [*q, (0.0, 0.0, 0.0), (0.5, 0.5, 0.5)]
+    want = reference_dynamical_matrices(fc, q)
+    got = dynamical_matrices(fc, q)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _split_first_molecule(crystal):
+    """The crystal with every atom of its first molecule made a
+    single-atom molecule of its own."""
+    first = crystal.molecule_ids[0]
+    free = max(crystal.molecule_ids) + 1
+    atoms = []
+    for a in crystal.atoms:
+        if a.molecule == first:
+            a, free = dataclasses.replace(a, molecule=free), free + 1
+        atoms.append(a)
+    return CrystalModel(cell=crystal.cell, atoms=atoms)
+
+
+@FEW
+@given(spec=toy_specs, q=qpoints, split=st.booleans())
+@example(spec=ToySpec(molecules_per_cell=3, atoms_per_molecule=1),
+         q=[0.1, 0.2, 0.3], split=False)
+@example(spec=ToySpec(molecules_per_cell=2, atoms_per_molecule=3),
+         q=[0.1, 0.2, 0.3], split=True)
+def test_decomposition_weights_match_the_per_molecule_reference(spec, q,
+                                                                split):
+    crystal, fc, _, _ = generate_toy_crystal(spec)
+    if split:  # single-atom molecules next to rotating ones
+        crystal = _split_first_molecule(crystal)
+    _, vecs = phonon_spectrum(fc, [q, (0.0, 0.0, 0.0)])
+    got = decomposition_weights(crystal, vecs)
+    want = [np.broadcast_to(w, vecs.shape[:1] + vecs.shape[2:])
+            for w in reference_decomposition_weights(crystal, vecs)]
+    scale = max(np.max(w) for w in want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+
+
+dos_specs = st.builds(
+    ToySpec,
+    molecules_per_cell=st.integers(1, 3),
+    atoms_per_molecule=st.integers(1, 5),
+    jitter=st.floats(0.0, 0.1),
+    k_intra=st.floats(0.5, 5.0),
+    k_inter=st.floats(0.02, 0.5),
+    mass=st.floats(1.0, 200.0),
+    seed=st.integers(0, 2**16),
+)
+
+
+@FEW
+@given(spec=dos_specs, grid=st.tuples(st.integers(1, 4), st.integers(1, 4),
+                                      st.integers(1, 4)),
+       sigma_share=st.floats(0.002, 0.5), paired=st.booleans(),
+       blocks=st.sampled_from([(5, 5, 50), None]))
+@example(spec=ToySpec(molecules_per_cell=2, atoms_per_molecule=1),
+         grid=(4, 4, 3), sigma_share=0.3, paired=True, blocks=(5, 5, 50))
+@example(spec=ToySpec(molecules_per_cell=3, atoms_per_molecule=4),
+         grid=(4, 3, 3), sigma_share=0.2, paired=False, blocks=None)
+def test_dos_matches_the_windowed_reference(spec, grid, sigma_share, paired,
+                                            blocks):
+    _, fc, _, _ = generate_toy_crystal(spec)
+    qpts, weights = (paired_kpoint_grid if paired else _full_grid)(*grid)
+    omega, _ = phonon_spectrum(fc, qpts)
+    # sigma_share above 1/8 puts every mode's kernel on the whole grid
+    sigma = sigma_share * max(np.max(omega), 1.0)
+    with pytest.MonkeyPatch.context() as mp:
+        if blocks:  # q-blocks, grid tiles and mode chunks of a few each
+            for name, size in zip(("DOS_QBLOCK", "DOS_TILE", "DOS_CHUNK"),
+                                  blocks):
+                mp.setattr(lattice, name, size)
+        dos = phonon_dos(fc, qpts, sigma, weights)
+        freq, want = reference_dos(fc, qpts, sigma, weights)
+    assert np.array_equal(dos.frequency, freq)
+    for name, w in zip(("total", "translational", "rotational", "intra"),
+                       want):
+        got = getattr(dos, name)
+        assert np.max(np.abs(got - w)) <= 1e-12 * np.max(w)
 
 
 grids = st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9))
