@@ -30,8 +30,14 @@ EXIT_PARSE = 2
 EXIT_NUMERICAL = 3
 
 #: blocks of this size and more get a mapping of their own, unmapped
-#: when freed (glibc's M_MMAP_THRESHOLD; M_TRIM_THRESHOLD is twice it)
+#: when freed (glibc's M_MMAP_THRESHOLD)
 MMAP_THRESHOLD_BYTES = 4 << 20
+
+#: free memory at the top of the heap goes back to the system once it
+#: reaches this size (glibc's M_TRIM_THRESHOLD). At 8 MiB, a d=32 relax
+#: call kept 0, 5 or 10 MB of it from call to call; below 4 MiB the heap
+#: is given back and faulted in again several times per call.
+TRIM_THRESHOLD_BYTES = 4 << 20
 
 
 class _UsageError(Exception):
@@ -318,11 +324,13 @@ def _fix_malloc_thresholds():
     threshold to each mapped block it frees, so after the first d^2 x d^2
     array later ones come from the heap, whose holes are reused or not
     from run to run: the peak RSS of repeated d=32 relax calls moved by
-    one such array between otherwise identical runs."""
+    one such array between otherwise identical runs. How much free heap
+    a call leaves resident depends on where its live blocks landed; the
+    trim threshold bounds it."""
     if sys.platform.startswith("linux"):
         libc = ctypes.CDLL(None)
         libc.mallopt(-3, MMAP_THRESHOLD_BYTES)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 2 * MMAP_THRESHOLD_BYTES)  # M_TRIM_THRESHOLD
+        libc.mallopt(-1, TRIM_THRESHOLD_BYTES)  # M_TRIM_THRESHOLD
 
 
 def main(argv=None):

@@ -368,9 +368,11 @@ def test_geometry_couplings_are_not_a_config_key(tmp_path, capsys):
 
 
 # In a fresh process: RSS in MB before, and after each of two 16 MiB
-# arrays is touched and freed. Under glibc's own rule the first free
-# raises the mmap threshold, so the second array comes from the heap
-# and its pages stay resident after it is freed.
+# arrays is touched and freed, then after six 1 MiB arrays are. Under
+# glibc's own rule the first free raises the mmap threshold, so the
+# second array comes from the heap and its pages stay resident after it
+# is freed; the 1 MiB arrays come from the heap at any threshold, and
+# their 6 MiB stay resident under a trim threshold above that.
 _FREED_PAGES_PROBE = """
 import contextlib, io, os
 import numpy as np
@@ -385,6 +387,9 @@ for _ in range(2):
     a = np.ones(2**21)
     del a
     out.append(rss())
+a = [np.ones(2**17) for _ in range(6)]
+del a
+out.append(rss())
 print(*out)
 """
 
@@ -395,5 +400,5 @@ def test_freed_large_arrays_leave_no_resident_pages():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-c", _FREED_PAGES_PROBE],
                          capture_output=True, text=True, env=env, check=True)
-    before, first, second = map(float, run.stdout.split())
-    assert first - before < 2 and second - before < 2
+    before, *after = map(float, run.stdout.split())
+    assert len(after) == 3 and all(x - before < 2 for x in after)
