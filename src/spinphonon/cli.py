@@ -83,8 +83,9 @@ _FLAGS = {
     "--channels": dict(help="comma-separated channel subset"),
     "--secular": dict(action="store_true", default=None,
                       help="apply the secular approximation"),
-    "--threads": dict(type=int, default=1,
-                      help="worker threads for sweep points"),
+    # sweep points run one after another; kept for scripts that pass it
+    "--threads": dict(type=int, choices=(1,), default=1,
+                      help="accepted for compatibility; only 1"),
 }
 _SPIN_FLAGS = ("--temp", "--field", "--channels", "--secular")
 _POINT_FLAGS = ("--grid", "--sigma") + _SPIN_FLAGS
@@ -229,6 +230,11 @@ def _cmd_relax(args):
     print(f"tau = {row.tau_ms:.9g} ms (exp-fit {fit})")
     for ch, tau in sorted(row.tau_channel_ms.items()):
         print(f"  {ch}: {tau:.9g} ms")
+    d = row.diagnostics
+    stages = " ".join(f"{s} {t:.3f}" for s, t in d["timings_s"].items())
+    print(f"timings_s {stages}; cache_hits {d['cache_hits']}; "
+          f"bohr_clusters {d['bohr_clusters']} largest "
+          f"{d['largest_cluster']} gap_ratio {d['cluster_gap_ratio']:.3g}")
     for fmt, path in written.items():
         print(f"wrote {path}")
     return EXIT_OK
@@ -239,7 +245,7 @@ def _cmd_sweep(args):
     if not config.sweeps:
         raise ConfigError("config declares no sweep plans")
     for k, plan in enumerate(config.sweeps):
-        plan = dataclasses.replace(plan, params=params, threads=args.threads)
+        plan = dataclasses.replace(plan, params=params)
         result = run_sweep(pipeline, plan)
         written = write_results(result, out_dir,
                                 basename=f"sweep_{k}_{plan.axis}",

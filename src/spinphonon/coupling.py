@@ -288,15 +288,6 @@ class CouplingStack:
     def __len__(self):
         return self.omega.shape[0]
 
-    def distinct_channels(self):
-        """Channel names in order of first appearance, read from the
-        starts of runs of equal rows (no sort or hash of every row)."""
-        ch = self.channel
-        if ch.size == 0:
-            return []
-        starts = np.flatnonzero(ch[1:] != ch[:-1]) + 1
-        return list(dict.fromkeys(ch[np.r_[0, starts]].tolist()))
-
 
 def operator_terms(system, ops, target, T):
     """Spin operator of a target tensor as sum_k c[m, k] B[k].

@@ -34,6 +34,10 @@ CLUSTER_GAP_FACTOR = 100
 #: most negative eigenvalue a stationary state may have
 POSITIVITY_TOL = 1e-8
 
+#: eigenvalues of the zero cluster within this many times the rate
+#: scale of zero are null-space candidates for the stationary state
+NULL_TOL = 1e-9
+
 #: elements of each temporary array of the two assembly passes
 ASSEMBLY_BLOCK = 1 << 16
 
@@ -477,7 +481,7 @@ class RelaxationEstimate:
     cluster_gap_ratio: float = None  # rate / smallest gap between clusters
 
 
-def stationary_state(eigsys, tol=1e-9):
+def stationary_state(eigsys):
     """Trace-one stationary state of the generator, as a d x d matrix.
 
     ``eigsys`` is the ``_BlockEigensystem`` of the generator; the
@@ -491,7 +495,7 @@ def stationary_state(eigsys, tol=1e-9):
     block, k = eigsys.zero
     d, w, V, idx = eigsys.d, block.w[k], block.V[k], block.idx[k]
     diag = idx % (d + 1) == 0
-    cand = np.nonzero(np.abs(w) <= max(tol * eigsys.rate, 1e-300))[0]
+    cand = np.nonzero(np.abs(w) <= max(NULL_TOL * eigsys.rate, 1e-300))[0]
     if cand.size == 0:
         cand = np.array([int(np.argmin(np.abs(w)))])
     tr = (np.abs(V[diag][:, cand].sum(axis=0))

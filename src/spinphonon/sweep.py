@@ -19,9 +19,7 @@ stages and its cache hits in its diagnostics.
 import copy
 import math
 import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
@@ -104,8 +102,9 @@ def _check_memory(clusters, n_channels):
             f"{have / 1e9:.3g} GB of physical memory")
 
 
-class _PointLog(threading.local):
-    """Stage timings and cache hits of the point this thread evaluates."""
+class _PointLog:
+    """Stage timings and cache hits of the point being evaluated; reset
+    at the start of every ``relax``."""
 
     def __init__(self):
         self.reset()
@@ -115,10 +114,18 @@ class _PointLog(threading.local):
         self.cache_hits = 0
 
 
+def _real(value):
+    """``value`` as a float. A bool or a string is not a number, though
+    float() would take True as 1 and "2" as 2."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
 def _number(name, value, low, strict=True):
     """``value`` as a finite float above ``low`` (or at it, not strict)."""
     try:
-        x = float(value)
+        x = _real(value)
     except (TypeError, ValueError):
         x = float("nan")
     if not (np.isfinite(x) and (x > low if strict else x >= low)):
@@ -163,10 +170,10 @@ class RunParams:
             object.__setattr__(self, name, value)
 
         try:
-            grid = tuple(int(n) for n in self.qgrid)
+            grid = tuple(int(_real(n)) for n in self.qgrid)
             ok = (len(grid) == 3 and min(grid) >= 1
                   and all(g == n for g, n in zip(grid, self.qgrid)))
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             ok = False
         if not ok:
             raise ValidationError(
@@ -182,7 +189,7 @@ class RunParams:
                                             self.prune_sigma_mult, 0.0))
         if self.field_B is not None:
             try:
-                B = tuple(float(b) for b in self.field_B)
+                B = tuple(_real(b) for b in self.field_B)
             except (TypeError, ValueError):
                 B = ()
             if len(B) != 3 or not np.all(np.isfinite(B)):
@@ -432,7 +439,6 @@ class SweepPlan:
     params: RunParams = field(default_factory=RunParams)
     channel: str = None  # for coupling_scale
     replication_axis: int = 0  # for n_spins
-    threads: int = 1
 
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
@@ -440,8 +446,9 @@ class SweepPlan:
                                   f"allowed: {SWEEP_AXES}")
         try:
             vals = tuple(self.values)
-            finite = self.axis == "qgrid" or all(np.isfinite(v) for v in vals)
-        except TypeError:
+            finite = (self.axis == "qgrid"
+                      or all(np.isfinite(_real(v)) for v in vals))
+        except (TypeError, ValueError):
             raise ValidationError("sweep values must be a list of numbers")
         if not vals:
             raise ValidationError("sweep values must be nonempty")
@@ -451,7 +458,8 @@ class SweepPlan:
         if self.channel is not None and self.channel not in CHANNELS:
             raise ValidationError(f"sweep channel {self.channel!r} is not a "
                                   f"channel; allowed: {CHANNELS}")
-        if self.replication_axis not in (0, 1, 2):
+        if (isinstance(self.replication_axis, bool)
+                or self.replication_axis not in (0, 1, 2)):
             raise ValidationError(f"replication_axis must be 0, 1 or 2, got "
                                   f"{self.replication_axis!r}")
         object.__setattr__(self, "replication_axis", int(self.replication_axis))
@@ -498,29 +506,18 @@ def _point(pipeline, plan, value):
 
 
 def run_sweep(pipeline, plan):
-    """Evaluate tau along one axis, ``plan.threads`` points at a time;
-    per-point failures are recorded in the row and the sweep continues.
-    Every row is labelled by its plan value; an n_spins point (1..3
-    cells of ``replicated_spin_system``) runs on a pipeline of its own
-    that shares this one's phonon spectra."""
-
-    def one(value):
+    """Evaluate tau along one axis, one point after another; per-point
+    failures are recorded in the row and the sweep continues. Every row
+    is labelled by its plan value; an n_spins point (1..3 cells of
+    ``replicated_spin_system``) runs on a pipeline of its own that
+    shares this one's phonon spectra."""
+    rows = []
+    for value in plan.values:
         try:
             point_pipeline, params = _point(pipeline, plan, value)
-            return point_pipeline.relax(params, value)
+            rows.append(point_pipeline.relax(params, value))
         except Exception as exc:  # per-point failure stays in the row
-            return SweepRow.failed(value, exc)
-
-    if plan.threads > 1:
-        # warm the shared phonon cache once so workers only read it
-        try:
-            pipeline.phonons(plan.params.qgrid)
-        except Exception:
-            pass
-        with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-            rows = list(pool.map(one, plan.values))
-    else:
-        rows = [one(v) for v in plan.values]
+            rows.append(SweepRow.failed(value, exc))
     meta = {"axis": plan.axis}
     if plan.axis == "n_spins":
         meta["replication_axis"] = plan.replication_axis

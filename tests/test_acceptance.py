@@ -149,8 +149,7 @@ def test_criterion_03_direct_process_inverse_temperature_law(soft_pipeline):
     t0 = time.time()
     temps = np.geomspace(68.0, 680.0, 8)
     plan = SweepPlan(axis="temperature", values=tuple(temps),
-                     params=RunParams(qgrid=(16, 16, 16), sigma=1.0),
-                     threads=4)
+                     params=RunParams(qgrid=(16, 16, 16), sigma=1.0))
     res = run_sweep(soft_pipeline, plan)
     taus = np.array([row.tau_ms for row in res.rows])
     assert all(row.error is None for row in res.rows)

@@ -117,7 +117,10 @@ def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
 def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):
     out = str(tmp_path / "health")
     assert main(["relax", "--config", vanadyl_config, "--out", out]) == EXIT_OK
-    capsys.readouterr()
+    line, = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("timings_s ")]
+    assert all(f" {stage} " in line for stage in sweep.STAGES)
+    assert "; cache_hits 0; bohr_clusters " in line
     diag = json.load(open(os.path.join(out, "relax.json")))["rows"][0][
         "diagnostics"]
     assert diag["expm_fallback"] is False
@@ -241,8 +244,11 @@ def test_seed_is_only_a_toygen_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [["converge", "--grid", "4"],
-                                  ["relax", "--threads", "2"]],
-                         ids=["converge_grid", "relax_threads"])
+                                  ["relax", "--threads", "2"],
+                                  # sweep points run one after another
+                                  ["sweep", "--threads", "2"]],
+                         ids=["converge_grid", "relax_threads",
+                              "sweep_threads"])
 def test_a_verb_rejects_the_flags_it_ignores(argv, tmp_path, capsys):
     cfg = _toy(tmp_path)
     out = str(tmp_path / "out")

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from spinphonon.coupling import (CouplingDerivativeSet, CouplingStack,
-                                 DerivativeScan, coupling_norm_distribution,
+from spinphonon.coupling import (CouplingDerivativeSet, DerivativeScan,
+                                 coupling_norm_distribution,
                                  dipolar_derivative, dipolar_network,
                                  dipolar_pair_records, fit_derivative_scan,
                                  mode_tensor_derivatives)
@@ -219,14 +219,3 @@ def test_coupling_norm_distribution_normalizes_by_grid(toy_context):
     assert np.allclose(v4, 2.0 * v8, atol=1e-18)
     expected = np.sum(np.abs(modes.tensors) ** 2) / 4.0
     assert abs(v4.sum() - expected) < 1e-15
-
-
-def test_distinct_channels_in_order_of_first_appearance():
-    rows = ["hyperfine", "hyperfine", "zeeman", "hyperfine", "dipolar"]
-    stack = CouplingStack(omega=np.ones(5), channel=rows,
-                          V=np.zeros((5, 2, 2)))
-    assert stack.distinct_channels() == ["hyperfine", "zeeman", "dipolar"]
-    assert stack.distinct_channels() == list(dict.fromkeys(rows))
-    empty = CouplingStack(omega=np.empty(0), channel=np.empty(0, str),
-                          V=np.empty((0, 2, 2)))
-    assert empty.distinct_channels() == []

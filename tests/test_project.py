@@ -337,6 +337,12 @@ def _patched_config(tmp_path, vanadyl_config, **patch):
 def test_config_validation_errors(tmp_path, vanadyl_config):
     with pytest.raises(ConfigError):
         load_config(_patched_config(tmp_path, vanadyl_config, sigma_cm1=-1.0))
+    # a JSON bool or string is not a number, though float() reads both
+    for key, name, value in (("temperature_K", "temperature", True),
+                             ("sigma_cm1", "sigma", "2")):
+        with pytest.raises(ConfigError, match=name):
+            load_config(_patched_config(tmp_path, vanadyl_config,
+                                        **{key: value}))
     with pytest.raises(ConfigError):
         load_config(_patched_config(tmp_path, vanadyl_config,
                                     qgrid=[4, 4]))

@@ -88,17 +88,6 @@ def test_sweep_metadata_echoes_every_run_param(soft_pipeline):
         f.name: getattr(params, f.name) for f in fields(RunParams)}
 
 
-def test_threaded_sweep_matches_serial(soft_pipeline):
-    vals = (40.0, 80.0, 160.0, 320.0)
-    serial = run_sweep(soft_pipeline, SweepPlan(axis="temperature",
-                                                values=vals, params=BASE))
-    threaded = run_sweep(soft_pipeline, SweepPlan(axis="temperature",
-                                                  values=vals, params=BASE,
-                                                  threads=4))
-    for a, b in zip(serial.rows, threaded.rows):
-        assert a.tau_ms == b.tau_ms
-
-
 def test_field_magnitude_sweep_runs(soft_pipeline):
     plan = SweepPlan(axis="field_magnitude", values=(4.8, 5.0, 5.2),
                      params=BASE)
@@ -147,9 +136,31 @@ def test_sweep_plan_validation():
     # the perturbed point is checked before any point runs: no pipeline
     ("coupling_scale", lambda: perturbation_study(None, BASE, "coupling_x2",
                                                   channel="zeman")),
+    # float() would read True as 1 and "2" as 2
+    ("temperature", lambda: replace(BASE, temperature=True)),
+    ("sigma", lambda: replace(BASE, sigma="2")),
+    ("omega_min", lambda: RunParams(omega_min=np.True_)),
+    ("freq_scale", lambda: RunParams(freq_scale="1")),
+    ("prune_sigma_mult", lambda: RunParams(prune_sigma_mult=True)),
+    ("qgrid", lambda: RunParams(qgrid=(True, True, True))),
+    ("qgrid", lambda: RunParams(qgrid=("4", 4, 4))),
+    ("qgrid", lambda: RunParams(qgrid=(np.inf, 4, 4))),
+    ("field_B", lambda: RunParams(field_B=(0, 0, True))),
+    ("field_B", lambda: RunParams(field_B=("0", 0, 5))),
+    ("coupling_scale", lambda: RunParams(coupling_scale={"zeeman": True})),
+    ("coupling_scale", lambda: RunParams(coupling_scale={"zeeman": "2"})),
+    ("sweep values", lambda: SweepPlan(axis="temperature", values=(True, 3))),
+    ("sweep values", lambda: SweepPlan(axis="sigma", values=("2",))),
+    ("replication_axis", lambda: SweepPlan(axis="n_spins", values=(1,),
+                                           replication_axis=True)),
 ], ids=["channels", "coupling_scale", "freq_scale", "prune_sigma_mult",
         "qgrid", "field_B", "temperature", "sigma", "sweep_channel",
-        "replication_axis", "perturb_channel"])
+        "replication_axis", "perturb_channel", "temperature_bool",
+        "sigma_str", "omega_min_bool", "freq_scale_str",
+        "prune_sigma_mult_bool", "qgrid_bool", "qgrid_str", "qgrid_inf",
+        "field_B_bool", "field_B_str", "coupling_scale_bool",
+        "coupling_scale_str", "sweep_value_bool", "sweep_value_str",
+        "replication_axis_bool"])
 def test_bad_run_point_is_rejected_when_built(name, build):
     with pytest.raises(ValidationError, match=name):
         build()
@@ -285,11 +296,15 @@ def test_a_sweep_point_is_the_relax_row(soft_pipeline):
     assert row.tau_channel_ms == point.tau_channel_ms
     assert row.diagnostics.keys() == point.diagnostics.keys()
     assert row.diagnostics["tau_fit_ms"] == point.diagnostics["tau_fit_ms"]
-    # n_spins points run through the same thread pool
-    plan = SweepPlan(axis="n_spins", values=(1, 2), params=BASE)
-    serial = run_sweep(soft_pipeline, plan).rows
-    pooled = run_sweep(soft_pipeline, replace(plan, threads=2)).rows
-    assert [r.tau_ms for r in pooled] == [r.tau_ms for r in serial]
+    # an n_spins point is the relax row of its replicated sibling
+    rows = run_sweep(soft_pipeline, SweepPlan(axis="n_spins", values=(1, 2),
+                                              params=BASE)).rows
+    for row in rows:
+        sibling = soft_pipeline.with_spins(
+            *replicated_spin_system(soft_pipeline, row.value))
+        point = sibling.relax(BASE)
+        assert row.tau_ms == point.tau_ms
+        assert row.tau_channel_ms == point.tau_channel_ms
 
 
 def test_failed_points_give_rows_of_one_shape(soft_pipeline):
