@@ -18,9 +18,9 @@ from .coupling import CHANNELS, coupling_norm_distribution
 from .lattice import phonon_dos, phonon_spectrum
 from .project import (load_project, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
-from .sweep import (RelaxationPipeline, SweepResult, converge_protocol,
-                    kpoint_grid, paired_kpoint_grid, perturbation_study,
-                    run_sweep)
+from .sweep import (STAGES, RelaxationPipeline, SweepResult,
+                    converge_protocol, kpoint_grid, paired_kpoint_grid,
+                    perturbation_study, run_sweep)
 from .toy import toy_preset, write_toy_project
 from .version import __version__
 
@@ -218,6 +218,18 @@ def _cmd_couple(args):
     return EXIT_OK
 
 
+def _stage_summary(diagnostics):
+    """"timings_s <stage> <s> ...; cache_hits <n>", summed over the
+    diagnostics of the points."""
+    timings = dict.fromkeys(STAGES, 0.0)
+    for d in diagnostics:
+        for stage, t in d["timings_s"].items():
+            timings[stage] += t
+    hits = sum(d["cache_hits"] for d in diagnostics)
+    stages = " ".join(f"{s} {t:.3f}" for s, t in timings.items())
+    return f"timings_s {stages}; cache_hits {hits}"
+
+
 def _cmd_relax(args):
     pipeline, params, config, out_dir = _load_pipeline(args)
     row = pipeline.relax(params, "single")
@@ -231,8 +243,7 @@ def _cmd_relax(args):
     for ch, tau in sorted(row.tau_channel_ms.items()):
         print(f"  {ch}: {tau:.9g} ms")
     d = row.diagnostics
-    stages = " ".join(f"{s} {t:.3f}" for s, t in d["timings_s"].items())
-    print(f"timings_s {stages}; cache_hits {d['cache_hits']}; "
+    print(f"{_stage_summary([d])}; "
           f"bohr_clusters {d['bohr_clusters']} largest "
           f"{d['largest_cluster']} gap_ratio {d['cluster_gap_ratio']:.3g}")
     for fmt, path in written.items():
@@ -250,9 +261,10 @@ def _cmd_sweep(args):
         written = write_results(result, out_dir,
                                 basename=f"sweep_{k}_{plan.axis}",
                                 config_hash=config.config_hash)
-        failed = sum(1 for r in result.rows if r.error)
+        done = [r.diagnostics for r in result.rows if not r.error]
         print(f"sweep {k} ({plan.axis}): {len(result.rows)} points, "
-              f"{failed} failed")
+              f"{len(result.rows) - len(done)} failed; "
+              f"{_stage_summary(done)}")
         for fmt, path in written.items():
             print(f"wrote {path}")
     return EXIT_OK

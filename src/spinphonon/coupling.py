@@ -1,6 +1,7 @@
 """Spin-phonon coupling: derivative fitting, analytic dipolar derivatives,
 normal-mode projection and coupling-norm distributions."""
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -287,6 +288,12 @@ class CouplingStack:
 
     def __len__(self):
         return self.omega.shape[0]
+
+    @functools.cached_property
+    def distinct_omega(self):
+        """(freqs, which): the sorted distinct row frequencies and each
+        row's index into them, found once per stack."""
+        return np.unique(self.omega, return_inverse=True)
 
 
 def operator_terms(system, ops, target, T):

@@ -36,8 +36,9 @@ SUM_RULE_THRESHOLD = 1e-6
 
 _CRYSTAL_UNITS = {"length": "angstrom", "mass": "amu"}
 _SCAN_POINTS = 10
-#: integers in data files must fit the integer arrays that store them
-_INT_RANGE = np.iinfo(int)
+#: integers in data files must fit the integer arrays that store them;
+#: plain ints, since np.iinfo looks its bounds up at every read
+_INT_MIN, _INT_MAX = int(np.iinfo(int).min), int(np.iinfo(int).max)
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
@@ -156,7 +157,7 @@ def _parse_int(tok, what, where):
         v = int(tok)
     except ValueError:
         raise ParseError(f"bad integer for {what}: {tok!r}", **where)
-    if not _INT_RANGE.min <= v <= _INT_RANGE.max:
+    if not _INT_MIN <= v <= _INT_MAX:
         raise ParseError(f"integer for {what} out of range: {tok!r}", **where)
     return v
 

@@ -159,7 +159,7 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
         raise ValidationError(
             "coupling not rotated into the Hamiltonian eigenbasis")
     omega = ham.omega  # (x, y): E_x - E_y
-    freqs, which = np.unique(stack.omega, return_inverse=True)
+    freqs, which = stack.distinct_omega
     G = phonon_correlation_value(pc, omega[:, :, None], freqs)
     step = max(1, ASSEMBLY_BLOCK // (d * d))
     S1, S2, bound = _stack_sums(_chunks(stack, G, which, step), d)

@@ -9,11 +9,16 @@ the full-grid Redfield tensor to round-off. Mode counts in the diagnostics
 (imaginary, below omega_min, pruned) and ``n_q`` are full-grid counts;
 ``n_couplings`` counts the coupling rows actually assembled.
 
-The pipeline caches two things: phonon spectra per q-grid, and mode
-tensors per (q-grid, omega_min). Everything after that (spin
-Hamiltonian, coupling stack, Redfield tensor) is rebuilt at every
-point, whichever axis moves. Each point records the wall time of its
-stages and its cache hits in its diagnostics.
+The pipeline caches three things: phonon spectra per q-grid, mode
+tensors per (q-grid, omega_min), and the spin Hamiltonian and coupling
+stack of the last point. That last entry is keyed by every run
+parameter but the temperature, which enters only the Bose factors of
+the Redfield tensor: a temperature point reuses it, a point that moves
+any other parameter rebuilds it. The Redfield tensor is assembled at
+every point. Each point records the wall time of its stages and its
+cache hits in its diagnostics; a point that reuses the coupling stack
+counts one hit and spends no time on phonons, mode tensors or
+couplings.
 """
 
 import copy
@@ -243,7 +248,7 @@ class RelaxationPipeline:
         """A pipeline for another spin system and derivative set on this
         one's crystal: it shares the sum-rule-clean force constants and
         the phonon spectra, and has its own spin operators, mode-tensor
-        cache and point log."""
+        and coupling-stack caches and point log."""
         sibling = copy.copy(self)
         sibling._set_spins(system, derivs)
         return sibling
@@ -253,6 +258,8 @@ class RelaxationPipeline:
         self.derivs = derivs
         self.ops = build_spin_operators(system)
         self._precursor_cache = {}
+        # (key, (system, ham, stack, diag)) of the last point
+        self._stack_cache = None
         self._log = _PointLog()
 
     @contextmanager
@@ -365,12 +372,23 @@ class RelaxationPipeline:
         """Redfield tensor of the point. Raises CapacityError once its
         Bohr clusters are known, before any element is assembled, when
         the point's Redfield arrays would not fit in physical memory
-        (``redfield_bytes``)."""
-        system, ham = self.hamiltonian(params.field_B)
-        cpls, diag = self.couplings(params, ham, system)
+        (``redfield_bytes``).
+
+        The spin Hamiltonian and coupling stack of the last point are
+        reused when only the temperature moved. A rebuild drops them
+        first, so the pipeline never holds two stacks."""
+        key = replace(params, temperature=0.0)
+        if self._stack_cache is not None and self._stack_cache[0] == key:
+            self._log.cache_hits += 1
+        else:
+            self._stack_cache = None
+            system, ham = self.hamiltonian(params.field_B)
+            stack, diag = self.couplings(params, ham, system)
+            self._stack_cache = (key, (system, ham, stack, diag))
+        system, ham, stack, diag = self._stack_cache[1]
         pc = PhononCorrelation(sigma=params.sigma, temperature=params.temperature)
         with self._timed("assembly"):
-            R = assemble_redfield(cpls, ham, pc, secular=params.secular,
+            R = assemble_redfield(stack, ham, pc, secular=params.secular,
                                   check=_check_memory)
         return R, ham, system, diag
 

@@ -206,7 +206,12 @@ def test_sweep_writes_rows(tmp_path, capsys):
     out = str(tmp_path / "sw")
     assert main(["sweep", "--config", cfg, "--grid", "4,4,4",
                  "--out", out]) == EXIT_OK
-    capsys.readouterr()
+    line, = [ln for ln in capsys.readouterr().out.splitlines()
+             if ln.startswith("sweep 0 ")]
+    assert line.startswith("sweep 0 (temperature): 2 points, 0 failed; "
+                           "timings_s phonons ")
+    assert all(f" {stage} " in line for stage in sweep.STAGES)
+    assert line.endswith("; cache_hits 1")
     rows = list(csv.DictReader(
         open(os.path.join(out, "sweep_0_temperature.csv"))))
     assert len(rows) == 2

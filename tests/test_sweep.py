@@ -472,7 +472,8 @@ def test_points_record_stage_timings_and_cache_hits(soft_bundle):
         assert all(t >= 0.0 for t in timings.values())
         assert sum(timings.values()) <= wall
         diags.append(point.diagnostics)
-    # the first point fills both caches; the second reuses the mode tensors
+    # the first point fills every cache; the second moves only the
+    # temperature and reuses the coupling stack
     assert diags[0]["cache_hits"] == 0
     assert diags[0]["timings_s"]["phonons"] > 0.0
     assert diags[1]["cache_hits"] == 1
@@ -603,3 +604,113 @@ def test_vanadyl_fixture_reports_its_bohr_clusters(monkeypatch):
     assert point.tau_ms == pytest.approx(13300.1, rel=1e-5)
     secular = pipeline.relax(replace(params, secular=True)).tau_ms
     assert point.tau_ms == pytest.approx(secular, rel=1e-6)
+
+
+# -- coupling-stack cache -----------------------------------------------------
+
+TEMPERATURES = tuple(68.0 * 10.0 ** (k / 7) for k in range(8))
+
+
+def _counted_couplings(monkeypatch):
+    """Patches RelaxationPipeline.couplings to record the stack cache of
+    each call's pipeline as the call starts; returns that list."""
+    seen = []
+    real = RelaxationPipeline.couplings
+
+    def counted(self, *args, **kwargs):
+        seen.append(self._stack_cache)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(RelaxationPipeline, "couplings", counted)
+    return seen
+
+
+def test_temperature_sweep_rows_are_fresh_relax_rows(soft_bundle):
+    rows = run_sweep(RelaxationPipeline(*soft_bundle),
+                     SweepPlan(axis="temperature", values=TEMPERATURES,
+                               params=BASE)).rows
+    assert [row.diagnostics["cache_hits"] for row in rows] == [0] + [1] * 7
+    for row, T in zip(rows, TEMPERATURES):
+        fresh = RelaxationPipeline(*soft_bundle).relax(
+            replace(BASE, temperature=T))
+        assert row.tau_ms == fresh.tau_ms
+        assert row.tau_channel_ms == fresh.tau_channel_ms
+        assert row.diagnostics["tau_fit_ms"] == fresh.diagnostics["tau_fit_ms"]
+        skip = ("timings_s", "cache_hits")
+        assert ({k: v for k, v in row.diagnostics.items() if k not in skip}
+                == {k: v for k, v in fresh.diagnostics.items()
+                    if k not in skip})
+
+
+def test_temperature_sweep_builds_its_stack_once(soft_bundle, monkeypatch):
+    seen = _counted_couplings(monkeypatch)
+    terms = []
+    real_terms = sweep.operator_terms
+    monkeypatch.setattr(sweep, "operator_terms",
+                        lambda *args: terms.append(1) or real_terms(*args))
+    rows = run_sweep(RelaxationPipeline(*soft_bundle),
+                     SweepPlan(axis="temperature", values=TEMPERATURES,
+                               params=BASE)).rows
+    assert all(row.error is None for row in rows)
+    # the soft preset has one target: one operator per stack
+    assert (len(seen), len(terms)) == (1, 1)
+    assert rows[0].diagnostics["timings_s"]["couplings"] > 0.0
+    for row in rows[1:]:
+        timings = row.diagnostics["timings_s"]
+        assert (timings["phonons"], timings["mode_tensors"],
+                timings["couplings"]) == (0.0, 0.0, 0.0)
+        assert timings["assembly"] > 0.0
+
+
+@pytest.mark.parametrize("axis, values", [
+    ("field_magnitude", (4.8, 5.0, 5.2)),
+    ("sigma", (2.0, 1.5, 1.0)),
+    ("qgrid", (2, 3, 4)),
+    ("frequency_scale", (0.9, 1.0, 1.1)),
+    ("coupling_scale", (0.5, 1.0, 2.0)),
+])
+def test_other_axes_rebuild_the_stack_at_every_point(axis, values,
+                                                     soft_bundle,
+                                                     monkeypatch):
+    seen = _counted_couplings(monkeypatch)
+    rows = run_sweep(RelaxationPipeline(*soft_bundle),
+                     SweepPlan(axis=axis, values=values, params=BASE)).rows
+    assert all(row.error is None for row in rows)
+    assert len(seen) == len(values)
+    assert all(row.diagnostics["timings_s"]["couplings"] > 0.0
+               for row in rows)
+
+
+def test_spin_sibling_builds_its_own_stack(soft_bundle, monkeypatch):
+    pipeline = RelaxationPipeline(*soft_bundle)
+    pipeline.relax(BASE)
+    entry = pipeline._stack_cache
+    seen = _counted_couplings(monkeypatch)
+    for cells in (1, 2):
+        sibling = pipeline.with_spins(
+            *replicated_spin_system(pipeline, cells))
+        assert sibling._stack_cache is None
+        row = sibling.relax(BASE)
+        assert row.error is None
+        stack = sibling._stack_cache[1][2]
+        assert stack.V.shape[1:] == (2 * cells, 2 * cells)
+    assert len(seen) == 2
+    # the parent keeps its own entry and still hits it
+    assert pipeline._stack_cache is entry
+    assert pipeline.relax(replace(BASE, temperature=70.0)).diagnostics[
+        "cache_hits"] == 1
+    assert len(seen) == 2
+
+
+def test_a_rebuild_drops_the_old_stack_first(soft_bundle, monkeypatch):
+    pipeline = RelaxationPipeline(*soft_bundle)
+    pipeline.relax(BASE)
+    assert pipeline._stack_cache is not None
+    seen = _counted_couplings(monkeypatch)
+    moved = replace(BASE, sigma=2.0)
+    pipeline.relax(moved)
+    assert seen == [None]
+    assert pipeline._stack_cache[0] == replace(moved, temperature=0.0)
+    # a temperature point of the new key hits it
+    pipeline.relax(replace(moved, temperature=80.0))
+    assert seen == [None]
