@@ -2,8 +2,8 @@
 
 from .version import __version__
 
-from .coupling import (CouplingDerivativeSet, CouplingStack, DerivativeScan,
-                       ModeTensors, coupling_norm_distribution,
+from .coupling import (CouplingDerivativeSet, CouplingStack, CouplingTerm,
+                       DerivativeScan, ModeTensors, coupling_norm_distribution,
                        dipolar_derivative, dipolar_network,
                        dipolar_pair_records, fit_derivative_scan,
                        mode_tensor_derivatives)

@@ -1,12 +1,14 @@
 """Spin-phonon coupling: derivative fitting, analytic dipolar derivatives,
 normal-mode projection and coupling-norm distributions."""
 
-import functools
+import mmap
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
+from . import redfield
 from .errors import NumericalError, ValidationError
 from .hamiltonian import dipolar_tensor
 from .spins import SpinCoupling
@@ -258,42 +260,105 @@ def mode_tensor_derivatives(derivs, q, omega, eigvecs, crystal, n_q,
                        weight=weight)
 
 
+class CouplingTerm(NamedTuple):
+    """One target's coupling on M modes, in the eigenbasis of the spin
+    Hamiltonian: mode m couples through sum_k coeff[m, k] basis[k], with
+    ``omega`` (M,) in cm^-1, ``coeff`` complex (M, n) and ``basis``
+    (n, d, d) Hermitian operators (cm^-1). Complex e^{iq.R} phases are
+    handled by splitting that operator into its standing-wave rows
+    (Re c_m) B and (Im c_m) B. The grid is solved on one q of each
+    {q, -q} pair: the partner's operator is e^{i phi} conj(c) of this
+    one's, and the two rows together add Re(c c^H) to R, which neither
+    the conjugation nor the phase changes; the pair's weight 2 is
+    already in the amplitude (``mode_tensor_derivatives``). So one term
+    per pair gives the full-grid rates, independently of eigenvector
+    phase conventions."""
+
+    channel: str
+    omega: np.ndarray
+    coeff: np.ndarray
+    basis: np.ndarray
+
+    def parts(self):
+        """(modes, real coefficients) of the Re, then the Im rows; a
+        mode whose coefficients are all zero has no row."""
+        for c in (self.coeff.real, self.coeff.imag):
+            modes = np.flatnonzero(np.any(c != 0.0, axis=1))
+            yield modes, c[modes]
+
+
 @dataclass(frozen=True)
 class CouplingStack:
-    """Hermitian spin-phonon coupling operators, one row per retained
-    (mode, target, standing-wave part).
+    """The spin-phonon coupling of a point: CouplingTerms on d x d
+    operators, those without a row dropped; ``len`` counts the rows.
 
-    ``omega`` (M,) mode frequencies in cm^-1, ``channel`` (M,) channel
-    names, ``V`` (M, d, d) matrix elements in the eigenbasis of the
-    spin Hamiltonian (cm^-1). Complex e^{iq.R} phases are handled by
-    splitting each mode's operator into Hermitian and anti-Hermitian
-    standing-wave parts. The grid is solved on one q of each {q, -q}
-    pair: the partner's operator is e^{i phi} conj(c) of this one's, and
-    the two parts together add Re(c c^H) to R, which neither the
-    conjugation nor the phase changes; the pair's weight 2 is already
-    in the amplitude (``mode_tensor_derivatives``). So one row set per
-    pair gives the full-grid rates, independently of eigenvector phase
-    conventions.
-    """
+    Construction derives what assembly needs at every temperature: the
+    distinct mode frequencies ``freqs`` (F,); per term its Gram
+    ``gram`` (F, n^2), the sum of Re(c_m c_m^H) over its modes at each
+    frequency; per row, in term and part order, its frequency index
+    ``which``, its magnitudes ``magnitude`` = |V| (rows, d, d) and their
+    row and column sums ``sums``, for the rate bound of the Bohr
+    clusters. The rows themselves are built and dropped ASSEMBLY_BLOCK
+    elements at a time."""
 
-    omega: np.ndarray
-    channel: np.ndarray
-    V: np.ndarray
+    terms: tuple
+    dimension: int
 
     def __post_init__(self):
-        for name, dtype in (("omega", float), ("channel", str),
-                            ("V", complex)):
-            object.__setattr__(self, name,
-                               np.asarray(getattr(self, name), dtype=dtype))
+        d = int(self.dimension)
+        terms = tuple(t for t in self.terms if np.any(t.coeff))
+        if any(t.basis.shape[1:] != (d, d) for t in terms):
+            raise ValidationError(f"coupling operators are not {d} x {d}")
+        freqs, which = np.unique(np.concatenate(
+            [np.empty(0)] + [t.omega for t in terms]), return_inverse=True)
+        start = np.cumsum([0] + [t.omega.size for t in terms])
+        gram, parts = [], []
+        for t, lo in zip(terms, start):
+            n, f = t.basis.shape[0], which[lo:lo + t.omega.size]
+            W = (t.coeff[:, :, None] * t.coeff[:, None].conj()).real
+            gram.append(np.bincount(
+                (f[:, None] * n * n + np.arange(n * n)).reshape(-1),
+                W.reshape(-1), freqs.size * n * n).reshape(-1, n * n))
+            parts += [(f[modes], c, t.basis.reshape(n, -1))
+                      for modes, c in t.parts()]
+        # the magnitudes live as long as the stack; in a private map of
+        # their own (POSIX) they go back to the system with it, where a
+        # heap block of a few MB would keep the heap's high-water mark
+        # resident while a later allocation (R, say) outlives the stack
+        rows = sum(len(c) for _, c, _ in parts)
+        size = max(1, rows * d * d * 8)
+        buf = (mmap.mmap(-1, size, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+               if hasattr(mmap, "MAP_PRIVATE") else bytearray(size))
+        A = np.frombuffer(buf, count=rows * d * d).reshape(rows, d * d)
+        step, at = max(1, redfield.ASSEMBLY_BLOCK // (d * d)), 0
+        for _, c, B in parts:
+            for k in range(0, len(c), step):
+                x = c[k:k + step]
+                np.abs(x @ B, out=A[at:at + len(x)])
+                at += len(x)
+        A = A.reshape(-1, d, d)
+        derived = dict(terms=terms, dimension=d, freqs=freqs, gram=gram,
+                       which=np.concatenate([np.zeros(0, dtype=int)]
+                                            + [f for f, _, _ in parts]),
+                       magnitude=A, sums=(np.einsum("mac->ma", A),
+                                          np.einsum("mac->mc", A)))
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def __len__(self):
-        return self.omega.shape[0]
+        return self.which.size
 
-    @functools.cached_property
-    def distinct_omega(self):
-        """(freqs, which): the sorted distinct row frequencies and each
-        row's index into them, found once per stack."""
-        return np.unique(self.omega, return_inverse=True)
+    @classmethod
+    def from_rows(cls, omega, channel, V):
+        """The stack of Hermitian rows V (M, d, d) in the eigenbasis at
+        mode frequencies ``omega`` (M,): one term per channel, in order
+        of first appearance, whose operators are the channel's rows and
+        whose coefficients are the identity."""
+        omega, channel = np.asarray(omega, float), np.asarray(channel, str)
+        V = np.asarray(V, dtype=complex)
+        return cls(tuple(CouplingTerm(str(ch), omega[channel == ch], np.eye(
+            np.count_nonzero(channel == ch)), V[channel == ch])
+            for ch in dict.fromkeys(channel)), V.shape[-1])
 
 
 def operator_terms(system, ops, target, T):

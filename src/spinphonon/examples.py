@@ -139,12 +139,12 @@ def _run_golden_rule(manifest, path):
         ham = diagonalize(np.diag([0.0, gap]).astype(complex))
         v = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         v = 0.5 * (v + v.conj().T)
-        stack = CouplingStack(omega=[abs(omega0) + 1e-9], channel=["zeeman"],
-                              V=[ham.to_eigenbasis(v)])
+        V, omega_mode = ham.to_eigenbasis(v), abs(omega0) + 1e-9
+        stack = CouplingStack.from_rows([omega_mode], ["zeeman"], [V])
         R = assemble_redfield(stack, ham, PhononCorrelation(sigma, T))
         w_up = R.matrix()[3, 0].real  # rho_11 <- rho_00 transfer
-        oracle = _golden_rule_oracle(stack.V[0, 1, 0], ham.omega[1, 0],
-                                     stack.omega[0], sigma, T)
+        oracle = _golden_rule_oracle(V[1, 0], ham.omega[1, 0], omega_mode,
+                                     sigma, T)
         worst = max(worst, abs(w_up / oracle - 1.0))
     return worst <= rel_tol, (f"max relative deviation {worst:.2e} "
                               f"over {params['cases']} cases (<= {rel_tol:g})")

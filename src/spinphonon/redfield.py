@@ -105,64 +105,85 @@ class RedfieldTensor:
         return out
 
 
-def _chunks(stack, G, which, size):
-    """(channel, V, G) of up to ``size`` rows of one channel as (d, d,
-    rows) arrays; ``G`` is (d, d, distinct frequency), ``which`` per row."""
-    ch = stack.channel
-    edges = np.r_[0, np.flatnonzero(ch[1:] != ch[:-1]) + 1, ch.size]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        for start in range(lo, hi, size):
-            rows = slice(start, min(start + size, hi))
-            yield (str(ch[lo]),
-                   np.ascontiguousarray(stack.V[rows].transpose(1, 2, 0)),
-                   np.take(G, which[rows], axis=2))
+def _term_sums(W, G, B):
+    """P and Q of a term with Gram W and operators B at the correlations
+    G, in real products on the (Re, Im) pairs of B."""
+    n, d = B.shape[:2]
+    H = (W.T @ G).reshape(n, n, d, d)
+    Bri = np.ascontiguousarray(B).view(float).reshape(n, d, d, 2)
+    return (np.einsum(f"kl{xy},lxyr->kxyr", H, Bri).view(complex)[..., 0]
+            for xy in ("xy", "yx"))
 
 
-def _stack_sums(chunks, d):
-    """S1 and S2 of each channel, and bound[a, b] >= sum_cd |R_ab,cd|
-    less the S terms, over the (channel, V, G) chunks of a stack."""
-    S1, S2, bound = {}, {}, np.zeros((d, d))
-    for ch, V, g in chunks:
-        Vc, gT = V.transpose(1, 0, 2), g.transpose(1, 0, 2)
-        # each a (d x n)(n x d) product over n = (b, m)
-        S1[ch] = S1.get(ch, 0.0) + V.reshape(d, -1) @ np.multiply(
-            Vc, gT, order="C").reshape(d, -1).T
-        S2[ch] = S2.get(ch, 0.0) + (V * gT).reshape(d, -1) @ Vc.reshape(
-            d, -1).T
-        A = np.abs(V)
-        bound += (A * g).sum(axis=1) @ A.sum(axis=0).T
-        bound += A.sum(axis=1) @ (A * gT).sum(axis=0).T
-    return S1, S2, bound
+def _term_elements(P, Q, B, ac, db):
+    """sum_k (P_k,ac B_k,db + B_k,ac Q_k,db) of each element of a term,
+    ASSEMBLY_BLOCK / 4n elements at a time: the two gathers together
+    hold ASSEMBLY_BLOCK."""
+    n = B.shape[0]
+    left = np.concatenate([P, B]).reshape(2 * n, -1)
+    right = np.concatenate([B, Q]).reshape(2 * n, -1)
+    out = np.empty(ac.size, dtype=complex)
+    size = max(1, ASSEMBLY_BLOCK // (4 * n))
+    for start in range(0, ac.size, size):
+        k = slice(start, start + size)
+        out[k] = np.einsum("jk,jk->k", np.take(left, ac[k], axis=1),
+                           np.take(right, db[k], axis=1))
+    return out
 
 
 def assemble_redfield(stack, ham, pc, secular=False, check=None):
     """In-cluster elements of the (non-)secular Redfield tensor of a
-    CouplingStack in the eigenbasis of ``ham``; per channel
+    CouplingStack in the eigenbasis of ``ham``; per channel, over the
+    rows V of its terms,
 
-        R_{ab,cd} = sum_m V_ac V_db (G_ac + G_bd)
+        R_{ab,cd} = sum_V V_ac V_db (G_ac + G_bd)
                     - delta_bd S1_ac - delta_ac S2_db,
-        S1 = sum_m V (G V),  S2 = sum_m (V G^T) V,
+        S1 = sum_V V (G V),  S2 = sum_V (V G^T) V,
 
-    G_m = G(omega_xy; omega_m) elementwise: R conserves the trace. No
-    product of two rows enters, even within a channel. One row obeys
-    detailed balance, R_bb,aa / R_aa,bb = exp(-omega_m / kT), for omega_m
-    and omega_ba several sigma above zero; a sum of rows need not.
+    G = G(omega_xy; omega_V) elementwise: R conserves the trace. No
+    product of two rows enters, even within a term. One row obeys
+    detailed balance, R_bb,aa / R_aa,bb = exp(-omega_V / kT), for
+    omega_V and omega_ba several sigma above zero; a sum of rows need
+    not. A term's rows are real combinations of its n operators B_k, so
+    its sums are taken on them: with its Gram W, H_kl = sum_f W_f,kl G^f
+    (one real GEMM), P_k = sum_l H_kl o B_l, Q_k = sum_l H_kl^T o B_l
+    (o elementwise; ``_term_sums``), S1 = sum_k B_k P_k,
+    S2 = sum_k Q_k B_k, and each element takes 2n products
+    (``_term_elements``).
 
-    Pass 1 evaluates G once per distinct mode frequency, sums S1, S2 and
-    the triangle-inequality bound of the row sums of R, and clusters the
+    Pass 1 evaluates G once per distinct mode frequency, forms P, Q, S1
+    and S2 of every term, sums the triangle-inequality bound of the row
+    sums of R from the row magnitudes of the stack, and clusters the
     Bohr frequencies at that rate; ``check(clusters, n_channels)`` may
-    raise. Pass 2 dots gathered V and G over the rows for the elements
-    of every cluster, conjugates too. Temporaries hold ASSEMBLY_BLOCK
-    elements or one chunk of rows."""
+    raise. Pass 2 computes the elements of every cluster, conjugates
+    too. Temporaries that grow with the rows or the elements hold
+    ASSEMBLY_BLOCK elements."""
     d = ham.dimension
-    if stack.V.shape[1:] != (d, d):
+    if stack.dimension != d:
         raise ValidationError(
             "coupling not rotated into the Hamiltonian eigenbasis")
     omega = ham.omega  # (x, y): E_x - E_y
-    freqs, which = stack.distinct_omega
-    G = phonon_correlation_value(pc, omega[:, :, None], freqs)
+    G = phonon_correlation_value(pc, omega.reshape(1, -1),
+                                 stack.freqs[:, None])
+    bound, (rows, cols) = np.zeros((d, d)), stack.sums
     step = max(1, ASSEMBLY_BLOCK // (d * d))
-    S1, S2, bound = _stack_sums(_chunks(stack, G, which, step), d)
+    for start in range(0, len(stack), step):
+        k = slice(start, start + step)
+        g = np.take(G, stack.which[k], axis=0).reshape(-1, d, d)
+        A = stack.magnitude[k]
+        bound += np.einsum("mac,mac->ma", A, g).T @ cols[k]
+        bound += rows[k].T @ np.einsum("mdb,mbd->mb", A, g)
+    S1, S2, sums = {}, {}, []
+    for term, W in zip(stack.terms, stack.gram):
+        B, ch = term.basis, term.channel
+        n = B.shape[0]
+        P, Q = _term_sums(W, G, B)
+        S1[ch] = S1.get(ch, 0.0) + B.transpose(1, 0, 2).reshape(
+            d, n * d) @ P.reshape(n * d, d)
+        S2[ch] = S2.get(ch, 0.0) + Q.transpose(1, 0, 2).reshape(
+            d, n * d) @ B.reshape(n * d, d)
+        sums.append((ch, P, Q, B))
+    del G  # pass 2 needs only P and Q
     bound += np.abs(sum(S1.values(), np.zeros((d, d)))).sum(axis=1)[:, None]
     bound += np.abs(sum(S2.values(), np.zeros((d, d)))).sum(axis=0)
     # np.max, not max: a NaN must propagate into the rate
@@ -173,17 +194,10 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
 
     ab, cd = clusters.pairs()
     (a, b), (c, e) = np.divmod(ab, d), np.divmod(cd, d)
-    ac, db, bd = a * d + c, e * d + b, b * d + e
+    ac, db = a * d + c, e * d + b
     parts = {ch: np.zeros(ab.size, dtype=complex) for ch in S1}
-    for ch, V, g in _chunks(stack, G, which, step):
-        V, g = V.reshape(d * d, -1), g.reshape(d * d, -1)
-        size = max(1, ASSEMBLY_BLOCK // V.shape[1])
-        for start in range(0, ab.size, size):
-            k = slice(start, start + size)
-            x = np.take(g, ac[k], axis=0)
-            x += np.take(g, bd[k], axis=0)
-            x = x * np.take(V, ac[k], axis=0)
-            parts[ch][k] += np.einsum("km,km->k", x, np.take(V, db[k], 0))
+    for ch, P, Q, B in sums:
+        parts[ch] += _term_elements(P, Q, B, ac, db)
     w = omega.reshape(-1)
     for ch, x in parts.items():
         x[b == e] -= S1[ch].reshape(-1)[ac[b == e]]

@@ -31,8 +31,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .coupling import (CHANNELS, CHANNEL_OF_KIND, CouplingDerivativeSet,
-                       CouplingStack, dipolar_network, mode_tensor_derivatives,
-                       operator_terms)
+                       CouplingStack, CouplingTerm, dipolar_network,
+                       mode_tensor_derivatives, operator_terms)
 from .errors import CapacityError, NumericalError, ValidationError
 from .hamiltonian import assemble_hamiltonian
 from .lattice import (DEFAULT_OMEGA_MIN, enforce_acoustic_sum_rule,
@@ -258,7 +258,7 @@ class RelaxationPipeline:
         self.derivs = derivs
         self.ops = build_spin_operators(system)
         self._precursor_cache = {}
-        # (key, (system, ham, stack, diag)) of the last point
+        # (key, (system, ham, stack, diag, ham_rev)) of the last point
         self._stack_cache = None
         self._log = _PointLog()
 
@@ -317,13 +317,15 @@ class RelaxationPipeline:
         return system, assemble_hamiltonian(system, self.ops)
 
     def couplings(self, params, ham, system):
-        """CouplingStack of every retained mode, target and Hermitian part.
+        """CouplingStack of one CouplingTerm per target, on every
+        retained mode.
 
         Modes farther than prune_sigma_mult * sigma from every spin gap
-        are pruned. Each target's operator sum_k c_k B_k is built on its
-        Hermitian basis B_k, rotated into the eigenbasis once per call:
-        Re c gives the Hermitian part, Im c the anti-Hermitian part, and
-        a part whose coefficients are all zero is dropped.
+        are pruned. Each target's operator sum_k c_k B_k is kept as its
+        coefficients c and its Hermitian basis B_k, rotated into the
+        eigenbasis once per call: Re c gives the Hermitian part, Im c
+        the anti-Hermitian part, and a part whose coefficients are all
+        zero is no row.
         """
         modes, diag = self.mode_precursors(params.qgrid, params.omega_min)
         with self._timed("couplings"):
@@ -340,30 +342,16 @@ class RelaxationPipeline:
                 keep = near <= params.prune_sigma_mult * params.sigma
             omega = omega[keep]
             scale = params.coupling_scale or {}
-            # (channel, mode rows, coefficients, eigenbasis operators)
-            parts = []
+            terms = []
             for t, tgt in enumerate(modes.targets):
                 ch = CHANNEL_OF_KIND[tgt[0]]
                 if params.channels is not None and ch not in params.channels:
                     continue
                 T = modes.tensors[keep, t] / np.sqrt(fs) * scale.get(ch, 1.0)
                 coeff, basis = operator_terms(system, self.ops, tgt, T)
-                basis = ham.to_eigenbasis(basis)
-                for c in (coeff.real, coeff.imag):
-                    rows = np.flatnonzero(np.any(c != 0.0, axis=1))
-                    parts.append((ch, rows, c[rows], basis))
-            counts = [rows.size for _, rows, _, _ in parts]
-            d = ham.dimension
-            stack = CouplingStack(
-                omega=np.concatenate([omega[rows] for _, rows, _, _ in parts]
-                                     + [np.empty(0)]),
-                channel=np.repeat([ch for ch, _, _, _ in parts], counts),
-                V=np.empty((sum(counts), d, d), dtype=complex))
-            # each part's rows written in place: V is never held twice
-            blocks = np.split(stack.V.reshape(-1, d * d),
-                              np.cumsum(counts)[:-1])
-            for (_, _, c, basis), out in zip(parts, blocks):
-                np.matmul(c, basis.reshape(len(basis), d * d), out=out)
+                terms.append(CouplingTerm(ch, omega, coeff,
+                                          ham.to_eigenbasis(basis)))
+            stack = CouplingStack(terms=tuple(terms), dimension=ham.dimension)
         diag = dict(diag)
         diag["pruned_modes"] = int(modes.weight[~keep].sum())
         return stack, diag
@@ -374,18 +362,22 @@ class RelaxationPipeline:
         the point's Redfield arrays would not fit in physical memory
         (``redfield_bytes``).
 
-        The spin Hamiltonian and coupling stack of the last point are
-        reused when only the temperature moved. A rebuild drops them
-        first, so the pipeline never holds two stacks."""
+        The spin Hamiltonian, its field-reversed twin (None at zero
+        field) and the coupling stack of the last point are reused when
+        only the temperature moved. A rebuild drops them first, so the
+        pipeline never holds two stacks."""
         key = replace(params, temperature=0.0)
         if self._stack_cache is not None and self._stack_cache[0] == key:
             self._log.cache_hits += 1
         else:
             self._stack_cache = None
             system, ham = self.hamiltonian(params.field_B)
+            B = system.field_B
+            ham_rev = (self.hamiltonian(-B)[1] if np.linalg.norm(B) > 0
+                       else None)
             stack, diag = self.couplings(params, ham, system)
-            self._stack_cache = (key, (system, ham, stack, diag))
-        system, ham, stack, diag = self._stack_cache[1]
+            self._stack_cache = (key, (system, ham, stack, diag, ham_rev))
+        system, ham, stack, diag, _ = self._stack_cache[1]
         pc = PhononCorrelation(sigma=params.sigma, temperature=params.temperature)
         with self._timed("assembly"):
             R = assemble_redfield(stack, ham, pc, secular=params.secular,
@@ -402,7 +394,12 @@ class RelaxationPipeline:
         the total's."""
         self._log.reset()
         R, ham, system, diag = self.redfield(params)
-        rho0 = self._field_inverted_initial_state(params, system, ham)
+        # magnetometry-style initial state: the equilibrium of the
+        # field-reversed Hamiltonian, in the working eigenbasis
+        ham_rev = self._stack_cache[1][4]
+        rho0 = None if ham_rev is None else ham.to_eigenbasis(
+            ham_rev.from_eigenbasis(equilibrium_state(
+                ham_rev, params.temperature or 1e-3).matrix))
         tau_channel = {}
         channel_errors = {}
         with self._timed("spectral"):
@@ -428,20 +425,6 @@ class RelaxationPipeline:
                 "cache_hits": self._log.cache_hits}
         return SweepRow(value=value, tau_ms=tau_ms, tau_channel_ms=tau_channel,
                         diagnostics=diag)
-
-    def _field_inverted_initial_state(self, params, system, ham):
-        """Equilibrium of the field-reversed Hamiltonian, expressed in
-        the working eigenbasis (magnetometry-style initial state)."""
-        T = params.temperature
-        if T <= 0:
-            T = 1e-3
-        B = system.field_B
-        if np.linalg.norm(B) == 0:
-            return None
-        sys_rev, ham_rev = self.hamiltonian(-B)
-        rho_rev = equilibrium_state(ham_rev, T)
-        rho_prod = ham_rev.from_eigenbasis(rho_rev.matrix)
-        return ham.to_eigenbasis(rho_prod)
 
 
 # -- sweeps ----------------------------------------------------------------

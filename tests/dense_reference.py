@@ -35,10 +35,26 @@ def reference_part(V, G):
     return RATE_PREFACTOR * R.reshape(d * d, d * d)
 
 
+def coupling_rows(stack):
+    """(omega (M,), channel (M,), V (M, d, d)) of every row of a
+    CouplingStack: term by term, the rows (Re c) B, then (Im c) B, in
+    mode order, without the all-zero ones."""
+    d = stack.dimension
+    omega, channel, V = [np.empty(0)], [], [np.empty((0, d, d))]
+    for term in stack.terms:
+        n = term.basis.shape[0]
+        for modes, c in term.parts():
+            omega.append(term.omega[modes])
+            channel += [term.channel] * modes.size
+            V.append((c @ term.basis.reshape(n, d * d)).reshape(-1, d, d))
+    return (np.concatenate(omega), np.array(channel, dtype=str),
+            np.concatenate(V))
+
+
 def dense_redfield(stack, ham, pc, secular=False):
     """{channel: dense d^2 x d^2 R} of a CouplingStack, row by row."""
     parts = {}
-    for V, omega, ch in zip(stack.V, stack.omega, stack.channel):
+    for omega, ch, V in zip(*coupling_rows(stack)):
         G = phonon_correlation_value(pc, ham.omega, omega)
         parts[str(ch)] = parts.get(str(ch), 0.0) + reference_part(V, G)
     if secular:

@@ -81,7 +81,8 @@ def test_criterion_01_golden_rule_population_transfer():
         sigma = float(rng.uniform(0.2, 1.5))
         T = float(rng.uniform(2.0, 100.0))
         omega_mode = float(rng.uniform(1.0, 12.0))
-        stack = CouplingStack(omega=[omega_mode], channel=["zeeman"], V=[V])
+        stack = CouplingStack.from_rows(omega=[omega_mode],
+                                        channel=["zeeman"], V=[V])
         pc = PhononCorrelation(sigma=sigma, temperature=T)
         R = assemble_redfield(stack, ham, pc).matrix()
         for a in range(d):
@@ -124,7 +125,8 @@ def test_criterion_02_secular_propagation_reaches_boltzmann():
         for gap in gaps:
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             Vs.append(0.05 * (m + m.conj().T))
-        cpls = CouplingStack(omega=gaps, channel=["zeeman"] * len(gaps), V=Vs)
+        cpls = CouplingStack.from_rows(omega=gaps,
+                                       channel=["zeeman"] * len(gaps), V=Vs)
         pc = PhononCorrelation(sigma=0.02, temperature=T)
         R = assemble_redfield(cpls, ham, pc, secular=True)
         Rmat = R.matrix()

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from spinphonon import lattice, redfield, sweep
 from spinphonon.crystal import CrystalModel
-from spinphonon.coupling import CouplingStack
+from spinphonon.coupling import CouplingStack, CouplingTerm
 from spinphonon.errors import NumericalError, ParseError
 from spinphonon.hamiltonian import (SpinHamiltonian, assemble_hamiltonian,
                                     diagonalize)
@@ -37,7 +37,8 @@ from spinphonon.toy import ToySpec, generate_toy_crystal
 from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
 
 from dense_reference import (assert_matches_dense, bohr_omega, cluster_labels,
-                             dense_redfield, gershgorin_rate, in_cluster,
+                             coupling_rows, dense_redfield, gershgorin_rate,
+                             in_cluster,
                              reference_decomposition_weights, reference_dos,
                              reference_dynamical_matrices, smallest_gap)
 
@@ -411,11 +412,59 @@ def _spin_case(d, m, seed, secular, temperature):
     def tensor(h, c=1.0, dense=False):
         """R of the couplings c V, in the eigenbasis of h, or with
         ``dense`` its dense reference {channel: R}."""
-        stack = CouplingStack(omega=omega, channel=channel,
-                              V=h.to_eigenbasis(c * V))
+        stack = CouplingStack.from_rows(omega=omega, channel=channel,
+                                        V=h.to_eigenbasis(c * V))
         build = dense_redfield if dense else assemble_redfield
         return build(stack, h, pc, secular=secular)
     return ham, tensor, O, rng
+
+
+term_cases = st.fixed_dictionaries({
+    "d": st.integers(2, 8),
+    "seed": st.integers(0, 2**16),
+    "secular": st.booleans(),
+    "temperature": st.floats(1.0, 300.0),
+})
+
+
+@FEW
+@given(case=term_cases)
+def test_coupling_terms_match_their_rows(case):
+    # equal gaps, so that Bohr frequencies coincide; two or three terms
+    # per channel on a few shared mode frequencies; in each term a mode
+    # with no Re part, one with no Im part and one with neither
+    rng = np.random.default_rng(case["seed"])
+    d, secular = case["d"], case["secular"]
+    gap = rng.uniform(0.5, 3.0)
+    Q, _ = np.linalg.qr(_hermitian(rng, d, d))
+    ham = diagonalize(Q @ np.diag(gap * np.arange(d)) @ Q.conj().T)
+    freqs = gap * rng.integers(1, d, size=3) + rng.uniform(0.0, 0.3, size=3)
+    terms = []
+    for ch in ("zeeman", "hyperfine"):
+        for _ in range(int(rng.integers(2, 4))):
+            n, m = int(rng.integers(1, 4)), int(rng.integers(3, 7))
+            c = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+            c[0], c[1], c[2] = 1j * c[0].imag, c[1].real, 0.0
+            basis = ham.to_eigenbasis(0.01 * _hermitian(rng, n, d, d))
+            terms.append(CouplingTerm(ch, rng.choice(freqs, size=m), c,
+                                      basis))
+    stack = CouplingStack(tuple(terms), d)
+    pc = PhononCorrelation(sigma=rng.uniform(0.3, 2.0),
+                           temperature=case["temperature"])
+    R = assemble_redfield(stack, ham, pc, secular=secular)
+    rows = coupling_rows(stack)
+    assert R.n_couplings == len(rows[0]) == sum(
+        2 * t.omega.size - 4 for t in terms)
+    assert_matches_dense(R, dense_redfield(stack, ham, pc, secular=secular))
+    # the same operators as raw rows, one term per channel
+    R_rows = assemble_redfield(CouplingStack.from_rows(*rows), ham, pc,
+                               secular=secular)
+    assert R_rows.n_couplings == R.n_couplings
+    assert np.array_equal(R_rows.clusters.offsets, R.clusters.offsets)
+    assert list(R_rows.channels) == list(R.channels)
+    scale = max(np.max(np.abs(x)) for x in R.channels.values())
+    for ch, x in R.channels.items():
+        assert np.max(np.abs(R_rows.channels[ch] - x)) <= 1e-12 * scale
 
 
 #: rate scale over the largest Bohr frequency, as a power of ten: from
@@ -543,8 +592,9 @@ def test_one_row_obeys_detailed_balance(d, seed, sigma, temperature,
     omega_m = max(gap + detuning * sigma, 3.0 * sigma)
     V = ham.to_eigenbasis(_hermitian(rng, d, d))
     pc = PhononCorrelation(sigma=sigma, temperature=temperature)
-    R = assemble_redfield(CouplingStack(omega=[omega_m], channel=["zeeman"],
-                                        V=[V]), ham, pc).matrix()
+    stack = CouplingStack.from_rows(omega=[omega_m], channel=["zeeman"],
+                                    V=[V])
+    R = assemble_redfield(stack, ham, pc).matrix()
     up, down = R[b * d + b, a * d + a].real, R[a * d + a, b * d + b].real
     boltzmann = np.exp(-omega_m / (KB_CM1_PER_K * temperature))
     assert abs(up / down / boltzmann - 1.0) <= 1e-10
@@ -571,8 +621,9 @@ def test_block_tau_equals_secular_tau_on_a_two_level_system(case):
     gap = float(ham.eigvals[1] - ham.eigvals[0])
     rng = np.random.default_rng(case["seed"])
     V = case["strength"] * _hermitian(rng, 3, 2, 2)
-    stack = CouplingStack(omega=gap + case["detuning"] + np.arange(3) * 0.1,
-                          channel=["zeeman"] * 3, V=V)
+    stack = CouplingStack.from_rows(
+        omega=gap + case["detuning"] + np.arange(3) * 0.1,
+        channel=["zeeman"] * 3, V=V)
     pc = PhononCorrelation(sigma=case["sigma"],
                            temperature=case["temperature"])
     R = assemble_redfield(stack, ham, pc)

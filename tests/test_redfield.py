@@ -14,7 +14,8 @@ from spinphonon.lattice import bose_population, gaussian_kernel
 from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
 from spinphonon.units import KB_CM1_PER_K, PS_PER_MS
 
-from dense_reference import assert_matches_dense, dense_redfield, in_cluster
+from dense_reference import (assert_matches_dense, coupling_rows,
+                             dense_redfield, in_cluster)
 
 
 def _two_level(field=5.0):
@@ -29,7 +30,7 @@ def _coupling(ham, ops, strength=0.01, channel="zeeman"):
     """One-row stack: an Sx-like coupling to a mode at the spin gap."""
     V = strength * ham.to_eigenbasis(ops.embedded[0][0])
     gap = float(ham.eigvals[-1] - ham.eigvals[0])
-    return CouplingStack(omega=[gap], channel=[channel], V=[V])
+    return CouplingStack.from_rows(omega=[gap], channel=[channel], V=[V])
 
 
 def test_density_matrix_validation():
@@ -91,9 +92,10 @@ def test_golden_rule_two_level_population_transfer():
     R = assemble_redfield(mc, ham, pc)
     Rmat = R.matrix()
     gap = float(ham.eigvals[1] - ham.eigvals[0])
-    g_up = phonon_correlation_value(pc, gap, mc.omega[0])
-    g_dn = phonon_correlation_value(pc, -gap, mc.omega[0])
-    v2 = abs(mc.V[0, 1, 0]) ** 2
+    (w,), _, (V,) = coupling_rows(mc)
+    g_up = phonon_correlation_value(pc, gap, w)
+    g_dn = phonon_correlation_value(pc, -gap, w)
+    v2 = abs(V[1, 0]) ** 2
     # rho_11 <- rho_00 and rho_00 <- rho_11 transfer rates
     assert abs(Rmat[3, 0].real - 2 * RATE_PREFACTOR * v2 * g_up) < 1e-18
     assert abs(Rmat[0, 3].real - 2 * RATE_PREFACTOR * v2 * g_dn) < 1e-18
@@ -137,7 +139,7 @@ def test_secular_propagation_reaches_boltzmann_populations():
     pc = PhononCorrelation(sigma=0.05, temperature=T)
     gap = float(ham.eigvals[1] - ham.eigvals[0])
     V = 0.02 * ham.to_eigenbasis(ops.embedded[0][0])
-    mc = CouplingStack(omega=[gap], channel=["zeeman"], V=[V])
+    mc = CouplingStack.from_rows(omega=[gap], channel=["zeeman"], V=[V])
     R = assemble_redfield(mc, ham, pc, secular=True)
     rho0 = np.diag([1.0, 0.0, 0.0]).astype(complex)
     rate = np.max(np.abs(np.real(np.linalg.eigvals(R.matrix()))))
@@ -152,8 +154,8 @@ def test_two_level_relaxation_time_matches_rate_oracle():
     mc = _coupling(ham, ops)
     R = assemble_redfield(mc, ham, pc)
     gap = float(ham.eigvals[1] - ham.eigvals[0])
-    v2 = abs(mc.V[0, 1, 0]) ** 2
-    w = mc.omega[0]
+    (w,), _, (V,) = coupling_rows(mc)
+    v2 = abs(V[1, 0]) ** 2
     w_up = 2 * RATE_PREFACTOR * v2 * phonon_correlation_value(pc, gap, w)
     w_dn = 2 * RATE_PREFACTOR * v2 * phonon_correlation_value(pc, -gap, w)
     tau_ms = (1.0 / (w_up + w_dn)) / PS_PER_MS
@@ -185,7 +187,7 @@ def test_assembly_matches_per_coupling_reference(d, secular, monkeypatch):
     omega = rng.uniform(0.5, 1.5 * d, size=m)
     channel = rng.choice(["zeeman", "hyperfine"], size=m)
     pc = PhononCorrelation(sigma=0.7, temperature=15.0)
-    stack = CouplingStack(omega=omega, channel=channel, V=V)
+    stack = CouplingStack.from_rows(omega=omega, channel=channel, V=V)
     R = assemble_redfield(stack, ham, pc, secular=secular)
     assert R.n_couplings == m
     assert set(R.channels) == {"zeeman", "hyperfine"}
@@ -204,8 +206,11 @@ def test_channel_resolved_tensor_parts():
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
     a = _coupling(ham, ops, 0.01, channel="zeeman")
     b = _coupling(ham, ops, 0.005, channel="hyperfine")
-    both = CouplingStack(omega=[a.omega[0], b.omega[0]],
-                         channel=["zeeman", "hyperfine"], V=[a.V[0], b.V[0]])
+    (wa,), _, Va = coupling_rows(a)
+    (wb,), _, Vb = coupling_rows(b)
+    both = CouplingStack.from_rows(omega=[wa, wb],
+                                   channel=["zeeman", "hyperfine"],
+                                   V=[Va[0], Vb[0]])
     R = assemble_redfield(both, ham, pc)
     total = R.matrix()
     parts = R.matrix(("zeeman",)) + R.matrix(("hyperfine",))
@@ -216,7 +221,8 @@ def test_channel_resolved_tensor_parts():
 def test_unrotated_coupling_rejected():
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
-    bad = CouplingStack(omega=[5.0], channel=["zeeman"], V=[np.eye(3)])
+    bad = CouplingStack.from_rows(omega=[5.0], channel=["zeeman"],
+                                  V=[np.eye(3)])
     with pytest.raises(ValidationError):
         assemble_redfield(bad, ham, pc)
 

@@ -15,6 +15,8 @@ from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
                               replicated_spin_system, run_sweep)
 from spinphonon.toy import ToySpec, generate_toy_crystal, toy_preset
 
+from dense_reference import coupling_rows
+
 
 BASE = RunParams(qgrid=(4, 4, 4), sigma=1.0, temperature=50.0)
 
@@ -375,24 +377,29 @@ def test_coupling_stack_matches_direct_construction(which, soft_pipeline,
         params = config.run_params(qgrid=(2, 2, 2))
     stack, _, ham, system = _stack(pipeline, params)
     ref = _reference_rows(pipeline, params, ham, system)
+    omega, channel, V = coupling_rows(stack)
     assert len(stack) == len(ref) > 0
-    assert np.array_equal(stack.omega, [r[0] for r in ref])
-    assert list(stack.channel) == [r[1] for r in ref]
+    assert np.array_equal(omega, [r[0] for r in ref])
+    assert list(channel) == [r[1] for r in ref]
     V_ref = np.array([r[2] for r in ref])
     scale = np.max(np.abs(V_ref))
-    assert np.max(np.abs(stack.V - V_ref)) <= 1e-12 * scale
-    herm = np.abs(stack.V - stack.V.conj().transpose(0, 2, 1))
+    assert np.max(np.abs(V - V_ref)) <= 1e-12 * scale
+    herm = np.abs(V - V.conj().transpose(0, 2, 1))
     assert np.max(herm) <= 1e-14 * scale
+    # the rate bound reads the magnitudes of these rows
+    assert np.array_equal(stack.magnitude, np.abs(V))
 
 
 def test_coupling_stack_channel_filter(soft_pipeline):
     full, _, _, _ = _stack(soft_pipeline, BASE)
     none, _, _, _ = _stack(soft_pipeline,
                            replace(BASE, channels=("hyperfine",)))
-    assert len(none) == 0 and none.V.shape[1:] == full.V.shape[1:]
+    _, _, V_none = coupling_rows(none)
+    _, channel, V_full = coupling_rows(full)
+    assert len(none) == 0 and V_none.shape[1:] == V_full.shape[1:]
     zee, _, _, _ = _stack(soft_pipeline, replace(BASE, channels=("zeeman",)))
-    assert set(full.channel) == {"zeeman"}
-    assert np.array_equal(zee.V, full.V)
+    assert set(channel) == {"zeeman"}
+    assert np.array_equal(coupling_rows(zee)[2], V_full)
 
 
 def test_mode_pruning_skips_far_off_resonant_modes(soft_pipeline):
@@ -406,10 +413,11 @@ def test_mode_pruning_skips_far_off_resonant_modes(soft_pipeline):
     # a full-grid count: a mode stands for weight-many q-points
     assert diag["pruned_modes"] == modes.weight[far].sum() > 0
     assert diag_all["pruned_modes"] == 0
-    near = np.array([np.min(np.abs(gaps - w)) for w in pruned.omega])
+    near = np.array([np.min(np.abs(gaps - w))
+                     for w in coupling_rows(pruned)[0]])
     assert np.all(near <= 20.0 * BASE.sigma)
     assert len(every) > len(pruned)
-    assert set(every.omega) == set(modes.omega)
+    assert set(coupling_rows(every)[0]) == set(modes.omega)
 
 
 def _vanadyl_pipeline(config_path):
@@ -492,14 +500,52 @@ def test_point_beyond_memory_fails_before_assembly(soft_pipeline,
     R = soft_pipeline.redfield(BASE)[0]
     need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels))
     passes = []
-    real = redfield._chunks
-    monkeypatch.setattr(redfield, "_chunks",
+    real = redfield._term_elements
+    monkeypatch.setattr(redfield, "_term_elements",
                         lambda *args: passes.append(1) or real(*args))
     monkeypatch.setattr(sweep, "physical_memory_bytes", lambda: need - 1)
     with pytest.raises(CapacityError, match=f"{need / 1e9:.3g} GB"):
         soft_pipeline.relax(BASE)
     # pass 1 found the clusters; pass 2 assembled no element
-    assert len(passes) == 1
+    assert passes == []
+    # with the memory it asks for, pass 2 runs once per term
+    monkeypatch.setattr(sweep, "physical_memory_bytes", lambda: need)
+    soft_pipeline.relax(BASE)
+    assert len(passes) == len(soft_pipeline._stack_cache[1][2].terms) == 1
+
+
+def test_coupling_stack_holds_no_row_operators():
+    from spinphonon.examples import examples_dir
+    crystal, fc, derivs, system, config = load_project(
+        f"{examples_dir()}/vanadyl_fixture/config.json")
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    stack, _, ham, _ = _stack(pipeline, config.run_params(qgrid=(2, 2, 2)))
+    d, rows, F = ham.dimension, len(stack), stack.freqs.size
+    assert rows > 0 and len(stack.terms) == 2
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (tuple, list)):
+            for x in obj:
+                yield from arrays(x)
+        elif hasattr(obj, "__dict__"):
+            yield from arrays(list(vars(obj).values()))
+
+    held = list(arrays(stack))
+    # the one array with d^2 per row: the real magnitudes |V| that the
+    # rate bound of the Bohr clusters reads
+    assert [a.shape for a in held if a.size >= rows * d * d] == [
+        (rows, d, d)]
+    assert not np.iscomplexobj(stack.magnitude)
+    per_row = rows * (d * d + 2 * d + 1) * 8  # |V|, its sums, which
+    budget = F * 8 + sum(
+        (t.omega.size * t.basis.shape[0] + t.basis.shape[0] * d * d) * 16
+        + t.omega.size * 8 + F * t.basis.shape[0] ** 2 * 8  # omega, Gram
+        for t in stack.terms)
+    assert sum(a.nbytes for a in held) <= budget + per_row
+    # less than the complex rows V alone, which the stack no longer holds
+    assert sum(a.nbytes for a in held) < rows * d * d * 16
 
 
 def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
@@ -693,7 +739,7 @@ def test_spin_sibling_builds_its_own_stack(soft_bundle, monkeypatch):
         row = sibling.relax(BASE)
         assert row.error is None
         stack = sibling._stack_cache[1][2]
-        assert stack.V.shape[1:] == (2 * cells, 2 * cells)
+        assert coupling_rows(stack)[2].shape[1:] == (2 * cells, 2 * cells)
     assert len(seen) == 2
     # the parent keeps its own entry and still hits it
     assert pipeline._stack_cache is entry
