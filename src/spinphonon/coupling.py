@@ -1,14 +1,12 @@
 """Spin-phonon coupling: derivative fitting, analytic dipolar derivatives,
 normal-mode projection and coupling-norm distributions."""
 
-import mmap
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from . import redfield
 from .errors import NumericalError, ValidationError
 from .hamiltonian import dipolar_tensor
 from .spins import SpinCoupling
@@ -290,16 +288,13 @@ class CouplingTerm(NamedTuple):
 @dataclass(frozen=True)
 class CouplingStack:
     """The spin-phonon coupling of a point: CouplingTerms on d x d
-    operators, those without a row dropped; ``len`` counts the rows.
+    operators, those without a row dropped; ``len`` counts the rows,
+    the nonzero standing-wave parts of the modes.
 
     Construction derives what assembly needs at every temperature: the
-    distinct mode frequencies ``freqs`` (F,); per term its Gram
+    distinct mode frequencies ``freqs`` (F,) and per term its Gram
     ``gram`` (F, n^2), the sum of Re(c_m c_m^H) over its modes at each
-    frequency; per row, in term and part order, its frequency index
-    ``which``, its magnitudes ``magnitude`` = |V| (rows, d, d) and their
-    row and column sums ``sums``, for the rate bound of the Bohr
-    clusters. The rows themselves are built and dropped ASSEMBLY_BLOCK
-    elements at a time."""
+    frequency. Nothing is held per row."""
 
     terms: tuple
     dimension: int
@@ -312,41 +307,21 @@ class CouplingStack:
         freqs, which = np.unique(np.concatenate(
             [np.empty(0)] + [t.omega for t in terms]), return_inverse=True)
         start = np.cumsum([0] + [t.omega.size for t in terms])
-        gram, parts = [], []
+        gram, rows = [], 0
         for t, lo in zip(terms, start):
             n, f = t.basis.shape[0], which[lo:lo + t.omega.size]
             W = (t.coeff[:, :, None] * t.coeff[:, None].conj()).real
             gram.append(np.bincount(
                 (f[:, None] * n * n + np.arange(n * n)).reshape(-1),
                 W.reshape(-1), freqs.size * n * n).reshape(-1, n * n))
-            parts += [(f[modes], c, t.basis.reshape(n, -1))
-                      for modes, c in t.parts()]
-        # the magnitudes live as long as the stack; in a private map of
-        # their own (POSIX) they go back to the system with it, where a
-        # heap block of a few MB would keep the heap's high-water mark
-        # resident while a later allocation (R, say) outlives the stack
-        rows = sum(len(c) for _, c, _ in parts)
-        size = max(1, rows * d * d * 8)
-        buf = (mmap.mmap(-1, size, mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-               if hasattr(mmap, "MAP_PRIVATE") else bytearray(size))
-        A = np.frombuffer(buf, count=rows * d * d).reshape(rows, d * d)
-        step, at = max(1, redfield.ASSEMBLY_BLOCK // (d * d)), 0
-        for _, c, B in parts:
-            for k in range(0, len(c), step):
-                x = c[k:k + step]
-                np.abs(x @ B, out=A[at:at + len(x)])
-                at += len(x)
-        A = A.reshape(-1, d, d)
+            rows += sum(len(c) for _, c in t.parts())
         derived = dict(terms=terms, dimension=d, freqs=freqs, gram=gram,
-                       which=np.concatenate([np.zeros(0, dtype=int)]
-                                            + [f for f, _, _ in parts]),
-                       magnitude=A, sums=(np.einsum("mac->ma", A),
-                                          np.einsum("mac->mc", A)))
+                       rows=rows)
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
     def __len__(self):
-        return self.which.size
+        return self.rows
 
     @classmethod
     def from_rows(cls, omega, channel, V):

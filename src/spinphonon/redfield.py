@@ -38,7 +38,7 @@ POSITIVITY_TOL = 1e-8
 #: scale of zero are null-space candidates for the stationary state
 NULL_TOL = 1e-9
 
-#: elements of each temporary array of the two assembly passes
+#: elements of each temporary array of assembly pass 2
 ASSEMBLY_BLOCK = 1 << 16
 
 
@@ -152,12 +152,18 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
     (``_term_elements``).
 
     Pass 1 evaluates G once per distinct mode frequency, forms P, Q, S1
-    and S2 of every term, sums the triangle-inequality bound of the row
-    sums of R from the row magnitudes of the stack, and clusters the
-    Bohr frequencies at that rate; ``check(clusters, n_channels)`` may
-    raise. Pass 2 computes the elements of every cluster, conjugates
-    too. Temporaries that grow with the rows or the elements hold
-    ASSEMBLY_BLOCK elements."""
+    and S2 of every term and bounds the absolute row sums of R by the
+    triangle inequality over k,
+
+        bound_ab = sum_terms sum_k [(sum_c |P_k,ac|)(sum_d |B_k,db|)
+                                    + (sum_c |B_k,ac|)(sum_d |Q_k,db|)]
+                   + sum_c |S1_ac| + sum_d |S2_db|
+
+    with S1 and S2 summed over every term, and clusters the Bohr
+    frequencies at that rate; ``check(clusters, n_channels)`` may raise.
+    Pass 2 computes the elements of every cluster, conjugates too, from
+    the same formula, so the bound covers them. Its temporaries that
+    grow with the elements hold ASSEMBLY_BLOCK elements."""
     d = ham.dimension
     if stack.dimension != d:
         raise ValidationError(
@@ -165,19 +171,14 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
     omega = ham.omega  # (x, y): E_x - E_y
     G = phonon_correlation_value(pc, omega.reshape(1, -1),
                                  stack.freqs[:, None])
-    bound, (rows, cols) = np.zeros((d, d)), stack.sums
-    step = max(1, ASSEMBLY_BLOCK // (d * d))
-    for start in range(0, len(stack), step):
-        k = slice(start, start + step)
-        g = np.take(G, stack.which[k], axis=0).reshape(-1, d, d)
-        A = stack.magnitude[k]
-        bound += np.einsum("mac,mac->ma", A, g).T @ cols[k]
-        bound += rows[k].T @ np.einsum("mdb,mbd->mb", A, g)
-    S1, S2, sums = {}, {}, []
+    bound, S1, S2, sums = np.zeros((d, d)), {}, {}, []
     for term, W in zip(stack.terms, stack.gram):
         B, ch = term.basis, term.channel
         n = B.shape[0]
         P, Q = _term_sums(W, G, B)
+        size = np.abs(B)
+        bound += np.abs(P).sum(axis=2).T @ size.sum(axis=1)
+        bound += size.sum(axis=2).T @ np.abs(Q).sum(axis=1)
         S1[ch] = S1.get(ch, 0.0) + B.transpose(1, 0, 2).reshape(
             d, n * d) @ P.reshape(n * d, d)
         S2[ch] = S2.get(ch, 0.0) + Q.transpose(1, 0, 2).reshape(

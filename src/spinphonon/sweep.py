@@ -7,7 +7,8 @@ conjugate eigenvectors. Its modes enter with weight 2 (1 where q = -q),
 folded as sqrt(weight) into each mode's amplitude, which reproduces
 the full-grid Redfield tensor to round-off. Mode counts in the diagnostics
 (imaginary, below omega_min, pruned) and ``n_q`` are full-grid counts;
-``n_couplings`` counts the coupling rows actually assembled.
+``n_couplings`` counts the nonzero standing-wave parts of the modes
+(``CouplingStack``).
 
 The pipeline caches three things: phonon spectra per q-grid, mode
 tensors per (q-grid, omega_min), and the spin Hamiltonian and coupling

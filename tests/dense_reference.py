@@ -65,6 +65,28 @@ def dense_redfield(stack, ham, pc, secular=False):
     return parts
 
 
+def row_rate_bound(stack, ham, pc):
+    """Rate bound (1/ps) of the row sums of R by the triangle inequality
+    over the rows V of a CouplingStack, with A = |V| and G of each row:
+    the largest over (ab) of
+
+        sum_V [(sum_c A_ac G_ac)(sum_d A_db) + (sum_c A_ac)(sum_d A_db G_bd)]
+        + sum_c |S1_ac| + sum_d |S2_db|,
+
+    S1 and S2 those of ``reference_part`` summed over every row."""
+    d = stack.dimension
+    bound, S1, S2 = np.zeros((d, d)), np.zeros((d, d)), np.zeros((d, d))
+    for omega, V in zip(*coupling_rows(stack)[::2]):
+        G = phonon_correlation_value(pc, ham.omega, omega)
+        A = np.abs(V)
+        bound += np.outer((A * G).sum(axis=1), A.sum(axis=0))
+        bound += np.outer(A.sum(axis=1), (A * G.T).sum(axis=0))
+        S1 = S1 + V @ (G * V)
+        S2 = S2 + (V * G.T) @ V
+    bound += np.abs(S1).sum(axis=1)[:, None] + np.abs(S2).sum(axis=0)
+    return RATE_PREFACTOR * float(np.max(bound))
+
+
 def bohr_omega(ham):
     """Bohr frequency omega_ab (rad/ps) of each (ab) index."""
     return ham.omega.reshape(-1) * ANGULAR_FREQUENCY_PER_CM1

@@ -40,7 +40,8 @@ from dense_reference import (assert_matches_dense, bohr_omega, cluster_labels,
                              coupling_rows, dense_redfield, gershgorin_rate,
                              in_cluster,
                              reference_decomposition_weights, reference_dos,
-                             reference_dynamical_matrices, smallest_gap)
+                             reference_dynamical_matrices, row_rate_bound,
+                             smallest_gap)
 
 FEW = settings(derandomize=True, database=None, deadline=None, max_examples=12)
 
@@ -409,12 +410,12 @@ def _spin_case(d, m, seed, secular, temperature):
                            temperature=temperature)
     O = _hermitian(rng, d, d)
 
-    def tensor(h, c=1.0, dense=False):
-        """R of the couplings c V, in the eigenbasis of h, or with
-        ``dense`` its dense reference {channel: R}."""
+    def tensor(h, c=1.0, build=assemble_redfield):
+        """R of the couplings c V, in the eigenbasis of h, or what
+        ``build(stack, h, pc, secular=...)`` makes of their row stack
+        (``dense_redfield``: the dense reference {channel: R})."""
         stack = CouplingStack.from_rows(omega=omega, channel=channel,
                                         V=h.to_eigenbasis(c * V))
-        build = dense_redfield if dense else assemble_redfield
         return build(stack, h, pc, secular=secular)
     return ham, tensor, O, rng
 
@@ -482,7 +483,7 @@ def _clustered_tensor(case, log_ratio):
     ham, tensor, _, _ = _spin_case(**case)
     omega = np.abs(ham.omega).max() * ANGULAR_FREQUENCY_PER_CM1
     c = np.sqrt(10.0 ** log_ratio * omega / tensor(ham).clusters.rate)
-    return ham, tensor(ham, c), tensor(ham, c, dense=True)
+    return ham, tensor(ham, c), tensor(ham, c, build=dense_redfield)
 
 
 def _transposed(idx, d):
@@ -662,9 +663,22 @@ def test_tau_is_independent_of_the_eigenvector_gauge(case):
     assert (rate_plain is None) == (rate_turned is None)
     if rate_plain is not None:
         # rates agree to round-off on the generator's scale
-        dense = sum(tensor(ham, dense=True).values())
+        dense = sum(tensor(ham, build=dense_redfield).values())
         scale = np.max(np.abs(np.linalg.eigvals(dense)))
         assert abs(rate_plain - rate_turned) <= 1e-10 * scale
+
+
+@FEW
+@given(case=spin_cases)
+def test_rate_of_a_row_stack_is_the_row_bound(case):
+    # a row stack's coefficients are the identity, so each Gram W_f is
+    # diagonal: the bound over its operators sums the rows' bounds
+    ham, tensor, _, _ = _spin_case(**case)
+    R = tensor(ham)
+    bound = tensor(ham, build=lambda stack, h, pc, secular: row_rate_bound(
+        stack, h, pc))
+    assert bound > 0.0
+    assert abs(R.clusters.rate / bound - 1.0) <= 1e-12
 
 
 @FEW
