@@ -64,6 +64,9 @@ def assemble_hamiltonian(system, ops):
     Pair tensors are stored once per unordered pair; both orderings of
     the double sum are expanded with the 1/2 factor, which for commuting
     embedded operators reduces to a single S(i).D.S(j) term per pair.
+    That term is contracted in factored form, sum_v T_v S_v(j) with
+    T_v = sum_u D_uv S_u(i): one tensordot and one (d, 3d) @ (3d, d)
+    product.
     """
     d = system.dimension
     H = np.zeros((d, d), dtype=complex)
@@ -75,10 +78,10 @@ def assemble_hamiltonian(system, ops):
         gB = B @ c.g  # row vector B.g
         H += c.magneton_cm1_per_T * np.einsum("u,uab->ab", gB, S)
     for cp in system.couplings:
-        Si = ops.embedded[cp.i]
-        Sj = ops.embedded[cp.j]
         # 1/2 [S_i.D.S_j + S_j.D^T.S_i] == S_i.D.S_j for commuting centers
-        H += np.einsum("uv,uab,vbc->ac", cp.tensor, Si, Sj)
+        T = np.tensordot(cp.tensor, ops.embedded[cp.i], axes=(0, 0))
+        H += (T.transpose(1, 0, 2).reshape(d, 3 * d)
+              @ ops.embedded[cp.j].reshape(3 * d, d))
     return diagonalize(H)
 
 

@@ -253,6 +253,23 @@ class BohrClusters:
         members = np.concatenate(self.assembled)
         return members[first + i], members[first + j]
 
+    @functools.cached_property
+    def zero_twins(self):
+        """Place in the zero cluster of the transpose (ba) of each of its
+        members (ab): the zero cluster is its own conjugate."""
+        zero = self.kept[0]
+        where = np.empty(self.omega.size, dtype=int)
+        where[zero] = np.arange(zero.size)
+        return where[_transposed(zero, math.isqrt(self.omega.size))]
+
+    @functools.cached_property
+    def row_starts(self):
+        """Where each row of a kept cluster's block starts in an element
+        vector."""
+        n = np.array([g.size for g in self.kept])
+        length = np.repeat(n, n)
+        return np.cumsum(length) - length
+
 
 def bohr_clusters(omega, rate):
     """BohrClusters of Bohr frequencies ``omega`` (d^2,) in rad/ps at the
@@ -362,77 +379,128 @@ class _BlockEigensystem:
 
     ``R`` is a RedfieldTensor (summed over ``channels``) or a raw
     d^2 x d^2 array. Each kept Bohr cluster's block is read from the
-    element vector (``BohrClusters.offsets``), and the mean frequency is
-    taken out: L_c = R_c - i diag(omega - mean_c), whose eigenvalues are
-    those of L plus i mean_c. Elements between clusters are dropped,
-    which moves the eigenvalues by O(rate^2 / gap). Clusters of one size
-    share one stacked eig call.
+    element vector ``x`` (``BohrClusters.offsets``), and the mean
+    frequency is taken out: L_c = R_c - i diag(omega - mean_c), whose
+    eigenvalues are those of L plus i mean_c. Elements between clusters
+    are dropped, which moves the eigenvalues by O(rate^2 / gap). The
+    clusters of one size share one stacked eig call, made when something
+    first reads that size (``stack``): ``blocks`` reads every size,
+    ``slowest_mode`` only those that can hold the mode it looks for.
 
-    A generator must map Hermitian rho to Hermitian rho: in-cluster
-    elements with R_ba,dc != conj R_ab,cd beyond 1e-12 of their max|R|
-    raise ValidationError. R_ba,dc comes from the conjugate cluster,
-    assembled on its own (the zero cluster is its own conjugate).
-    ``rate`` is the Gershgorin row-sum bound of the in-cluster R, the
-    scale of every rate tolerance.
+    A generator must map Hermitian rho to Hermitian rho: elements with
+    R_ba,dc != conj R_ab,cd beyond 1e-12 of their max|R| raise
+    ValidationError. The check reads every cluster, diagonalised or
+    not, vectorised over ``x``: each conjugate cluster against the kept
+    one it mirrors, the zero cluster against its own transpose
+    (``BohrClusters.zero_twins``). ``rate`` is the Gershgorin row-sum
+    bound of the in-cluster R on the kept clusters, the scale of every
+    rate tolerance.
     """
 
     def __init__(self, R, channels=None):
         self.clusters, x = _generator(R, channels)
-        omega = self.clusters.omega
-        self.d = d = math.isqrt(omega.size)
-        kept, start = self.clusters.kept, self.clusters.offsets
-        sizes = np.array([idx.size for idx in kept])
-        gathered, scale, asym, rate = [], 0.0, 0.0, 0.0
-        for n in np.unique(sizes):
-            members = np.flatnonzero(sizes == n)
-            idx = np.stack([kept[k] for k in members])
-            span = np.arange(n * n)
-            block = x[start[members][:, None] + span].reshape(-1, n, n)
-            # the conjugate of kept cluster k > 0 is assembled cluster
-            # len(kept) + k - 1
-            twin_of = np.where(members == 0, 0, members + len(kept) - 1)
-            twin = x[start[twin_of][:, None] + span].reshape(-1, n, n)
-            if members[0] == 0:
-                where = np.empty(d * d, dtype=int)
-                where[idx[0]] = np.arange(n)
-                t = where[_transposed(idx[0], d)]
-                twin[0] = block[0][np.ix_(t, t)]
-            size = np.abs(block)
-            scale = max(scale, np.max(size), np.max(np.abs(twin)))
-            asym = max(asym, np.max(np.abs(twin - block.conj())))
-            rate = max(rate, np.max(np.sum(size, axis=2)))
-            gathered.append((idx, block, members == 0))
+        clusters = self.clusters
+        self.d = math.isqrt(clusters.omega.size)
+        self.x = x
+        size = np.abs(x)
+        scale = np.max(size)
+        # R_ba,dc of kept cluster k > 0 sits at the same place of its
+        # conjugate, assembled cluster len(kept) + k - 1
+        first, kept = clusters.offsets[[1, len(clusters.kept)]]
+        n, t = clusters.kept[0].size, clusters.zero_twins
+        zero = x[:n * n].reshape(n, n)
+        asym = max(np.max(np.abs(zero[t][:, t] - zero.conj())),
+                   np.max(np.abs(x[kept:] - x[first:kept].conj()),
+                          initial=0.0))
         if asym > 1e-12 * scale:
             raise ValidationError(
                 f"generator does not preserve Hermiticity: R_ba,dc differs "
                 f"from conj R_ab,cd by {asym:.2e} (max|R| {scale:.2e})")
-        self.rate = float(rate)
-        self.blocks = []
-        for idx, L, zero in gathered:
+        self.rate = float(np.max(np.add.reduceat(size[:kept],
+                                                 clusters.row_starts)))
+        self.sizes = np.array([idx.size for idx in clusters.kept])
+        self._stacks = {}
+        self._done = np.zeros(self.sizes.size, dtype=bool)
+
+    def stack(self, n):
+        """The _ClusterStack of the kept clusters of size ``n``,
+        diagonalised on first use."""
+        if n not in self._stacks:
+            kept, start = self.clusters.kept, self.clusters.offsets
+            omega = self.clusters.omega
+            members = np.flatnonzero(self.sizes == n)
+            idx = np.stack([kept[k] for k in members])
+            L = self.x[start[members][:, None] + np.arange(n * n)]
+            L = L.reshape(-1, n, n)
+            zero = members == 0
             mean = np.where(zero, 0.0, omega[idx].mean(axis=1))
-            n = idx.shape[1]
             L[:, range(n), range(n)] -= 1j * (omega[idx] - mean[:, None])
-            self.blocks.append(_ClusterStack(idx, d, L, mean, zero))
+            self._stacks[n] = _ClusterStack(idx, self.d, L, mean, zero)
+            self._done[members] = True
+        return self._stacks[n]
+
+    @functools.cached_property
+    def blocks(self):
+        """The stacks of every size, smallest first."""
+        return [self.stack(n) for n in np.unique(self.sizes)]
 
     @property
     def zero(self):
-        """(block, row) of the zero-frequency cluster."""
-        for b in self.blocks:
-            if b.zero.any():
-                return b, int(np.flatnonzero(b.zero)[0])
+        """(stack, row) of the zero-frequency cluster, the first of its
+        size."""
+        return self.stack(self.sizes[0]), 0
 
-    def eigenvalues(self):
-        """The eigenvalues of L on the kept clusters, one array; the
-        conjugate clusters have their complex conjugates."""
+    def eigenvalues(self, stacks=None):
+        """The eigenvalues of L on the kept clusters of ``stacks`` (every
+        block by default), one array; the conjugate clusters have their
+        complex conjugates."""
         return np.concatenate([(b.w - 1j * b.mean[:, None]).reshape(-1)
-                               for b in self.blocks])
+                               for b in (stacks or self.blocks)])
 
-    def overlaps(self, o):
-        """|<o, v>| / ||v|| of each eigenvector v, in ``eigenvalues``
-        order."""
-        return np.concatenate([
-            (np.abs(np.einsum("kn,knj->kj", o[b.idx].conj(), b.V))
-             / np.linalg.norm(b.V, axis=1)).reshape(-1) for b in self.blocks])
+    def slowest_mode(self, o):
+        """The eigenvalue of the decaying mode whose eigenvector v
+        overlaps the unit vector ``o`` the most, |<o, v>| / ||v||, the
+        mode of smallest |lambda| (the stationary state) and those with
+        |Re lambda| below 1e-14 of ``rate`` (which do not decay) left
+        out. NumericalError when a stack it reads failed to diagonalise
+        or no mode is left.
+
+        It reads the zero cluster's size first, then the size of the
+        cluster of largest ||o_c|| (o on the cluster's coherences) that
+        could still change the answer, until none can: by Cauchy-Schwarz
+        no mode of cluster c overlaps o by more than ||o_c||, and by
+        Gershgorin no eigenvalue of c is below min_c |omega| - rate in
+        modulus. Modes are compared in ``blocks`` order, so a tie goes
+        as it would over every block."""
+        members = np.concatenate(self.clusters.kept)
+        starts = np.cumsum(self.sizes) - self.sizes
+        norm = np.sqrt(np.add.reduceat(np.abs(o[members]) ** 2, starts))
+        low = np.minimum.reduceat(np.abs(self.clusters.omega[members]),
+                                  starts) - self.rate
+        n = self.sizes[0]
+        while True:
+            self.stack(n)
+            stacks = [self._stacks[m] for m in sorted(self._stacks)]
+            lam = self.eigenvalues(stacks)
+            if not np.all(np.isfinite(lam)):
+                raise NumericalError(
+                    "eigendecomposition of the generator failed")
+            weights = np.concatenate([
+                (np.abs(np.einsum("kn,knj->kj", o[b.idx].conj(), b.V))
+                 / np.linalg.norm(b.V, axis=1)).reshape(-1) for b in stacks])
+            null = int(np.argmin(np.abs(lam)))
+            weights[null] = -1.0
+            weights[np.abs(lam.real) < 1e-14 * self.rate] = -1.0
+            k = int(np.argmax(weights))
+            # the margin covers the round-off of a computed overlap
+            open_ = ~self._done & ((norm >= weights[k] * (1.0 - 1e-12))
+                                   | (low <= abs(lam[null])))
+            if not open_.any():
+                break
+            n = self.sizes[open_][np.argmax(norm[open_])]
+        if weights[k] < 0:
+            raise NumericalError("no decaying mode overlaps the observable")
+        return lam[k]
 
     @property
     def cond(self):
@@ -559,7 +627,10 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
     slowest_mode: tau = 1 / |Re lambda| for the decaying eigenvalue of L
     whose eigenvector overlaps the observable's traceless part the most;
     NumericalError when that mode grows (Re lambda > 0). A mode with
-    |Re lambda| below 1e-14 of the rate scale does not decay.
+    |Re lambda| below 1e-14 of the rate scale does not decay. Alone, it
+    diagonalises only the clusters that can hold that mode
+    (``_BlockEigensystem.slowest_mode``); with the exp-fit, every
+    cluster.
     exp_fit: log-linear single-exponential fit of M_z(t) between rho0
     and the stationary state. Both values are reported; a >5% mismatch
     or a fit that fails is flagged, never hidden: a deviation that
@@ -585,20 +656,16 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
 
     if eigsys.rate == 0.0:
         raise NumericalError("Redfield tensor is zero; no relaxation")
-    lam = eigsys.eigenvalues()
-    if not np.all(np.isfinite(lam)):
-        raise NumericalError("eigendecomposition of the generator failed")
-    weights = eigsys.overlaps(o_vec)
-    weights[int(np.argmin(np.abs(lam)))] = -1.0
-    weights[np.abs(lam.real) < 1e-14 * eigsys.rate] = -1.0
-    k = int(np.argmax(weights))
-    if weights[k] < 0:
-        raise NumericalError("no decaying mode overlaps the observable")
-    if lam[k].real > 0:
+    if method != "slowest_mode":
+        # the exp-fit reads every cluster: diagonalise them all first,
+        # so that the search checks every eigenvalue too
+        eigsys.blocks
+    lam = eigsys.slowest_mode(o_vec)
+    if lam.real > 0:
         raise NumericalError(
             f"the mode that overlaps the observable most grows "
-            f"(Re lambda = {lam[k].real:.3g} /ps); it has no relaxation time")
-    tau_slow_ps = 1.0 / abs(lam[k].real)
+            f"(Re lambda = {lam.real:.3g} /ps); it has no relaxation time")
+    tau_slow_ps = 1.0 / abs(lam.real)
     clusters = eigsys.clusters
     estimate = RelaxationEstimate(
         tau_ms=tau_slow_ps / PS_PER_MS, bohr_clusters=clusters.count,

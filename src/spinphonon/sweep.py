@@ -18,8 +18,8 @@ the Redfield tensor: a temperature point reuses it, a point that moves
 any other parameter rebuilds it. The Redfield tensor is assembled at
 every point. Each point records the wall time of its stages and its
 cache hits in its diagnostics; a point that reuses the coupling stack
-counts one hit and spends no time on phonons, mode tensors or
-couplings.
+counts one hit and spends no time on phonons, mode tensors, the spin
+Hamiltonian or couplings.
 """
 
 import copy
@@ -76,7 +76,8 @@ def paired_kpoint_grid(n1, n2, n3):
 
 
 #: stages timed per point, in diagnostics["timings_s"]
-STAGES = ("phonons", "mode_tensors", "couplings", "assembly", "spectral")
+STAGES = ("phonons", "mode_tensors", "hamiltonian", "couplings", "assembly",
+          "spectral")
 
 
 def physical_memory_bytes():
@@ -372,10 +373,11 @@ class RelaxationPipeline:
             self._log.cache_hits += 1
         else:
             self._stack_cache = None
-            system, ham = self.hamiltonian(params.field_B)
-            B = system.field_B
-            ham_rev = (self.hamiltonian(-B)[1] if np.linalg.norm(B) > 0
-                       else None)
+            with self._timed("hamiltonian"):
+                system, ham = self.hamiltonian(params.field_B)
+                B = system.field_B
+                ham_rev = (self.hamiltonian(-B)[1] if np.linalg.norm(B) > 0
+                           else None)
             stack, diag = self.couplings(params, ham, system)
             self._stack_cache = (key, (system, ham, stack, diag, ham_rev))
         system, ham, stack, diag, _ = self._stack_cache[1]
@@ -390,9 +392,10 @@ class RelaxationPipeline:
         per-channel taus, and diagnostics that carry every field of the
         RelaxationEstimate but tau_ms.
 
-        The channel taus reuse the Bohr clusters of the total generator.
-        A one-channel tensor is diagonalised once: its channel tau is
-        the total's."""
+        The channel taus reuse the Bohr clusters of the total generator
+        and diagonalise only the clusters their slowest mode can come
+        from. A one-channel tensor is diagonalised once: its channel tau
+        is the total's."""
         self._log.reset()
         R, ham, system, diag = self.redfield(params)
         # magnetometry-style initial state: the equilibrium of the

@@ -3,7 +3,9 @@
 Redfield: every element of R written out from the coupling stack, and the
 partial-secular rule applied to it. ``assemble_redfield`` builds only the
 elements inside the Bohr clusters; these helpers build all d^4 of them,
-which is affordable at the small d of the tests.
+which is affordable at the small d of the tests. The slowest-mode rule
+as an argmax over the modes of every cluster, which the pipeline's
+search prunes.
 
 Lattice: D(q) as one product per lattice vector, then symmetrized; the
 decomposition weights one molecule at a time; the DOS kernel as one
@@ -14,7 +16,7 @@ import numpy as np
 
 from spinphonon import lattice
 from spinphonon.crystal import rigid_body_basis
-from spinphonon.errors import ValidationError
+from spinphonon.errors import NumericalError, ValidationError
 from spinphonon.lattice import (ASYMMETRY_TOL, DEFAULT_OMEGA_MIN, DOS_REACH,
                                 gaussian_kernel, phonon_spectrum)
 from spinphonon.redfield import (CLUSTER_GAP_FACTOR, RATE_PREFACTOR,
@@ -147,6 +149,26 @@ def assert_matches_dense(R, ref, rel=1e-12):
             want = ref[ch][np.ix_(idx, idx)].reshape(-1)
             got = part[start[k]:start[k + 1]]
             assert np.max(np.abs(got - want)) <= rel * scale
+
+
+def exhaustive_slowest_mode(eigsys, o):
+    """The eigenvalue of the slowest mode of a ``_BlockEigensystem`` for
+    the unit vector ``o``, from every block: the decaying mode whose
+    eigenvector overlaps o the most, leaving out the mode of smallest
+    |lambda| and those with |Re lambda| below 1e-14 of the rate.
+    NumericalError as the pipeline raises it."""
+    lam = eigsys.eigenvalues()
+    if not np.all(np.isfinite(lam)):
+        raise NumericalError("eigendecomposition of the generator failed")
+    weights = np.concatenate([
+        (np.abs(np.einsum("kn,knj->kj", o[b.idx].conj(), b.V))
+         / np.linalg.norm(b.V, axis=1)).reshape(-1) for b in eigsys.blocks])
+    weights[int(np.argmin(np.abs(lam)))] = -1.0
+    weights[np.abs(lam.real) < 1e-14 * eigsys.rate] = -1.0
+    k = int(np.argmax(weights))
+    if weights[k] < 0:
+        raise NumericalError("no decaying mode overlaps the observable")
+    return lam[k]
 
 
 def reference_dynamical_matrices(fc, qpoints):

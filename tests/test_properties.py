@@ -37,7 +37,8 @@ from spinphonon.toy import ToySpec, generate_toy_crystal
 from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
 
 from dense_reference import (assert_matches_dense, bohr_omega, cluster_labels,
-                             coupling_rows, dense_redfield, gershgorin_rate,
+                             coupling_rows, dense_redfield,
+                             exhaustive_slowest_mode, gershgorin_rate,
                              in_cluster,
                              reference_decomposition_weights, reference_dos,
                              reference_dynamical_matrices, row_rate_bound,
@@ -573,6 +574,43 @@ def test_blocks_preserve_the_trace_and_hermiticity(case):
             assert (np.max(np.abs(Rmat[np.ix_(t, t)]
                                   - Rmat[np.ix_(idx, idx)].conj()))
                     <= 1e-12 * scale)
+
+
+def _spin_x(d):
+    """Sx of a spin (d - 1)/2 in its Sz basis: it has no population,
+    only coherences between neighbouring levels."""
+    k = np.arange(1, d)
+    return np.diag(0.5 * np.sqrt(k * (d - k)), 1) + np.diag(
+        0.5 * np.sqrt(k * (d - k)), -1)
+
+
+@FEW
+@given(case=block_cases)
+def test_pruned_slowest_mode_is_the_exhaustive_one(case):
+    ham, R, _ = _clustered_tensor(**case)
+    d = ham.dimension
+    O = _spin_case(**case["case"])[2]
+    sizes = np.array([idx.size for idx in R.clusters.kept])
+    # the case's random observable, and Sx taken as an eigenbasis matrix,
+    # whose weight lies on coherence clusters: its search must go past
+    # the zero cluster
+    for obs in (ham.to_eigenbasis(O), _spin_x(d)):
+        o = (obs - np.trace(obs) / d * np.eye(d)).reshape(-1)
+        o /= np.linalg.norm(o)
+        for channels in (None,) + tuple((ch,) for ch in R.channels):
+            pruned = redfield._BlockEigensystem(R, channels)
+            full = redfield._BlockEigensystem(R, channels)
+            try:
+                want = exhaustive_slowest_mode(full, o)
+            except NumericalError as exc:
+                with pytest.raises(NumericalError, match=str(exc)):
+                    pruned.slowest_mode(o)
+                continue
+            # the same mode: the same eigenvalue, so the same tau
+            assert pruned.slowest_mode(o) == want
+            zero_weight = np.linalg.norm(o[R.clusters.kept[0]])
+            if zero_weight == 0.0 and np.unique(sizes).size > 1:
+                assert len(pruned._stacks) > 1
 
 
 @FEW

@@ -569,17 +569,32 @@ def test_coupling_stack_holds_no_row_operators():
     assert sum(a.nbytes for a in held) < rows * d * d * 16
 
 
-def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
-    import tracemalloc
-    # the pair project of the benchmark, with an I=15/2 nucleus:
-    # d = 2 * 2 * 16 = 64
-    spec = ToySpec(lattice=(7.0, 7.0, 7.0), molecules_per_cell=2,
+def _pair_spec(nuclear_spin):
+    """The pair project of the benchmark: two S=1/2 electrons on two
+    molecules plus a nucleus of spin ``nuclear_spin``, with Zeeman,
+    hyperfine and dipolar channels."""
+    return ToySpec(lattice=(7.0, 7.0, 7.0), molecules_per_cell=2,
                    atoms_per_molecule=2, mass=120.0, k_intra=1.0,
                    k_inter=0.003, g_baseline=(1.9830, 1.9814, 1.9274),
-                   a_baseline=(0.00354, 0.00396, 0.01396), nuclear_spin=7.5,
-                   g_deriv_mag=1e-3, a_deriv_mag=1e-4, spin_molecules=2,
+                   a_baseline=(0.00354, 0.00396, 0.01396),
+                   nuclear_spin=nuclear_spin, g_deriv_mag=1e-3,
+                   a_deriv_mag=1e-4, spin_molecules=2,
                    dipolar_couplings=True, field_B=(0.0, 0.0, 5.0), seed=1)
-    crystal, fc, derivs, system = generate_toy_crystal(spec)
+
+
+PAIR = RunParams(qgrid=(2, 2, 2), sigma=1.0, temperature=20.0)
+
+
+@pytest.fixture(scope="module")
+def pair_pipeline():
+    """The d=32 pair project, with an I=7/2 nucleus."""
+    return RelaxationPipeline(*generate_toy_crystal(_pair_spec(3.5)))
+
+
+def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
+    import tracemalloc
+    # the pair project with an I=15/2 nucleus: d = 2 * 2 * 16 = 64
+    crystal, fc, derivs, system = generate_toy_crystal(_pair_spec(7.5))
     assert system.dimension == 64
     pipeline = RelaxationPipeline(crystal, fc, derivs, system)
     assembled, peaks = [], []
@@ -595,8 +610,7 @@ def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
             tracemalloc.stop()
 
     monkeypatch.setattr(sweep, "assemble_redfield", traced)
-    row = pipeline.relax(RunParams(qgrid=(2, 2, 2), sigma=1.0,
-                                   temperature=20.0))
+    row = pipeline.relax(PAIR)
     assert np.isfinite(row.tau_ms) and row.tau_ms > 0
     R, = assembled
     # sum n_c^2 elements, where d^4 is 16.8 million
@@ -660,17 +674,78 @@ def test_vanadyl_fixture_reports_its_bohr_clusters(monkeypatch):
     diag = point.diagnostics
     assert (diag["bohr_clusters"], diag["largest_cluster"]) == (241, 16)
     assert 0.0 < diag["cluster_gap_ratio"] <= 1.0 / CLUSTER_GAP_FACTOR
-    # one stacked eig per distinct size above 1 of the kept clusters, for
-    # the total and for each of the two channels
+    # one stacked eig per distinct size above 1 of the kept clusters for
+    # the total, and one for each of the two channels: a channel tau
+    # reads only the zero cluster's size
     R = pipeline.redfield(params)[0]
     sizes = {idx.size for idx in R.clusters.kept if idx.size > 1}
     assert len(point.tau_channel_ms) == 2
-    assert len(calls) == 3 * len(sizes)
+    assert len(calls) == len(sizes) + 2
     # both estimates agree, and the slowest mode is the secular one
     assert not diag["mismatch"] and not diag["non_exponential"]
     assert point.tau_ms == pytest.approx(13300.1, rel=1e-5)
     secular = pipeline.relax(replace(params, secular=True)).tau_ms
     assert point.tau_ms == pytest.approx(secular, rel=1e-6)
+
+
+def test_pair_channel_taus_diagonalise_only_the_zero_cluster(
+        pair_pipeline, monkeypatch):
+    # the pair project's observable lies almost wholly on the zero
+    # cluster, and its best mode there overlaps it more than the whole
+    # observable overlaps any other cluster
+    calls, extraction = [], []
+    real_eig, real_extract = np.linalg.eig, sweep.extract_relaxation_time
+
+    def counted(a, *args, **kwargs):
+        calls.append((extraction[-1], a.shape[-1]))
+        return real_eig(a, *args, **kwargs)
+
+    def tagged(*args, **kwargs):
+        extraction.append(kwargs.get("channels"))
+        return real_extract(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    monkeypatch.setattr(sweep, "extract_relaxation_time", tagged)
+    point = pair_pipeline.relax(PAIR)
+    monkeypatch.undo()
+    R = pair_pipeline.redfield(PAIR)[0]
+    zero = R.clusters.kept[0].size
+    sizes = {idx.size for idx in R.clusters.kept if idx.size > 1}
+    assert len(sizes) > 1
+    channel_calls = [(ch, n) for ch, n in calls if ch is not None]
+    assert sorted(channel_calls) == sorted((ch, zero) for ch in
+                                           extraction if ch is not None)
+    assert len(channel_calls) == len(R.channels) == 3
+    assert sorted(n for ch, n in calls if ch is None) == sorted(sizes)
+    assert set(point.tau_channel_ms) == {"zeeman", "hyperfine", "dipolar"}
+    assert point.diagnostics["channel_errors"] == {}
+
+
+def test_hermiticity_is_checked_on_clusters_a_channel_never_reads(
+        pair_pipeline):
+    R, ham = pair_pipeline.redfield(PAIR)[:2]
+    clusters, d = R.clusters, ham.dimension
+    sizes = np.array([idx.size for idx in clusters.kept])
+    # a cluster above one coherence whose size the channel tau never
+    # reads: its observable is Sz of the first electron
+    k = int(np.flatnonzero((sizes > 1) & (sizes != sizes[0]))[0])
+    Sz = ham.to_eigenbasis(pair_pipeline.ops.embedded[0][2])
+    o = (Sz - np.trace(Sz) / d * np.eye(d)).reshape(-1)
+    eigsys = redfield._BlockEigensystem(R, ("dipolar",))
+    eigsys.slowest_mode(o / np.linalg.norm(o))
+    assert list(eigsys._stacks) == [sizes[0]]
+    # R_ab,cd of one element of that cluster, without its twin R_ba,dc
+    part = R.channels["dipolar"].copy()
+    part[clusters.offsets[k] + 1] += 1e-3 * np.max(np.abs(part))
+    broken = replace(R, channels={**R.channels, "dipolar": part})
+    with pytest.raises(ValidationError, match="Hermiticity"):
+        redfield.extract_relaxation_time(broken, ham, pair_pipeline.ops,
+                                         method="slowest_mode",
+                                         channels=("dipolar",))
+    # the other channels do not see it
+    redfield.extract_relaxation_time(broken, ham, pair_pipeline.ops,
+                                     method="slowest_mode",
+                                     channels=("zeeman",))
 
 
 # -- coupling-stack cache -----------------------------------------------------
@@ -722,10 +797,11 @@ def test_temperature_sweep_builds_its_stack_once(soft_bundle, monkeypatch):
     # the soft preset has one target: one operator per stack
     assert (len(seen), len(terms)) == (1, 1)
     assert rows[0].diagnostics["timings_s"]["couplings"] > 0.0
+    assert rows[0].diagnostics["timings_s"]["hamiltonian"] > 0.0
     for row in rows[1:]:
         timings = row.diagnostics["timings_s"]
         assert (timings["phonons"], timings["mode_tensors"],
-                timings["couplings"]) == (0.0, 0.0, 0.0)
+                timings["hamiltonian"], timings["couplings"]) == (0.0,) * 4
         assert timings["assembly"] > 0.0
 
 
