@@ -11,6 +11,7 @@ import dataclasses
 import json
 import os
 import sys
+import time
 
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
@@ -158,18 +159,23 @@ def _overrides(args):
 
 
 def _load_pipeline(args):
+    """(pipeline, params, config, out_dir) of the verb, and load_s: the
+    wall time of load_project and the pipeline's construction, which no
+    stage timer covers."""
+    t0 = time.perf_counter()
     crystal, fc, derivs, system, config = load_project(args.config)
     pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    load_s = time.perf_counter() - t0
     try:
         params = config.run_params(**_overrides(args))
     except ValidationError as exc:  # a bad flag value
         raise _UsageError(str(exc)) from exc
     out_dir = args.out if args.out is not None else config.output_dir
-    return pipeline, params, config, out_dir
+    return pipeline, params, config, out_dir, load_s
 
 
 def _cmd_phonons(args):
-    pipeline, params, config, out_dir = _load_pipeline(args)
+    pipeline, params, config, out_dir, _ = _load_pipeline(args)
     # the full grid: the band listing has a row for every q-point
     qpts = kpoint_grid(*params.qgrid)
     omega, _ = phonon_spectrum(pipeline.fc, qpts)
@@ -187,7 +193,7 @@ def _cmd_phonons(args):
 
 
 def _cmd_dos(args):
-    pipeline, params, config, out_dir = _load_pipeline(args)
+    pipeline, params, config, out_dir, load_s = _load_pipeline(args)
     qpts, weights = paired_kpoint_grid(*params.qgrid)
     dos = phonon_dos(pipeline.fc, qpts, params.sigma, weights)
     os.makedirs(out_dir, exist_ok=True)
@@ -195,6 +201,7 @@ def _cmd_dos(args):
                          config_hash=config.config_hash)
     print(f"DOS area {dos.area():.6f} (3N = {3 * pipeline.crystal.n_atoms}), "
           f"sigma {params.sigma} cm^-1")
+    print(f"load_s {load_s:.3f}")
     t = dos.timings_s
     print(f"dos timings_s spectrum {t['spectrum']:.3f} decomposition "
           f"{t['decomposition']:.3f} kernel {t['kernel']:.3f}; "
@@ -204,7 +211,7 @@ def _cmd_dos(args):
 
 
 def _cmd_couple(args):
-    pipeline, params, config, out_dir = _load_pipeline(args)
+    pipeline, params, config, out_dir, _ = _load_pipeline(args)
     modes, diag = pipeline.mode_precursors(params.qgrid, params.omega_min)
     dist = coupling_norm_distribution(modes, diag["n_q"])
     os.makedirs(out_dir, exist_ok=True)
@@ -231,7 +238,7 @@ def _stage_summary(diagnostics):
 
 
 def _cmd_relax(args):
-    pipeline, params, config, out_dir = _load_pipeline(args)
+    pipeline, params, config, out_dir, load_s = _load_pipeline(args)
     row = pipeline.relax(params, "single")
     result = SweepResult(plan_axis="single", rows=(row,),
                          metadata={"params": dataclasses.asdict(params)})
@@ -243,6 +250,7 @@ def _cmd_relax(args):
     for ch, tau in sorted(row.tau_channel_ms.items()):
         print(f"  {ch}: {tau:.9g} ms")
     d = row.diagnostics
+    print(f"load_s {load_s:.3f}")
     print(f"{_stage_summary([d])}; "
           f"bohr_clusters {d['bohr_clusters']} largest "
           f"{d['largest_cluster']} gap_ratio {d['cluster_gap_ratio']:.3g}")
@@ -252,9 +260,10 @@ def _cmd_relax(args):
 
 
 def _cmd_sweep(args):
-    pipeline, params, config, out_dir = _load_pipeline(args)
+    pipeline, params, config, out_dir, load_s = _load_pipeline(args)
     if not config.sweeps:
         raise ConfigError("config declares no sweep plans")
+    print(f"load_s {load_s:.3f}")
     for k, plan in enumerate(config.sweeps):
         plan = dataclasses.replace(plan, params=params)
         result = run_sweep(pipeline, plan)
@@ -271,7 +280,7 @@ def _cmd_sweep(args):
 
 
 def _cmd_converge(args):
-    pipeline, params, config, out_dir = _load_pipeline(args)
+    pipeline, params, config, out_dir, _ = _load_pipeline(args)
     report = converge_protocol(pipeline, params)
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "converge.json")
@@ -288,7 +297,7 @@ def _cmd_converge(args):
 
 
 def _cmd_perturb(args):
-    pipeline, params, config, out_dir = _load_pipeline(args)
+    pipeline, params, config, out_dir, _ = _load_pipeline(args)
     kinds = ("coupling_x2", "freq_x0.8") if args.kind == "both" else (args.kind,)
     for kind in kinds:
         result = perturbation_study(pipeline, params, kind,

@@ -230,9 +230,12 @@ def mode_tensor_derivatives(derivs, q, omega, eigvecs, crystal, n_q,
     ``weight`` (M,) the number of grid q-points each mode stands for
     (default 1; 2 for a mode that also stands for its partner at -q).
     The amplitude factor sqrt(weight hbar / (N_q omega m_i)) and the
-    Bloch phase e^{2 pi i q.l} of each record are folded in, and the
-    records of each target are summed over all modes at once. Returns a
-    ModeTensors.
+    Bloch phase e^{2 pi i q.l} of each record are folded in. The
+    amplitudes are computed once per displaced atom and the phases once
+    per run of equal rows of ``q`` (once per q-point for modes listed
+    q-point by q-point). The records of each target are summed over all
+    modes at once, in record order, on the real and imaginary parts:
+    records that cancel give exact zeros. Returns a ModeTensors.
     """
     q = np.asarray(q, dtype=float).reshape(-1, 3)
     omega = np.asarray(omega, dtype=float).reshape(-1)
@@ -242,18 +245,27 @@ def mode_tensor_derivatives(derivs, q, omega, eigvecs, crystal, n_q,
               else np.asarray(weight, dtype=int).reshape(omega.size))
     if np.any(omega <= 0):
         raise ValidationError("cannot project on an imaginary/zero mode")
-    masses = crystal.masses
+    atoms, atom_col = np.unique(derivs.atom, return_inverse=True)
     amp = ZERO_POINT_LENGTH_A / np.sqrt(n_q * omega[:, None]
-                                        * masses[derivs.atom][None, :])
+                                        * crystal.masses[atoms][None, :])
     amp *= np.sqrt(weight)[:, None]
-    phase = np.exp(2j * np.pi * (q @ derivs.lvecs.T))
-    coeff = amp * phase * eigvecs[:, 3 * derivs.atom + derivs.s]
+    new_q = np.ones(omega.size, dtype=bool)
+    new_q[1:] = np.any(q[1:] != q[:-1], axis=1)
+    phase = np.exp(2j * np.pi * (q[new_q] @ derivs.lvecs.T))
+    coeff = phase[np.cumsum(new_q) - 1]
+    coeff *= amp[:, atom_col]
+    coeff *= eigvecs[:, 3 * derivs.atom + derivs.s]
     targets = tuple(dict.fromkeys(derivs.targets))
-    tensors = np.zeros((omega.size, len(targets), 3, 3), dtype=complex)
-    # summed in record order: records that cancel give exact zeros
+    # (Re, Im) x target x tensor component x mode
+    acc = np.zeros((2, len(targets), 9, omega.size))
+    parts = (coeff.real.T, coeff.imag.T)
     for k, tgt in enumerate(derivs.targets):
-        tensors[:, targets.index(tgt)] += (coeff[:, k, None, None]
-                                           * derivs.tensors[k])
+        t, T = targets.index(tgt), derivs.tensors[k].reshape(9, 1)
+        for p, c in enumerate(parts):
+            acc[p, t] += T * c[k]
+    tensors = np.empty((omega.size, len(targets), 3, 3), dtype=complex)
+    tensors.real, tensors.imag = acc.transpose(0, 3, 1, 2).reshape(
+        2, *tensors.shape)
     return ModeTensors(omega=omega, targets=targets, tensors=tensors,
                        weight=weight)
 
@@ -350,7 +362,7 @@ def operator_terms(system, ops, target, T):
         coeff = np.einsum("u,muv->mv", system.field_B, T)
         return coeff, c.magneton_cm1_per_T * ops.embedded[key]
     i, j = key
-    basis = np.einsum("uab,vbc->uvac", ops.embedded[i], ops.embedded[j])
+    basis = np.matmul(ops.embedded[i][:, None], ops.embedded[j][None])
     return T.reshape(-1, 9), basis.reshape(9, *basis.shape[2:])
 
 

@@ -39,10 +39,16 @@ DEFAULT_OMEGA_MIN = 0.01
 def gaussian_kernel(x, sigma):
     """Normalized smearing kernel exp(-x^2/sigma^2) / (sigma sqrt(pi)).
 
-    sigma is a breadth, not a standard deviation.
+    sigma is a breadth, not a standard deviation. Evaluated in place on
+    one copy of x; a scalar x gives a scalar.
     """
-    x = np.asarray(x, dtype=float)
-    return np.exp(-((x / sigma) ** 2)) / (sigma * np.sqrt(np.pi))
+    y = np.array(x, dtype=float)
+    y /= sigma
+    np.square(y, out=y)
+    np.negative(y, out=y)
+    np.exp(y, out=y)
+    y /= sigma * np.sqrt(np.pi)
+    return y[()]
 
 
 @dataclass(frozen=True)
@@ -245,8 +251,9 @@ def phonon_dos(fc, qpoints, sigma, weights=None):
     1) let one q-point stand for its partner at -q (``sweep.
     paired_kpoint_grid``), which has the same frequencies and
     decomposition weights. Imaginary modes (omega < -DEFAULT_OMEGA_MIN)
-    are excluded and counted; the Gamma acoustic modes are kept whatever
-    the sign eigh leaves on them.
+    are excluded and counted. Modes with |omega| < DEFAULT_OMEGA_MIN,
+    the Gamma acoustic ones, are placed at exactly 0, so the round-off
+    that eigh leaves on them does not move the DOS near 0.
 
     The q-points are diagonalised in blocks of ``DOS_QBLOCK``, and only
     each mode's omega and the weights of its four curves (total,
@@ -286,6 +293,7 @@ def phonon_dos(fc, qpoints, sigma, weights=None):
             curve_w[rows] = np.broadcast_to(wq * w,
                                             block_omega.shape).reshape(-1)
 
+    omega[np.abs(omega) < DEFAULT_OMEGA_MIN] = 0.0
     order = np.argsort(omega)
     omega = omega[order]
     for curve_w in mode_w:

@@ -193,28 +193,49 @@ def _parse_site(tokens, names, n_atoms, where):
 # ---------------------------------------------------------------------------
 # force constants
 
-def load_force_constants(path, crystal):
-    """Read ``l1 l2 l3 i s j t value`` records (eV/A^2) into a
-    ForceConstantSet for ``crystal``."""
-    n = crystal.n_atoms
-    lvecs, ii, ss, jj, tt, vals = [], [], [], [], [], []
-    for where, tok in _iter_records(path):
+def _check_fc_records(records, n_atoms):
+    """Check (where, tokens) force-constant records one by one, raising
+    the ParseError of the first fault."""
+    for where, tok in records:
         if len(tok) != 8:
             raise ParseError(
                 f"force-constant record needs 8 fields, got {len(tok)}",
                 **where)
-        lvecs.append(_parse_lvec(tok[:3], where))
-        i, s = _parse_site(tok[3:5], ("atom i", "component s"), n, where)
-        j, t = _parse_site(tok[5:7], ("atom j", "component t"), n, where)
-        vals.append(_parse_float(tok[7], "force constant", where))
-        ii.append(i)
-        ss.append(s)
-        jj.append(j)
-        tt.append(t)
-    if not vals:
-        raise ParseError("no force-constant records found", path=path)
-    return ForceConstantSet(crystal=crystal, lvecs=lvecs, i=ii, s=ss,
-                            j=jj, t=tt, values=vals)
+        _parse_lvec(tok[:3], where)
+        _parse_site(tok[3:5], ("atom i", "component s"), n_atoms, where)
+        _parse_site(tok[5:7], ("atom j", "component t"), n_atoms, where)
+        _parse_float(tok[7], "force constant", where)
+
+
+def load_force_constants(path, crystal):
+    """Read ``l1 l2 l3 i s j t value`` records (eV/A^2) into a
+    ForceConstantSet for ``crystal``.
+
+    The fields are converted a column at a time and range-checked as
+    arrays. When that fails, the file is read again record by record,
+    which raises the ParseError of the first fault in it."""
+    n = crystal.n_atoms
+    try:
+        records = [tok for _, tok in _iter_records(path)]
+        if not records:
+            raise ParseError("no force-constant records found", path=path)
+        if any(len(tok) != 8 for tok in records):
+            raise ValueError
+        columns = list(zip(*records))
+        ints = np.array([list(map(int, col)) for col in columns[:7]],
+                        dtype=int)
+        values = np.array(list(map(float, columns[7])))
+        sites = ints[3:]
+        if not (np.all(sites >= 0) and np.all(sites[0::2] < n)
+                and np.all(sites[1::2] < 3) and np.all(np.isfinite(values))):
+            raise ValueError
+    except (ParseError, ValueError, OverflowError):
+        # a faulty line, if there is one, is the error to report
+        _check_fc_records(_iter_records(path), n)
+        raise
+    return ForceConstantSet(crystal=crystal, lvecs=ints[:3].T.copy(),
+                            i=sites[0], s=sites[1], j=sites[2], t=sites[3],
+                            values=values)
 
 
 def serialize_force_constants(fc):

@@ -77,8 +77,13 @@ def phonon_correlation_value(pc, omega_ij, omega_mode):
     if np.any(np.asarray(omega_mode) <= 0):
         raise ValidationError("omega_mode must be positive")
     n = bose_population(omega_mode, pc.temperature)
-    return (n * gaussian_kernel(omega_mode - omega_ij, pc.sigma)
-            + (n + 1.0) * gaussian_kernel(omega_mode + omega_ij, pc.sigma))
+    # in place: G spans every mode frequency and Bohr frequency
+    G = gaussian_kernel(omega_mode - omega_ij, pc.sigma)
+    G *= n
+    emission = gaussian_kernel(omega_mode + omega_ij, pc.sigma)
+    emission *= n + 1.0
+    G += emission
+    return G
 
 
 @dataclass(frozen=True)

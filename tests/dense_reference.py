@@ -5,23 +5,44 @@ partial-secular rule applied to it. ``assemble_redfield`` builds only the
 elements inside the Bohr clusters; these helpers build all d^4 of them,
 which is affordable at the small d of the tests. The slowest-mode rule
 as an argmax over the modes of every cluster, which the pipeline's
-search prunes.
+search prunes. The phonon correlation G as one expression, where the
+pipeline works in place.
 
 Lattice: D(q) as one product per lattice vector, then symmetrized; the
 decomposition weights one molecule at a time; the DOS kernel as one
 window of grid points per mode, summed with ``np.bincount``.
+
+Project files and mode projection: the force-constant reader that parses
+and checks each field as it reads it, and the projection that takes the
+Bloch phase of every mode and record and sums each record into a
+(M, n_targets, 3, 3) complex stack.
 """
 
 import numpy as np
 
 from spinphonon import lattice
+from spinphonon.coupling import ModeTensors
 from spinphonon.crystal import rigid_body_basis
-from spinphonon.errors import NumericalError, ValidationError
+from spinphonon.errors import NumericalError, ParseError, ValidationError
 from spinphonon.lattice import (ASYMMETRY_TOL, DEFAULT_OMEGA_MIN, DOS_REACH,
+                                ForceConstantSet, bose_population,
                                 gaussian_kernel, phonon_spectrum)
+from spinphonon.project import (_iter_records, _parse_float, _parse_lvec,
+                                _parse_site)
 from spinphonon.redfield import (CLUSTER_GAP_FACTOR, RATE_PREFACTOR,
                                  SECULAR_TOL_CM1, phonon_correlation_value)
-from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1
+from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, ZERO_POINT_LENGTH_A
+
+
+def reference_correlation(pc, omega_ij, omega_mode):
+    """G of ``phonon_correlation_value`` as one expression, each
+    operation on a fresh array."""
+    n = bose_population(omega_mode, pc.temperature)
+    x = np.asarray(omega_mode - omega_ij, dtype=float)
+    y = np.asarray(omega_mode + omega_ij, dtype=float)
+    c = pc.sigma * np.sqrt(np.pi)
+    return (n * (np.exp(-((x / pc.sigma) ** 2)) / c)
+            + (n + 1.0) * (np.exp(-((y / pc.sigma) ** 2)) / c))
 
 
 def reference_part(V, G):
@@ -210,7 +231,8 @@ def reference_dos(fc, qpoints, sigma, weights=None):
     """(frequency grid, (4, n) curves) of the DOS: each mode's kernel on
     a fixed-width window of grid points covering omega +- DOS_REACH sigma
     (shifted to stay inside the grid), one ``np.bincount`` per curve.
-    Modes below -DEFAULT_OMEGA_MIN are left out. omega comes from
+    Modes below -DEFAULT_OMEGA_MIN are left out, and those with
+    |omega| < DEFAULT_OMEGA_MIN are placed at 0. omega comes from
     ``phonon_spectrum`` on the q-blocks of ``phonon_dos``, so that both
     see the same values: a GEMM rounds a row differently in a block of
     another size."""
@@ -228,6 +250,7 @@ def reference_dos(fc, qpoints, sigma, weights=None):
                             block_omega.shape).reshape(-1)
             for p in (1.0, *parts)]))
     omega, w = np.concatenate(omega), np.concatenate(w, axis=1)
+    omega[np.abs(omega) < DEFAULT_OMEGA_MIN] = 0.0
     top = float(omega.max()) + DOS_REACH * sigma
     n = max(600, int(top / (sigma / 4.0)))
     freq_grid = np.linspace(0.0, top, n)
@@ -243,3 +266,51 @@ def reference_dos(fc, qpoints, sigma, weights=None):
     curves = np.stack([np.bincount(idx, weights=(wc[:, None] * k).reshape(-1),
                                    minlength=n) for wc in w])
     return freq_grid, curves / weights.sum()
+
+
+def reference_load_force_constants(path, crystal):
+    """The force-constant file read record by record, each field parsed
+    and checked as it is read: the first fault raises at once."""
+    n = crystal.n_atoms
+    lvecs, ii, ss, jj, tt, vals = [], [], [], [], [], []
+    for where, tok in _iter_records(path):
+        if len(tok) != 8:
+            raise ParseError(
+                f"force-constant record needs 8 fields, got {len(tok)}",
+                **where)
+        lvecs.append(_parse_lvec(tok[:3], where))
+        i, s = _parse_site(tok[3:5], ("atom i", "component s"), n, where)
+        j, t = _parse_site(tok[5:7], ("atom j", "component t"), n, where)
+        vals.append(_parse_float(tok[7], "force constant", where))
+        ii.append(i)
+        ss.append(s)
+        jj.append(j)
+        tt.append(t)
+    if not vals:
+        raise ParseError("no force-constant records found", path=path)
+    return ForceConstantSet(crystal=crystal, lvecs=lvecs, i=ii, s=ss,
+                            j=jj, t=tt, values=vals)
+
+
+def reference_mode_tensors(derivs, q, omega, eigvecs, crystal, n_q,
+                           weight):
+    """ModeTensors of ``mode_tensor_derivatives``: the Bloch phase of
+    every mode and record, and each record added, in record order, to
+    the complex (M, n_targets, 3, 3) stack."""
+    q = np.asarray(q, dtype=float).reshape(-1, 3)
+    omega = np.asarray(omega, dtype=float).reshape(-1)
+    eigvecs = np.asarray(eigvecs)
+    eigvecs = eigvecs.reshape(omega.size, eigvecs.shape[-1])
+    weight = np.asarray(weight, dtype=int).reshape(omega.size)
+    amp = ZERO_POINT_LENGTH_A / np.sqrt(n_q * omega[:, None]
+                                        * crystal.masses[derivs.atom][None, :])
+    amp *= np.sqrt(weight)[:, None]
+    phase = np.exp(2j * np.pi * (q @ derivs.lvecs.T))
+    coeff = amp * phase * eigvecs[:, 3 * derivs.atom + derivs.s]
+    targets = tuple(dict.fromkeys(derivs.targets))
+    tensors = np.zeros((omega.size, len(targets), 3, 3), dtype=complex)
+    for k, tgt in enumerate(derivs.targets):
+        tensors[:, targets.index(tgt)] += (coeff[:, k, None, None]
+                                           * derivs.tensors[k])
+    return ModeTensors(omega=omega, targets=targets, tensors=tensors,
+                       weight=weight)

@@ -223,6 +223,22 @@ def test_sweep_writes_rows(tmp_path, capsys):
     assert [r["diagnostics"]["fit_error"] for r in doc["rows"]] == [None, None]
 
 
+def test_relax_sweep_and_dos_print_one_load_line(tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    doc = json.load(open(cfg))
+    doc["sweeps"] = [{"axis": "temperature", "values": [50.0, 100.0]}]
+    with open(cfg, "w") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    for verb in ("relax", "sweep", "dos"):
+        assert main([verb, "--config", cfg, "--grid", "3,3,3",
+                     "--out", str(tmp_path / verb)]) == EXIT_OK
+        line, = [ln for ln in capsys.readouterr().out.splitlines()
+                 if ln.startswith("load_s ")]
+        _, seconds = line.split()
+        assert float(seconds) >= 0.0
+
+
 def test_perturb_command(tmp_path, capsys):
     cfg = _toy(tmp_path)
     out = str(tmp_path / "pb")

@@ -152,8 +152,10 @@ def test_dos_of_single_atom_molecules_is_translational():
 
 def _full_kernel_dos(fc, qpoints, sigma, freq_grid):
     """Every mode's kernel on every grid point, one q-point at a time;
-    the modes left out are those phonon_dos counts as imaginary."""
+    the modes left out are those phonon_dos counts as imaginary, and
+    those with |omega| below DEFAULT_OMEGA_MIN sit at 0, as there."""
     omega, vecs = phonon_spectrum(fc, qpoints)
+    omega[np.abs(omega) < lattice.DEFAULT_OMEGA_MIN] = 0.0
     weights = decomposition_weights(fc.crystal, vecs)
     curves = np.zeros((4, freq_grid.size))
     for iq in range(len(qpoints)):
@@ -216,6 +218,29 @@ def test_dos_keeps_gamma_acoustic_modes_of_either_sign(monkeypatch):
     for plus, minus in zip(*curves):
         bound = 1e-12 * np.max(plus) + shift / len(qpoints)
         assert np.max(np.abs(plus - minus)) <= bound
+
+
+def test_dos_near_zero_does_not_move_with_round_off_in_d():
+    crystal, fc, _, _ = generate_toy_crystal(
+        ToySpec(atoms_per_molecule=2, k_intra=2.0, k_inter=0.15, seed=3))
+    # each force constant as two records that sum to it: D(q) moves by
+    # round-off only, and with it the Gamma acoustic omega (reordering
+    # the records would not: dense_blocks sums each entry once)
+    part = np.random.default_rng(1).uniform(-8.0, 8.0, fc.n_records)
+    part *= fc.values
+    split = ForceConstantSet(
+        crystal=crystal, lvecs=np.concatenate([fc.lvecs, fc.lvecs]),
+        i=np.tile(fc.i, 2), s=np.tile(fc.s, 2), j=np.tile(fc.j, 2),
+        t=np.tile(fc.t, 2), values=np.concatenate([part, fc.values - part]))
+    qpoints, weights = paired_kpoint_grid(6, 6, 6)
+    sigma = 1.0
+    dos, moved = (phonon_dos(f, qpoints, sigma, weights) for f in (fc, split))
+    near = dos.frequency <= 5 * sigma
+    # the grid's top is max(omega) + DOS_REACH sigma
+    assert (np.max(np.abs(dos.frequency - moved.frequency))
+            <= 1e-15 * dos.frequency[-1])
+    assert (np.max(np.abs(dos.total[near] - moved.total[near]))
+            <= 1e-14 * np.max(dos.total))
 
 
 def test_dos_counts_the_imaginary_modes_it_leaves_out(monkeypatch):
