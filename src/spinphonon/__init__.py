@@ -14,10 +14,9 @@ from .hamiltonian import (SpinHamiltonian, assemble_hamiltonian, diagonalize,
                           dipolar_tensor)
 from .lattice import (DosCurve, ForceConstantSet, bose_population,
                       enforce_acoustic_sum_rule, phonon_dos, phonon_spectrum)
-from .redfield import (DensityMatrix, PhononCorrelation, RedfieldTensor,
-                       assemble_redfield, equilibrium_state,
-                       extract_relaxation_time, phonon_correlation_value,
-                       propagate)
+from .redfield import (PhononCorrelation, RedfieldTensor, assemble_redfield,
+                       equilibrium_state, extract_relaxation_time,
+                       phonon_correlation_value, propagate)
 from .spins import (SpinCenter, SpinCoupling, SpinOperators, SpinSystem,
                     build_spin_operators)
 from .sweep import (RelaxationPipeline, RunParams, SweepPlan, SweepResult,

@@ -41,21 +41,11 @@ NULL_TOL = 1e-9
 #: elements of each temporary array of assembly pass 2
 ASSEMBLY_BLOCK = 1 << 16
 
-
-@dataclass(frozen=True)
-class DensityMatrix:
-    """d x d density matrix with time stamp (ps)."""
-
-    matrix: np.ndarray
-    time_ps: float = 0.0
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        object.__setattr__(self, "matrix", m)
-        if abs(np.trace(m) - 1.0) > 1e-6:
-            raise ValidationError(f"density matrix trace {np.trace(m)} != 1")
-        if np.max(np.abs(m - m.conj().T)) > 1e-6:
-            raise ValidationError("density matrix not Hermitian")
+#: a block propagates by expm when the condition of its eigenvectors is
+#: above COND_TOL, or when (w, V) diagonalise exactly only an L + E with
+#: ||E||_1 above BACKWARD_TOL ||L||_1
+COND_TOL = 1e10
+BACKWARD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -102,11 +92,18 @@ class RedfieldTensor:
     def dimension(self):
         return self.ham.dimension
 
+    def elements(self, channels=None):
+        """The element vector (1/ps) summed over the requested channels,
+        every channel by default."""
+        return sum((x for ch, x in self.channels.items()
+                    if channels is None or ch in channels),
+                   np.zeros(self.clusters.offsets[-1], complex))
+
     def matrix(self, channels=None):
         """Dense d^2 x d^2 superoperator (1/ps) summed over the requested
         channels, zero between clusters: for checks at small d."""
         out = np.zeros((self.dimension ** 2,) * 2, dtype=complex)
-        out[self.clusters.pairs()] = _generator(self, channels)[1]
+        out[self.clusters.pairs()] = self.elements(channels)
         return out
 
 
@@ -217,12 +214,12 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
 
 
 def equilibrium_state(ham, T):
-    """rho_eq = exp(-H/kT)/Z in the eigenbasis (diagonal)."""
+    """rho_eq = exp(-H/kT)/Z in the eigenbasis: a diagonal d x d array."""
     if T <= 0:
         raise ValidationError("equilibrium_state requires T > 0")
     x = -(ham.eigvals - ham.eigvals.min()) / (KB_CM1_PER_K * T)
     w = np.exp(x)
-    return DensityMatrix(matrix=np.diag(w / w.sum()).astype(complex))
+    return np.diag(w / w.sum()).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -297,26 +294,6 @@ def bohr_clusters(omega, rate):
         gap_ratio=float(rate / gaps[cut].min()) if cut.size else 0.0)
 
 
-def _generator(R, channels=None):
-    """(BohrClusters, element vector) of a RedfieldTensor summed over
-    ``channels``, clustered as its total generator is, or of a raw
-    d^2 x d^2 array in its (ab, cd) layout, whose Bohr frequencies are
-    all zero: one cluster, at the array's largest absolute row sum."""
-    if isinstance(R, RedfieldTensor):
-        return R.clusters, sum((x for ch, x in R.channels.items()
-                                if channels is None or ch in channels),
-                               np.zeros(R.clusters.offsets[-1], complex))
-    part = np.asarray(R)
-    d = math.isqrt(part.shape[0]) if part.ndim == 2 else 0
-    if d == 0 or part.shape != (d * d, d * d):
-        raise ValidationError(f"generator of shape {part.shape} is not "
-                              f"d^2 x d^2")
-    # np.max, not max: a NaN must propagate into the rate
-    rate = np.max(np.sum(np.abs(part), axis=1))
-    return (bohr_clusters(np.zeros(d * d), rate),
-            part.reshape(-1).astype(complex))
-
-
 def _transposed(idx, d):
     """The (ba) index of each (ab) index."""
     return idx % d * d + idx // d
@@ -328,10 +305,12 @@ class _ClusterStack:
     is the zero cluster (``zero``), the shifted blocks
     L_c = R_c - i diag(omega - mean_c) (k, n, n) and their eigenvalues
     ``w`` (k, n) and eigenvectors ``V`` (k, n, n), all NaN when the
-    stacked eig fails. V^-1 and the 1-norm condition ``cond`` of each
-    V, ||V||_1 ||V^-1||_1, are formed on first use (inf for the whole
-    stack when one V is singular); a block whose condition is above 1e10
-    (``fallback``) propagates by scaling-and-squaring expm."""
+    stacked eig fails. V^-1, the 1-norm condition ``cond`` of each V
+    (inf for the whole stack when one V is singular) and ``fallback``
+    are formed on first use: a block past COND_TOL or BACKWARD_TOL
+    propagates by scaling-and-squaring expm. eig balances L first, and
+    where rates span many orders that leaves V exact for an L + E far
+    from L, however well conditioned."""
 
     def __init__(self, idx, d, L, mean, zero):
         self.idx, self.tidx = idx, _transposed(idx, d)
@@ -347,13 +326,17 @@ class _ClusterStack:
 
     @functools.cached_property
     def _inverse(self):
+        """(V^-1, cond, fallback) of each block."""
         try:
             inv = np.linalg.inv(self.V)
         except np.linalg.LinAlgError:
             inv = np.full_like(self.V, np.nan)
-        cond = (np.linalg.norm(self.V, 1, axis=(1, 2))
-                * np.linalg.norm(inv, 1, axis=(1, 2)))
-        return inv, np.where(np.isfinite(cond), cond, np.inf)
+        norm = functools.partial(np.linalg.norm, ord=1, axis=(1, 2))
+        cond = norm(self.V) * norm(inv)
+        # ||E||_1 <= ||L V - V diag(w)||_1 ||V^-1||_1; NaN falls back too
+        error = norm(self.L @ self.V - self.V * self.w[:, None, :]) * norm(inv)
+        good = (cond <= COND_TOL) & (error <= BACKWARD_TOL * norm(self.L))
+        return inv, np.where(np.isfinite(cond), cond, np.inf), ~good
 
     @property
     def cond(self):
@@ -361,7 +344,7 @@ class _ClusterStack:
 
     @property
     def fallback(self):
-        return ~(self.cond <= 1e10)
+        return self._inverse[2]
 
     def evolve(self, x0, times):
         """exp(L_c t) x0_c e^{-i mean_c t} for each cluster c, (T, k, n)."""
@@ -382,9 +365,9 @@ class _ClusterStack:
 class _BlockEigensystem:
     """Eigensystem of L = -i diag(omega_ab) + R, cluster by cluster.
 
-    ``R`` is a RedfieldTensor (summed over ``channels``) or a raw
-    d^2 x d^2 array. Each kept Bohr cluster's block is read from the
-    element vector ``x`` (``BohrClusters.offsets``), and the mean
+    ``R`` is a RedfieldTensor, summed over ``channels``. Each kept Bohr
+    cluster's block is read from its element vector ``x``
+    (``BohrClusters.offsets``), and the mean
     frequency is taken out: L_c = R_c - i diag(omega - mean_c), whose
     eigenvalues are those of L plus i mean_c. Elements between clusters
     are dropped, which moves the eigenvalues by O(rate^2 / gap). The
@@ -392,7 +375,8 @@ class _BlockEigensystem:
     first reads that size (``stack``): ``blocks`` reads every size,
     ``slowest_mode`` only those that can hold the mode it looks for.
 
-    A generator must map Hermitian rho to Hermitian rho: elements with
+    An element vector with a non-finite entry raises NumericalError. A
+    generator must map Hermitian rho to Hermitian rho: elements with
     R_ba,dc != conj R_ab,cd beyond 1e-12 of their max|R| raise
     ValidationError. The check reads every cluster, diagonalised or
     not, vectorised over ``x``: each conjugate cluster against the kept
@@ -403,10 +387,11 @@ class _BlockEigensystem:
     """
 
     def __init__(self, R, channels=None):
-        self.clusters, x = _generator(R, channels)
-        clusters = self.clusters
-        self.d = math.isqrt(clusters.omega.size)
-        self.x = x
+        self.clusters = clusters = R.clusters
+        self.d = R.dimension
+        self.x = x = R.elements(channels)
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("generator has non-finite entries")
         size = np.abs(x)
         scale = np.max(size)
         # R_ba,dc of kept cluster k > 0 sits at the same place of its
@@ -532,23 +517,23 @@ def _hermitian_part(M):
 
 
 def propagate(rho0, R, times):
-    """rho(t) = exp(L t) rho(0) at the requested times (ps, ascending),
-    with L = -i diag(omega_ab) + R on its Bohr clusters
-    (``_BlockEigensystem``); the Hermitian part of rho(0) is propagated."""
+    """(T, d, d) stack of rho(t) = exp(L t) rho0 at the requested times
+    (ps, ascending), L = -i diag(omega_ab) + R on the Bohr clusters of
+    R (``_BlockEigensystem``), from the Hermitian part of rho0 (d x d)."""
     times = np.asarray(times, dtype=float)
     if times.size and (np.any(np.diff(times) < 0) or times[0] < 0):
         raise ValidationError("times must be ascending and non-negative")
-    rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
-    d = rho0_mat.shape[0]
-    X = _BlockEigensystem(R).evolve(_hermitian_part(rho0_mat).reshape(-1),
-                                    times)
+    d = R.dimension
+    rho0 = np.asarray(rho0)
+    if rho0.shape != (d, d):
+        raise ValidationError(f"rho0 of shape {rho0.shape} is not {d} x {d}")
+    X = _BlockEigensystem(R).evolve(_hermitian_part(rho0).reshape(-1), times)
     drift = X[:, ::d + 1].sum(axis=1).real - 1.0
     bad = np.flatnonzero(~(np.abs(drift) <= 1e-8))  # NaN is drift too
     if bad.size:
         k = bad[0]
         raise NumericalError(f"trace drift {drift[k]:.2e} at t={times[k]}")
-    return [DensityMatrix(matrix=m, time_ps=float(t))
-            for m, t in zip(_hermitian_part(X.reshape(-1, d, d)), times)]
+    return _hermitian_part(X.reshape(-1, d, d))
 
 
 @dataclass(frozen=True)
@@ -621,9 +606,10 @@ def _exp_fit(times, dm):
     return (1.0 / coef[1]) / PS_PER_MS, residual, residual > 0.05
 
 
-def extract_relaxation_time(R, ham, ops, observable=None, method="both",
+def extract_relaxation_time(R, ops, observable=None, method="both",
                             rho0=None, channels=None):
-    """Relaxation time of the chosen observable (default Sz of a spin).
+    """Relaxation time of ``observable`` (default Sz of the first spin
+    center of ``ops``) by ``method``, "both" or "slowest_mode".
 
     Every step runs on one ``_BlockEigensystem`` of
     L = -i diag(omega_ab) + R (summed over ``channels``, on the Bohr
@@ -647,7 +633,10 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
     state, so without ``rho0`` the error is raised). Only the exp-fit
     inverts the eigenvectors (``slowest_mode`` forms no inverse).
     """
-    d = ham.dimension
+    if method not in ("both", "slowest_mode"):
+        raise ValidationError(f"unknown method {method!r}; allowed: "
+                              f"both, slowest_mode")
+    ham, d = R.ham, R.dimension
     eigsys = _BlockEigensystem(R, channels)
     if observable is None:
         first = min(ops.system.centers, key=lambda c: c.id).id
@@ -692,12 +681,9 @@ def extract_relaxation_time(R, ham, ops, observable=None, method="both",
     if rho0 is None:
         # default probe: stationary state perturbed along the observable
         pert = 0.1 * O_traceless / np.max(np.abs(O_traceless))
-        rho0_mat = rho_ss + pert - np.trace(pert) / d * np.eye(d)
-    else:
-        rho0_mat = rho0.matrix if isinstance(rho0, DensityMatrix) else np.asarray(rho0)
+        rho0 = rho_ss + pert - np.trace(pert) / d * np.eye(d)
     times = np.geomspace(0.02, 5.0, 24) * tau_slow_ps
-    X = eigsys.evolve(_hermitian_part(np.asarray(rho0_mat)).reshape(-1),
-                      times)
+    X = eigsys.evolve(_hermitian_part(np.asarray(rho0)).reshape(-1), times)
     o = O.T.reshape(-1)
     m_t = np.real(X @ o)
     min_eig = np.min(np.linalg.eigvalsh(

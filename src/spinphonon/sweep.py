@@ -28,6 +28,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,6 +108,18 @@ def _check_memory(clusters, n_channels):
             f"a d={d} point with {n_channels} channels needs about "
             f"{need / 1e9:.3g} GB for its Redfield arrays, more than the "
             f"{have / 1e9:.3g} GB of physical memory")
+
+
+class _StackCache(NamedTuple):
+    """What a point reuses when only the temperature moved (``key``: its
+    run parameters at 0 K); ``ham_rev`` is None at zero field."""
+
+    key: object
+    system: object
+    ham: object
+    ham_rev: object
+    stack: object
+    diag: dict
 
 
 class _PointLog:
@@ -260,8 +273,7 @@ class RelaxationPipeline:
         self.derivs = derivs
         self.ops = build_spin_operators(system)
         self._precursor_cache = {}
-        # (key, (system, ham, stack, diag, ham_rev)) of the last point
-        self._stack_cache = None
+        self._stack_cache = None  # _StackCache of the last point
         self._log = _PointLog()
 
     @contextmanager
@@ -369,7 +381,7 @@ class RelaxationPipeline:
         only the temperature moved. A rebuild drops them first, so the
         pipeline never holds two stacks."""
         key = replace(params, temperature=0.0)
-        if self._stack_cache is not None and self._stack_cache[0] == key:
+        if self._stack_cache is not None and self._stack_cache.key == key:
             self._log.cache_hits += 1
         else:
             self._stack_cache = None
@@ -379,13 +391,14 @@ class RelaxationPipeline:
                 ham_rev = (self.hamiltonian(-B)[1] if np.linalg.norm(B) > 0
                            else None)
             stack, diag = self.couplings(params, ham, system)
-            self._stack_cache = (key, (system, ham, stack, diag, ham_rev))
-        system, ham, stack, diag, _ = self._stack_cache[1]
+            self._stack_cache = _StackCache(key, system, ham, ham_rev, stack,
+                                            diag)
+        cache = self._stack_cache
         pc = PhononCorrelation(sigma=params.sigma, temperature=params.temperature)
         with self._timed("assembly"):
-            R = assemble_redfield(stack, ham, pc, secular=params.secular,
-                                  check=_check_memory)
-        return R, ham, system, diag
+            R = assemble_redfield(cache.stack, cache.ham, pc,
+                                  secular=params.secular, check=_check_memory)
+        return R, cache.ham, cache.system, cache.diag
 
     def relax(self, params, value=None):
         """The SweepRow of the point, labelled ``value``: tau, the
@@ -400,21 +413,21 @@ class RelaxationPipeline:
         R, ham, system, diag = self.redfield(params)
         # magnetometry-style initial state: the equilibrium of the
         # field-reversed Hamiltonian, in the working eigenbasis
-        ham_rev = self._stack_cache[1][4]
+        ham_rev = self._stack_cache.ham_rev
         rho0 = None if ham_rev is None else ham.to_eigenbasis(
             ham_rev.from_eigenbasis(equilibrium_state(
-                ham_rev, params.temperature or 1e-3).matrix))
+                ham_rev, params.temperature or 1e-3)))
         tau_channel = {}
         channel_errors = {}
         with self._timed("spectral"):
-            est = extract_relaxation_time(R, ham, self.ops, method="both",
+            est = extract_relaxation_time(R, self.ops, method="both",
                                           rho0=rho0)
             others = list(R.channels)
             if len(others) == 1:
                 tau_channel[others.pop()] = est.tau_ms
             for ch in others:
                 try:
-                    est_ch = extract_relaxation_time(R, ham, self.ops,
+                    est_ch = extract_relaxation_time(R, self.ops,
                                                      method="slowest_mode",
                                                      channels=(ch,))
                     tau_channel[ch] = est_ch.tau_ms

@@ -6,7 +6,8 @@ elements inside the Bohr clusters; these helpers build all d^4 of them,
 which is affordable at the small d of the tests. The slowest-mode rule
 as an argmax over the modes of every cluster, which the pipeline's
 search prunes. The phonon correlation G as one expression, where the
-pipeline works in place.
+pipeline works in place. A hand-built dense generator as the
+RedfieldTensor of one cluster at zero Bohr frequency.
 
 Lattice: D(q) as one product per lattice vector, then symmetrized; the
 decomposition weights one molecule at a time; the DOS kernel as one
@@ -18,19 +19,23 @@ Bloch phase of every mode and record and sums each record into a
 (M, n_targets, 3, 3) complex stack.
 """
 
+import math
+
 import numpy as np
 
 from spinphonon import lattice
 from spinphonon.coupling import ModeTensors
 from spinphonon.crystal import rigid_body_basis
 from spinphonon.errors import NumericalError, ParseError, ValidationError
+from spinphonon.hamiltonian import diagonalize
 from spinphonon.lattice import (ASYMMETRY_TOL, DEFAULT_OMEGA_MIN, DOS_REACH,
                                 ForceConstantSet, bose_population,
                                 gaussian_kernel, phonon_spectrum)
 from spinphonon.project import (_iter_records, _parse_float, _parse_lvec,
                                 _parse_site)
 from spinphonon.redfield import (CLUSTER_GAP_FACTOR, RATE_PREFACTOR,
-                                 SECULAR_TOL_CM1, phonon_correlation_value)
+                                 SECULAR_TOL_CM1, RedfieldTensor,
+                                 bohr_clusters, phonon_correlation_value)
 from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, ZERO_POINT_LENGTH_A
 
 
@@ -118,6 +123,20 @@ def bohr_omega(ham):
 def gershgorin_rate(R):
     """Largest absolute row sum of a dense generator."""
     return float(np.max(np.sum(np.abs(R), axis=1)))
+
+
+def dense_generator(M):
+    """The d^2 x d^2 generator M, in its (ab, cd) layout, as a
+    RedfieldTensor: a zero Hamiltonian, so every Bohr frequency is zero
+    and the coherences form one cluster at M's largest absolute row sum,
+    and M as its one ("zeeman") channel."""
+    M = np.asarray(M)
+    d = math.isqrt(M.shape[0])
+    return RedfieldTensor(
+        ham=diagonalize(np.zeros((d, d))),
+        channels={"zeeman": M.reshape(-1).astype(complex)},
+        clusters=bohr_clusters(np.zeros(d * d),
+                               np.max(np.sum(np.abs(M), axis=1))))
 
 
 def cluster_labels(omega, rate):

@@ -134,12 +134,12 @@ def test_criterion_02_secular_propagation_reaches_boltzmann():
         rates = np.abs(w.real)
         slow = rates[rates > 1e-12 * rates.max()].min()
         t_end = 100.0 / slow
-        eq = equilibrium_state(ham, T).matrix
+        eq = equilibrium_state(ham, T)
         for _ in range(5):  # 5 states x 4 systems = 20 random states
             m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             rho0 = m @ m.conj().T
             rho0 /= np.trace(rho0)
-            final = propagate(rho0, R, [t_end])[-1].matrix
+            final = propagate(rho0, R, [t_end])[-1]
             worst = max(worst, float(np.max(np.abs(final - eq))))
     elapsed = time.time() - t0
     ok = worst < 1e-6 and elapsed < 30.0
@@ -331,12 +331,12 @@ def test_criterion_11_long_propagation_invariants(soft_pipeline,
         rate = float(np.max(np.abs(np.linalg.eigvals(Rmat).real)))
         # 1e6 steps of dt = 0.01 / fastest rate
         t_total = 1e6 * 0.01 / rate
-        rho0 = equilibrium_state(ham, 2 * params.temperature).matrix
+        rho0 = equilibrium_state(ham, 2 * params.temperature)
         for st in propagate(rho0, R, np.linspace(0.0, t_total, 11)):
             worst_trace = max(worst_trace,
-                              abs(float(np.trace(st.matrix).real) - 1.0))
+                              abs(float(np.trace(st).real) - 1.0))
             worst_herm = max(worst_herm, float(np.max(np.abs(
-                st.matrix - st.matrix.conj().T))))
+                st - st.conj().T))))
     elapsed = time.time() - t0
     ok = worst_trace < 1e-8 and worst_herm < 1e-8 and elapsed < 60.0
     _report(11, "trace and Hermiticity preserved over 1e6-step propagation",

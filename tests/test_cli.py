@@ -250,6 +250,22 @@ def test_perturb_command(tmp_path, capsys):
     assert "0.25" in captured.out
 
 
+def test_converge_command(tmp_path, capsys):
+    cfg = _toy(tmp_path)
+    out = str(tmp_path / "cv")
+    code = main(["converge", "--config", cfg, "--out", out])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK
+    assert "wrote" in captured.out
+    doc = json.load(open(os.path.join(out, "converge.json")))
+    assert doc["config_hash"]
+    report = doc["report"]
+    assert [entry["sigma"] for entry in report] == [4.0, 2.0, 1.0]
+    for entry in report:
+        assert len(entry["tau_ms"]) == len(entry["grids"]) >= 2
+        assert all(np.isfinite(tau) and tau > 0 for tau in entry["tau_ms"])
+
+
 def test_run_examples_filter(capsys):
     assert main(["run-examples", "--filter", "golden"]) == EXIT_OK
     captured = capsys.readouterr()

@@ -1,13 +1,17 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from spinphonon import redfield
 from spinphonon.coupling import CouplingStack
 from spinphonon.errors import NumericalError, ValidationError
 from spinphonon.hamiltonian import assemble_hamiltonian, diagonalize
-from spinphonon.redfield import (RATE_PREFACTOR, DensityMatrix,
-                                 PhononCorrelation, assemble_redfield,
-                                 equilibrium_state, extract_relaxation_time,
+from spinphonon.redfield import (RATE_PREFACTOR, PhononCorrelation,
+                                 assemble_redfield, equilibrium_state,
+                                 extract_relaxation_time,
                                  phonon_correlation_value, propagate,
                                  stationary_state)
 from spinphonon.lattice import bose_population, gaussian_kernel
@@ -15,7 +19,7 @@ from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
 from spinphonon.units import KB_CM1_PER_K, PS_PER_MS
 
 from dense_reference import (assert_matches_dense, coupling_rows,
-                             dense_redfield, in_cluster)
+                             dense_generator, dense_redfield, in_cluster)
 
 
 def _two_level(field=5.0):
@@ -31,16 +35,6 @@ def _coupling(ham, ops, strength=0.01, channel="zeeman"):
     V = strength * ham.to_eigenbasis(ops.embedded[0][0])
     gap = float(ham.eigvals[-1] - ham.eigvals[0])
     return CouplingStack.from_rows(omega=[gap], channel=[channel], V=[V])
-
-
-def test_density_matrix_validation():
-    with pytest.raises(ValidationError):
-        DensityMatrix(matrix=np.diag([0.7, 0.7]))
-    with pytest.raises(ValidationError):
-        DensityMatrix(matrix=np.array([[0.5, 0.3], [0.1, 0.5]]))
-    rho = DensityMatrix(matrix=np.array([[0.6, 0.2], [0.2, 0.4]]))
-    assert np.linalg.eigvalsh(rho.matrix)[0] > 0
-    assert np.allclose(np.diag(rho.matrix).real, [0.6, 0.4])
 
 
 def test_phonon_correlation_validation():
@@ -145,7 +139,7 @@ def test_secular_propagation_reaches_boltzmann_populations():
     rate = np.max(np.abs(np.real(np.linalg.eigvals(R.matrix()))))
     final = propagate(rho0, R, [300.0 / rate])[-1]
     eq = equilibrium_state(ham, T)
-    assert np.max(np.abs(final.matrix - eq.matrix)) < 1e-8
+    assert np.max(np.abs(final - eq)) < 1e-8
 
 
 def test_two_level_relaxation_time_matches_rate_oracle():
@@ -159,7 +153,7 @@ def test_two_level_relaxation_time_matches_rate_oracle():
     w_up = 2 * RATE_PREFACTOR * v2 * phonon_correlation_value(pc, gap, w)
     w_dn = 2 * RATE_PREFACTOR * v2 * phonon_correlation_value(pc, -gap, w)
     tau_ms = (1.0 / (w_up + w_dn)) / PS_PER_MS
-    est = extract_relaxation_time(R, ham, ops, method="both")
+    est = extract_relaxation_time(R, ops, method="both")
     assert abs(est.tau_ms / tau_ms - 1.0) < 1e-8
     assert abs(est.tau_fit_ms / tau_ms - 1.0) < 1e-8
     assert not est.mismatch and not est.non_exponential
@@ -232,10 +226,11 @@ def test_equilibrium_state_ratio_and_high_t_limit():
     gap = float(ham.eigvals[1] - ham.eigvals[0])
     T = gap / KB_CM1_PER_K  # kT equal to the splitting
     eq = equilibrium_state(ham, T)
-    p = np.diag(eq.matrix).real
+    assert eq.shape == (2, 2)
+    p = np.diag(eq).real
     assert abs(p[1] / p[0] - np.exp(-1.0)) < 1e-12
     hot = equilibrium_state(ham, 1e7)
-    assert np.allclose(np.diag(hot.matrix).real, 0.5, atol=1e-6)
+    assert np.allclose(np.diag(hot).real, 0.5, atol=1e-6)
     with pytest.raises(ValidationError):
         equilibrium_state(ham, 0.0)
 
@@ -249,26 +244,51 @@ def test_propagate_validates_times_and_keeps_trace():
         propagate(rho0, R, [1.0, 0.5])
     with pytest.raises(ValidationError):
         propagate(rho0, R, [-1.0, 0.5])
+    with pytest.raises(ValidationError, match="rho0"):
+        propagate(np.eye(3) / 3, R, [1.0])
     states = propagate(rho0, R, np.linspace(0.0, 1e6, 7))
+    assert states.shape == (7, 2, 2)
     for st in states:
-        assert abs(np.trace(st.matrix) - 1.0) < 1e-10
-        assert np.max(np.abs(st.matrix - st.matrix.conj().T)) < 1e-10
+        assert abs(np.trace(st) - 1.0) < 1e-10
+        assert np.max(np.abs(st - st.conj().T)) < 1e-10
 
 
 def test_non_finite_generator_is_a_numerical_failure():
-    import types
-
-    gen = np.full((4, 4), np.nan)
+    gen = replace(dense_generator(np.zeros((4, 4))),
+                  channels={"zeeman": np.full(16, np.nan + 0j)})
     with pytest.raises(NumericalError, match="generator has non-finite"):
         propagate(np.diag([1.0, 0.0]), gen, [0.0, 1.0])
     with pytest.raises(NumericalError, match="generator has non-finite"):
-        extract_relaxation_time(gen, types.SimpleNamespace(dimension=2), None,
-                                observable=np.diag([1.0, -1.0]))
+        extract_relaxation_time(gen, None, observable=np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_one_non_finite_element_is_a_numerical_failure(bad):
+    # a NaN passes the Hermiticity check, whose comparisons it fails:
+    # the element vector is checked for finite entries first
+    _, ops, ham = _two_level()
+    pc = PhononCorrelation(sigma=0.5, temperature=20.0)
+    R = assemble_redfield(_coupling(ham, ops), ham, pc)
+    part = R.channels["zeeman"].copy()
+    part[0] = bad
+    broken = replace(R, channels={"zeeman": part})
+    with pytest.raises(NumericalError, match="non-finite"):
+        propagate(np.diag([1.0, 0.0]), broken, [0.0, 1.0])
+    for method in ("both", "slowest_mode"):
+        with pytest.raises(NumericalError, match="non-finite"):
+            extract_relaxation_time(broken, ops, method=method)
+
+
+@pytest.mark.parametrize("method", ["slowest", "exp_fit", "Both", ""])
+def test_unknown_method_is_rejected(method):
+    _, ops, ham = _two_level()
+    pc = PhononCorrelation(sigma=0.5, temperature=20.0)
+    R = assemble_redfield(_coupling(ham, ops), ham, pc)
+    with pytest.raises(ValidationError, match="method"):
+        extract_relaxation_time(R, ops, method=method)
 
 
 def test_growing_mode_has_no_relaxation_time():
-    import types
-
     # populations of a two-level system with transfer rates of -1 /ps:
     # p0 - p1 grows as exp(2t); the coherences decay
     gen = np.zeros((4, 4))
@@ -276,15 +296,15 @@ def test_growing_mode_has_no_relaxation_time():
     gen[[0, 3], [3, 0]] = -1.0
     gen[[1, 2], [1, 2]] = -0.5
     with pytest.raises(NumericalError, match="grows"):
-        extract_relaxation_time(gen, types.SimpleNamespace(dimension=2), None,
+        extract_relaxation_time(dense_generator(gen), None,
                                 observable=np.diag([1.0, -1.0]),
                                 method="slowest_mode")
 
 
 def test_propagate_with_zero_generator_is_identity():
     rho0 = np.array([[0.75, 0.1], [0.1, 0.25]], dtype=complex)
-    out = propagate(rho0, np.zeros((4, 4)), [0.0, 17.0])
-    assert np.allclose(out[-1].matrix, rho0, atol=1e-14)
+    out = propagate(rho0, dense_generator(np.zeros((4, 4))), [0.0, 17.0])
+    assert np.allclose(out[-1], rho0, atol=1e-14)
 
 
 def test_stationary_state_matches_equilibrium():
@@ -294,17 +314,17 @@ def test_stationary_state_matches_equilibrium():
     R = assemble_redfield(_coupling(ham, ops), ham, pc)
     rho_ss = stationary_state(redfield._BlockEigensystem(R))
     eq = equilibrium_state(ham, T)
-    assert np.max(np.abs(rho_ss - eq.matrix)) < 1e-5
+    assert np.max(np.abs(rho_ss - eq)) < 1e-5
 
 
 def test_extract_rejects_zero_tensor_and_trivial_observable():
     _, ops, ham = _two_level()
     with pytest.raises(NumericalError):
-        extract_relaxation_time(np.zeros((4, 4)), ham, ops)
+        extract_relaxation_time(dense_generator(np.zeros((4, 4))), ops)
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
     R = assemble_redfield(_coupling(ham, ops), ham, pc)
     with pytest.raises(ValidationError):
-        extract_relaxation_time(R, ham, ops, observable=np.eye(2))
+        extract_relaxation_time(R, ops, observable=np.eye(2))
 
 
 def test_both_estimates_share_one_eigendecomposition(monkeypatch):
@@ -319,16 +339,12 @@ def test_both_estimates_share_one_eigendecomposition(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eig", counted)
-    est = extract_relaxation_time(R, ham, ops, method="both")
+    est = extract_relaxation_time(R, ops, method="both")
     assert est.tau_fit_ms is not None
     assert len(calls) == 1
 
 
 def test_slowest_mode_estimate_forms_no_inverse_and_no_expm(monkeypatch):
-    import types
-
-    import scipy.linalg
-
     _, ops, ham = _two_level()
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
     R = assemble_redfield(_coupling(ham, ops), ham, pc)
@@ -338,11 +354,10 @@ def test_slowest_mode_estimate_forms_no_inverse_and_no_expm(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", forbidden)
     monkeypatch.setattr(scipy.linalg, "expm", forbidden)
-    est = extract_relaxation_time(R, ham, ops, method="slowest_mode")
+    est = extract_relaxation_time(R, ops, method="slowest_mode")
     assert est.tau_ms > 0 and est.eigvec_cond is None
     # a defective generator, which only expm can propagate
-    est = extract_relaxation_time(_cascade_generator(),
-                                  types.SimpleNamespace(dimension=3), None,
+    est = extract_relaxation_time(_cascade_generator(), None,
                                   observable=np.diag([1.0, 0.0, -1.0]),
                                   method="slowest_mode")
     assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
@@ -361,17 +376,13 @@ def _cascade_generator(rate=1.0, dephasing=3.0):
     for a in range(d - 1):
         R[a, a, a, a] = -rate
         R[a + 1, a + 1, a, a] = rate
-    return R.reshape(d * d, d * d)
+    return dense_generator(R.reshape(d * d, d * d))
 
 
 def test_defective_generator_records_expm_fallback_without_warning():
-    import types
-    import warnings
-
-    ham = types.SimpleNamespace(dimension=3)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        est = extract_relaxation_time(_cascade_generator(), ham, None,
+        est = extract_relaxation_time(_cascade_generator(), None,
                                       observable=np.diag([1.0, 0.0, -1.0]),
                                       method="both")
     assert est.expm_fallback
@@ -381,17 +392,15 @@ def test_defective_generator_records_expm_fallback_without_warning():
 
 
 def test_generator_that_breaks_hermiticity_is_rejected():
-    import types
-
-    ham = types.SimpleNamespace(dimension=2)
     rho0 = np.diag([1.0, 0.0])
     rng = np.random.default_rng(7)
     # d rho/dt = i rho, and a random complex generator: neither maps a
     # Hermitian rho to a Hermitian one, so neither has a real form
     for gen in (1j * np.eye(4),
                 rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))):
+        gen = dense_generator(gen)
         with pytest.raises(ValidationError, match="Hermiticity"):
-            extract_relaxation_time(gen, ham, None,
+            extract_relaxation_time(gen, None,
                                     observable=np.diag([1.0, -1.0]))
         with pytest.raises(ValidationError, match="Hermiticity"):
             propagate(rho0, gen, [1.0])
@@ -400,8 +409,9 @@ def test_generator_that_breaks_hermiticity_is_rejected():
     pc = PhononCorrelation(sigma=0.5, temperature=20.0)
     Rmat = assemble_redfield(_coupling(ham2, ops), ham2, pc).matrix()
     noisy = Rmat + 1e-14 * np.max(np.abs(Rmat)) * 1j * rng.normal(size=(4, 4))
-    lam = redfield._BlockEigensystem(Rmat).eigenvalues()
-    lam_noisy = redfield._BlockEigensystem(noisy).eigenvalues()
+    lam = redfield._BlockEigensystem(dense_generator(Rmat)).eigenvalues()
+    lam_noisy = redfield._BlockEigensystem(
+        dense_generator(noisy)).eigenvalues()
     assert np.allclose(np.sort_complex(lam_noisy), np.sort_complex(lam),
                        rtol=0, atol=1e-13 * np.max(np.abs(Rmat)))
 
@@ -410,7 +420,7 @@ def _non_physical_fixed_point():
     """d=2 generator whose only fixed point is rho = diag(2, -1): every
     other direction decays at 1/ps."""
     v = np.array([2.0, 0.0, 0.0, -1.0])  # vec(diag(2, -1)), (ab) layout
-    return -(np.eye(4) - np.outer(v, v) / (v @ v))
+    return dense_generator(-(np.eye(4) - np.outer(v, v) / (v @ v)))
 
 
 def test_stationary_state_rejects_a_non_physical_state():
@@ -420,12 +430,9 @@ def test_stationary_state_rejects_a_non_physical_state():
 
 
 def test_fit_without_physical_stationary_state_is_reported():
-    import types
-
-    ham = types.SimpleNamespace(dimension=2)
     gen = _non_physical_fixed_point()
     Sz = np.diag([0.5, -0.5])
-    est = extract_relaxation_time(gen, ham, None, observable=Sz,
+    est = extract_relaxation_time(gen, None, observable=Sz,
                                   rho0=np.diag([0.5, 0.5]))
     assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
     assert est.tau_fit_ms is None and est.mismatch
@@ -434,7 +441,7 @@ def test_fit_without_physical_stationary_state_is_reported():
     assert est.min_rho_eigenvalue < 0.0
     # the default probe is built from the stationary state
     with pytest.raises(NumericalError, match="not physical"):
-        extract_relaxation_time(gen, ham, None, observable=Sz)
+        extract_relaxation_time(gen, None, observable=Sz)
 
 
 def _driven_two_level(drive=10.0, decay=1.0):
@@ -445,16 +452,14 @@ def _driven_two_level(drive=10.0, decay=1.0):
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
     P = lower.T @ lower
     one = np.eye(2)
-    return (-1j * (np.kron(H, one) - np.kron(one, H.T))
-            + decay * (np.kron(lower, lower)
-                       - 0.5 * (np.kron(P, one) + np.kron(one, P.T))))
+    return dense_generator(
+        -1j * (np.kron(H, one) - np.kron(one, H.T))
+        + decay * (np.kron(lower, lower)
+                   - 0.5 * (np.kron(P, one) + np.kron(one, P.T))))
 
 
 def test_failed_exp_fit_is_flagged_not_agreement():
-    import types
-
-    ham = types.SimpleNamespace(dimension=2)
-    est = extract_relaxation_time(_driven_two_level(), ham, None,
+    est = extract_relaxation_time(_driven_two_level(), None,
                                   observable=np.diag([0.5, -0.5]),
                                   rho0=np.diag([0.0, 1.0]))
     # the deviation from the stationary Sz changes sign: no fit
@@ -464,7 +469,7 @@ def test_failed_exp_fit_is_flagged_not_agreement():
     assert est.fit_error is None
     assert est.min_rho_eigenvalue > -1e-12
     # without the drive Sz decays at 1 /ps, and the fit agrees
-    est = extract_relaxation_time(_driven_two_level(drive=0.0), ham, None,
+    est = extract_relaxation_time(_driven_two_level(drive=0.0), None,
                                   observable=np.diag([0.5, -0.5]),
                                   rho0=np.diag([0.0, 1.0]))
     assert est.tau_fit_ms == pytest.approx(1.0 / PS_PER_MS, rel=1e-9)

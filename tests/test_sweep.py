@@ -510,7 +510,7 @@ def test_point_beyond_memory_fails_before_assembly(soft_pipeline,
     # with the memory it asks for, pass 2 runs once per term
     monkeypatch.setattr(sweep, "physical_memory_bytes", lambda: need)
     soft_pipeline.relax(BASE)
-    assert len(passes) == len(soft_pipeline._stack_cache[1][2].terms) == 1
+    assert len(passes) == len(soft_pipeline._stack_cache.stack.terms) == 1
 
 
 @pytest.mark.parametrize("which", ["vanadyl_fixture", "soft_two_cells"])
@@ -531,7 +531,7 @@ def test_pipeline_stacks_match_dense(which, soft_pipeline):
         params = replace(BASE, qgrid=(2, 2, 2))
         d, sizes = 4, {("zeeman", 3), ("dipolar", 9)}
     R, ham, _, _ = pipeline.redfield(params)
-    stack = pipeline._stack_cache[1][2]
+    stack = pipeline._stack_cache.stack
     assert ham.dimension == d
     assert {(t.channel, t.basis.shape[0]) for t in stack.terms} == sizes
     pc = PhononCorrelation(sigma=params.sigma,
@@ -739,11 +739,11 @@ def test_hermiticity_is_checked_on_clusters_a_channel_never_reads(
     part[clusters.offsets[k] + 1] += 1e-3 * np.max(np.abs(part))
     broken = replace(R, channels={**R.channels, "dipolar": part})
     with pytest.raises(ValidationError, match="Hermiticity"):
-        redfield.extract_relaxation_time(broken, ham, pair_pipeline.ops,
+        redfield.extract_relaxation_time(broken, pair_pipeline.ops,
                                          method="slowest_mode",
                                          channels=("dipolar",))
     # the other channels do not see it
-    redfield.extract_relaxation_time(broken, ham, pair_pipeline.ops,
+    redfield.extract_relaxation_time(broken, pair_pipeline.ops,
                                      method="slowest_mode",
                                      channels=("zeeman",))
 
@@ -835,7 +835,7 @@ def test_spin_sibling_builds_its_own_stack(soft_bundle, monkeypatch):
         assert sibling._stack_cache is None
         row = sibling.relax(BASE)
         assert row.error is None
-        stack = sibling._stack_cache[1][2]
+        stack = sibling._stack_cache.stack
         assert coupling_rows(stack)[2].shape[1:] == (2 * cells, 2 * cells)
     assert len(seen) == 2
     # the parent keeps its own entry and still hits it
@@ -853,7 +853,7 @@ def test_a_rebuild_drops_the_old_stack_first(soft_bundle, monkeypatch):
     moved = replace(BASE, sigma=2.0)
     pipeline.relax(moved)
     assert seen == [None]
-    assert pipeline._stack_cache[0] == replace(moved, temperature=0.0)
+    assert pipeline._stack_cache.key == replace(moved, temperature=0.0)
     # a temperature point of the new key hits it
     pipeline.relax(replace(moved, temperature=80.0))
     assert seen == [None]
