@@ -203,8 +203,8 @@ def _cmd_dos(args):
           f"sigma {params.sigma} cm^-1")
     print(f"load_s {load_s:.3f}")
     t = dos.timings_s
-    print(f"dos timings_s spectrum {t['spectrum']:.3f} decomposition "
-          f"{t['decomposition']:.3f} kernel {t['kernel']:.3f}; "
+    print(f"dos timings_s blocks {t['blocks']:.3f} kernel {t['kernel']:.3f}; "
+          f"workers {dos.workers} q_blocks {dos.blocks}; "
           f"{dos.imaginary_modes} imaginary modes excluded")
     print(f"wrote {path}")
     return EXIT_OK

@@ -1,4 +1,6 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and number checks shared across the package."""
+
+import numpy as np
 
 
 class SpinPhononError(Exception):
@@ -50,3 +52,24 @@ class ConfigError(SpinPhononError):
 
 class NumericalError(SpinPhononError):
     """A numerical routine failed (eigensolver, fit, propagation)."""
+
+
+def as_real(value):
+    """``value`` as a float. A bool or a string is not a number, though
+    float() would take True as 1 and "2" as 2."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
+
+
+def finite_number(name, value, low, strict=True):
+    """``value`` as a finite float above ``low`` (or at it, not strict)."""
+    try:
+        x = as_real(value)
+    except (TypeError, ValueError):
+        x = float("nan")
+    if not (np.isfinite(x) and (x > low if strict else x >= low)):
+        bound = ">" if strict else ">="
+        raise ValidationError(
+            f"{name} must be a finite number {bound} {low:g}, got {value!r}")
+    return x

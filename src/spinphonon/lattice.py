@@ -1,19 +1,26 @@
 """Harmonic lattice dynamics: force constants, D(q), DOS, decomposition."""
 
+import os
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, finite_number
 from .units import FREQ_CM1_PER_SQRT_EV_A2_AMU, KB_CM1_PER_K
 
-#: q-points per block of the DOS, diagonalised and then smeared together.
-#: On the 12-branch criterion-07 crystal at 32^3 (16,388 paired q-points,
-#: 2 vCPU), the `dos` verb took 0.60 s at 256 (76 MB peak RSS of the
-#: process), 0.82 s at 64, 0.67-0.86 s at 1024 (82 MB) and 0.70-0.81 s
-#: at 2048 (90 MB).
+#: most q-points per block of the DOS; ``dos_qblock`` takes fewer when
+#: the block's D(q) product would pass ``DOS_GEMM_MAX``
 DOS_QBLOCK = 256
+
+#: largest m n k of a DOS block's D(q) product (q x n_l)(n_l x (3N)^2).
+#: Above about 2^16, OpenBLAS runs a zgemm on several threads (cpu/wall
+#: 1.00 at 64,512, 1.26 at 96,768 and about 2 from 124,416 on 2 vCPU),
+#: and its workers then spin on the cores the DOS block pool needs. On
+#: the 12-branch criterion-07 crystal at 32^3 (n_l = 7, 16,388 paired
+#: q-points, 2 vCPU), the blocks took 389 ms serial, 262 ms pooled in
+#: blocks of 64 q-points and 505 ms pooled in blocks of 256.
+DOS_GEMM_MAX = 2 ** 16
 
 #: reach of a mode's kernel in the DOS, in units of sigma
 DOS_REACH = 8
@@ -218,8 +225,12 @@ class DosCurve:
     sigma: float
     #: full-grid count of the modes left out as imaginary
     imaginary_modes: int = 0
-    #: seconds in phonon_spectrum, decomposition_weights and the kernel
+    #: wall seconds of the q-blocks (D(q), eigh and the decomposition
+    #: weights, on the pool) and of the sort and kernel after them
     timings_s: dict = field(default_factory=dict, compare=False)
+    #: threads the q-blocks ran on, and how many blocks there were
+    workers: int = field(default=1, compare=False)
+    blocks: int = field(default=0, compare=False)
 
     def area(self):
         return float(np.trapezoid(self.total, self.frequency))
@@ -243,55 +254,121 @@ def decomposition_weights(crystal, eigvecs):
     return w_t, w_r, w_i
 
 
+def dos_qblock(fc):
+    """q-points per block of ``phonon_dos``: at most ``DOS_QBLOCK``, and
+    few enough that the block's D(q) product, (q x n_l)(n_l x (3N)^2)
+    over the n_l lattice vectors of ``mass_weighted_blocks``, stays
+    within ``DOS_GEMM_MAX``, so OpenBLAS runs it on one thread."""
+    n_l = len(fc.mass_weighted_blocks()[0])
+    n3 = 3 * fc.crystal.n_atoms
+    return max(1, min(DOS_QBLOCK, DOS_GEMM_MAX // max(1, n_l * n3 * n3)))
+
+
+def usable_cpus():
+    """CPUs this process may run on: its affinity set, or the machine's
+    count where the platform has no affinity."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(run, blocks, workers):
+    """run(start, stop) for each block, on ``workers`` threads when that
+    is more than one. A failure raises the error of the first failing
+    block in q order, as the serial loop does, and the blocks after it
+    that have not started are cancelled."""
+    if workers == 1:
+        for start, stop in blocks:
+            run(start, stop)
+        return
+    # imported here, not with the module: relax and sweep never pool,
+    # and the executor's modules put 0.15 MB on their peak RSS
+    from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+    with ThreadPoolExecutor(workers) as pool:
+        futures = [pool.submit(run, *block) for block in blocks]
+        wait(futures, return_when=FIRST_EXCEPTION)
+        failed = next((k for k, f in enumerate(futures)
+                       if f.done() and f.exception() is not None), None)
+        if failed is not None:
+            for f in futures[failed + 1:]:
+                f.cancel()
+        for f in futures:
+            f.result()
+
+
+def _dos_weights(weights, nq):
+    """Per-q-point DOS weights: one finite, non-negative number per
+    q-point, with a positive sum (all 1 when ``weights`` is None)."""
+    if weights is None:
+        return np.ones(nq)
+    try:
+        w = np.asarray(weights, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError("DOS weights must be numbers") from None
+    if w.ndim != 1 or w.size != nq:
+        raise ValidationError(
+            f"DOS weights must be one per q-point ({nq}), got shape {w.shape}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValidationError("DOS weights must be finite and >= 0")
+    if not w.sum() > 0:
+        raise ValidationError("DOS weights must have a positive sum")
+    return w
+
+
 def phonon_dos(fc, qpoints, sigma, weights=None):
     """Gaussian-smeared phonon DOS over a weighted q-point list.
 
     DOS(w) = sum_{alpha q} w_q kernel(w - w_{alpha q}) / sum_q w_q; the
-    integral equals 3N per cell. ``weights`` (one per q-point, default
-    1) let one q-point stand for its partner at -q (``sweep.
-    paired_kpoint_grid``), which has the same frequencies and
-    decomposition weights. Imaginary modes (omega < -DEFAULT_OMEGA_MIN)
-    are excluded and counted. Modes with |omega| < DEFAULT_OMEGA_MIN,
-    the Gamma acoustic ones, are placed at exactly 0, so the round-off
-    that eigh leaves on them does not move the DOS near 0.
+    integral equals 3N per cell. ``weights`` (one finite, non-negative
+    number per q-point with a positive sum, default 1) let one q-point
+    stand for its partner at -q (``sweep.paired_kpoint_grid``), which
+    has the same frequencies and decomposition weights. ``sigma`` must
+    be a finite number > 0, the rule of ``RunParams``. Imaginary modes
+    (omega < -DEFAULT_OMEGA_MIN) are excluded and counted. Modes with
+    |omega| < DEFAULT_OMEGA_MIN, the Gamma acoustic ones, are placed at
+    exactly 0, so the round-off that eigh leaves on them does not move
+    the DOS near 0.
 
-    The q-points are diagonalised in blocks of ``DOS_QBLOCK``, and only
-    each mode's omega and the weights of its four curves (total,
-    translational, rotational, intra) are kept, then sorted by omega.
-    The grid runs from 0 to max(omega) + DOS_REACH sigma in steps of
-    about sigma / 4. Each tile of ``DOS_TILE`` grid points takes the
+    The q-points are diagonalised in blocks of ``dos_qblock(fc)``, on a
+    thread per usable CPU (``usable_cpus``, at most one per block; with
+    one, the blocks run inline). Each block keeps only its modes' omega
+    and the weights of their four curves (total, translational,
+    rotational, intra), written into its own rows, so the result does
+    not depend on the number of threads. The modes are then sorted by
+    omega. The grid runs from 0 to max(omega) + DOS_REACH sigma in steps
+    of about sigma / 4. Each tile of ``DOS_TILE`` grid points takes the
     kernel of the modes within DOS_REACH sigma of it, a contiguous slice
     of the sorted modes, as a product weights @ kernel in chunks of at
     most ``DOS_CHUNK`` modes; the kernel left out is below
     exp(-DOS_REACH^2) = e^-64 of its peak.
     """
-    if sigma <= 0:
-        raise ValidationError("sigma must be positive")
+    sigma = finite_number("sigma", sigma, 0.0)
     qpoints = np.asarray(qpoints, dtype=float)
     if qpoints.size == 0:
         raise ValidationError("empty q-point grid")
     nq = qpoints.shape[0]
-    weights = (np.ones(nq) if weights is None
-               else np.asarray(weights, dtype=float).reshape(nq))
+    weights = _dos_weights(weights, nq)
     n3 = 3 * fc.crystal.n_atoms
     omega = np.empty(nq * n3)
     mode_w = np.empty((4, nq * n3))  # total, translational, rotational, intra
-    timings = {"spectrum": 0.0, "decomposition": 0.0}
-    start_s = time.perf_counter()
-    for start in range(0, nq, DOS_QBLOCK):
-        stop = min(start + DOS_QBLOCK, nq)
-        t0 = time.perf_counter()
+
+    def run(start, stop):
         block_omega, vecs = phonon_spectrum(fc, qpoints[start:stop])
-        t1 = time.perf_counter()
         parts = decomposition_weights(fc.crystal, vecs)
-        timings["spectrum"] += t1 - t0
-        timings["decomposition"] += time.perf_counter() - t1
         rows = slice(start * n3, stop * n3)
         omega[rows] = block_omega.reshape(-1)
         wq = weights[start:stop, None]
         for curve_w, w in zip(mode_w, (1.0, *parts)):
             curve_w[rows] = np.broadcast_to(wq * w,
                                             block_omega.shape).reshape(-1)
+
+    qblock = dos_qblock(fc)
+    blocks = [(start, min(start + qblock, nq))
+              for start in range(0, nq, qblock)]
+    workers = min(usable_cpus(), len(blocks))
+    t0 = time.perf_counter()
+    _run_blocks(run, blocks, workers)
+    t1 = time.perf_counter()
 
     omega[np.abs(omega) < DEFAULT_OMEGA_MIN] = 0.0
     order = np.argsort(omega)
@@ -315,8 +392,8 @@ def phonon_dos(fc, qpoints, sigma, weights=None):
             curves[:, g0:g0 + DOS_TILE] += mode_w[:, m0:m1] @ gaussian_kernel(
                 tile[None, :] - omega[m0:m1, None], sigma)
     total, trans, rot, intra = curves / weights.sum()
-    timings["kernel"] = (time.perf_counter() - start_s - timings["spectrum"]
-                         - timings["decomposition"])
+    timings = {"blocks": t1 - t0, "kernel": time.perf_counter() - t1}
     return DosCurve(frequency=freq_grid, total=total, translational=trans,
                     rotational=rot, intra=intra, sigma=sigma,
-                    imaginary_modes=imaginary, timings_s=timings)
+                    imaginary_modes=imaginary, timings_s=timings,
+                    workers=workers, blocks=len(blocks))

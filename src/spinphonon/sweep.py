@@ -35,7 +35,8 @@ import numpy as np
 from .coupling import (CHANNELS, CHANNEL_OF_KIND, CouplingDerivativeSet,
                        CouplingStack, CouplingTerm, dipolar_network,
                        mode_tensor_derivatives, operator_terms)
-from .errors import CapacityError, NumericalError, ValidationError
+from .errors import (CapacityError, NumericalError, ValidationError,
+                     as_real, finite_number)
 from .hamiltonian import assemble_hamiltonian
 from .lattice import (DEFAULT_OMEGA_MIN, enforce_acoustic_sum_rule,
                       phonon_spectrum)
@@ -134,27 +135,6 @@ class _PointLog:
         self.cache_hits = 0
 
 
-def _real(value):
-    """``value`` as a float. A bool or a string is not a number, though
-    float() would take True as 1 and "2" as 2."""
-    if isinstance(value, (bool, np.bool_, str, bytes)):
-        raise TypeError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _number(name, value, low, strict=True):
-    """``value`` as a finite float above ``low`` (or at it, not strict)."""
-    try:
-        x = _real(value)
-    except (TypeError, ValueError):
-        x = float("nan")
-    if not (np.isfinite(x) and (x > low if strict else x >= low)):
-        bound = ">" if strict else ">="
-        raise ValidationError(
-            f"{name} must be a finite number {bound} {low:g}, got {value!r}")
-    return x
-
-
 def _channel_names(name, names):
     """``names`` as a tuple of channel names from CHANNELS."""
     names = tuple(names)
@@ -190,7 +170,7 @@ class RunParams:
             object.__setattr__(self, name, value)
 
         try:
-            grid = tuple(int(_real(n)) for n in self.qgrid)
+            grid = tuple(int(as_real(n)) for n in self.qgrid)
             ok = (len(grid) == 3 and min(grid) >= 1
                   and all(g == n for g, n in zip(grid, self.qgrid)))
         except (TypeError, ValueError, OverflowError):
@@ -199,17 +179,17 @@ class RunParams:
             raise ValidationError(
                 f"qgrid must be three integers >= 1, got {self.qgrid!r}")
         put("qgrid", grid)
-        put("sigma", _number("sigma", self.sigma, 0.0))
-        put("temperature", _number("temperature", self.temperature, 0.0,
-                                   strict=False))
-        put("omega_min", _number("omega_min", self.omega_min, 0.0))
-        put("freq_scale", _number("freq_scale", self.freq_scale, 0.0))
+        put("sigma", finite_number("sigma", self.sigma, 0.0))
+        put("temperature", finite_number("temperature", self.temperature,
+                                         0.0, strict=False))
+        put("omega_min", finite_number("omega_min", self.omega_min, 0.0))
+        put("freq_scale", finite_number("freq_scale", self.freq_scale, 0.0))
         if self.prune_sigma_mult is not None:
-            put("prune_sigma_mult", _number("prune_sigma_mult",
-                                            self.prune_sigma_mult, 0.0))
+            put("prune_sigma_mult", finite_number("prune_sigma_mult",
+                                                  self.prune_sigma_mult, 0.0))
         if self.field_B is not None:
             try:
-                B = tuple(_real(b) for b in self.field_B)
+                B = tuple(as_real(b) for b in self.field_B)
             except (TypeError, ValueError):
                 B = ()
             if len(B) != 3 or not np.all(np.isfinite(B)):
@@ -222,7 +202,7 @@ class RunParams:
             scale = dict(self.coupling_scale)
             _channel_names("coupling_scale", scale)
             put("coupling_scale",
-                {ch: _number(f"coupling_scale[{ch!r}]", f, -np.inf)
+                {ch: finite_number(f"coupling_scale[{ch!r}]", f, -np.inf)
                  for ch, f in scale.items()})
         if self.secular not in (True, False):  # "false" is not False
             raise ValidationError(f"secular must be true or false, got "
@@ -465,7 +445,7 @@ class SweepPlan:
         try:
             vals = tuple(self.values)
             finite = (self.axis == "qgrid"
-                      or all(np.isfinite(_real(v)) for v in vals))
+                      or all(np.isfinite(as_real(v)) for v in vals))
         except (TypeError, ValueError):
             raise ValidationError("sweep values must be a list of numbers")
         if not vals:

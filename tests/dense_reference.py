@@ -252,15 +252,16 @@ def reference_dos(fc, qpoints, sigma, weights=None):
     (shifted to stay inside the grid), one ``np.bincount`` per curve.
     Modes below -DEFAULT_OMEGA_MIN are left out, and those with
     |omega| < DEFAULT_OMEGA_MIN are placed at 0. omega comes from
-    ``phonon_spectrum`` on the q-blocks of ``phonon_dos``, so that both
-    see the same values: a GEMM rounds a row differently in a block of
-    another size."""
+    ``phonon_spectrum`` on the q-blocks of ``phonon_dos``
+    (``lattice.dos_qblock``), so that both see the same values: a GEMM
+    rounds a row differently in a block of another size."""
     qpoints = np.asarray(qpoints, dtype=float)
     nq = len(qpoints)
     weights = np.ones(nq) if weights is None else np.asarray(weights, float)
     omega, w = [], []
-    for start in range(0, nq, lattice.DOS_QBLOCK):
-        block = slice(start, start + lattice.DOS_QBLOCK)
+    qblock = lattice.dos_qblock(fc)
+    for start in range(0, nq, qblock):
+        block = slice(start, start + qblock)
         block_omega, vecs = phonon_spectrum(fc, qpoints[block])
         parts = reference_decomposition_weights(fc.crystal, vecs)
         omega.append(block_omega.reshape(-1))

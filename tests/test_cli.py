@@ -101,10 +101,17 @@ def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
     assert main(["dos", "--config", cfg, "--grid", ",".join(map(str, grid)),
                  "--out", str(tmp_path / "dos")]) == EXIT_OK
     capsys.readouterr()
+
+    def grid_index(qpoints):
+        return np.round(qpoints * 13).astype(int) % 13
+
+    # the pool's workers record blocks in the order they finish: put them
+    # back in q order by the grid index of each block's first q-point
+    diagonalised.sort(key=lambda block: tuple(grid_index(block[0])))
     # one q-point of each {q, -q} pair, in grid order
     solved = np.concatenate(diagonalised)
     full = sweep.kpoint_grid(*grid)
-    index = np.round(solved * 13).astype(int) % 13
+    index = grid_index(solved)
     flat = np.ravel_multi_index(index.T, grid)
     partner = np.ravel_multi_index((-index % 13).T, grid)
     assert len(solved) == 1099

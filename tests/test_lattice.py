@@ -1,3 +1,7 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -261,7 +265,7 @@ def test_dos_counts_the_imaginary_modes_it_leaves_out(monkeypatch):
     # kernel below the grid
     branches = 3 * crystal.n_atoms
     assert dos.area() == pytest.approx(branches - 1 - 1 / 64, rel=1e-6)
-    assert set(dos.timings_s) == {"spectrum", "decomposition", "kernel"}
+    assert set(dos.timings_s) == {"blocks", "kernel"}
     assert all(t >= 0.0 for t in dos.timings_s.values())
 
 
@@ -302,3 +306,140 @@ def test_force_constants_without_their_minus_l_partner_rejected():
     worst = r"asymmetry 2\.00e-03 above 1e-09 at q=\[0\.0, 0\.25, 0\.0\]"
     with pytest.raises(ValidationError, match=worst):
         dynamical_matrices(fc, kpoint_grid(1, 4, 1))
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), 0.0, "1.0"])
+def test_dos_rejects_a_sigma_that_run_params_rejects(sigma):
+    crystal, fc = diatomic_chain()
+    with pytest.raises(ValidationError, match="sigma must be a finite number"):
+        phonon_dos(fc, kpoint_grid(4, 1, 1), sigma)
+
+
+@pytest.mark.parametrize("weights, match", [
+    ([0.0, 0.0, 0.0, 0.0], "positive sum"),
+    ([1.0, float("nan"), 1.0, 1.0], "finite and >= 0"),
+    ([1.0, -0.5, 1.0, 1.0], "finite and >= 0"),
+    ([1.0, 1.0, 1.0], r"one per q-point \(4\), got shape \(3,\)"),
+], ids=["all_zero", "nan", "negative", "wrong_length"])
+def test_dos_rejects_bad_weights(weights, match):
+    crystal, fc = diatomic_chain()
+    with pytest.raises(ValidationError, match=match):
+        phonon_dos(fc, kpoint_grid(4, 1, 1), 1.0, weights)
+
+
+def _two_molecule_toy():
+    """12 branches and 15 lattice vectors: blocks of 30 q-points."""
+    return generate_toy_crystal(
+        ToySpec(molecules_per_cell=2, atoms_per_molecule=2, seed=3))[:2]
+
+
+def test_dos_block_keeps_its_d_product_on_one_blas_thread():
+    crystal, fc = _two_molecule_toy()
+    n_l = len(fc.mass_weighted_blocks()[0])
+    n3 = 3 * crystal.n_atoms
+    qblock = lattice.dos_qblock(fc)
+    assert qblock * n_l * n3**2 <= lattice.DOS_GEMM_MAX
+    assert (qblock + 1) * n_l * n3**2 > lattice.DOS_GEMM_MAX
+    # a small cell stays at DOS_QBLOCK, a cell too large for one
+    # q-point's product takes one
+    _, chain = diatomic_chain()
+    assert lattice.dos_qblock(chain) == lattice.DOS_QBLOCK
+    huge = ForceConstantSet(
+        crystal=CrystalModel(cell=crystal.cell, atoms=crystal.atoms * 8),
+        lvecs=fc.lvecs, i=fc.i, s=fc.s, j=fc.j, t=fc.t, values=fc.values)
+    assert lattice.dos_qblock(huge) == 1
+
+
+def _dos_on(workers, monkeypatch, *args):
+    monkeypatch.setattr(lattice, "usable_cpus", lambda: workers)
+    return phonon_dos(*args)
+
+
+def test_pooled_dos_equals_the_one_worker_dos_bit_for_bit(monkeypatch):
+    crystal, fc = _two_molecule_toy()
+    qpoints, weights = paired_kpoint_grid(9, 9, 9)
+    serial = _dos_on(1, monkeypatch, fc, qpoints, 1.0, weights)
+    # more workers than cores, switching often: a block that wrote into
+    # another's rows, or a row left unwritten, would change the curves
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = _dos_on(3, monkeypatch, fc, qpoints, 1.0, weights)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (serial.workers, pooled.workers) == (1, 3)
+    assert pooled.blocks == serial.blocks > 3 * pooled.workers
+    for name in ("frequency", "total", "translational", "rotational",
+                 "intra"):
+        assert np.array_equal(getattr(pooled, name), getattr(serial, name))
+    assert pooled.imaginary_modes == serial.imaginary_modes
+
+
+def test_one_worker_runs_the_blocks_on_the_calling_thread(monkeypatch):
+    crystal, fc = _two_molecule_toy()
+    real = lattice.phonon_spectrum
+    threads = set()
+
+    def spectrum(fc, qpoints):
+        threads.add(threading.current_thread())
+        return real(fc, qpoints)
+
+    monkeypatch.setattr(lattice, "phonon_spectrum", spectrum)
+    dos = _dos_on(1, monkeypatch, fc, kpoint_grid(4, 4, 4), 1.0)
+    assert dos.blocks > 1
+    assert threads == {threading.current_thread()}
+
+
+def _late_asymmetry():
+    """A force-constant set whose D(q) is Hermitian at q_y = 0 only, and
+    q-points that put it out of tolerance in two late blocks of 4: at
+    q_y = 0.1 (q-point 40) and more so at q_y = 0.25 (q-point 49)."""
+    crystal, fc = diatomic_chain(m1=10.0)
+    fc = ForceConstantSet(
+        crystal=crystal, lvecs=[*fc.lvecs, (0, 1, 0)], i=[*fc.i, 0],
+        s=[*fc.s, 1], j=[*fc.j, 0], t=[*fc.t, 1], values=[*fc.values, 0.01])
+    qpoints = np.zeros((52, 3))
+    qpoints[:, 0] = np.arange(52) / 52
+    qpoints[40, 1], qpoints[49, 1] = 0.1, 0.25
+    return fc, qpoints
+
+
+def test_pooled_dos_names_the_first_failing_block_in_q_order(monkeypatch):
+    fc, qpoints = _late_asymmetry()
+    monkeypatch.setattr(lattice, "DOS_QBLOCK", 4)
+    real = lattice.phonon_spectrum
+
+    def spectrum(fc, qpoints):
+        if np.any(qpoints[:, 1] == 0.1):
+            time.sleep(0.2)  # the later failing block fails first
+        return real(fc, qpoints)
+
+    monkeypatch.setattr(lattice, "phonon_spectrum", spectrum)
+    messages = []
+    for workers in (1, 2):
+        with pytest.raises(ValidationError, match="asymmetry") as err:
+            _dos_on(workers, monkeypatch, fc, qpoints, 1.0)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith("at q=[0.7692307692307693, 0.1, 0.0]")
+
+
+def test_pooled_dos_cancels_the_blocks_after_a_failure(monkeypatch):
+    crystal, fc = diatomic_chain()
+    qpoints = kpoint_grid(160, 1, 1)
+    monkeypatch.setattr(lattice, "DOS_QBLOCK", 4)
+    started = []
+
+    def spectrum(fc, qpoints):
+        started.append(qpoints[0, 0])
+        if qpoints[0, 0] == 0.0:
+            raise ValidationError("first block fails")
+        time.sleep(0.05)
+        return phonon_spectrum(fc, qpoints)
+
+    monkeypatch.setattr(lattice, "phonon_spectrum", spectrum)
+    with pytest.raises(ValidationError, match="first block fails"):
+        _dos_on(2, monkeypatch, fc, qpoints, 1.0)
+    # of 40 blocks, the ones running when block 0 failed finish and
+    # the rest never start
+    assert 1 <= len(started) < 20
