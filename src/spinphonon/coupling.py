@@ -306,7 +306,14 @@ class CouplingStack:
     Construction derives what assembly needs at every temperature: the
     distinct mode frequencies ``freqs`` (F,) and per term its Gram
     ``gram`` (F, n^2), the sum of Re(c_m c_m^H) over its modes at each
-    frequency. Nothing is held per row."""
+    frequency. Nothing is held per row.
+
+    R maps Hermitian rho to Hermitian rho, R_ba,dc = conj R_ab,cd, when
+    every B_k is Hermitian and each Gram is real and symmetric; assembly
+    holds only one of each conjugate pair of Bohr clusters on that
+    ground. So a basis with max|B_k - B_k^H| above 1e-12 of its max|B|
+    raises ValidationError. A Gram needs no check: Re(c_k conj c_l) and
+    Re(c_l conj c_k) are the same products."""
 
     terms: tuple
     dimension: int
@@ -316,6 +323,15 @@ class CouplingStack:
         terms = tuple(t for t in self.terms if np.any(t.coeff))
         if any(t.basis.shape[1:] != (d, d) for t in terms):
             raise ValidationError(f"coupling operators are not {d} x {d}")
+        for t in terms:
+            B = t.basis
+            asym = np.max(np.abs(B - B.transpose(0, 2, 1).conj()))
+            scale = np.max(np.abs(B))
+            if asym > 1e-12 * scale:
+                raise ValidationError(
+                    f"{t.channel} coupling operators are not Hermitian, so "
+                    f"R would not preserve Hermiticity: max|B - B^H| "
+                    f"{asym:.2e} (max|B| {scale:.2e})")
         freqs, which = np.unique(np.concatenate(
             [np.empty(0)] + [t.omega for t in terms]), return_inverse=True)
         start = np.cumsum([0] + [t.omega.size for t in terms])

@@ -80,8 +80,8 @@ def phonon_correlation_value(pc, omega_ij, omega_mode):
 class RedfieldTensor:
     """The superoperator on vectorized rho, in the eigenbasis, inside the
     Bohr clusters of the total generator: one complex element vector
-    (1/ps) per channel, laid out as ``clusters``. Channel selections
-    share the total's clusters and need no reassembly."""
+    (1/ps) per channel on the kept clusters (``BohrClusters``). Channel
+    selections share the total's clusters and need no reassembly."""
 
     ham: object
     channels: dict = field(repr=False)
@@ -101,9 +101,13 @@ class RedfieldTensor:
 
     def matrix(self, channels=None):
         """Dense d^2 x d^2 superoperator (1/ps) summed over the requested
-        channels, zero between clusters: for checks at small d."""
-        out = np.zeros((self.dimension ** 2,) * 2, dtype=complex)
-        out[self.clusters.pairs()] = self.elements(channels)
+        channels, zero between clusters, each cluster above zero scattered
+        again as its conjugate on transposed indices: for checks at small d."""
+        d, zero = self.dimension, self.clusters.offsets[1]
+        out = np.zeros((d * d,) * 2, dtype=complex)
+        x, ab = self.elements(channels), np.stack(self.clusters.pairs())
+        out[tuple(ab)] = x
+        out[tuple(_transposed(ab[:, zero:], d))] = x[zero:].conj()
         return out
 
 
@@ -163,9 +167,9 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
 
     with S1 and S2 summed over every term, and clusters the Bohr
     frequencies at that rate; ``check(clusters, n_channels)`` may raise.
-    Pass 2 computes the elements of every cluster, conjugates too, from
-    the same formula, so the bound covers them. Its temporaries that
-    grow with the elements hold ASSEMBLY_BLOCK elements."""
+    Pass 2 computes the elements of the kept clusters only: the zero
+    cluster and those above zero. Its temporaries that grow with the
+    elements hold ASSEMBLY_BLOCK elements."""
     d = ham.dimension
     if stack.dimension != d:
         raise ValidationError(
@@ -231,16 +235,16 @@ class BohrClusters:
 
     ``kept`` holds the zero-frequency cluster, which contains every
     population and is its own conjugate, then those of positive
-    frequency; ``assembled`` adds the conjugates of the latter on
+    frequency; each of the latter stands for its conjugate on
     transposed indices (rho_ba = conj rho_ab). An element vector holds
-    their row-major n x n blocks from ``offsets`` on. ``count`` and
-    ``largest`` cover every cluster; ``gap_ratio`` is ``rate`` over the
-    smallest gap between clusters (0 for one cluster)."""
+    the kept clusters' row-major n x n blocks from ``offsets`` on.
+    ``count`` and ``largest`` cover every cluster; ``gap_ratio`` is
+    ``rate`` over the smallest gap between clusters (0 for one
+    cluster)."""
 
     omega: np.ndarray
     rate: float
     kept: tuple
-    assembled: tuple
     offsets: np.ndarray
     count: int
     largest: int
@@ -248,11 +252,11 @@ class BohrClusters:
 
     def pairs(self):
         """(ab, cd) of each element of an element vector."""
-        n = np.array([g.size for g in self.assembled])
+        n = np.array([g.size for g in self.kept])
         first, start, n = (np.repeat(x, n * n) for x in (
             np.cumsum(n) - n, self.offsets[:-1], n))
         i, j = np.divmod(np.arange(n.size) - start, n)
-        members = np.concatenate(self.assembled)
+        members = np.concatenate(self.kept)
         return members[first + i], members[first + j]
 
     @functools.cached_property
@@ -285,11 +289,9 @@ def bohr_clusters(omega, rate):
     groups = np.split(order, cut + 1)
     # the zero cluster (every population lies in it), then those above
     kept = tuple(g for g in groups if omega[g[-1]] >= 0.0)
-    d = math.isqrt(omega.size)
-    assembled = kept + tuple(_transposed(g, d) for g in kept[1:])
     return BohrClusters(
-        omega=omega, rate=float(rate), kept=kept, assembled=assembled,
-        offsets=np.cumsum([0] + [g.size ** 2 for g in assembled]),
+        omega=omega, rate=float(rate), kept=kept,
+        offsets=np.cumsum([0] + [g.size ** 2 for g in kept]),
         count=len(groups), largest=max(g.size for g in groups),
         gap_ratio=float(rate / gaps[cut].min()) if cut.size else 0.0)
 
@@ -367,8 +369,9 @@ class _BlockEigensystem:
 
     ``R`` is a RedfieldTensor, summed over ``channels``. Each kept Bohr
     cluster's block is read from its element vector ``x``
-    (``BohrClusters.offsets``), and the mean
-    frequency is taken out: L_c = R_c - i diag(omega - mean_c), whose
+    (``BohrClusters.offsets``); a cluster below zero is the conjugate of
+    its twin on transposed indices (``evolve``). The mean frequency is
+    taken out: L_c = R_c - i diag(omega - mean_c), whose
     eigenvalues are those of L plus i mean_c. Elements between clusters
     are dropped, which moves the eigenvalues by O(rate^2 / gap). The
     clusters of one size share one stacked eig call, made when something
@@ -376,14 +379,12 @@ class _BlockEigensystem:
     ``slowest_mode`` only those that can hold the mode it looks for.
 
     An element vector with a non-finite entry raises NumericalError. A
-    generator must map Hermitian rho to Hermitian rho: elements with
-    R_ba,dc != conj R_ab,cd beyond 1e-12 of their max|R| raise
-    ValidationError. The check reads every cluster, diagonalised or
-    not, vectorised over ``x``: each conjugate cluster against the kept
-    one it mirrors, the zero cluster against its own transpose
-    (``BohrClusters.zero_twins``). ``rate`` is the Gershgorin row-sum
-    bound of the in-cluster R on the kept clusters, the scale of every
-    rate tolerance.
+    generator must map Hermitian rho to Hermitian rho: the zero cluster
+    is its own conjugate, and where R_ba,dc differs from conj R_ab,cd on
+    it (``BohrClusters.zero_twins``) beyond 1e-12 of max|R|, it raises
+    ValidationError. The other clusters hold that symmetry by layout.
+    ``rate`` is the Gershgorin row-sum bound of the in-cluster R, the
+    scale of every rate tolerance.
     """
 
     def __init__(self, R, channels=None):
@@ -394,20 +395,14 @@ class _BlockEigensystem:
             raise NumericalError("generator has non-finite entries")
         size = np.abs(x)
         scale = np.max(size)
-        # R_ba,dc of kept cluster k > 0 sits at the same place of its
-        # conjugate, assembled cluster len(kept) + k - 1
-        first, kept = clusters.offsets[[1, len(clusters.kept)]]
         n, t = clusters.kept[0].size, clusters.zero_twins
         zero = x[:n * n].reshape(n, n)
-        asym = max(np.max(np.abs(zero[t][:, t] - zero.conj())),
-                   np.max(np.abs(x[kept:] - x[first:kept].conj()),
-                          initial=0.0))
+        asym = np.max(np.abs(zero[t][:, t] - zero.conj()))
         if asym > 1e-12 * scale:
             raise ValidationError(
                 f"generator does not preserve Hermiticity: R_ba,dc differs "
                 f"from conj R_ab,cd by {asym:.2e} (max|R| {scale:.2e})")
-        self.rate = float(np.max(np.add.reduceat(size[:kept],
-                                                 clusters.row_starts)))
+        self.rate = float(np.max(np.add.reduceat(size, clusters.row_starts)))
         self.sizes = np.array([idx.size for idx in clusters.kept])
         self._stacks = {}
         self._done = np.zeros(self.sizes.size, dtype=bool)

@@ -40,8 +40,8 @@ from .errors import (CapacityError, NumericalError, ValidationError,
 from .hamiltonian import assemble_hamiltonian
 from .lattice import (DEFAULT_OMEGA_MIN, enforce_acoustic_sum_rule,
                       phonon_spectrum)
-from .redfield import (PhononCorrelation, assemble_redfield, equilibrium_state,
-                       extract_relaxation_time)
+from .redfield import (ASSEMBLY_BLOCK, PhononCorrelation, assemble_redfield,
+                       equilibrium_state, extract_relaxation_time)
 from .spins import SpinCenter, SpinSystem, build_spin_operators
 
 
@@ -90,21 +90,32 @@ def physical_memory_bytes():
         return float("inf")
 
 
-def redfield_bytes(elements, n_channels):
-    """Estimated bytes of the largest arrays of one relax point with
-    ``elements`` = sum n_c^2 in-cluster elements of R: a complex vector
-    per channel, then the Bohr-cluster blocks of L, their eigenvectors
-    and the inverse, complex too."""
-    return elements * (16 * n_channels + 3 * 16)
+def redfield_bytes(elements, n_channels, dimension):
+    """Estimated bytes that one relax point holds once its Bohr clusters
+    are known, with ``elements`` = sum n_c^2 in-cluster elements of R
+    and d = ``dimension``. Assembly pass 2 and the spectral stage are
+    charged as if held at once, which leaves room for pass 1's P and Q
+    that pass 2 still holds. Per element: a complex vector per channel
+    and one for the term being summed, the eight int64 index arrays of
+    pass 2 (ab, cd, a, b, c, e, ac, db; ``BohrClusters.pairs`` peaks at
+    as many), and the cluster blocks of L, their eigenvectors and their
+    inverse, complex. Per coherence (d^2): the operands a term of up to
+    9 operators (``operator_terms``) gathers from, and rho(t) at the 24
+    times of the exp-fit with two temporaries of it, complex. Once: the
+    gathers of pass 2, ASSEMBLY_BLOCK complex elements."""
+    per_element = 16 * n_channels + 16 + 8 * 8 + 3 * 16
+    per_coherence = 2 * 2 * 9 * 16 + 3 * 24 * 16
+    return (elements * per_element + dimension ** 2 * per_coherence
+            + 16 * ASSEMBLY_BLOCK)
 
 
 def _check_memory(clusters, n_channels):
     """CapacityError when the Redfield arrays of a point with these Bohr
     clusters would not fit in physical memory."""
-    need = redfield_bytes(int(clusters.offsets[-1]), n_channels)
+    d = math.isqrt(clusters.omega.size)
+    need = redfield_bytes(int(clusters.offsets[-1]), n_channels, d)
     have = physical_memory_bytes()
     if need > have:
-        d = math.isqrt(clusters.omega.size)
         raise CapacityError(
             f"a d={d} point with {n_channels} channels needs about "
             f"{need / 1e9:.3g} GB for its Redfield arrays, more than the "

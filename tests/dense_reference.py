@@ -158,37 +158,51 @@ def smallest_gap(omega, labels):
     return float(gaps.min()) if gaps.size else np.inf
 
 
+def transposed(idx, d):
+    """The (ba) index of each (ab) index."""
+    return idx % d * d + idx // d
+
+
 def in_cluster(R):
-    """(d^2, d^2) mask of the elements a RedfieldTensor holds."""
-    d2 = R.dimension ** 2
-    mask = np.zeros((d2, d2), dtype=bool)
-    for idx in R.clusters.assembled:
-        mask[np.ix_(idx, idx)] = True
+    """(d^2, d^2) mask of the elements a RedfieldTensor stands for: the
+    kept clusters and the conjugates of those above zero."""
+    d = R.dimension
+    mask = np.zeros((d * d,) * 2, dtype=bool)
+    for idx in R.clusters.kept:
+        t = transposed(idx, d)
+        mask[np.ix_(idx, idx)] = mask[np.ix_(t, t)] = True
     return mask
 
 
 def assert_matches_dense(R, ref, rel=1e-12):
     """Every channel's in-cluster elements equal the dense reference to
-    ``rel`` of its largest element; the clusters are those of the rule
-    at ``R.clusters.rate``, which bounds the dense rows sums."""
+    ``rel`` of its largest element, and so does the conjugate of each
+    cluster above zero on transposed indices; the clusters are those of
+    the rule at ``R.clusters.rate``, which bounds the dense rows sums."""
     assert set(R.channels) == set(ref)
     omega = bohr_omega(R.ham)
+    d = R.dimension
     total = sum(ref.values())
     clusters = R.clusters
     assert clusters.rate >= gershgorin_rate(total) * (1.0 - 1e-12)
     labels = cluster_labels(omega, clusters.rate)
     assert clusters.count == np.unique(labels).size
-    seen = np.concatenate(clusters.assembled)
+    kept = clusters.kept
+    seen = np.concatenate(kept + tuple(transposed(g, d) for g in kept[1:]))
     assert np.array_equal(np.sort(seen), np.arange(omega.size))
     scale = max(np.max(np.abs(part)) for part in ref.values())
     start = clusters.offsets
-    for k, idx in enumerate(clusters.assembled):
+    for k, idx in enumerate(kept):
         assert np.unique(labels[idx]).size == 1
         assert np.count_nonzero(labels == labels[idx[0]]) == idx.size
+        t = transposed(idx, d)
         for ch, part in R.channels.items():
-            want = ref[ch][np.ix_(idx, idx)].reshape(-1)
             got = part[start[k]:start[k + 1]]
+            want = ref[ch][np.ix_(idx, idx)].reshape(-1)
             assert np.max(np.abs(got - want)) <= rel * scale
+            if k > 0:
+                want = ref[ch][np.ix_(t, t)].reshape(-1)
+                assert np.max(np.abs(got.conj() - want)) <= rel * scale
 
 
 def exhaustive_slowest_mode(eigsys, o):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from spinphonon import redfield, sweep
-from spinphonon.coupling import CHANNEL_OF_KIND
+from spinphonon.coupling import CHANNEL_OF_KIND, CouplingStack
 from spinphonon.errors import CapacityError, NumericalError, ValidationError
 from spinphonon.lattice import ForceConstantSet
 from spinphonon.project import load_project
@@ -495,9 +495,11 @@ def test_points_record_stage_timings_and_cache_hits(soft_bundle):
 def test_point_beyond_memory_fails_before_assembly(soft_pipeline,
                                                    monkeypatch):
     # a d=32 point with all d^2 coherences in one cluster fits
-    assert sweep.physical_memory_bytes() > sweep.redfield_bytes(32 ** 4, 3)
+    assert sweep.physical_memory_bytes() > sweep.redfield_bytes(32 ** 4, 3,
+                                                                32)
     R = soft_pipeline.redfield(BASE)[0]
-    need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels))
+    need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels),
+                                R.dimension)
     passes = []
     real = redfield._term_elements
     monkeypatch.setattr(redfield, "_term_elements",
@@ -614,9 +616,27 @@ def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
     assert np.isfinite(row.tau_ms) and row.tau_ms > 0
     R, = assembled
     # sum n_c^2 elements, where d^4 is 16.8 million
-    need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels))
+    need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels),
+                                R.dimension)
     assert need < 100e6
     assert peaks[0] < 64e6
+    # the estimate covers what a warm point holds from the capacity
+    # check to the end of relax
+    monkeypatch.setattr(sweep, "assemble_redfield", real)
+    real_check = sweep._check_memory
+
+    def check(*args):
+        tracemalloc.reset_peak()
+        return real_check(*args)
+
+    monkeypatch.setattr(sweep, "_check_memory", check)
+    tracemalloc.start()
+    try:
+        pipeline.relax(PAIR)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert need >= peak
 
 
 @pytest.mark.parametrize("example, qgrid", [("vanadyl_fixture", (8, 8, 8)),
@@ -721,31 +741,30 @@ def test_pair_channel_taus_diagonalise_only_the_zero_cluster(
     assert point.diagnostics["channel_errors"] == {}
 
 
-def test_hermiticity_is_checked_on_clusters_a_channel_never_reads(
+def test_coupling_stack_with_a_non_hermitian_operator_is_rejected(
         pair_pipeline):
-    R, ham = pair_pipeline.redfield(PAIR)[:2]
-    clusters, d = R.clusters, ham.dimension
-    sizes = np.array([idx.size for idx in clusters.kept])
-    # a cluster above one coherence whose size the channel tau never
-    # reads: its observable is Sz of the first electron
-    k = int(np.flatnonzero((sizes > 1) & (sizes != sizes[0]))[0])
-    Sz = ham.to_eigenbasis(pair_pipeline.ops.embedded[0][2])
-    o = (Sz - np.trace(Sz) / d * np.eye(d)).reshape(-1)
-    eigsys = redfield._BlockEigensystem(R, ("dipolar",))
-    eigsys.slowest_mode(o / np.linalg.norm(o))
-    assert list(eigsys._stacks) == [sizes[0]]
-    # R_ab,cd of one element of that cluster, without its twin R_ba,dc
-    part = R.channels["dipolar"].copy()
-    part[clusters.offsets[k] + 1] += 1e-3 * np.max(np.abs(part))
-    broken = replace(R, channels={**R.channels, "dipolar": part})
+    # R_ba,dc = conj R_ab,cd, on which R holds one cluster of each
+    # conjugate pair, follows from Hermitian B_k and a symmetric Gram:
+    # the stack checks the B_k as it is built
+    pair_pipeline.redfield(PAIR)
+    stack = pair_pipeline._stack_cache.stack
+    for term, W in zip(stack.terms, stack.gram):
+        n = term.basis.shape[0]
+        W = W.reshape(-1, n, n)
+        assert np.array_equal(W, W.transpose(0, 2, 1))
+    term = next(t for t in stack.terms if t.channel == "dipolar")
+    # B_01 without its twin B_10
+    B = term.basis.copy()
+    B[0, 0, 1] += 1e-3 * np.max(np.abs(B))
+    broken = tuple(t._replace(basis=B) if t is term else t
+                   for t in stack.terms)
     with pytest.raises(ValidationError, match="Hermiticity"):
-        redfield.extract_relaxation_time(broken, pair_pipeline.ops,
-                                         method="slowest_mode",
-                                         channels=("dipolar",))
-    # the other channels do not see it
-    redfield.extract_relaxation_time(broken, pair_pipeline.ops,
-                                     method="slowest_mode",
-                                     channels=("zeeman",))
+        CouplingStack(broken, stack.dimension)
+    # a round-off asymmetry below 1e-12 of max|B| is tolerated
+    B = term.basis.copy()
+    B[0, 0, 1] += 1e-14 * np.max(np.abs(B))
+    CouplingStack(tuple(t._replace(basis=B) if t is term else t
+                        for t in stack.terms), stack.dimension)
 
 
 # -- coupling-stack cache -----------------------------------------------------
