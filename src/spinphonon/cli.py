@@ -244,9 +244,9 @@ def _cmd_relax(args):
                          metadata={"params": dataclasses.asdict(params)})
     written = write_results(result, out_dir, basename="relax",
                             config_hash=config.config_hash)
-    tau_fit = row.diagnostics["tau_fit_ms"]
-    fit = "n/a" if tau_fit is None else f"{tau_fit:.9g} ms"
-    print(f"tau = {row.tau_ms:.9g} ms (exp-fit {fit})")
+    tau_int = row.diagnostics["tau_int_ms"]
+    cross = "n/a" if tau_int is None else f"{tau_int:.9g} ms"
+    print(f"tau = {row.tau_ms:.9g} ms (tau_int {cross})")
     for ch, tau in sorted(row.tau_channel_ms.items()):
         print(f"  {ch}: {tau:.9g} ms")
     d = row.diagnostics

@@ -574,9 +574,9 @@ def _axis_cell(value):
 
 
 RESULT_CSV_COLUMNS = ("axis", "tau_total_ms", "tau_zeeman_ms",
-                      "tau_hyperfine_ms", "tau_dipolar_ms", "tau_fit_ms",
-                      "fit_residual", "mismatch", "non_exponential",
-                      "n_couplings", "error", "version", "config_hash")
+                      "tau_hyperfine_ms", "tau_dipolar_ms", "tau_int_ms",
+                      "mismatch", "n_couplings", "error", "version",
+                      "config_hash")
 
 
 def write_results(result, out_dir, basename=None, config_hash=None):
@@ -603,10 +603,8 @@ def write_results(result, out_dir, basename=None, config_hash=None):
                 _fmt9(ch.get("zeeman")),
                 _fmt9(ch.get("hyperfine")),
                 _fmt9(ch.get("dipolar")),
-                _fmt9(diag.get("tau_fit_ms")),
-                _fmt9(diag.get("fit_residual")),
+                _fmt9(diag.get("tau_int_ms")),
                 str(bool(diag.get("mismatch", False))).lower(),
-                str(bool(diag.get("non_exponential", False))).lower(),
                 diag.get("n_couplings", ""),
                 row.error or "",
                 __version__,

@@ -38,6 +38,10 @@ POSITIVITY_TOL = 1e-8
 #: scale of zero are null-space candidates for the stationary state
 NULL_TOL = 1e-9
 
+#: largest forward error bound, eps cond_1(M), of the tau_int solve:
+#: above it the stationary state is not unique to working precision
+SOLVE_TOL = 1e-3
+
 #: elements of each temporary array of assembly pass 2
 ASSEMBLY_BLOCK = 1 << 16
 
@@ -166,10 +170,11 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
                    + sum_c |S1_ac| + sum_d |S2_db|
 
     with S1 and S2 summed over every term, and clusters the Bohr
-    frequencies at that rate; ``check(clusters, n_channels)`` may raise.
-    Pass 2 computes the elements of the kept clusters only: the zero
-    cluster and those above zero. Its temporaries that grow with the
-    elements hold ASSEMBLY_BLOCK elements."""
+    frequencies at that rate; ``check(clusters, n_channels, n_operators)``
+    may raise, with n_operators the B_k of every term, whose P and Q
+    pass 2 holds. Pass 2 computes the elements of the kept clusters
+    only: the zero cluster and those above zero. Its temporaries that
+    grow with the elements hold ASSEMBLY_BLOCK elements."""
     d = ham.dimension
     if stack.dimension != d:
         raise ValidationError(
@@ -197,7 +202,7 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
     clusters = bohr_clusters(omega.reshape(-1) * ANGULAR_FREQUENCY_PER_CM1,
                              RATE_PREFACTOR * np.max(bound))
     if check is not None:
-        check(clusters, len(S1))
+        check(clusters, len(S1), sum(B.shape[0] for *_, B in sums))
 
     ab, cd = clusters.pairs()
     (a, b), (c, e) = np.divmod(ab, d), np.divmod(cd, d)
@@ -489,12 +494,9 @@ class _BlockEigensystem:
 
     @property
     def cond(self):
-        """The largest 1-norm condition number of a block's eigenvectors."""
-        return float(max(np.max(b.cond) for b in self.blocks))
-
-    @property
-    def fallback(self):
-        return any(b.fallback.any() for b in self.blocks)
+        """The largest 1-norm condition number of the eigenvectors of a
+        block diagonalised so far."""
+        return float(max(np.max(b.cond) for b in self._stacks.values()))
 
     def evolve(self, x0, times):
         """Vectorised exp(L t) x0 of a Hermitian x0, one row per time."""
@@ -533,17 +535,15 @@ def propagate(rho0, R, times):
 
 @dataclass(frozen=True)
 class RelaxationEstimate:
-    """Relaxation time from the two extraction routes (ms)."""
+    """Relaxation time of the slowest mode, and its cross-check (ms)."""
 
     tau_ms: float  # headline: slowest-mode value
-    tau_fit_ms: float = None
-    fit_error: str = None  # why there is no exp-fit (no physical rho_ss)
-    min_rho_eigenvalue: float = None
-    fit_residual: float = None
+    tau_int_ms: float = None  # linear-response integral time
+    tau_int_error: str = None  # why there is no tau_int
+    solve_residual: float = None  # backward error of the tau_int solve
+    min_rho_eigenvalue: float = None  # of the stationary state
     mismatch: bool = False
-    non_exponential: bool = False
-    expm_fallback: bool = False  # propagation used expm, not (w, Vr)
-    eigvec_cond: float = None  # largest 1-norm condition of a block's Vr
+    eigvec_cond: float = None  # largest 1-norm condition of a read block's V
     bohr_clusters: int = None  # clusters of the Bohr frequencies
     largest_cluster: int = None  # coherences in the largest cluster
     cluster_gap_ratio: float = None  # rate / smallest gap between clusters
@@ -560,6 +560,11 @@ def stationary_state(eigsys):
     -``POSITIVITY_TOL`` is not a physical state (it can reach outside
     the range of any observable) and raises NumericalError.
     """
+    return _stationary_state(eigsys)[0]
+
+
+def _stationary_state(eigsys):
+    """(stationary state, its lowest eigenvalue) of ``stationary_state``."""
     block, k = eigsys.zero
     d, w, V, idx = eigsys.d, block.w[k], block.V[k], block.idx[k]
     diag = idx % (d + 1) == 0
@@ -580,53 +585,76 @@ def stationary_state(eigsys):
         raise NumericalError(
             f"stationary state is not physical: minimum eigenvalue "
             f"{lowest:.3g} (of {cand.size} null-space candidates)")
-    return rho
+    return rho, lowest
 
 
-def _exp_fit(times, dm):
-    """(tau_fit_ms, rms residual, non_exponential) of a log-linear fit of
-    the deviation dm(t) from equilibrium; (None, None, True) when dm
-    has fewer than three points of one sign or does not decay."""
-    ref = np.max(np.abs(dm))
-    mask = np.abs(dm) > 1e-12 * max(ref, 1e-300)
-    same_sign = mask.any() and ((dm[mask] > 0).all() or (dm[mask] < 0).all())
-    if not (ref > 0 and np.count_nonzero(mask) >= 3 and same_sign):
-        return None, None, True
-    y = np.log(np.abs(dm[mask]))
-    A = np.vstack([np.ones(mask.sum()), -times[mask]]).T
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    if coef[1] <= 0:
-        return None, None, True
-    residual = float(np.sqrt(np.mean((y - A @ coef) ** 2)))
-    return (1.0 / coef[1]) / PS_PER_MS, residual, residual > 0.05
+def _integral_time(eigsys, rho, O):
+    """(tau_int in ps, backward error of its solve) of the observable O
+    in the stationary state rho: the Kubo correlation time
+
+        tau_int = <O|(-L)^-1|drho> / <O|drho>,  drho = {O - <O>, rho} / 2,
+
+    with drho and L taken on the zero cluster, which holds rho: <O|drho>
+    is the variance of O in rho less drho's share on other clusters.
+    drho is traceless, and L conserves the trace and holds rho in its
+    null space, so M x = drho, M = L - rate rho Tr, has the traceless
+    solution x = L^-1 drho. Scaled by ``rate``, the border keeps M as
+    well conditioned as L allows. eig gives rho only to round-off over
+    the gap to the next mode, and that error lies along the slow modes
+    that L^-1 amplifies, so a first solve with M takes it out (one
+    Newton step). The solves use no eigenvector. NumericalError when
+    their forward error bound, eps times the 1-norm condition of M, is
+    above SOLVE_TOL (a second null mode, so rho is not unique to working
+    precision), or when O has no variance in rho."""
+    block, k = eigsys.zero
+    d, idx, L = eigsys.d, block.idx[k], block.L[k]
+    r = rho.reshape(-1)[idx]
+    M = L - eigsys.rate * np.outer(r, idx % (d + 1) == 0)
+    cond = np.linalg.cond(M, 1)
+    if not cond * np.finfo(float).eps <= SOLVE_TOL:
+        raise NumericalError(
+            f"the stationary state is not unique to working precision: "
+            f"the tau_int matrix has condition {cond:.3g}")
+    v = np.zeros(d * d, dtype=complex)
+    v[idx] = r - np.linalg.solve(M, L @ r)
+    rho = _hermitian_part(v.reshape(d, d))
+    shifted = O - np.trace(O @ rho) * np.eye(d)
+    y = (0.5 * (shifted @ rho + rho @ shifted)).reshape(-1)[idx]
+    o = O.T.reshape(-1)[idx]
+    variance = (o @ y).real
+    if not variance > 0:
+        raise NumericalError(f"the observable has no variance in the "
+                             f"stationary state ({variance:.3g})")
+    x = np.linalg.solve(M, y)
+    norm = functools.partial(np.linalg.norm, ord=1)
+    residual = norm(M @ x - y) / (norm(M) * norm(x))
+    return float(-(o @ x).real / variance), float(residual)
 
 
 def extract_relaxation_time(R, ops, observable=None, method="both",
-                            rho0=None, channels=None):
+                            channels=None):
     """Relaxation time of ``observable`` (default Sz of the first spin
     center of ``ops``) by ``method``, "both" or "slowest_mode".
 
     Every step runs on one ``_BlockEigensystem`` of
     L = -i diag(omega_ab) + R (summed over ``channels``, on the Bohr
-    clusters of the total generator).
+    clusters of the total generator), which diagonalises only the
+    clusters that can hold the slowest mode
+    (``_BlockEigensystem.slowest_mode``).
 
     slowest_mode: tau = 1 / |Re lambda| for the decaying eigenvalue of L
     whose eigenvector overlaps the observable's traceless part the most;
     NumericalError when that mode grows (Re lambda > 0). A mode with
-    |Re lambda| below 1e-14 of the rate scale does not decay. Alone, it
-    diagonalises only the clusters that can hold that mode
-    (``_BlockEigensystem.slowest_mode``); with the exp-fit, every
-    cluster.
-    exp_fit: log-linear single-exponential fit of M_z(t) between rho0
-    and the stationary state. Both values are reported; a >5% mismatch
-    or a fit that fails is flagged, never hidden: a deviation that
-    changes sign or does not decay has no fit, and sets both
-    ``non_exponential`` and ``mismatch``. Without a physical stationary
-    state there is no fit either: ``tau_fit_ms`` is None, ``fit_error``
-    says why and ``mismatch`` is set, while rho0 is still propagated for
-    ``min_rho_eigenvalue`` (the default probe needs the stationary
-    state, so without ``rho0`` the error is raised). Only the exp-fit
-    inverts the eigenvectors (``slowest_mode`` forms no inverse).
+    |Re lambda| below 1e-14 of the rate scale does not decay. It forms
+    no inverse.
+    both: also the linear-response integral time ``tau_int_ms`` of the
+    observable (``_integral_time``), from solves on the zero cluster
+    that use no eigenvector, so it checks the eigensolve as well as the
+    extraction rule. A tau_int that is missing, not positive or more
+    than 5% from tau sets ``mismatch``; it never reads as agreement.
+    Without a physical stationary state, unique to working precision,
+    in which the observable varies, there is no tau_int:
+    ``tau_int_error`` says why, and tau is still reported.
     """
     if method not in ("both", "slowest_mode"):
         raise ValidationError(f"unknown method {method!r}; allowed: "
@@ -645,54 +673,28 @@ def extract_relaxation_time(R, ops, observable=None, method="both",
 
     if eigsys.rate == 0.0:
         raise NumericalError("Redfield tensor is zero; no relaxation")
-    if method != "slowest_mode":
-        # the exp-fit reads every cluster: diagonalise them all first,
-        # so that the search checks every eigenvalue too
-        eigsys.blocks
     lam = eigsys.slowest_mode(o_vec)
     if lam.real > 0:
         raise NumericalError(
             f"the mode that overlaps the observable most grows "
             f"(Re lambda = {lam.real:.3g} /ps); it has no relaxation time")
-    tau_slow_ps = 1.0 / abs(lam.real)
     clusters = eigsys.clusters
     estimate = RelaxationEstimate(
-        tau_ms=tau_slow_ps / PS_PER_MS, bohr_clusters=clusters.count,
-        largest_cluster=clusters.largest,
+        tau_ms=1.0 / abs(lam.real) / PS_PER_MS,
+        bohr_clusters=clusters.count, largest_cluster=clusters.largest,
         cluster_gap_ratio=clusters.gap_ratio)
 
     if method == "slowest_mode":
         return estimate
-
-    # single-exponential fit of the observable decay:
-    # <O>(t) = Tr(rho(t) O) = x(t) . vec(O^T)
+    estimate = replace(estimate, eigvec_cond=eigsys.cond, mismatch=True)
     try:
-        rho_ss = stationary_state(eigsys)
-        fit_error = None
+        rho_ss, lowest = _stationary_state(eigsys)
+        estimate = replace(estimate, min_rho_eigenvalue=lowest)
+        tau_int_ps, residual = _integral_time(eigsys, rho_ss, O)
     except NumericalError as exc:
-        if rho0 is None:
-            raise
-        rho_ss, fit_error = None, str(exc)
-    if rho0 is None:
-        # default probe: stationary state perturbed along the observable
-        pert = 0.1 * O_traceless / np.max(np.abs(O_traceless))
-        rho0 = rho_ss + pert - np.trace(pert) / d * np.eye(d)
-    times = np.geomspace(0.02, 5.0, 24) * tau_slow_ps
-    X = eigsys.evolve(_hermitian_part(np.asarray(rho0)).reshape(-1), times)
-    o = O.T.reshape(-1)
-    m_t = np.real(X @ o)
-    min_eig = np.min(np.linalg.eigvalsh(
-        _hermitian_part(X.reshape(-1, d, d)))[:, 0])
-    tau_fit_ms = residual = None
-    non_exp = False
-    if rho_ss is not None:
-        dm = m_t - float(np.real(rho_ss.reshape(-1) @ o))
-        tau_fit_ms, residual, non_exp = _exp_fit(times, dm)
-    # no fit is a failed cross-check too: it must not read as agreement
-    mismatch = tau_fit_ms is None or abs(
-        tau_fit_ms / estimate.tau_ms - 1.0) > 0.05
-    return replace(estimate, tau_fit_ms=tau_fit_ms, mismatch=bool(mismatch),
-                   fit_residual=residual, non_exponential=non_exp,
-                   min_rho_eigenvalue=float(min_eig),
-                   expm_fallback=eigsys.fallback, eigvec_cond=eigsys.cond,
-                   fit_error=fit_error)
+        return replace(estimate, tau_int_error=str(exc))
+    tau_int_ms = tau_int_ps / PS_PER_MS
+    mismatch = not (tau_int_ms > 0
+                    and abs(tau_int_ms / estimate.tau_ms - 1.0) <= 0.05)
+    return replace(estimate, tau_int_ms=tau_int_ms, solve_residual=residual,
+                   mismatch=mismatch)

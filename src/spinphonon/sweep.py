@@ -41,7 +41,7 @@ from .hamiltonian import assemble_hamiltonian
 from .lattice import (DEFAULT_OMEGA_MIN, enforce_acoustic_sum_rule,
                       phonon_spectrum)
 from .redfield import (ASSEMBLY_BLOCK, PhononCorrelation, assemble_redfield,
-                       equilibrium_state, extract_relaxation_time)
+                       extract_relaxation_time)
 from .spins import SpinCenter, SpinSystem, build_spin_operators
 
 
@@ -90,30 +90,31 @@ def physical_memory_bytes():
         return float("inf")
 
 
-def redfield_bytes(elements, n_channels, dimension):
+def redfield_bytes(elements, n_channels, dimension, n_operators):
     """Estimated bytes that one relax point holds once its Bohr clusters
-    are known, with ``elements`` = sum n_c^2 in-cluster elements of R
-    and d = ``dimension``. Assembly pass 2 and the spectral stage are
-    charged as if held at once, which leaves room for pass 1's P and Q
-    that pass 2 still holds. Per element: a complex vector per channel
+    are known, with ``elements`` = sum n_c^2 in-cluster elements of R,
+    d = ``dimension`` and ``n_operators`` B_k summed over the terms of
+    the coupling stack. Assembly pass 2 and the spectral stage are
+    charged as if held at once. Per element: a complex vector per channel
     and one for the term being summed, the eight int64 index arrays of
     pass 2 (ab, cd, a, b, c, e, ac, db; ``BohrClusters.pairs`` peaks at
     as many), and the cluster blocks of L, their eigenvectors and their
-    inverse, complex. Per coherence (d^2): the operands a term of up to
-    9 operators (``operator_terms``) gathers from, and rho(t) at the 24
-    times of the exp-fit with two temporaries of it, complex. Once: the
+    inverse, complex. Per coherence (d^2): pass 1's P and Q of every
+    operator, which pass 2 holds, and the operands a term of up to 9
+    operators (``operator_terms``) gathers from, complex. Once: the
     gathers of pass 2, ASSEMBLY_BLOCK complex elements."""
     per_element = 16 * n_channels + 16 + 8 * 8 + 3 * 16
-    per_coherence = 2 * 2 * 9 * 16 + 3 * 24 * 16
+    per_coherence = 2 * 16 * n_operators + 2 * 2 * 9 * 16
     return (elements * per_element + dimension ** 2 * per_coherence
             + 16 * ASSEMBLY_BLOCK)
 
 
-def _check_memory(clusters, n_channels):
+def _check_memory(clusters, n_channels, n_operators):
     """CapacityError when the Redfield arrays of a point with these Bohr
     clusters would not fit in physical memory."""
     d = math.isqrt(clusters.omega.size)
-    need = redfield_bytes(int(clusters.offsets[-1]), n_channels, d)
+    need = redfield_bytes(int(clusters.offsets[-1]), n_channels, d,
+                          n_operators)
     have = physical_memory_bytes()
     if need > have:
         raise CapacityError(
@@ -124,12 +125,11 @@ def _check_memory(clusters, n_channels):
 
 class _StackCache(NamedTuple):
     """What a point reuses when only the temperature moved (``key``: its
-    run parameters at 0 K); ``ham_rev`` is None at zero field."""
+    run parameters at 0 K)."""
 
     key: object
     system: object
     ham: object
-    ham_rev: object
     stack: object
     diag: dict
 
@@ -367,10 +367,9 @@ class RelaxationPipeline:
         the point's Redfield arrays would not fit in physical memory
         (``redfield_bytes``).
 
-        The spin Hamiltonian, its field-reversed twin (None at zero
-        field) and the coupling stack of the last point are reused when
-        only the temperature moved. A rebuild drops them first, so the
-        pipeline never holds two stacks."""
+        The spin Hamiltonian and the coupling stack of the last point
+        are reused when only the temperature moved. A rebuild drops them
+        first, so the pipeline never holds two stacks."""
         key = replace(params, temperature=0.0)
         if self._stack_cache is not None and self._stack_cache.key == key:
             self._log.cache_hits += 1
@@ -378,12 +377,8 @@ class RelaxationPipeline:
             self._stack_cache = None
             with self._timed("hamiltonian"):
                 system, ham = self.hamiltonian(params.field_B)
-                B = system.field_B
-                ham_rev = (self.hamiltonian(-B)[1] if np.linalg.norm(B) > 0
-                           else None)
             stack, diag = self.couplings(params, ham, system)
-            self._stack_cache = _StackCache(key, system, ham, ham_rev, stack,
-                                            diag)
+            self._stack_cache = _StackCache(key, system, ham, stack, diag)
         cache = self._stack_cache
         pc = PhononCorrelation(sigma=params.sigma, temperature=params.temperature)
         with self._timed("assembly"):
@@ -401,18 +396,11 @@ class RelaxationPipeline:
         from. A one-channel tensor is diagonalised once: its channel tau
         is the total's."""
         self._log.reset()
-        R, ham, system, diag = self.redfield(params)
-        # magnetometry-style initial state: the equilibrium of the
-        # field-reversed Hamiltonian, in the working eigenbasis
-        ham_rev = self._stack_cache.ham_rev
-        rho0 = None if ham_rev is None else ham.to_eigenbasis(
-            ham_rev.from_eigenbasis(equilibrium_state(
-                ham_rev, params.temperature or 1e-3)))
+        R, _, _, diag = self.redfield(params)
         tau_channel = {}
         channel_errors = {}
         with self._timed("spectral"):
-            est = extract_relaxation_time(R, self.ops, method="both",
-                                          rho0=rho0)
+            est = extract_relaxation_time(R, self.ops, method="both")
             others = list(R.channels)
             if len(others) == 1:
                 tau_channel[others.pop()] = est.tau_ms

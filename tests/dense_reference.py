@@ -7,7 +7,8 @@ which is affordable at the small d of the tests. The slowest-mode rule
 as an argmax over the modes of every cluster, which the pipeline's
 search prunes. The phonon correlation G as one expression, where the
 pipeline works in place. A hand-built dense generator as the
-RedfieldTensor of one cluster at zero Bohr frequency.
+RedfieldTensor of one cluster at zero Bohr frequency, and a master
+equation that obeys detailed balance in that form.
 
 Lattice: D(q) as one product per lattice vector, then symmetrized; the
 decomposition weights one molecule at a time; the DOS kernel as one
@@ -137,6 +138,30 @@ def dense_generator(M):
         channels={"zeeman": M.reshape(-1).astype(complex)},
         clusters=bohr_clusters(np.zeros(d * d),
                                np.max(np.sum(np.abs(M), axis=1))))
+
+
+def detailed_balance_generator(rng, d, decades, rate=1.0):
+    """The dense_generator of a d-level master equation that obeys
+    detailed balance with random populations p: the rate from b to a is
+    K_ab sqrt(p_a / p_b), K symmetric, of order ``rate`` within each
+    half of the levels and 10**-decades of it between the halves (a slow
+    mode, as a nuclear flip makes one); each coherence ab dephases at
+    half the escape rates of a and b plus a symmetric random rate."""
+    p = rng.uniform(0.2, 1.0, size=d)
+    p /= p.sum()
+    half = np.arange(d) < d // 2
+    K = rate * rng.uniform(0.5, 1.0, size=(d, d)) * np.where(
+        half[:, None] == half, 1.0, 10.0 ** -decades)
+    K = np.triu(K, 1)
+    W = (K + K.T) * np.sqrt(p[:, None] / p[None, :])  # W[a, b]: a <- b
+    escape = W.sum(axis=0)
+    extra = rng.uniform(0.0, rate, size=(d, d))
+    R = np.zeros((d, d, d, d))  # (a, b, c, e): rho_ab <- rho_ce
+    a, b = np.nonzero(~np.eye(d, dtype=bool))
+    R[a, a, b, b] = W[a, b]
+    R[a, b, a, b] = -0.5 * (escape[a] + escape[b]) - (extra + extra.T)[a, b]
+    R[range(d), range(d), range(d), range(d)] = -escape
+    return dense_generator(R.reshape(d * d, d * d))
 
 
 def cluster_labels(omega, rate):

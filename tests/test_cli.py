@@ -74,15 +74,19 @@ def test_phonons_and_dos_outputs(tmp_path, capsys):
     assert "total" in dos.splitlines()[1]
 
 
-def test_relax_writes_tau_fit(vanadyl_config, tmp_path, capsys):
-    out = str(tmp_path / "fit")
+def test_relax_writes_tau_int(vanadyl_config, tmp_path, capsys):
+    out = str(tmp_path / "int")
     assert main(["relax", "--config", vanadyl_config, "--out", out]) == EXIT_OK
-    capsys.readouterr()
+    first = capsys.readouterr().out.splitlines()[0]
     row = next(csv.DictReader(open(os.path.join(out, "relax.csv"))))
     doc = json.load(open(os.path.join(out, "relax.json")))
-    fit = doc["rows"][0]["diagnostics"]["tau_fit_ms"]
-    assert row["tau_fit_ms"] != "" and fit is not None
-    assert float(row["tau_fit_ms"]) == float(f"{fit:.9g}")
+    tau_int = doc["rows"][0]["diagnostics"]["tau_int_ms"]
+    assert row["tau_int_ms"] != "" and tau_int is not None
+    assert float(row["tau_int_ms"]) == float(f"{tau_int:.9g}")
+    assert first == (f"tau = {doc['rows'][0]['tau_ms']:.9g} ms "
+                     f"(tau_int {tau_int:.9g} ms)")
+    # the exp-fit's columns are gone
+    assert not {"tau_fit_ms", "fit_residual", "non_exponential"} & set(row)
 
 
 def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
@@ -130,8 +134,9 @@ def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):
     assert "; cache_hits 0; bohr_clusters " in line
     diag = json.load(open(os.path.join(out, "relax.json")))["rows"][0][
         "diagnostics"]
-    assert diag["expm_fallback"] is False
     assert 1.0 <= diag["eigvec_cond"] <= 1e10
+    assert 0.0 <= diag["solve_residual"] <= 1e-14
+    assert diag["min_rho_eigenvalue"] > 0.0
     assert set(diag["timings_s"]) == set(sweep.STAGES)
     assert all(t >= 0.0 for t in diag["timings_s"].values())
     assert diag["cache_hits"] == 0
@@ -227,7 +232,8 @@ def test_sweep_writes_rows(tmp_path, capsys):
     assert "timings_s" not in rows[0]
     doc = json.load(open(os.path.join(out, "sweep_0_temperature.json")))
     assert [r["diagnostics"]["cache_hits"] for r in doc["rows"]] == [0, 1]
-    assert [r["diagnostics"]["fit_error"] for r in doc["rows"]] == [None, None]
+    assert [r["diagnostics"]["tau_int_error"]
+            for r in doc["rows"]] == [None, None]
 
 
 def test_relax_sweep_and_dos_print_one_load_line(tmp_path, capsys):
@@ -342,11 +348,12 @@ def test_overflowing_lattice_vector_is_parse_error(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
-def test_relax_flags_a_failed_fit_on_the_pair_project(tmp_path, capsys):
+def test_relax_flags_a_mismatch_on_the_pair_project(tmp_path, capsys):
     from spinphonon.toy import ToySpec, write_toy_project
     # the d=32 pair project: two S=1/2 electrons on two molecules plus an
-    # I=7/2 nucleus. Its stationary state is physical, but Sz(t) crosses
-    # its stationary value, so the exp-fit fails, which is flagged
+    # I=7/2 nucleus. Its stationary state is physical, but part of the
+    # first center's Sz decays in modes far faster than the slowest
+    # one, so tau_int is 57% below tau, which is flagged
     spec = ToySpec(lattice=(7.0, 7.0, 7.0), molecules_per_cell=2,
                    atoms_per_molecule=2, mass=120.0, k_intra=1.0,
                    k_inter=0.003, g_baseline=(1.9830, 1.9814, 1.9274),
@@ -357,11 +364,13 @@ def test_relax_flags_a_failed_fit_on_the_pair_project(tmp_path, capsys):
                             sigma=1.0, temperature=20.0)
     out = str(tmp_path / "r")
     assert main(["relax", "--config", cfg, "--out", out]) == EXIT_OK
-    assert "exp-fit n/a" in capsys.readouterr().out
+    assert "(tau_int 16611.6887 ms)" in capsys.readouterr().out
     row = json.load(open(os.path.join(out, "relax.json")))["rows"][0]
     diag = row["diagnostics"]
-    assert diag["fit_error"] is None and diag["tau_fit_ms"] is None
-    assert diag["mismatch"] is True and diag["non_exponential"] is True
+    assert diag["tau_int_error"] is None
+    assert diag["tau_int_ms"] == pytest.approx(16611.688711, rel=1e-9)
+    assert diag["mismatch"] is True
+    assert 0.0 <= diag["solve_residual"] <= 1e-14
     assert row["tau_ms"] == pytest.approx(38561.0, rel=1e-4)
     assert set(row["tau_channel_ms"]) == {"zeeman", "hyperfine", "dipolar"}
     assert all(np.isfinite(t) and t > 0

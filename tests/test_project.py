@@ -457,8 +457,8 @@ def test_derivatives_must_reference_declared_centers(tmp_path, vanadyl_config):
 def _fake_result():
     row = SweepRow(value=50.0, tau_ms=1.23456789012345e-3,
                    tau_channel_ms={"zeeman": 1.3e-3},
-                   diagnostics={"tau_fit_ms": 1.24e-3, "fit_residual": 0.01,
-                                "mismatch": False, "non_exponential": False,
+                   diagnostics={"tau_int_ms": 1.24e-3,
+                                "solve_residual": 1e-17, "mismatch": False,
                                 "n_couplings": 42})
     return SweepResult(plan_axis="temperature", rows=(row,),
                        metadata={"axis": "temperature"})
@@ -472,6 +472,7 @@ def test_single_row_csv_is_two_lines(tmp_path):
     cells = text[1].split(",")
     assert cells[0] == "50"
     assert cells[1] == "0.00123456789"  # 9 significant digits
+    assert dict(zip(text[0].split(","), cells))["tau_int_ms"] == "0.00124"
     assert cells[-1] == "abc"
 
 

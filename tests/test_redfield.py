@@ -19,7 +19,8 @@ from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
 from spinphonon.units import KB_CM1_PER_K, PS_PER_MS
 
 from dense_reference import (assert_matches_dense, coupling_rows,
-                             dense_generator, dense_redfield, in_cluster)
+                             dense_generator, dense_redfield,
+                             detailed_balance_generator, in_cluster)
 
 
 def _two_level(field=5.0):
@@ -155,8 +156,8 @@ def test_two_level_relaxation_time_matches_rate_oracle():
     tau_ms = (1.0 / (w_up + w_dn)) / PS_PER_MS
     est = extract_relaxation_time(R, ops, method="both")
     assert abs(est.tau_ms / tau_ms - 1.0) < 1e-8
-    assert abs(est.tau_fit_ms / tau_ms - 1.0) < 1e-8
-    assert not est.mismatch and not est.non_exponential
+    assert abs(est.tau_int_ms / tau_ms - 1.0) < 1e-8
+    assert not est.mismatch
 
 
 def test_rate_scales_quadratically_with_coupling_strength():
@@ -193,6 +194,25 @@ def test_assembly_matches_per_coupling_reference(d, secular, monkeypatch):
     inside = in_cluster(R) & np.outer(coherence, coherence)
     for ch in R.channels:
         assert np.any(R.matrix((ch,))[inside] != 0.0)
+
+
+def test_matrix_scatters_the_clusters_and_their_conjugates():
+    # every element of the dense reference inside a cluster, or inside
+    # the conjugate twin of one above zero, and zeros between clusters
+    rng = np.random.default_rng(104)
+    d, m = 4, 20
+    ham = diagonalize(np.diag(1.5 * np.arange(d)).astype(complex))
+    A = rng.normal(size=(m, d, d)) + 1j * rng.normal(size=(m, d, d))
+    stack = CouplingStack.from_rows(
+        omega=rng.uniform(0.5, 1.5 * d, size=m), channel=["zeeman"] * m,
+        V=1e-4 * (A + A.conj().transpose(0, 2, 1)))
+    pc = PhononCorrelation(sigma=0.7, temperature=15.0)
+    R = assemble_redfield(stack, ham, pc)
+    ref = dense_redfield(stack, ham, pc)["zeeman"]
+    inside = in_cluster(R)
+    assert len(R.clusters.kept) > 1 and not inside.all()
+    assert (np.max(np.abs(R.matrix() - np.where(inside, ref, 0.0)))
+            <= 1e-12 * np.max(np.abs(ref)))
 
 
 def test_channel_resolved_tensor_parts():
@@ -340,7 +360,7 @@ def test_both_estimates_share_one_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", counted)
     est = extract_relaxation_time(R, ops, method="both")
-    assert est.tau_fit_ms is not None
+    assert est.tau_int_ms is not None
     assert len(calls) == 1
 
 
@@ -380,15 +400,43 @@ def _cascade_generator(rate=1.0, dephasing=3.0):
 
 
 def test_defective_generator_records_expm_fallback_without_warning():
+    # its one block falls back to expm, and rho(t) is the cascade's:
+    # p0 = exp(-t), p1 = t exp(-t)
+    gen = _cascade_generator()
+    block, = redfield._BlockEigensystem(gen).blocks
+    assert block.fallback.all()
+    times = np.array([0.0, 0.5, 1.0, 4.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = propagate(np.diag([1.0, 0.0, 0.0]), gen, times)
+    e = np.exp(-times)
+    want = np.stack([e, times * e, 1.0 - e - times * e], axis=1)
+    assert np.allclose(np.diagonal(states, axis1=1, axis2=2), want,
+                       rtol=0.0, atol=1e-12)
+
+
+def test_defective_generator_gives_a_finite_tau_int():
+    # the cascade ends in the pure state |2><2|: an observable varies in
+    # it only through its coherences with level 2, which dephase at
+    # 3 /ps. The solve uses no eigenvector, so the Jordan block that
+    # leaves V singular does not reach it
+    obs = np.diag([1.0, 0.0, -1.0])
+    obs[0, 2] = obs[2, 0] = 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = extract_relaxation_time(_cascade_generator(), None,
-                                      observable=np.diag([1.0, 0.0, -1.0]),
-                                      method="both")
-    assert est.expm_fallback
+                                      observable=obs, method="both")
     assert not est.eigvec_cond <= 1e10
-    assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
+    assert est.tau_int_ms == pytest.approx(1.0 / 3.0 / PS_PER_MS, rel=1e-12)
+    assert est.solve_residual <= 1e-16
     assert est.min_rho_eigenvalue > -1e-12
+    # Sz alone has no variance in |2><2|: no tau_int, and that is no
+    # agreement
+    est = extract_relaxation_time(_cascade_generator(), None,
+                                  observable=np.diag([1.0, 0.0, -1.0]))
+    assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
+    assert est.tau_int_ms is None and est.mismatch
+    assert "no variance" in est.tau_int_error
 
 
 def test_generator_that_breaks_hermiticity_is_rejected():
@@ -429,19 +477,31 @@ def test_stationary_state_rejects_a_non_physical_state():
         stationary_state(eigsys)
 
 
+def test_two_stationary_states_leave_no_tau_int():
+    # populations 0 and 1 exchange at 1 /ps and level 2 is decoupled:
+    # every mixture of the two fixed points is stationary, and the
+    # tau_int matrix is singular
+    d = 3
+    R = np.zeros((d, d, d, d))  # (a, b, c, e): rho_ab <- rho_ce
+    R[0, 0, 1, 1] = R[1, 1, 0, 0] = 1.0
+    R[0, 0, 0, 0] = R[1, 1, 1, 1] = -1.0
+    a, b = np.nonzero(~np.eye(d, dtype=bool))
+    R[a, b, a, b] = -2.0
+    est = extract_relaxation_time(dense_generator(R.reshape(d * d, d * d)),
+                                  None, observable=np.diag([1.0, 0.0, -1.0]))
+    assert est.tau_ms == pytest.approx(0.5 / PS_PER_MS)
+    assert est.tau_int_ms is None and est.mismatch
+    assert "not unique" in est.tau_int_error
+
+
 def test_fit_without_physical_stationary_state_is_reported():
-    gen = _non_physical_fixed_point()
-    Sz = np.diag([0.5, -0.5])
-    est = extract_relaxation_time(gen, None, observable=Sz,
-                                  rho0=np.diag([0.5, 0.5]))
+    # the cross-check needs the stationary state; tau does not
+    est = extract_relaxation_time(_non_physical_fixed_point(), None,
+                                  observable=np.diag([0.5, -0.5]))
     assert est.tau_ms == pytest.approx(1.0 / PS_PER_MS)
-    assert est.tau_fit_ms is None and est.mismatch
-    assert "not physical" in est.fit_error
-    # rho0 is still propagated: rho(t) leaves the physical states
-    assert est.min_rho_eigenvalue < 0.0
-    # the default probe is built from the stationary state
-    with pytest.raises(NumericalError, match="not physical"):
-        extract_relaxation_time(gen, None, observable=Sz)
+    assert est.tau_int_ms is None and est.mismatch
+    assert "not physical" in est.tau_int_error
+    assert est.min_rho_eigenvalue is None and est.solve_residual is None
 
 
 def _driven_two_level(drive=10.0, decay=1.0):
@@ -458,19 +518,53 @@ def _driven_two_level(drive=10.0, decay=1.0):
                    - 0.5 * (np.kron(P, one) + np.kron(one, P.T))))
 
 
-def test_failed_exp_fit_is_flagged_not_agreement():
+def test_a_far_tau_int_is_flagged_not_agreement():
+    # Sz oscillates at the Rabi frequency while it relaxes: its
+    # correlation integrates to far less than the slowest mode's time
     est = extract_relaxation_time(_driven_two_level(), None,
-                                  observable=np.diag([0.5, -0.5]),
-                                  rho0=np.diag([0.0, 1.0]))
-    # the deviation from the stationary Sz changes sign: no fit
-    assert est.tau_fit_ms is None and est.fit_residual is None
-    assert est.non_exponential and est.mismatch
-    # the stationary state is physical, so there is no fit_error
-    assert est.fit_error is None
-    assert est.min_rho_eigenvalue > -1e-12
-    # without the drive Sz decays at 1 /ps, and the fit agrees
-    est = extract_relaxation_time(_driven_two_level(drive=0.0), None,
-                                  observable=np.diag([0.5, -0.5]),
-                                  rho0=np.diag([0.0, 1.0]))
-    assert est.tau_fit_ms == pytest.approx(1.0 / PS_PER_MS, rel=1e-9)
-    assert not est.non_exponential and not est.mismatch
+                                  observable=np.diag([0.5, -0.5]))
+    assert est.tau_ms == pytest.approx(4.0 / 3.0 / PS_PER_MS, rel=1e-9)
+    assert 0.0 < est.tau_int_ms < 0.05 * est.tau_ms
+    assert est.mismatch and est.tau_int_error is None
+    assert est.min_rho_eigenvalue > 0.0
+
+
+@pytest.mark.parametrize("seed, d, decades, rate", [
+    (0, 2, 1, 1.0), (1, 3, 2, 1.0), (2, 4, 3, 1.0), (3, 3, 7, 1e-13),
+    (4, 4, 7, 1e-13), (5, 5, 7, 1e-13)])
+def test_tau_int_solve_matches_the_mode_sum_and_mpmath(seed, d, decades,
+                                                       rate):
+    mpmath = pytest.importorskip("mpmath")
+    # tau_int = sum_k a_k / (-lambda_k) over the modes of L but the null
+    # mode, a_k the share of <O|drho> in mode k; and the bordered system
+    # solved in 40 digits. Rates of 1e-13 /ps with seven decades between
+    # the halves of the levels give the bordered matrix a condition near
+    # 1e7, as on the pair project; a border of 1 gives 3e17 or more
+    rng = np.random.default_rng(seed)
+    gen = detailed_balance_generator(rng, d, decades, rate)
+    A = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    O = A + A.conj().T
+    est = extract_relaxation_time(gen, None, observable=O)
+    tau = est.tau_int_ms * PS_PER_MS
+    eigsys = redfield._BlockEigensystem(gen)
+    rho = stationary_state(eigsys)
+    L = gen.channels["zeeman"].reshape(d * d, d * d)
+    shifted = O - np.trace(O @ rho) * np.eye(d)
+    y = (0.5 * (shifted @ rho + rho @ shifted)).reshape(-1)
+    o = O.T.reshape(-1)
+    lam, V = np.linalg.eig(L)
+    a = (o @ V) * np.linalg.solve(V, y) / (o @ y)
+    modes = np.arange(lam.size) != np.argmin(np.abs(lam))
+    tau_modes = np.sum(a[modes] / -lam[modes]).real
+    M = L - eigsys.rate * np.outer(rho.reshape(-1), np.eye(d).reshape(-1))
+    with mpmath.workdps(40):
+        x = mpmath.lu_solve(mpmath.matrix(M.tolist()),
+                            mpmath.matrix(y.tolist()))
+        tau_mp = float(mpmath.re(-mpmath.fdot(o, x) / mpmath.fdot(o, y)))
+    cond = np.linalg.cond(M, 1)
+    assert cond > (1e6 if decades == 7 else 1.0)
+    # forward error: the condition of M times round-off
+    tol = cond * np.finfo(float).eps
+    assert abs(tau / tau_mp - 1.0) <= tol
+    assert abs(tau_modes / tau_mp - 1.0) <= tol
+    assert est.solve_residual <= 1e-15
