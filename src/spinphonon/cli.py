@@ -9,6 +9,7 @@ import argparse
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -16,11 +17,11 @@ import time
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
 from .coupling import CHANNELS, coupling_norm_distribution
-from .lattice import phonon_dos, phonon_spectrum
+from .lattice import phonon_dos, phonon_spectrum, symmetry_rotations
 from .project import (load_project, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
 from .sweep import (STAGES, RelaxationPipeline, SweepResult,
-                    converge_protocol, kpoint_grid, paired_kpoint_grid,
+                    converge_protocol, kpoint_grid, kpoint_orbits,
                     perturbation_study, run_sweep)
 from .toy import toy_preset, write_toy_project
 from .version import __version__
@@ -194,7 +195,9 @@ def _cmd_phonons(args):
 
 def _cmd_dos(args):
     pipeline, params, config, out_dir, load_s = _load_pipeline(args)
-    qpts, weights = paired_kpoint_grid(*params.qgrid)
+    # the symmetry search runs here, not at load: only the DOS uses it
+    rotations, _ = symmetry_rotations(pipeline.fc)
+    qpts, weights = kpoint_orbits(*params.qgrid, rotations)
     dos = phonon_dos(pipeline.fc, qpts, params.sigma, weights)
     os.makedirs(out_dir, exist_ok=True)
     path = write_dos_csv(dos, os.path.join(out_dir, "dos.csv"),
@@ -205,6 +208,8 @@ def _cmd_dos(args):
     t = dos.timings_s
     print(f"dos timings_s blocks {t['blocks']:.3f} kernel {t['kernel']:.3f}; "
           f"workers {dos.workers} q_blocks {dos.blocks}; "
+          f"symmetry_ops {len(rotations)} irreducible_q {len(qpts)}/"
+          f"{math.prod(params.qgrid)}; "
           f"{dos.imaginary_modes} imaginary modes excluded")
     print(f"wrote {path}")
     return EXIT_OK

@@ -35,6 +35,11 @@ DOS_CHUNK = 4096
 #: largest |D - D^H| (eV/A^2/amu) accepted before D(q) is symmetrized
 ASYMMETRY_TOL = 1e-9
 
+#: tolerance of ``symmetry_rotations``, relative to the crystal's own
+#: scale: the metric to max|cell cell^T|, atom positions to the longest
+#: lattice vector, force constants to max|Phi|
+SYMMETRY_TOL = 1e-9
+
 #: |omega| (cm^-1) below which a mode counts as zero whatever its sign:
 #: eigh round-off leaves the Gamma acoustic modes at either sign, so only
 #: omega < -DEFAULT_OMEGA_MIN is imaginary. The relaxation pipeline also
@@ -155,6 +160,117 @@ def enforce_acoustic_sum_rule(fc):
         t=np.concatenate([fc.t, t]),
         values=np.concatenate([fc.values, -residual[i, s, t]]),
     )
+
+
+def _lattice_rotations(cell):
+    """Integer fractional rotations S (x -> S x) with S^T G S = G for the
+    metric G = cell cell^T. Column a of S, the image of lattice vector a,
+    is drawn from the integer vectors in {-1, 0, 1}^3 of that vector's
+    length, which holds every rotation of a reduced cell; a cell that is
+    not reduced may lose some, which costs speed, not correctness."""
+    G = cell @ cell.T
+    tol = SYMMETRY_TOL * np.max(np.abs(G))
+    vecs = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+    lengths = np.einsum("ka,ab,kb->k", vecs, G, vecs)
+    cols = [vecs[np.abs(lengths - G[a, a]) <= tol] for a in range(3)]
+    S = np.empty((*(len(c) for c in cols), 3, 3), dtype=int)
+    S[..., 0] = cols[0][:, None, None]
+    S[..., 1] = cols[1][None, :, None]
+    S[..., 2] = cols[2][None, None, :]
+    S = S.reshape(-1, 3, 3)
+    metric = np.einsum("kai,ab,kbj->kij", S, G, S)
+    S = S[np.all(np.abs(metric - G) <= tol, axis=(1, 2))]
+    # the identity first
+    return S[np.argsort(~np.all(S == np.eye(3, dtype=int), axis=(1, 2)),
+                        kind="stable")]
+
+
+def _atom_maps(frac, cell, kind, mol, S, taus):
+    """(perm, shift, tau) for the first of ``taus`` under which every
+    atom i, at fractional ``frac[i]``, goes to S x_i + tau =
+    x_perm[i] + shift[i], an atom of the same ``kind`` (equal mass), with the
+    molecules (``mol``) going onto whole molecules and one integer shift
+    for all the atoms of each; None when no tau does."""
+    n = frac.shape[0]
+    diff = ((frac @ S.T)[None, :, None, :] + taus[:, None, None, :]
+            - frac[None, None, :, :])  # (tau, i, j, 3)
+    shift = np.rint(diff)
+    off = (diff - shift) @ cell
+    reach = SYMMETRY_TOL * np.sqrt(np.max(np.sum(cell * cell, axis=1)))
+    match = ((np.sum(off * off, axis=-1) <= reach * reach)
+             & (kind[:, None] == kind[None, :]))
+    same = mol[:, None] == mol[None, :]
+    first = np.argmax(same, axis=1)  # first atom of each atom's molecule
+    for c in np.flatnonzero(match.any(axis=2).all(axis=1)):
+        perm = np.argmax(match[c], axis=1)
+        moved = shift[c, np.arange(n), perm].astype(int)
+        if (np.array_equal(np.sort(perm), np.arange(n))
+                and np.array_equal(same[perm][:, perm], same)
+                and np.array_equal(moved, moved[first])):
+            return perm, moved, taus[c]
+    return None
+
+
+def _maps_force_constants(fc, S, perm, shift):
+    """Whether the operation takes every block Phi_ij(l) onto
+    Phi_perm(i) perm(j)(S l + shift_j - shift_i) = R Phi_ij(l) R^T, R its
+    Cartesian rotation, within SYMMETRY_TOL of max|Phi|. A block mapped
+    to a lattice vector without records must vanish there."""
+    cell = fc.crystal.cell
+    uniq, phi = fc.dense_blocks()
+    n = fc.crystal.n_atoms
+    R = cell.T @ S @ np.linalg.inv(cell.T)
+    phi = phi.reshape(len(uniq), n, 3, n, 3)
+    turned = np.einsum("as,kisjt,bt->kijab", R, phi, R)
+    target = ((uniq @ S.T)[:, None, None, :] + shift[None, None, :, :]
+              - shift[None, :, None, :])
+    # lattice vectors as integer keys, monotone in the order of np.unique
+    reach = int(max(np.max(np.abs(uniq)), np.max(np.abs(target)))) + 1
+    base = 2 * reach + 1
+    weights = np.array([base * base, base, 1])
+    keys = (uniq + reach) @ weights
+    want = (target + reach) @ weights
+    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    found = keys[pos] == want
+    actual = phi[pos, perm[None, :, None], :, perm[None, None, :], :]
+    actual[~found] = 0.0
+    scale = np.max(np.abs(phi))
+    return bool(np.max(np.abs(turned - actual)) <= SYMMETRY_TOL * scale)
+
+
+def symmetry_rotations(fc):
+    """The space-group operations x -> S x + tau of the crystal of ``fc``
+    that also leave its force constants and molecules unchanged.
+
+    Returns (rotations, translations): integer fractional rotations S
+    (m, 3, 3), identity first, and one fractional translation tau (m, 3)
+    each. S preserves the metric cell cell^T (``_lattice_rotations``);
+    the operation takes every atom onto an atom of the same mass, every
+    molecule, by its unwrapped positions, onto a molecule with one
+    lattice shift for all its atoms (so the rigid-body rows of
+    ``decomposition_weights`` go onto rigid-body rows), and the force
+    constants onto themselves within ``SYMMETRY_TOL``. Such an S gives
+    D(S^-T q) = U D(q) U^H with U unitary, the same frequencies and
+    decomposition weights at both q-points (``sweep.kpoint_orbits``).
+    Candidate translations take the first atom of the rarest mass onto
+    each atom of that mass.
+    """
+    crystal = fc.crystal
+    frac, cell = crystal.frac_positions, crystal.cell
+    _, kind, count = np.unique(crystal.masses, return_inverse=True,
+                               return_counts=True)
+    mol = np.array([a.molecule for a in crystal.atoms])
+    ref = int(np.argmin(count[kind]))
+    candidates = frac[kind == kind[ref]]
+    rotations, translations = [], []
+    for S in _lattice_rotations(cell):
+        mapped = _atom_maps(frac, cell, kind, mol, S,
+                            candidates - S @ frac[ref])
+        if mapped is not None and _maps_force_constants(fc, S, *mapped[:2]):
+            rotations.append(S)
+            translations.append(mapped[2])
+    return (np.array(rotations, dtype=int).reshape(-1, 3, 3),
+            np.array(translations, dtype=float).reshape(-1, 3))
 
 
 def dynamical_matrices(fc, qpoints):
@@ -321,8 +437,9 @@ def phonon_dos(fc, qpoints, sigma, weights=None):
     DOS(w) = sum_{alpha q} w_q kernel(w - w_{alpha q}) / sum_q w_q; the
     integral equals 3N per cell. ``weights`` (one finite, non-negative
     number per q-point with a positive sum, default 1) let one q-point
-    stand for its partner at -q (``sweep.paired_kpoint_grid``), which
-    has the same frequencies and decomposition weights. ``sigma`` must
+    stand for its orbit under the crystal's point operations and -E
+    (``sweep.kpoint_orbits``, ``symmetry_rotations``), whose q-points
+    have the same frequencies and decomposition weights. ``sigma`` must
     be a finite number > 0, the rule of ``RunParams``. Imaginary modes
     (omega < -DEFAULT_OMEGA_MIN) are excluded and counted. Modes with
     |omega| < DEFAULT_OMEGA_MIN, the Gamma acoustic ones, are placed at

@@ -451,9 +451,10 @@ class _BlockEigensystem:
         """The eigenvalue of the decaying mode whose eigenvector v
         overlaps the unit vector ``o`` the most, |<o, v>| / ||v||, the
         mode of smallest |lambda| (the stationary state) and those with
-        |Re lambda| below 1e-14 of ``rate`` (which do not decay) left
-        out. NumericalError when a stack it reads failed to diagonalise
-        or no mode is left.
+        |Re lambda| below 1e-14 of ``rate`` or below the round-off of
+        their cluster's eig, eps ||L_c||_1 (which do not decay, in every
+        eigenvector gauge), left out. NumericalError when a stack it
+        reads failed to diagonalise or no mode is left.
 
         It reads the zero cluster's size first, then the size of the
         cluster of largest ||o_c|| (o on the cluster's coherences) that
@@ -480,7 +481,12 @@ class _BlockEigensystem:
                  / np.linalg.norm(b.V, axis=1)).reshape(-1) for b in stacks])
             null = int(np.argmin(np.abs(lam)))
             weights[null] = -1.0
-            weights[np.abs(lam.real) < 1e-14 * self.rate] = -1.0
+            # eig resolves each eigenvalue to about eps ||L_c||_1
+            roundoff = np.concatenate([np.repeat(
+                np.max(np.abs(b.L).sum(axis=1), axis=1), b.L.shape[1])
+                for b in stacks]) * np.finfo(float).eps
+            weights[np.abs(lam.real)
+                    < np.maximum(1e-14 * self.rate, roundoff)] = -1.0
             k = int(np.argmax(weights))
             # the margin covers the round-off of a computed overlap
             open_ = ~self._done & ((norm >= weights[k] * (1.0 - 1e-12))
@@ -645,8 +651,8 @@ def extract_relaxation_time(R, ops, observable=None, method="both",
     slowest_mode: tau = 1 / |Re lambda| for the decaying eigenvalue of L
     whose eigenvector overlaps the observable's traceless part the most;
     NumericalError when that mode grows (Re lambda > 0). A mode with
-    |Re lambda| below 1e-14 of the rate scale does not decay. It forms
-    no inverse.
+    |Re lambda| below 1e-14 of the rate scale, or below eps ||L_c||_1 of
+    its cluster, does not decay. It forms no inverse.
     both: also the linear-response integral time ``tau_int_ms`` of the
     observable (``_integral_time``), from solves on the zero cluster
     that use no eigenvector, so it checks the eigensolve as well as the

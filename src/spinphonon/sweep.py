@@ -1,14 +1,17 @@
 """Relaxation pipeline and parameter-sweep orchestration.
 
 The pipeline solves one q-point of each {q, -q} pair of the q-grid
-(``paired_kpoint_grid``): the force constants are real, so
+(``kpoint_orbits`` with no rotations): the force constants are real, so
 D(-q) = conj D(q), and the partner has the same frequencies and
 conjugate eigenvectors. Its modes enter with weight 2 (1 where q = -q),
 folded as sqrt(weight) into each mode's amplitude, which reproduces
-the full-grid Redfield tensor to round-off. Mode counts in the diagnostics
-(imaginary, below omega_min, pruned) and ``n_q`` are full-grid counts;
-``n_couplings`` counts the nonzero standing-wave parts of the modes
-(``CouplingStack``).
+the full-grid Redfield tensor to round-off. The crystal's point
+operations, which the ``dos`` verb also folds in, do not reduce the
+pipeline's grid: the derivative records of the spin's tensors follow no
+rotation of the lattice, so the couplings at q and S q differ. Mode
+counts in the diagnostics (imaginary, below omega_min, pruned) and
+``n_q`` are full-grid counts; ``n_couplings`` counts the nonzero
+standing-wave parts of the modes (``CouplingStack``).
 
 The pipeline caches three things: phonon spectra per q-grid, mode
 tensors per (q-grid, omega_min), and the spin Hamiltonian and coupling
@@ -57,24 +60,52 @@ def kpoint_grid(n1, n2, n3):
     return np.stack([x.reshape(-1) for x in g], axis=1)
 
 
-def paired_kpoint_grid(n1, n2, n3):
-    """One q-point of each {q, -q} pair of ``kpoint_grid``, and its weight.
+def kpoint_orbits(n1, n2, n3, rotations=()):
+    """One q-point of each orbit of ``kpoint_grid`` under ``rotations``
+    and time reversal, and its weight.
 
-    Returns (qpoints, weights): the rows of ``kpoint_grid(n1, n2, n3)``
-    whose flat index is not above that of their partner -q, in grid
-    order, with weight 2, or 1 where q = -q modulo the grid (2q = 0).
-    The weights sum to n1 n2 n3. Partners are found from the integer
-    grid indices, never by comparing fractional coordinates.
+    ``rotations`` are integer fractional rotations S of the crystal
+    (x -> S x + tau, ``lattice.symmetry_rotations``): q and S^T q, in
+    fractional reciprocal coordinates, have the same frequencies and
+    decomposition weights. Those whose S^T does not map the grid onto
+    itself are dropped, and -E is always composed in: the force
+    constants are real, so D(-q) = conj D(q). Returns (qpoints,
+    weights): the rows of ``kpoint_grid(n1, n2, n3)`` of smallest flat
+    index in their orbit, in grid order, each weighted by the size of
+    its orbit; the weights sum to n1 n2 n3. Orbits are found from the
+    integer grid indices, never by comparing fractional coordinates.
+    With no rotations the orbits are the {q, -q} pairs: weight 2, or 1
+    where q = -q modulo the grid (2q = 0).
     """
     qpts = kpoint_grid(n1, n2, n3)
     shape = (n1, n2, n3)
-    index = np.indices(shape)
-    flat = np.ravel_multi_index(index, shape).reshape(-1)
-    partner = np.ravel_multi_index(tuple(-i % n for i, n in zip(index, shape)),
-                                   shape).reshape(-1)
-    keep = flat <= partner
-    weights = np.where(flat == partner, 1, 2)[keep]
-    return qpts[keep], weights
+    n = np.array(shape)
+    actions = [-np.eye(3, dtype=int)]
+    for S in rotations:
+        # index k goes to A k with A_ab = S_ba n_a / n_b, an integer
+        # matrix exactly when S^T maps the grid onto itself
+        scaled = np.asarray(S, dtype=int).T * n[:, None]
+        if not np.any(scaled % n[None, :]):
+            A = scaled // n[None, :]
+            actions += [A, -A]
+    axes = np.ogrid[:n1, :n2, :n3]
+    # |(A k)_a| < 3 n_a, so wrap[a][(A k)_a + 3 n_a] is its flat offset
+    wrap = [np.arange(-3 * m, 3 * m) % m * stride
+            for m, stride in zip(shape, (n2 * n3, n3, 1))]
+    images = [sum(wrap[a][sum(A[a, b] * axes[b] for b in range(3))
+                          + 3 * n[a]] for a in range(3)).reshape(-1)
+              for A in {A.tobytes(): A for A in actions}.values()]
+    # the smallest flat index reachable, spread until it settles
+    rep = np.arange(n1 * n2 * n3)
+    while True:
+        new = rep.copy()
+        for image in images:
+            np.minimum(new, rep[image], out=new)
+        if np.array_equal(new, rep):
+            break
+        rep = new
+    keep = rep == np.arange(rep.size)
+    return qpts[keep], np.bincount(rep, minlength=rep.size)[keep]
 
 
 #: stages timed per point, in diagnostics["timings_s"]
@@ -279,13 +310,13 @@ class RelaxationPipeline:
     # -- cached stages ----------------------------------------------------
     def phonons(self, qgrid):
         """Cached (qpoints, weights, omega, vecs) of one q-point of each
-        {q, -q} pair of the grid (``paired_kpoint_grid``)."""
+        {q, -q} pair of the grid (``kpoint_orbits``)."""
         key = tuple(qgrid)
         if key in self._phonon_cache:
             self._log.cache_hits += 1
         else:
             with self._timed("phonons"):
-                qpts, weights = paired_kpoint_grid(*qgrid)
+                qpts, weights = kpoint_orbits(*qgrid)
                 omega, vecs = phonon_spectrum(self.fc, qpts)
             self._phonon_cache[key] = (qpts, weights, omega, vecs)
         return self._phonon_cache[key]

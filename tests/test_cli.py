@@ -8,9 +8,11 @@ import sys
 import numpy as np
 import pytest
 
-from spinphonon import lattice, sweep
+from spinphonon import cli, lattice, sweep
 from spinphonon.cli import (EXIT_NUMERICAL, EXIT_OK, EXIT_PARSE, EXIT_USAGE,
                             main)
+from spinphonon.project import load_project
+from spinphonon.toy import ToySpec, write_toy_project
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -100,11 +102,12 @@ def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(lattice, "phonon_spectrum", recorded)
     monkeypatch.setattr(sweep, "phonon_spectrum", recorded)
-    grid = (13, 13, 13)  # 2197 q-points: more than one block
-    assert np.prod(grid) > lattice.DOS_QBLOCK
+    monkeypatch.setattr(lattice, "DOS_QBLOCK", 50)  # several blocks
+    grid = (13, 13, 13)
     assert main(["dos", "--config", cfg, "--grid", ",".join(map(str, grid)),
                  "--out", str(tmp_path / "dos")]) == EXIT_OK
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert len(diagonalised) > 1
 
     def grid_index(qpoints):
         return np.round(qpoints * 13).astype(int) % 13
@@ -112,17 +115,51 @@ def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
     # the pool's workers record blocks in the order they finish: put them
     # back in q order by the grid index of each block's first q-point
     diagonalised.sort(key=lambda block: tuple(grid_index(block[0])))
-    # one q-point of each {q, -q} pair, in grid order
+    # one q-point of each orbit of the crystal's operations and -E, in
+    # grid order
     solved = np.concatenate(diagonalised)
-    full = sweep.kpoint_grid(*grid)
-    index = grid_index(solved)
-    flat = np.ravel_multi_index(index.T, grid)
-    partner = np.ravel_multi_index((-index % 13).T, grid)
-    assert len(solved) == 1099
+    flat = np.ravel_multi_index(grid_index(solved).T, grid)
+    crystal, fc, *_ = load_project(cfg)
+    rotations, _ = lattice.symmetry_rotations(
+        lattice.enforce_acoustic_sum_rule(fc))
+    qpts, weights = sweep.kpoint_orbits(*grid, rotations)
+    assert len(rotations) == 16  # D4h of the diatomic in a cubic cell
     assert np.all(np.diff(flat) > 0)
-    assert np.array_equal(solved, full[flat])
-    assert np.array_equal(np.sort(np.union1d(flat, partner)),
-                          np.arange(len(full)))
+    assert np.array_equal(solved, qpts)
+    assert weights.sum() == np.prod(grid)
+    assert (f"; symmetry_ops 16 irreducible_q {len(qpts)}/2197; "
+            in out)
+
+
+def test_dos_of_the_debye_crystal_matches_the_full_grid(tmp_path,
+                                                        monkeypatch, capsys):
+    # the criterion-07 crystal keeps its six axis permutations through
+    # the project files, so the 32^3 grid falls to 3009 q-points
+    project = str(tmp_path / "debye")
+    write_toy_project(project, ToySpec(atoms_per_molecule=4, mass=20.0,
+                                       k_intra=2.0, k_inter=0.15, seed=3))
+    cfg = os.path.join(project, "config.json")
+    curves = []
+
+    def recorded(*args):
+        curves.append(lattice.phonon_dos(*args))
+        return curves[-1]
+
+    monkeypatch.setattr(cli, "phonon_dos", recorded)
+    assert main(["dos", "--config", cfg, "--grid", "32,32,32", "--sigma",
+                 "1.0", "--out", str(tmp_path / "dos")]) == EXIT_OK
+    assert ("; symmetry_ops 6 irreducible_q 3009/32768; "
+            in capsys.readouterr().out)
+    _, fc, *_ = load_project(cfg)
+    full = lattice.phonon_dos(lattice.enforce_acoustic_sum_rule(fc),
+                              sweep.kpoint_grid(32, 32, 32), 1.0)
+    dos, = curves
+    assert np.array_equal(dos.frequency, full.frequency)
+    for name in ("total", "translational", "rotational", "intra"):
+        want = getattr(full, name)
+        assert (np.max(np.abs(getattr(dos, name) - want))
+                <= 1e-12 * np.max(want))
+    assert dos.imaginary_modes == full.imaginary_modes
 
 
 def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 import time
@@ -12,7 +13,7 @@ from spinphonon.lattice import (ForceConstantSet, bose_population,
                                 enforce_acoustic_sum_rule, gaussian_kernel,
                                 phonon_dos, phonon_spectrum)
 from spinphonon import lattice
-from spinphonon.sweep import kpoint_grid, paired_kpoint_grid
+from spinphonon.sweep import kpoint_grid, kpoint_orbits
 from spinphonon.toy import (ToySpec, diatomic_chain,
                             diatomic_chain_dispersion, generate_toy_crystal)
 from spinphonon.units import FREQ_CM1_PER_SQRT_EV_A2_AMU, KB_CM1_PER_K
@@ -236,7 +237,7 @@ def test_dos_near_zero_does_not_move_with_round_off_in_d():
         crystal=crystal, lvecs=np.concatenate([fc.lvecs, fc.lvecs]),
         i=np.tile(fc.i, 2), s=np.tile(fc.s, 2), j=np.tile(fc.j, 2),
         t=np.tile(fc.t, 2), values=np.concatenate([part, fc.values - part]))
-    qpoints, weights = paired_kpoint_grid(6, 6, 6)
+    qpoints, weights = kpoint_orbits(6, 6, 6)
     sigma = 1.0
     dos, moved = (phonon_dos(f, qpoints, sigma, weights) for f in (fc, split))
     near = dos.frequency <= 5 * sigma
@@ -250,7 +251,7 @@ def test_dos_near_zero_does_not_move_with_round_off_in_d():
 def test_dos_counts_the_imaginary_modes_it_leaves_out(monkeypatch):
     crystal, fc, _, _ = generate_toy_crystal(
         ToySpec(atoms_per_molecule=2, k_intra=2.0, k_inter=0.15, seed=3))
-    qpoints, weights = paired_kpoint_grid(4, 4, 4)
+    qpoints, weights = kpoint_orbits(4, 4, 4)
     real = lattice.phonon_spectrum
 
     def spectrum(fc, qpoints):
@@ -357,7 +358,7 @@ def _dos_on(workers, monkeypatch, *args):
 
 def test_pooled_dos_equals_the_one_worker_dos_bit_for_bit(monkeypatch):
     crystal, fc = _two_molecule_toy()
-    qpoints, weights = paired_kpoint_grid(9, 9, 9)
+    qpoints, weights = kpoint_orbits(9, 9, 9)
     serial = _dos_on(1, monkeypatch, fc, qpoints, 1.0, weights)
     # more workers than cores, switching often: a block that wrote into
     # another's rows, or a row left unwritten, would change the curves
@@ -443,3 +444,86 @@ def test_pooled_dos_cancels_the_blocks_after_a_failure(monkeypatch):
     # of 40 blocks, the ones running when block 0 failed finish and
     # the rest never start
     assert 1 <= len(started) < 20
+
+
+def _debye_toy():
+    """The criterion-07 crystal: one molecule of four atoms, at the
+    origin and 1.4 A along +x, +y and +z, in a cubic cell."""
+    return generate_toy_crystal(ToySpec(atoms_per_molecule=4, mass=20.0,
+                                        k_intra=2.0, k_inter=0.15,
+                                        seed=3))[:2]
+
+
+def _as_set(rotations):
+    return {tuple(S.reshape(-1).tolist()) for S in rotations}
+
+
+def _with(fc, crystal=None, values=None):
+    """``fc`` on another crystal or with other values."""
+    return ForceConstantSet(
+        crystal=fc.crystal if crystal is None else crystal, lvecs=fc.lvecs,
+        i=fc.i, s=fc.s, j=fc.j, t=fc.t,
+        values=fc.values if values is None else values)
+
+
+def test_debye_crystal_has_the_six_axis_permutations():
+    _, fc = _debye_toy()
+    rotations, translations = lattice.symmetry_rotations(fc)
+    eye = np.eye(3, dtype=int)
+    assert np.array_equal(rotations[0], eye)
+    assert _as_set(rotations) == _as_set(
+        eye[list(p)] for p in itertools.permutations(range(3)))
+    assert np.array_equal(translations, np.zeros((6, 3)))
+    # -E is not among them: it takes the arms to -x, -y and -z
+    assert _as_set([-eye]).isdisjoint(_as_set(rotations))
+
+
+def test_force_constants_off_by_1e_6_leave_only_the_identity():
+    crystal, fc = _debye_toy()
+    # the yy self-term of the +x atom: D(q) stays Hermitian, the y <-> z
+    # swap no longer holds, and every other permutation moves the atom
+    k = int(np.flatnonzero((fc.i == 1) & (fc.j == 1) & (fc.s == 1)
+                           & (fc.t == 1) & ~fc.lvecs.any(axis=1))[0])
+    values = fc.values.copy()
+    values[k] += 1e-6
+    broken = _with(fc, values=values)
+    rotations, _ = lattice.symmetry_rotations(broken)
+    assert _as_set(rotations) == _as_set([np.eye(3, dtype=int)])
+    qpoints, weights = kpoint_orbits(6, 6, 6, rotations)
+    paired_q, paired_w = kpoint_orbits(6, 6, 6)
+    assert np.array_equal(qpoints, paired_q)
+    assert np.array_equal(weights, paired_w)
+    dos = phonon_dos(broken, qpoints, 1.0, weights)
+    paired = phonon_dos(broken, paired_q, 1.0, paired_w)
+    for name in ("frequency", "total", "translational", "rotational",
+                 "intra"):
+        assert np.array_equal(getattr(dos, name), getattr(paired, name))
+
+
+def test_operations_that_split_a_molecule_are_rejected():
+    crystal, fc = _debye_toy()
+    # the +z atom labelled as a molecule of its own: positions, masses
+    # and force constants keep all six permutations, the molecules only
+    # those that fix z
+    atoms = crystal.atoms[:3] + (Atom(element="X", mass=20.0,
+                                      frac=crystal.atoms[3].frac,
+                                      molecule=1),)
+    relabelled = CrystalModel(cell=crystal.cell, atoms=atoms)
+    rotations, _ = lattice.symmetry_rotations(_with(fc, crystal=relabelled))
+    assert _as_set(rotations) == _as_set(
+        [np.eye(3, dtype=int), np.eye(3, dtype=int)[[1, 0, 2]]])
+
+
+def test_a_molecule_split_across_cells_is_rejected():
+    crystal, fc = _debye_toy()
+    # the +x atom written one cell along x: every permutation still maps
+    # the atoms onto atoms, but one that moves x takes that atom with a
+    # lattice shift the rest of its molecule does not get
+    atoms = list(crystal.atoms)
+    frac = atoms[1].frac.copy()
+    atoms[1] = Atom(element="X", mass=20.0, frac=frac + [1.0, 0.0, 0.0],
+                    molecule=0)
+    moved = CrystalModel(cell=crystal.cell, atoms=tuple(atoms))
+    rotations, _ = lattice.symmetry_rotations(_with(fc, crystal=moved))
+    assert _as_set(rotations) == _as_set(
+        [np.eye(3, dtype=int), np.eye(3, dtype=int)[[0, 2, 1]]])

@@ -33,7 +33,7 @@ from spinphonon.redfield import (PhononCorrelation, assemble_redfield,
                                  extract_relaxation_time, propagate)
 from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
 from spinphonon.sweep import (RelaxationPipeline, RunParams, kpoint_grid,
-                              paired_kpoint_grid)
+                              kpoint_orbits)
 from spinphonon.toy import ToySpec, generate_toy_crystal
 from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
 
@@ -173,7 +173,7 @@ dos_specs = st.builds(
 def test_dos_matches_the_windowed_reference(spec, grid, sigma_share, paired,
                                             blocks):
     _, fc, _, _ = generate_toy_crystal(spec)
-    qpts, weights = (paired_kpoint_grid if paired else _full_grid)(*grid)
+    qpts, weights = (kpoint_orbits if paired else _full_grid)(*grid)
     omega, _ = phonon_spectrum(fc, qpts)
     # sigma_share above 1/8 puts every mode's kernel on the whole grid
     sigma = sigma_share * max(np.max(omega), 1.0)
@@ -203,12 +203,13 @@ def _grid_indices(qpts, grid):
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(grid=grids)
 def test_paired_grid_covers_the_grid_once(grid):
-    qpts, weights = paired_kpoint_grid(*grid)
+    qpts, weights = kpoint_orbits(*grid)
     index = _grid_indices(qpts, grid)
     flat = np.ravel_multi_index(index.T, grid)
     partner = np.ravel_multi_index((-index % np.asarray(grid)).T, grid)
     full = kpoint_grid(*grid)
     assert np.all(np.diff(flat) > 0)  # grid order
+    assert np.all(flat <= partner)  # the first of each pair
     assert np.array_equal(qpts, full[flat])
     covered = np.concatenate([flat, partner[weights == 2]])
     assert np.array_equal(np.sort(covered), np.arange(len(full)))
@@ -252,7 +253,7 @@ def test_paired_grid_gives_the_full_grid_redfield_tensor(spec, grid, secular,
     R, *_, diag = RelaxationPipeline(crystal, fc, derivs,
                                      system).redfield(params)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "paired_kpoint_grid", _full_grid)
+        mp.setattr(sweep, "kpoint_orbits", _full_grid)
         R_full, *_, diag_full = RelaxationPipeline(crystal, fc, derivs,
                                                    system).redfield(params)
     assert R.channels.keys() == R_full.channels.keys()
@@ -288,7 +289,7 @@ def _pair_asymmetry(fc, grid):
 @given(spec=toy_specs, grid=grids, sigma=st.floats(0.05, 50.0))
 def test_paired_grid_gives_the_full_grid_dos(spec, grid, sigma):
     _, fc, _, _ = generate_toy_crystal(spec)
-    qpts, weights = paired_kpoint_grid(*grid)
+    qpts, weights = kpoint_orbits(*grid)
     dos = phonon_dos(fc, qpts, sigma, weights)
     full = phonon_dos(fc, kpoint_grid(*grid), sigma)
     d_omega, d_w, branches = _pair_asymmetry(fc, grid)
@@ -851,6 +852,23 @@ def test_tau_is_independent_of_the_eigenvector_gauge(case):
         dense = sum(tensor(ham, build=dense_redfield).values())
         scale = np.max(np.abs(np.linalg.eigvals(dense)))
         assert abs(rate_plain - rate_turned) <= 1e-10 * scale
+
+
+def test_slowest_mode_ignores_modes_within_the_round_off_of_their_cluster():
+    # eig resolves this case's eigenvalues only to about eps ||L_c||_1,
+    # above 1e-14 of the rate: one gauge found a mode with
+    # Re lambda = 6.9e-18 /ps, noise on a non-decaying one, and raised
+    # "grows" where the other returned tau
+    ham, tensor, O, rng = _spin_case(d=8, m=1, seed=453, secular=False,
+                                     temperature=1.75)
+    phases = np.exp(2j * np.pi * rng.uniform(size=8))
+    turned = SpinHamiltonian(matrix=ham.matrix, eigvals=ham.eigvals,
+                             eigvecs=ham.eigvecs * phases)
+    taus = [extract_relaxation_time(tensor(h), None,
+                                    observable=h.to_eigenbasis(O),
+                                    method="slowest_mode").tau_ms
+            for h in (ham, turned)]
+    assert taus[1] == pytest.approx(taus[0], rel=1e-9)
 
 
 @FEW

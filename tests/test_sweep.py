@@ -1,3 +1,4 @@
+import itertools
 import time
 from dataclasses import fields, replace
 
@@ -12,7 +13,7 @@ from spinphonon.project import load_project
 from spinphonon.redfield import PhononCorrelation
 from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
                               converge_protocol, kpoint_grid,
-                              paired_kpoint_grid, perturbation_study,
+                              kpoint_orbits, perturbation_study,
                               replicated_spin_system, run_sweep)
 from spinphonon.toy import ToySpec, generate_toy_crystal, toy_preset
 
@@ -44,6 +45,43 @@ def test_kpoint_grid_rejects_bad_divisions():
         kpoint_grid(0, 4, 4)
 
 
+def _cubic_rotations():
+    """The 48 signed permutation matrices."""
+    eye = np.eye(3, dtype=int)
+    return [np.diag(signs) @ eye[list(p)]
+            for p in itertools.permutations(range(3))
+            for signs in itertools.product((1, -1), repeat=3)]
+
+
+@pytest.mark.parametrize("grid", [(6, 6, 6), (5, 5, 5), (4, 4, 2),
+                                  (3, 5, 7)])
+def test_cubic_orbits_cover_the_grid_once(grid):
+    rotations = _cubic_rotations()
+    qpts, weights = kpoint_orbits(*grid, rotations)
+    n = np.asarray(grid)
+    full = kpoint_grid(*grid)
+    # the orbits, from the fractional q-points: each S^T and -S^T that
+    # takes every grid point onto the grid
+    maps = []
+    for S in rotations:
+        for M in (S.T, -S.T):
+            image = full @ M.T * n
+            if np.allclose(image, np.round(image), atol=1e-9):
+                maps.append(M)
+    distinct = {(6, 6, 6): 48, (5, 5, 5): 48, (4, 4, 2): 16, (3, 5, 7): 8}
+    assert len({M.tobytes() for M in maps}) == distinct[grid]
+    seen = np.zeros(len(full), dtype=int)
+    for q, w in zip(qpts, weights):
+        orbit = {int(np.ravel_multi_index(np.round(M @ q * n).astype(int)
+                                          % n, grid)) for M in maps}
+        assert min(orbit) == np.ravel_multi_index(
+            np.round(q * n).astype(int) % n, grid)
+        assert len(orbit) == w
+        seen[list(orbit)] += 1
+    assert np.all(seen == 1)
+    assert weights.sum() == np.prod(grid)
+
+
 def test_pipeline_is_deterministic(soft_pipeline):
     t1 = soft_pipeline.relax(BASE).tau_ms
     t2 = soft_pipeline.relax(BASE).tau_ms
@@ -54,7 +92,7 @@ def test_cached_phonons_match_fresh_computation(soft_bundle, soft_pipeline):
     from spinphonon.lattice import enforce_acoustic_sum_rule, phonon_spectrum
     crystal, fc, _, _ = soft_bundle
     qpts, weights, omega, vecs = soft_pipeline.phonons((4, 4, 4))
-    qpts2, weights2 = paired_kpoint_grid(4, 4, 4)
+    qpts2, weights2 = kpoint_orbits(4, 4, 4)
     omega2, vecs2 = phonon_spectrum(enforce_acoustic_sum_rule(fc), qpts2)
     assert np.array_equal(qpts, qpts2) and np.array_equal(weights, weights2)
     assert np.array_equal(omega, omega2)
