@@ -637,13 +637,16 @@ def load_results(path):
 
 def _write_table(path, config_hash, header, rows):
     """A CSV of the version and config-hash stamp line, ``header`` and
-    ``rows`` of numbers in ``_fmt9``."""
+    ``rows`` of numbers, one per column: each row is one %.9g template,
+    which writes every finite, infinite or NaN number as ``_fmt9``
+    does."""
     stamp = f"# spinphonon {__version__} config {config_hash or 'none'}"
+    # csv.writer's row terminator; no number needs quoting
+    line = ",".join(["%.9g"] * len(header)) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(stamp + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([_fmt9(x) for x in row] for row in rows)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % tuple(row) for row in rows)
     return path
 
 

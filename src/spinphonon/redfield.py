@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NumericalError, ValidationError
 from .lattice import bose_population, gaussian_kernel
@@ -42,7 +41,7 @@ NULL_TOL = 1e-9
 #: above it the stationary state is not unique to working precision
 SOLVE_TOL = 1e-3
 
-#: elements of each temporary array of assembly pass 2
+#: elements of each temporary array of assembly that grows with d^2
 ASSEMBLY_BLOCK = 1 << 16
 
 #: a block propagates by expm when the condition of its eigenvectors is
@@ -115,14 +114,50 @@ class RedfieldTensor:
         return out
 
 
-def _term_sums(W, G, B):
-    """P and Q of a term with Gram W and operators B at the correlations
-    G, in real products on the (Re, Im) pairs of B."""
-    n, d = B.shape[:2]
-    H = (W.T @ G).reshape(n, n, d, d)
-    Bri = np.ascontiguousarray(B).view(float).reshape(n, d, d, 2)
-    return (np.einsum(f"kl{xy},lxyr->kxyr", H, Bri).view(complex)[..., 0]
-            for xy in ("xy", "yx"))
+def _term_sums(stack, pc, omega):
+    """[(P, Q)] (n, d, d) of every term of ``stack`` at the correlations
+    G(omega_xy; omega_f) of the Bohr frequencies ``omega`` (d, d), in
+    real products on the (Re, Im) pairs of each B.
+
+    Columns xy with x <= y are taken in blocks, each with its transposes
+    yx: omega_yx = -omega_xy exactly, so G there holds the same two
+    kernels with the Bose weights swapped. A block of m columns over F
+    mode frequencies holds the kernels (m, F) and G (2m, F), and a term
+    H (2m, n^2), with m sized so that G and H hold at most
+    ASSEMBLY_BLOCK elements each: no array spans F x d^2."""
+    d, freqs = omega.shape[0], stack.freqs
+    n = bose_population(freqs, pc.temperature)  # raises on omega_f <= 0
+    x, y = np.triu_indices(d)
+    upper, lower, w = x * d + y, y * d + x, omega.reshape(-1, 1)
+    sums = [(np.empty((t.basis.shape[0], d * d), complex),
+             np.empty((t.basis.shape[0], d * d), complex))
+            for t in stack.terms]
+    rows = max([1, freqs.size] + [W.shape[1] for W in stack.gram])
+    size = max(1, ASSEMBLY_BLOCK // (2 * rows))
+    for start in range(0, upper.size, size):
+        j = slice(start, start + size)
+        cols = np.concatenate([upper[j], lower[j]])
+        absorb = gaussian_kernel(freqs - w[upper[j]], pc.sigma)
+        emit = gaussian_kernel(freqs + w[upper[j]], pc.sigma)
+        m = absorb.shape[0]
+        # as phonon_correlation_value forms it, at xy and at yx
+        G = np.empty((2 * m, freqs.size))
+        np.multiply(absorb, n, out=G[:m])
+        np.multiply(emit, n, out=G[m:])
+        absorb *= n + 1.0
+        emit *= n + 1.0
+        G[:m] += emit
+        G[m:] += absorb
+        del absorb, emit
+        for (P, Q), term, W in zip(sums, stack.terms, stack.gram):
+            k = term.basis.shape[0]
+            H = (G @ W).reshape(2, m, k, k)  # H_kl of each column
+            B = np.take(term.basis.reshape(k, -1), cols, axis=1)
+            Bri = np.ascontiguousarray(B.T).view(float).reshape(2, m, k, 2)
+            # Q_k,xy = sum_l H_kl,yx B_l,xy: the halves of H swapped
+            for out, h in ((P, H), (Q, H[::-1])):
+                out[:, cols] = (h @ Bri).view(complex).reshape(2 * m, k).T
+    return [(P.reshape(-1, d, d), Q.reshape(-1, d, d)) for P, Q in sums]
 
 
 def _term_elements(P, Q, B, ac, db):
@@ -161,9 +196,10 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
     S2 = sum_k Q_k B_k, and each element takes 2n products
     (``_term_elements``).
 
-    Pass 1 evaluates G once per distinct mode frequency, forms P, Q, S1
-    and S2 of every term and bounds the absolute row sums of R by the
-    triangle inequality over k,
+    Pass 1 evaluates G once per distinct mode frequency, on blocks of
+    Bohr-frequency columns of ASSEMBLY_BLOCK elements (``_term_sums``),
+    forms P, Q, S1 and S2 of every term and bounds the absolute row sums
+    of R by the triangle inequality over k,
 
         bound_ab = sum_terms sum_k [(sum_c |P_k,ac|)(sum_d |B_k,db|)
                                     + (sum_c |B_k,ac|)(sum_d |Q_k,db|)]
@@ -180,13 +216,10 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
         raise ValidationError(
             "coupling not rotated into the Hamiltonian eigenbasis")
     omega = ham.omega  # (x, y): E_x - E_y
-    G = phonon_correlation_value(pc, omega.reshape(1, -1),
-                                 stack.freqs[:, None])
     bound, S1, S2, sums = np.zeros((d, d)), {}, {}, []
-    for term, W in zip(stack.terms, stack.gram):
+    for term, (P, Q) in zip(stack.terms, _term_sums(stack, pc, omega)):
         B, ch = term.basis, term.channel
         n = B.shape[0]
-        P, Q = _term_sums(W, G, B)
         size = np.abs(B)
         bound += np.abs(P).sum(axis=2).T @ size.sum(axis=1)
         bound += size.sum(axis=2).T @ np.abs(Q).sum(axis=1)
@@ -195,7 +228,6 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
         S2[ch] = S2.get(ch, 0.0) + Q.transpose(1, 0, 2).reshape(
             d, n * d) @ B.reshape(n * d, d)
         sums.append((ch, P, Q, B))
-    del G  # pass 2 needs only P and Q
     bound += np.abs(sum(S1.values(), np.zeros((d, d)))).sum(axis=1)[:, None]
     bound += np.abs(sum(S2.values(), np.zeros((d, d)))).sum(axis=0)
     # np.max, not max: a NaN must propagate into the rate
@@ -362,9 +394,11 @@ class _ClusterStack:
             coef = np.einsum("kij,kj->ki", self._inverse[0][good], x[good])
             E = np.exp(times[:, None, None] * self.w[good])
             out[:, good] = np.einsum("kij,tkj->tki", self.V[good], E * coef)
-        for k in np.flatnonzero(self.fallback):
-            out[:, k] = [scipy.linalg.expm(self.L[k] * t) @ x[k]
-                         for t in times]
+        if self.fallback.any():
+            import scipy.linalg  # only here: a cold relax never loads scipy
+            for k in np.flatnonzero(self.fallback):
+                out[:, k] = [scipy.linalg.expm(self.L[k] * t) @ x[k]
+                             for t in times]
         phase = np.exp(-1j * np.multiply.outer(times, self.mean))
         return out * phase[..., None]
 
@@ -562,9 +596,12 @@ def stationary_state(eigsys):
     stationary state lies in its zero-frequency cluster. Non-secular
     generators can carry additional traceless null modes in the
     coherence sector; the physical fixed point is the null vector with
-    non-vanishing trace. A trace-one candidate with an eigenvalue below
-    -``POSITIVITY_TOL`` is not a physical state (it can reach outside
-    the range of any observable) and raises NumericalError.
+    non-vanishing trace. When several null-space candidates carry trace
+    and the Hermitian part of one's trace-one state differs from the
+    first's by more than ``POSITIVITY_TOL``, the state is not unique;
+    when the state has an eigenvalue below -``POSITIVITY_TOL``, it is
+    not physical (it can reach outside the range of any observable).
+    Either raises NumericalError.
     """
     return _stationary_state(eigsys)[0]
 
@@ -582,6 +619,15 @@ def _stationary_state(eigsys):
     best = int(np.argmax(tr))  # the first candidate of largest trace
     if not tr[best] >= 1e-12:
         raise NumericalError("no stationary state with nonzero trace found")
+    # Hermitian parts of the trace-one states of the candidates with trace
+    X = V[:, cand[tr >= 1e-12]]
+    X = X / X[diag].sum(axis=0)
+    X = 0.5 * (X + X[eigsys.clusters.zero_twins].conj())
+    spread = np.max(np.abs(X - X[:, :1]))
+    if spread > POSITIVITY_TOL:
+        raise NumericalError(
+            f"the stationary state is not unique: {X.shape[1]} null-space "
+            f"candidates give trace-one states up to {spread:.3g} apart")
     v = V[:, cand[best]]
     x = np.zeros(d * d, dtype=complex)
     x[idx] = v / np.sum(v[diag])

@@ -122,8 +122,8 @@ def physical_memory_bytes():
 
 
 def redfield_bytes(elements, n_channels, dimension, n_operators):
-    """Estimated bytes that one relax point holds once its Bohr clusters
-    are known, with ``elements`` = sum n_c^2 in-cluster elements of R,
+    """Estimated bytes that one relax point holds from the start of its
+    assembly, with ``elements`` = sum n_c^2 in-cluster elements of R,
     d = ``dimension`` and ``n_operators`` B_k summed over the terms of
     the coupling stack. Assembly pass 2 and the spectral stage are
     charged as if held at once. Per element: a complex vector per channel
@@ -133,7 +133,9 @@ def redfield_bytes(elements, n_channels, dimension, n_operators):
     inverse, complex. Per coherence (d^2): pass 1's P and Q of every
     operator, which pass 2 holds, and the operands a term of up to 9
     operators (``operator_terms``) gathers from, complex. Once: the
-    gathers of pass 2, ASSEMBLY_BLOCK complex elements."""
+    larger of pass 1's block of Bohr-frequency columns (its two kernels
+    and G, or G and a term's H: two ASSEMBLY_BLOCK reals) and the
+    gathers of pass 2 (ASSEMBLY_BLOCK complex elements)."""
     per_element = 16 * n_channels + 16 + 8 * 8 + 3 * 16
     per_coherence = 2 * 16 * n_operators + 2 * 2 * 9 * 16
     return (elements * per_element + dimension ** 2 * per_coherence

@@ -1,5 +1,8 @@
+import csv
+import io
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,12 +10,16 @@ import pytest
 from spinphonon.coupling import DerivativeScan, fit_derivative_scan
 from spinphonon.errors import (ConfigError, ParseError, SumRuleError,
                                UnitTagError, ValidationError)
-from spinphonon.project import (RESULT_CSV_COLUMNS, load_config, load_crystal,
-                                load_derivatives, load_force_constants,
-                                load_project, load_results,
-                                serialize_crystal, serialize_derivatives,
-                                serialize_force_constants, write_results)
+from spinphonon.project import (RESULT_CSV_COLUMNS, _fmt9, load_config,
+                                load_crystal, load_derivatives,
+                                load_force_constants, load_project,
+                                load_results, serialize_crystal,
+                                serialize_derivatives,
+                                serialize_force_constants, write_bands_csv,
+                                write_coupling_csv, write_dos_csv,
+                                write_results)
 from spinphonon.sweep import SweepResult, SweepRow
+from spinphonon.version import __version__
 
 
 def _write(tmp_path, name, text):
@@ -488,3 +495,35 @@ def test_json_sidecar_round_trips_bit_exactly(tmp_path):
                               config_hash="abc")
     assert (open(written["json"]).read().replace('"sweep_temperature"', "")
             == open(rewritten["json"]).read().replace('"again"', ""))
+
+
+def test_table_writers_format_each_number_as_fmt9(tmp_path):
+    values = np.array([-0.0, 5e-324, 1e300, np.inf, -np.inf, np.nan,
+                       0.1, -123456789.123])
+
+    def expected(header, rows):
+        fh = io.StringIO(newline="")
+        fh.write(f"# spinphonon {__version__} config abc\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([_fmt9(x) for x in row] for row in rows)
+        return fh.getvalue().encode()
+
+    dos = SimpleNamespace(frequency=values, total=values[::-1],
+                          translational=values, rotational=values[::-1],
+                          intra=values)
+    path = write_dos_csv(dos, str(tmp_path / "dos.csv"), config_hash="abc")
+    assert open(path, "rb").read() == expected(
+        ("omega_cm1", "total", "translational", "rotational", "intra"),
+        zip(values, values[::-1], values, values[::-1], values))
+    q, omega = values[:6].reshape(2, 3), values.reshape(2, 4)
+    path = write_bands_csv(q, omega, str(tmp_path / "bands.csv"),
+                           config_hash="abc")
+    assert open(path, "rb").read() == expected(
+        ["q1", "q2", "q3", "omega_1", "omega_2", "omega_3", "omega_4"],
+        (list(a) + list(b) for a, b in zip(q, omega)))
+    dist = {"zeeman": (values, values[::-1]), "dipolar": (values, values)}
+    path = write_coupling_csv(dist, str(tmp_path / "couplings.csv"),
+                              config_hash="abc")
+    assert open(path, "rb").read() == expected(
+        ["omega_cm1", "zeeman", "dipolar"], zip(values, values[::-1], values))

@@ -871,6 +871,21 @@ def test_slowest_mode_ignores_modes_within_the_round_off_of_their_cluster():
     assert taus[1] == pytest.approx(taus[0], rel=1e-9)
 
 
+def test_a_near_degenerate_null_space_has_no_unique_stationary_state():
+    # three zero-cluster modes within NULL_TOL of zero, each with trace,
+    # whose trace-one states differ by 3e-4 to 6e-4: one gauge used to
+    # raise "not physical" and the other returned a state
+    ham, tensor, O, rng = _spin_case(d=7, m=1, seed=4084, secular=False,
+                                     temperature=14.0)
+    phases = np.exp(2j * np.pi * rng.uniform(size=7))
+    turned = SpinHamiltonian(matrix=ham.matrix, eigvals=ham.eigvals,
+                             eigvecs=ham.eigvecs * phases)
+    for h in (ham, turned):
+        eigsys = redfield._BlockEigensystem(tensor(h))
+        with pytest.raises(NumericalError, match="not unique"):
+            redfield.stationary_state(eigsys)
+
+
 @FEW
 @given(case=spin_cases)
 # at 1 K rho_ss is nearly pure, and eig leaves it 1e-10 off along a slow

@@ -637,50 +637,58 @@ def pair_pipeline():
     return RelaxationPipeline(*generate_toy_crystal(_pair_spec(3.5)))
 
 
-def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
+def _relax_peaks(pipeline, params, monkeypatch):
+    """(R, what a cold point's assembly adds to the traced memory at its
+    peak, tracemalloc peak of a warm point from the start of its
+    assembly to the end of its relax)."""
     import tracemalloc
-    # the pair project with an I=15/2 nucleus: d = 2 * 2 * 16 = 64
-    crystal, fc, derivs, system = generate_toy_crystal(_pair_spec(7.5))
-    assert system.dimension == 64
-    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
     assembled, peaks = [], []
     real = sweep.assemble_redfield
 
     def traced(*args, **kwargs):
-        tracemalloc.start()
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
         try:
             assembled.append(real(*args, **kwargs))
             return assembled[-1]
         finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
+            peaks.append(tracemalloc.get_traced_memory()[1] - held)
 
     monkeypatch.setattr(sweep, "assemble_redfield", traced)
-    row = pipeline.relax(PAIR)
-    assert np.isfinite(row.tau_ms) and row.tau_ms > 0
-    R, = assembled
-    # sum n_c^2 elements, where d^4 is 16.8 million
-    need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels),
-                                R.dimension, _operators(pipeline))
-    assert need < 100e6
-    assert peaks[0] < 64e6
-    # the estimate covers what a warm point holds from the capacity
-    # check to the end of relax
-    monkeypatch.setattr(sweep, "assemble_redfield", real)
-    real_check = sweep._check_memory
-
-    def check(*args):
-        tracemalloc.reset_peak()
-        return real_check(*args)
-
-    monkeypatch.setattr(sweep, "_check_memory", check)
-    tracemalloc.start()
     try:
-        pipeline.relax(PAIR)
-        peak = tracemalloc.get_traced_memory()[1]
+        # each point traced from its start: the warm one does not count
+        # the caches the cold one made
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                row = pipeline.relax(params)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
     finally:
-        tracemalloc.stop()
-    assert need >= peak
+        monkeypatch.setattr(sweep, "assemble_redfield", real)
+    assert np.isfinite(row.tau_ms) and row.tau_ms > 0
+    return assembled[0], peaks[0], peak
+
+
+def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
+    # the pair project with an I=15/2 nucleus: d = 2 * 2 * 16 = 64
+    crystal, fc, derivs, system = generate_toy_crystal(_pair_spec(7.5))
+    assert system.dimension == 64
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    # at 4^3 pass 1 runs over F = 201 mode frequencies
+    for grid in (2, 4):
+        R, cold, warm = _relax_peaks(
+            pipeline, replace(PAIR, qgrid=(grid,) * 3), monkeypatch)
+        # sum n_c^2 elements, where d^4 is 16.8 million
+        need = sweep.redfield_bytes(int(R.clusters.offsets[-1]),
+                                    len(R.channels), R.dimension,
+                                    _operators(pipeline))
+        assert need < 100e6
+        assert cold < 64e6
+        # the estimate covers what a warm point holds from the start of
+        # assembly, pass 1 included, to the end of relax
+        assert need >= warm, grid
 
 
 @pytest.mark.parametrize("example, qgrid", [("vanadyl_fixture", (8, 8, 8)),
