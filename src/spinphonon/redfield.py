@@ -44,12 +44,6 @@ SOLVE_TOL = 1e-3
 #: elements of each temporary array of assembly that grows with d^2
 ASSEMBLY_BLOCK = 1 << 16
 
-#: a block propagates by expm when the condition of its eigenvectors is
-#: above COND_TOL, or when (w, V) diagonalise exactly only an L + E with
-#: ||E||_1 above BACKWARD_TOL ||L||_1
-COND_TOL = 1e10
-BACKWARD_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class PhononCorrelation:
@@ -339,66 +333,42 @@ def _transposed(idx, d):
 
 
 class _ClusterStack:
-    """Clusters of one size n, stacked: (ab) indices ``idx`` (k, n) and
-    their transposes ``tidx``, mean frequencies ``mean`` (k,), which row
-    is the zero cluster (``zero``), the shifted blocks
-    L_c = R_c - i diag(omega - mean_c) (k, n, n) and their eigenvalues
-    ``w`` (k, n) and eigenvectors ``V`` (k, n, n), all NaN when the
-    stacked eig fails. V^-1, the 1-norm condition ``cond`` of each V
-    (inf for the whole stack when one V is singular) and ``fallback``
-    are formed on first use: a block past COND_TOL or BACKWARD_TOL
-    propagates by scaling-and-squaring expm. eig balances L first, and
-    where rates span many orders that leaves V exact for an L + E far
-    from L, however well conditioned."""
+    """Clusters of one size n, stacked: (ab) indices ``idx`` (k, n), mean
+    frequencies ``mean`` (k,), which row is the zero cluster (``zero``)
+    and the shifted blocks L_c = R_c - i diag(omega - mean_c) (k, n, n).
+    Their eigenvalues ``w`` (k, n) and eigenvectors ``V`` (k, n, n), all
+    NaN when the stacked eig fails, come from one eig on first read;
+    ``evolve`` reads neither."""
 
-    def __init__(self, idx, d, L, mean, zero):
-        self.idx, self.tidx = idx, _transposed(idx, d)
-        self.L, self.mean, self.zero = L, mean, zero
-        if idx.shape[1] == 1:
-            self.w, self.V = L[:, :, 0], np.ones_like(L)
-            return
-        try:
-            self.w, self.V = np.linalg.eig(L)
-        except np.linalg.LinAlgError:
-            self.w = np.full(idx.shape, np.nan + 0j)
-            self.V = np.full_like(L, np.nan)
+    def __init__(self, idx, L, mean, zero):
+        self.idx, self.L, self.mean, self.zero = idx, L, mean, zero
 
     @functools.cached_property
-    def _inverse(self):
-        """(V^-1, cond, fallback) of each block."""
+    def _eig(self):
+        if self.idx.shape[1] == 1:
+            return self.L[:, :, 0], np.ones_like(self.L)
         try:
-            inv = np.linalg.inv(self.V)
+            return np.linalg.eig(self.L)
         except np.linalg.LinAlgError:
-            inv = np.full_like(self.V, np.nan)
-        norm = functools.partial(np.linalg.norm, ord=1, axis=(1, 2))
-        cond = norm(self.V) * norm(inv)
-        # ||E||_1 <= ||L V - V diag(w)||_1 ||V^-1||_1; NaN falls back too
-        error = norm(self.L @ self.V - self.V * self.w[:, None, :]) * norm(inv)
-        good = (cond <= COND_TOL) & (error <= BACKWARD_TOL * norm(self.L))
-        return inv, np.where(np.isfinite(cond), cond, np.inf), ~good
+            return (np.full(self.idx.shape, np.nan + 0j),
+                    np.full_like(self.L, np.nan))
 
     @property
-    def cond(self):
-        return self._inverse[1]
+    def w(self):
+        return self._eig[0]
 
     @property
-    def fallback(self):
-        return self._inverse[2]
+    def V(self):
+        return self._eig[1]
 
     def evolve(self, x0, times):
-        """exp(L_c t) x0_c e^{-i mean_c t} for each cluster c, (T, k, n)."""
-        x = x0[self.idx]
-        out = np.empty((times.size,) + x.shape, dtype=complex)
-        good = ~self.fallback
-        if good.any():
-            coef = np.einsum("kij,kj->ki", self._inverse[0][good], x[good])
-            E = np.exp(times[:, None, None] * self.w[good])
-            out[:, good] = np.einsum("kij,tkj->tki", self.V[good], E * coef)
-        if self.fallback.any():
-            import scipy.linalg  # only here: a cold relax never loads scipy
-            for k in np.flatnonzero(self.fallback):
-                out[:, k] = [scipy.linalg.expm(self.L[k] * t) @ x[k]
-                             for t in times]
+        """exp(L_c t) x0_c e^{-i mean_c t} for each cluster c, (T, k, n),
+        one scaling-and-squaring expm per block and time. Not from V: eig
+        balances L first, and where rates span many orders that leaves V
+        exact for an L + E far from L, however well conditioned."""
+        import scipy.linalg  # only here: a cold relax never loads scipy
+        E = scipy.linalg.expm(np.multiply.outer(times, self.L))
+        out = (E @ x0[self.idx][..., None])[..., 0]
         phase = np.exp(-1j * np.multiply.outer(times, self.mean))
         return out * phase[..., None]
 
@@ -414,8 +384,9 @@ class _BlockEigensystem:
     eigenvalues are those of L plus i mean_c. Elements between clusters
     are dropped, which moves the eigenvalues by O(rate^2 / gap). The
     clusters of one size share one stacked eig call, made when something
-    first reads that size (``stack``): ``blocks`` reads every size,
-    ``slowest_mode`` only those that can hold the mode it looks for.
+    first reads that size's eigenpairs (``stack``): ``eigenvalues``
+    reads every size, ``slowest_mode`` only those that can hold the mode
+    it looks for, and ``evolve`` none, since it propagates by expm.
 
     An element vector with a non-finite entry raises NumericalError. A
     generator must map Hermitian rho to Hermitian rho: the zero cluster
@@ -447,8 +418,8 @@ class _BlockEigensystem:
         self._done = np.zeros(self.sizes.size, dtype=bool)
 
     def stack(self, n):
-        """The _ClusterStack of the kept clusters of size ``n``,
-        diagonalised on first use."""
+        """The _ClusterStack of the kept clusters of size ``n``, built on
+        first use."""
         if n not in self._stacks:
             kept, start = self.clusters.kept, self.clusters.offsets
             omega = self.clusters.omega
@@ -459,7 +430,7 @@ class _BlockEigensystem:
             zero = members == 0
             mean = np.where(zero, 0.0, omega[idx].mean(axis=1))
             L[:, range(n), range(n)] -= 1j * (omega[idx] - mean[:, None])
-            self._stacks[n] = _ClusterStack(idx, self.d, L, mean, zero)
+            self._stacks[n] = _ClusterStack(idx, L, mean, zero)
             self._done[members] = True
         return self._stacks[n]
 
@@ -535,8 +506,9 @@ class _BlockEigensystem:
     @property
     def cond(self):
         """The largest 1-norm condition number of the eigenvectors of a
-        block diagonalised so far."""
-        return float(max(np.max(b.cond) for b in self._stacks.values()))
+        block diagonalised so far, inf when one is singular."""
+        return float(max(np.max(np.linalg.cond(b.V, 1))
+                         for b in self._stacks.values()))
 
     def evolve(self, x0, times):
         """Vectorised exp(L t) x0 of a Hermitian x0, one row per time."""
@@ -544,7 +516,7 @@ class _BlockEigensystem:
         for b in self.blocks:
             Y = b.evolve(x0, times)
             X[:, b.idx] = Y
-            X[:, b.tidx[~b.zero]] = Y[:, ~b.zero].conj()
+            X[:, _transposed(b.idx[~b.zero], self.d)] = Y[:, ~b.zero].conj()
         return X
 
 

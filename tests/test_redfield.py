@@ -18,8 +18,8 @@ from spinphonon.lattice import bose_population, gaussian_kernel
 from spinphonon.spins import SpinCenter, SpinSystem, build_spin_operators
 from spinphonon.units import KB_CM1_PER_K, PS_PER_MS
 
-from dense_reference import (assert_matches_dense, coupling_rows,
-                             dense_generator, dense_redfield,
+from dense_reference import (assert_matches_dense, bohr_omega,
+                             coupling_rows, dense_generator, dense_redfield,
                              detailed_balance_generator, in_cluster)
 
 
@@ -399,12 +399,10 @@ def _cascade_generator(rate=1.0, dephasing=3.0):
     return dense_generator(R.reshape(d * d, d * d))
 
 
-def test_defective_generator_records_expm_fallback_without_warning():
-    # its one block falls back to expm, and rho(t) is the cascade's:
-    # p0 = exp(-t), p1 = t exp(-t)
+def test_defective_generator_propagates_without_warning():
+    # its one block has no eigenvector basis, and rho(t) is the
+    # cascade's: p0 = exp(-t), p1 = t exp(-t)
     gen = _cascade_generator()
-    block, = redfield._BlockEigensystem(gen).blocks
-    assert block.fallback.all()
     times = np.array([0.0, 0.5, 1.0, 4.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -413,6 +411,34 @@ def test_defective_generator_records_expm_fallback_without_warning():
     want = np.stack([e, times * e, 1.0 - e - times * e], axis=1)
     assert np.allclose(np.diagonal(states, axis1=1, axis2=2), want,
                        rtol=0.0, atol=1e-12)
+
+
+def test_propagate_forms_no_eigenpairs(monkeypatch):
+    # an S=1 spin: kept clusters of 3, 2 and 1 coherences, the last two
+    # with conjugate twins, each propagated by expm with eig unavailable
+    system = SpinSystem(centers=(SpinCenter(id=0, kind="electronic", s=1.0),),
+                        field_B=np.array([0.0, 0.0, 5.0]))
+    ops = build_spin_operators(system)
+    ham = assemble_hamiltonian(system, ops)
+    gap = float(ham.eigvals[1] - ham.eigvals[0])
+    V = 0.02 * ham.to_eigenbasis(ops.embedded[0][0])
+    mc = CouplingStack.from_rows(omega=[gap], channel=["zeeman"], V=[V])
+    R = assemble_redfield(mc, ham, PhononCorrelation(sigma=0.5,
+                                                     temperature=15.0))
+    assert sorted(g.size for g in R.clusters.kept) == [1, 2, 3]
+    L = R.matrix() - 1j * np.diag(bohr_omega(ham))
+    rng = np.random.default_rng(5)
+    B = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho0 = B @ B.conj().T / np.trace(B @ B.conj().T)
+    times = np.array([0.0, 1.0, 10.0]) / R.clusters.rate
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("propagate reads no eigenpairs")
+
+    monkeypatch.setattr(np.linalg, "eig", forbidden)
+    for t, rho in zip(times, propagate(rho0, R, times)):
+        x_ref = scipy.linalg.expm(L * t) @ rho0.reshape(-1)
+        assert np.max(np.abs(rho.reshape(-1) - x_ref)) <= 1e-13
 
 
 def test_defective_generator_gives_a_finite_tau_int():
