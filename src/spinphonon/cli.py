@@ -244,10 +244,14 @@ def _cmd_relax(args):
     for ch, tau in sorted(row.tau_channel_ms.items()):
         print(f"  {ch}: {tau:.9g} ms")
     d = row.diagnostics
+    health = " ".join(
+        f"{k} {'n/a' if d[k] is None else format(d[k], '.4g')}"
+        for k in ("eigvec_cond", "min_rho_eigenvalue", "solve_residual"))
     print(f"load_s {load_s:.3f}")
     print(f"{_stage_summary([d])}; "
           f"bohr_clusters {d['bohr_clusters']} largest "
-          f"{d['largest_cluster']} gap_ratio {d['cluster_gap_ratio']:.3g}")
+          f"{d['largest_cluster']} gap_ratio {d['cluster_gap_ratio']:.3g}; "
+          f"{health}")
     for fmt, path in written.items():
         print(f"wrote {path}")
     return EXIT_OK

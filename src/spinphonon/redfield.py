@@ -151,22 +151,27 @@ def _term_sums(stack, pc, omega):
             # Q_k,xy = sum_l H_kl,yx B_l,xy: the halves of H swapped
             for out, h in ((P, H), (Q, H[::-1])):
                 out[:, cols] = (h @ Bri).view(complex).reshape(2 * m, k).T
+            # h views H: free this term's arrays before the next term's
+            del H, h, B, Bri
+        del G  # before the next block's kernels
     return [(P.reshape(-1, d, d), Q.reshape(-1, d, d)) for P, Q in sums]
 
 
 def _term_elements(P, Q, B, ac, db):
     """sum_k (P_k,ac B_k,db + B_k,ac Q_k,db) of each element of a term,
-    ASSEMBLY_BLOCK / 4n elements at a time: the two gathers together
-    hold ASSEMBLY_BLOCK."""
+    ASSEMBLY_BLOCK / 4n elements at a time: the two gathers of each
+    product together hold half of ASSEMBLY_BLOCK."""
     n = B.shape[0]
-    left = np.concatenate([P, B]).reshape(2 * n, -1)
-    right = np.concatenate([B, Q]).reshape(2 * n, -1)
+    P, Q, B = (x.reshape(n, -1) for x in (P, Q, B))
     out = np.empty(ac.size, dtype=complex)
     size = max(1, ASSEMBLY_BLOCK // (4 * n))
     for start in range(0, ac.size, size):
         k = slice(start, start + size)
-        out[k] = np.einsum("jk,jk->k", np.take(left, ac[k], axis=1),
-                           np.take(right, db[k], axis=1))
+        i, j = ac[k], db[k]
+        out[k] = np.einsum("jk,jk->k", np.take(P, i, axis=1),
+                           np.take(B, j, axis=1))
+        out[k] += np.einsum("jk,jk->k", np.take(B, i, axis=1),
+                            np.take(Q, j, axis=1))
     return out
 
 

@@ -129,15 +129,16 @@ def redfield_bytes(elements, n_channels, dimension, n_operators):
     charged as if held at once. Per element: a complex vector per channel
     and one for the term being summed, the eight int64 index arrays of
     pass 2 (ab, cd, a, b, c, e, ac, db; ``BohrClusters.pairs`` peaks at
-    as many), and the cluster blocks of L, their eigenvectors and their
-    inverse, complex. Per coherence (d^2): pass 1's P and Q of every
-    operator, which pass 2 holds, and the operands a term of up to 9
-    operators (``operator_terms``) gathers from, complex. Once: the
-    larger of pass 1's block of Bohr-frequency columns (its two kernels
-    and G, or G and a term's H: two ASSEMBLY_BLOCK reals) and the
-    gathers of pass 2 (ASSEMBLY_BLOCK complex elements)."""
-    per_element = 16 * n_channels + 16 + 8 * 8 + 3 * 16
-    per_coherence = 2 * 16 * n_operators + 2 * 2 * 9 * 16
+    as many), the b == e and a == c masks and the index gathers under
+    them, and the cluster blocks of L, their eigenvectors and the inverse
+    their condition forms, complex. Per coherence (d^2): pass 1's P and
+    Q of every operator, which pass 2 holds, and S1 and S2 of every
+    channel, complex. Once: pass 1's block of Bohr-frequency columns
+    (its two kernels and G, or G and a term's H: two ASSEMBLY_BLOCK
+    reals), which also covers the gathers of pass 2 (ASSEMBLY_BLOCK / 2
+    complex elements at a time)."""
+    per_element = 16 * n_channels + 16 + 8 * 8 + 2 * (1 + 8) + 3 * 16
+    per_coherence = 2 * 16 * (n_operators + n_channels)
     return (elements * per_element + dimension ** 2 * per_coherence
             + 16 * ASSEMBLY_BLOCK)
 

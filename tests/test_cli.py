@@ -173,6 +173,10 @@ def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):
     assert 1.0 <= diag["eigvec_cond"] <= 1e10
     assert 0.0 <= diag["solve_residual"] <= 1e-14
     assert diag["min_rho_eigenvalue"] > 0.0
+    # and prints it on the summary line
+    assert line.endswith(f"; eigvec_cond {diag['eigvec_cond']:.4g} "
+                         f"min_rho_eigenvalue {diag['min_rho_eigenvalue']:.4g}"
+                         f" solve_residual {diag['solve_residual']:.4g}")
     assert set(diag["timings_s"]) == set(sweep.STAGES)
     assert all(t >= 0.0 for t in diag["timings_s"].values())
     assert diag["cache_hits"] == 0
@@ -463,7 +467,8 @@ def test_geometry_couplings_are_not_a_config_key(tmp_path, capsys):
 
 
 # In a fresh process: the relax of the shipped vanadyl fixture at 8^3,
-# whose blocks all propagate without expm, loads no part of scipy.
+# which propagates nothing (scipy's expm serves only propagate), loads no
+# part of scipy.
 _COLD_RELAX_PROBE = """
 import contextlib, io, sys
 from spinphonon.cli import main

@@ -672,23 +672,26 @@ def _relax_peaks(pipeline, params, monkeypatch):
 
 
 def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
-    # the pair project with an I=15/2 nucleus: d = 2 * 2 * 16 = 64
-    crystal, fc, derivs, system = generate_toy_crystal(_pair_spec(7.5))
-    assert system.dimension == 64
-    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
-    # at 4^3 pass 1 runs over F = 201 mode frequencies
-    for grid in (2, 4):
-        R, cold, warm = _relax_peaks(
-            pipeline, replace(PAIR, qgrid=(grid,) * 3), monkeypatch)
-        # sum n_c^2 elements, where d^4 is 16.8 million
-        need = sweep.redfield_bytes(int(R.clusters.offsets[-1]),
-                                    len(R.channels), R.dimension,
-                                    _operators(pipeline))
-        assert need < 100e6
-        assert cold < 64e6
-        # the estimate covers what a warm point holds from the start of
-        # assembly, pass 1 included, to the end of relax
-        assert need >= warm, grid
+    # the pair project with an I=15/2 nucleus, d = 2 * 2 * 16 = 64 (at
+    # 4^3 pass 1 runs over F = 201 mode frequencies), and the d = 32
+    # point of the benchmark, with an I=7/2 nucleus
+    for nuclear_spin, d, grids in ((7.5, 64, (2, 4)), (3.5, 32, (2,))):
+        crystal, fc, derivs, system = generate_toy_crystal(
+            _pair_spec(nuclear_spin))
+        assert system.dimension == d
+        pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+        for grid in grids:
+            R, cold, warm = _relax_peaks(
+                pipeline, replace(PAIR, qgrid=(grid,) * 3), monkeypatch)
+            # sum n_c^2 elements, where d^4 is 16.8 million at d = 64
+            need = sweep.redfield_bytes(int(R.clusters.offsets[-1]),
+                                        len(R.channels), R.dimension,
+                                        _operators(pipeline))
+            assert need < 100e6
+            assert cold < 64e6
+            # the estimate covers what a warm point holds from the start
+            # of assembly, pass 1 included, to the end of relax
+            assert need >= warm, (d, grid)
 
 
 @pytest.mark.parametrize("example, qgrid", [("vanadyl_fixture", (8, 8, 8)),
