@@ -372,8 +372,11 @@ class _ClusterStack:
         balances L first, and where rates span many orders that leaves V
         exact for an L + E far from L, however well conditioned."""
         import scipy.linalg  # only here: a cold relax never loads scipy
-        E = scipy.linalg.expm(np.multiply.outer(times, self.L))
-        out = (E @ x0[self.idx][..., None])[..., 0]
+        x = x0[self.idx][..., None]
+        out = np.empty((times.size,) + self.idx.shape, dtype=complex)
+        # time by time: a stack over the times would hold T k n^2
+        for i, t in enumerate(times):
+            out[i] = (scipy.linalg.expm(t * self.L) @ x)[..., 0]
         phase = np.exp(-1j * np.multiply.outer(times, self.mean))
         return out * phase[..., None]
 
