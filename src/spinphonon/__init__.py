@@ -26,4 +26,18 @@ from .project import (ProjectConfig, load_config, load_crystal,
                       load_derivatives, load_force_constants, load_project,
                       load_results, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
-from .toy import ToySpec, diatomic_chain, generate_toy_crystal
+
+#: names served from ``toy`` on first use, so only a caller of the toy
+#: generator imports it
+_TOY = ("ToySpec", "diatomic_chain", "generate_toy_crystal")
+
+
+def __getattr__(name):
+    if name in _TOY:
+        from . import toy
+        return getattr(toy, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_TOY))

@@ -22,7 +22,6 @@ from .project import (load_project, write_bands_csv, write_coupling_csv,
 from .sweep import (STAGES, RelaxationPipeline, SweepResult,
                     converge_protocol, kpoint_grid, kpoint_orbits,
                     perturbation_study, run_sweep)
-from .toy import toy_preset, write_toy_project
 from .version import __version__
 
 EXIT_OK = 0
@@ -67,6 +66,8 @@ def _parse_vec3(text, flag):
 
 #: the flags of the project verbs -> add_argument keywords
 _FLAGS = {
+    "--config": dict(required=True, help="project configuration JSON"),
+    "--out": dict(help="output directory (default from config)"),
     "--grid": dict(help="q-grid divisions n or n1,n2,n3"),
     "--sigma": dict(type=float, help="Gaussian breadth (cm^-1)"),
     "--temp": dict(type=float, help="temperature (K)"),
@@ -81,50 +82,56 @@ _FLAGS = {
 _SPIN_FLAGS = ("--temp", "--field", "--channels", "--secular")
 _POINT_FLAGS = ("--grid", "--sigma") + _SPIN_FLAGS
 
-#: project verbs: (name, help, the run-point flags the verb reads)
-_VERBS = (
-    ("phonons", "phonon frequencies over the q-grid", ("--grid",)),
-    ("dos", "phonon density of states with rigid-body decomposition",
-     ("--grid", "--sigma")),
-    ("couple", "binned squared spin-phonon coupling norms", ("--grid",)),
-    ("relax", "single relaxation-time evaluation", _POINT_FLAGS),
-    ("sweep", "run the sweep plans declared in the config",
-     _POINT_FLAGS + ("--threads",)),
+
+def _project(*flags):
+    """The arguments of a project verb that reads the run-point ``flags``."""
+    return tuple((flag, _FLAGS[flag]) for flag in ("--config", "--out")
+                 + flags)
+
+
+#: verb -> (help, its arguments as (flag, add_argument keywords))
+_VERBS = {
+    "phonons": ("phonon frequencies over the q-grid", _project("--grid")),
+    "dos": ("phonon density of states with rigid-body decomposition",
+            _project("--grid", "--sigma")),
+    "couple": ("binned squared spin-phonon coupling norms",
+               _project("--grid")),
+    "relax": ("single relaxation-time evaluation", _project(*_POINT_FLAGS)),
+    "sweep": ("run the sweep plans declared in the config",
+              _project(*_POINT_FLAGS, "--threads")),
     # the protocol sets sigma and the q-grid itself
-    ("converge", "nested sigma/q-grid convergence protocol", _SPIN_FLAGS),
-    ("perturb", "coupling-doubling and frequency-scaling checks",
-     _POINT_FLAGS),
-)
+    "converge": ("nested sigma/q-grid convergence protocol",
+                 _project(*_SPIN_FLAGS)),
+    "perturb": ("coupling-doubling and frequency-scaling checks",
+                _project(*_POINT_FLAGS) + (
+                    ("--kind", dict(choices=("coupling_x2", "freq_x0.8",
+                                             "both"), default="both")),
+                    ("--channel", dict(choices=CHANNELS, default="zeeman")))),
+    "toygen": ("generate a synthetic project fixture", (
+        ("--out", dict(required=True, help="output directory")),
+        ("--seed", dict(type=int, default=0)),
+        ("--preset", dict(choices=("soft", "vanadyl"), default="soft")))),
+    "run-examples": ("run the bundled examples", (
+        ("--filter", dict(default=None, help="only run examples whose id "
+                                             "contains this substring")),)),
+}
 
 
-def build_parser():
+def build_parser(verb=None):
+    """The CLI's parser, with the subparser of every verb, or of
+    ``verb`` alone: a call's own verb is all it parses, and the other
+    subparsers only feed the top-level help and its errors."""
     parser = _Parser(prog="spinphonon",
                      description="Direct-process spin-lattice relaxation "
                                  "for molecular crystals")
     parser.add_argument("--version", action="version",
                         version=f"spinphonon {__version__}")
     sub = parser.add_subparsers(dest="command")
-
-    for name, descr, flags in _VERBS:
-        p = sub.add_parser(name, help=descr)
-        p.add_argument("--config", required=True,
-                       help="project configuration JSON")
-        p.add_argument("--out", help="output directory (default from config)")
-        for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
-    sub.choices["perturb"].add_argument(
-        "--kind", choices=("coupling_x2", "freq_x0.8", "both"), default="both")
-    sub.choices["perturb"].add_argument("--channel", choices=CHANNELS,
-                                        default="zeeman")
-
-    p = sub.add_parser("toygen", help="generate a synthetic project fixture")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--preset", choices=("soft", "vanadyl"), default="soft")
-
-    p = sub.add_parser("run-examples", help="run the bundled examples")
-    p.add_argument("--filter", default=None,
-                   help="only run examples whose id contains this substring")
+    for name, (descr, arguments) in _VERBS.items():
+        if verb in (None, name):
+            p = sub.add_parser(name, help=descr)
+            for flag, keywords in arguments:
+                p.add_argument(flag, **keywords)
     return parser
 
 
@@ -310,6 +317,7 @@ def _cmd_perturb(args):
 
 
 def _cmd_toygen(args):
+    from .toy import toy_preset, write_toy_project
     spec = toy_preset(args.preset, args.seed)
     config_path = write_toy_project(args.out, spec)
     print(f"wrote {config_path}")
@@ -345,7 +353,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help, --version and a missing or unknown verb need every subparser
+    parser = build_parser(argv[0] if argv and argv[0] in _VERBS else None)
     try:
         args = parser.parse_args(argv)
         if args.command is None:

@@ -322,13 +322,16 @@ def bohr_clusters(omega, rate):
     order = np.argsort(omega, kind="stable")
     gaps = np.diff(omega[order])
     cut = np.flatnonzero(gaps > CLUSTER_GAP_FACTOR * rate)
-    groups = np.split(order, cut + 1)
-    # the zero cluster (every population lies in it), then those above
-    kept = tuple(g for g in groups if omega[g[-1]] >= 0.0)
+    bounds = np.concatenate(([0], cut + 1, [omega.size]))
+    # the zero cluster (every population lies in it), then those above:
+    # the groups whose last frequency is >= 0
+    first = np.searchsorted(omega[order[bounds[1:] - 1]], 0.0)
+    kept = tuple(order[lo:hi] for lo, hi in zip(bounds[first:-1].tolist(),
+                                                bounds[first + 1:].tolist()))
     return BohrClusters(
         omega=omega, rate=float(rate), kept=kept,
         offsets=np.cumsum([0] + [g.size ** 2 for g in kept]),
-        count=len(groups), largest=max(g.size for g in groups),
+        count=cut.size + 1, largest=int(np.diff(bounds).max()),
         gap_ratio=float(rate / gaps[cut].min()) if cut.size else 0.0)
 
 

@@ -13,12 +13,15 @@ counts in the diagnostics (imaginary, below omega_min, pruned) and
 ``n_q`` are full-grid counts; ``n_couplings`` counts the nonzero
 standing-wave parts of the modes (``CouplingStack``).
 
-The pipeline caches three things: phonon spectra per q-grid, mode
-tensors per (q-grid, omega_min), and the spin Hamiltonian and coupling
-stack of the last point. That last entry is keyed by every run
-parameter but the temperature, which enters only the Bose factors of
-the Redfield tensor: a temperature point reuses it, a point that moves
-any other parameter rebuilds it. The Redfield tensor is assembled at
+The pipeline caches three things: phonon spectra per q-grid, the
+tensors of the modes projected so far per (q-grid, omega_min), and the
+spin Hamiltonian and coupling stack of the last point. A point projects
+only the modes it keeps (``RelaxationPipeline.couplings`` prunes before
+projecting), and a grid projects each mode at most once. The last
+point's entry is keyed by every run parameter but the temperature,
+which enters only the Bose factors of the Redfield tensor: a
+temperature point reuses it, a point that moves any other parameter
+rebuilds it. The Redfield tensor is assembled at
 every point. Each point records the wall time of its stages and its
 cache hits in its diagnostics; a point that reuses the coupling stack
 counts one hit and spends no time on phonons, mode tensors, the spin
@@ -36,8 +39,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .coupling import (CHANNELS, CHANNEL_OF_KIND, CouplingDerivativeSet,
-                       CouplingStack, CouplingTerm, dipolar_network,
-                       mode_tensor_derivatives, operator_terms)
+                       CouplingStack, CouplingTerm, ModeTensors,
+                       dipolar_network, mode_tensor_derivatives,
+                       operator_terms)
 from .errors import (CapacityError, NumericalError, ValidationError,
                      as_real, finite_number)
 from .hamiltonian import assemble_hamiltonian
@@ -166,6 +170,52 @@ class _StackCache(NamedTuple):
     ham: object
     stack: object
     diag: dict
+
+
+class _ModeCache:
+    """The usable modes (omega >= omega_min) of one paired grid and the
+    tensors of those projected so far.
+
+    ``spectrum`` is the grid's (qpoints, weights, omega, vecs); mode m is
+    branch ``branch[m]`` at q-point ``iq[m]``, of frequency ``omega[m]``
+    and weight ``weight[m]``. ``tensors`` holds the projected modes
+    (``done``) in mode order; ``diag`` the full-grid mode counts."""
+
+    def __init__(self, spectrum, omega_min):
+        _, weights, omega, _ = spectrum
+        self.spectrum = spectrum
+        self.iq, self.branch = np.nonzero(omega >= omega_min)
+        self.omega = omega[self.iq, self.branch]
+        self.weight = weights[self.iq]
+        nq = int(weights.sum())
+        n_imaginary = int(weights @ np.count_nonzero(omega < -omega_min,
+                                                     axis=1))
+        skipped = nq * omega.shape[1] - int(self.weight.sum()) - n_imaginary
+        self.diag = {"skipped_modes": skipped, "imaginary_modes": n_imaginary,
+                     "n_q": nq}
+        self.done = np.zeros(self.omega.size, dtype=bool)
+        self.targets = self.tensors = None
+
+    def add(self, new, modes):
+        """Files the ModeTensors ``modes`` of the modes masked by ``new``."""
+        if self.tensors is None:
+            self.targets, self.tensors = modes.targets, modes.tensors
+        else:
+            slot = np.cumsum(self.done | new) - 1
+            tensors = np.empty((slot[-1] + 1,) + self.tensors.shape[1:],
+                               dtype=complex)
+            tensors[slot[self.done]] = self.tensors
+            tensors[slot[new]] = modes.tensors
+            self.tensors = tensors
+        self.done |= new
+
+    def select(self, keep):
+        """ModeTensors of the projected modes masked by ``keep``."""
+        tensors = self.tensors
+        if not np.array_equal(keep, self.done):
+            tensors = tensors[(np.cumsum(self.done) - 1)[keep]]
+        return ModeTensors(omega=self.omega[keep], targets=self.targets,
+                           tensors=tensors, weight=self.weight[keep])
 
 
 class _PointLog:
@@ -324,31 +374,39 @@ class RelaxationPipeline:
             self._phonon_cache[key] = (qpts, weights, omega, vecs)
         return self._phonon_cache[key]
 
-    def mode_precursors(self, qgrid, omega_min=DEFAULT_OMEGA_MIN):
-        """Cached ModeTensors of every usable mode of the paired grid,
-        each carrying its q-point's weight, plus full-grid counts of the
+    def mode_precursors(self, qgrid, omega_min=DEFAULT_OMEGA_MIN, keep=None):
+        """ModeTensors of the usable modes of the paired grid, each
+        carrying its q-point's weight, plus full-grid counts of the
         imaginary modes (omega < -omega_min, so no eigh round-off) and
-        of those with |omega| below omega_min."""
+        of those with |omega| below omega_min.
+
+        ``keep`` selects the modes: a function that takes the usable
+        modes' frequencies (cm^-1) and returns the mask of those wanted;
+        None wants every one. A mode is projected the first time a call
+        wants it and cached per (q-grid, omega_min), so a grid projects
+        each mode at most once. Its tensors do not depend on the other
+        modes projected with it. A call that finds the grid's cache
+        counts one hit, however many modes it still projects."""
         key = (tuple(qgrid), omega_min)
-        if key in self._precursor_cache:
+        cache = self._precursor_cache.get(key)
+        if cache is None:
+            cache = _ModeCache(self.phonons(qgrid), omega_min)
+            self._precursor_cache[key] = cache
+        else:
             self._log.cache_hits += 1
-            return self._precursor_cache[key]
-        qpts, weights, omega, vecs = self.phonons(qgrid)
-        nq = int(weights.sum())
-        imaginary = omega < -omega_min
-        usable = omega >= omega_min
-        iq, branch = np.nonzero(usable)
-        with self._timed("mode_tensors"):
-            modes = mode_tensor_derivatives(self.derivs, qpts[iq],
-                                            omega[iq, branch],
-                                            vecs[iq, :, branch],
-                                            self.crystal, nq, weights[iq])
-        n_imaginary = int(weights @ np.count_nonzero(imaginary, axis=1))
-        skipped = nq * omega.shape[1] - int(modes.weight.sum()) - n_imaginary
-        result = (modes, {"skipped_modes": skipped,
-                          "imaginary_modes": n_imaginary, "n_q": nq})
-        self._precursor_cache[key] = result
-        return result
+        want = (np.ones(cache.omega.size, dtype=bool) if keep is None
+                else keep(cache.omega))
+        new = want & ~cache.done
+        if cache.tensors is None or new.any():
+            qpts, weights, omega, vecs = cache.spectrum
+            iq, branch = cache.iq[new], cache.branch[new]
+            with self._timed("mode_tensors"):
+                modes = mode_tensor_derivatives(
+                    self.derivs, qpts[iq], omega[iq, branch],
+                    vecs[iq, :, branch], self.crystal, cache.diag["n_q"],
+                    weights[iq])
+            cache.add(new, modes)
+        return cache.select(want), cache.diag
 
     # -- per-point stages --------------------------------------------------
     def hamiltonian(self, field_B=None):
@@ -360,39 +418,45 @@ class RelaxationPipeline:
         retained mode.
 
         Modes farther than prune_sigma_mult * sigma from every spin gap
-        are pruned. Each target's operator sum_k c_k B_k is kept as its
-        coefficients c and its Hermitian basis B_k, rotated into the
-        eigenbasis once per call: Re c gives the Hermitian part, Im c
-        the anti-Hermitian part, and a part whose coefficients are all
-        zero is no row.
+        are pruned before they are projected (``mode_precursors``). Each
+        target's operator sum_k c_k B_k is kept as its coefficients c
+        and its Hermitian basis B_k, rotated into the eigenbasis once
+        per call: Re c gives the Hermitian part, Im c the anti-Hermitian
+        part, and a part whose coefficients are all zero is no row.
         """
-        modes, diag = self.mode_precursors(params.qgrid, params.omega_min)
-        with self._timed("couplings"):
-            fs = params.freq_scale
-            omega = modes.omega * fs
-            keep = np.ones(omega.shape, dtype=bool)
-            if params.prune_sigma_mult is not None:
-                # distance to the nearest spin gap, from its sorted
-                # neighbours
-                gaps = np.unique(np.round(np.abs(ham.omega), 12))
-                gaps = np.concatenate(([-np.inf], gaps, [np.inf]))
+        fs = params.freq_scale
+        near_a_gap = None
+        if params.prune_sigma_mult is not None:
+            # distance to the nearest spin gap, from its sorted neighbours
+            gaps = np.unique(np.round(np.abs(ham.omega), 12))
+            gaps = np.concatenate(([-np.inf], gaps, [np.inf]))
+            reach = params.prune_sigma_mult * params.sigma
+
+            def near_a_gap(omega):
+                omega = omega * fs
                 k = np.searchsorted(gaps, omega)
                 near = np.minimum(gaps[k] - omega, omega - gaps[k - 1])
-                keep = near <= params.prune_sigma_mult * params.sigma
-            omega = omega[keep]
+                return near <= reach
+        modes, diag = self.mode_precursors(params.qgrid, params.omega_min,
+                                           near_a_gap)
+        with self._timed("couplings"):
+            omega = modes.omega * fs
             scale = params.coupling_scale or {}
             terms = []
             for t, tgt in enumerate(modes.targets):
                 ch = CHANNEL_OF_KIND[tgt[0]]
                 if params.channels is not None and ch not in params.channels:
                     continue
-                T = modes.tensors[keep, t] / np.sqrt(fs) * scale.get(ch, 1.0)
+                T = modes.tensors[:, t] / np.sqrt(fs) * scale.get(ch, 1.0)
                 coeff, basis = operator_terms(system, self.ops, tgt, T)
                 terms.append(CouplingTerm(ch, omega, coeff,
                                           ham.to_eigenbasis(basis)))
             stack = CouplingStack(terms=tuple(terms), dimension=ham.dimension)
         diag = dict(diag)
-        diag["pruned_modes"] = int(modes.weight[~keep].sum())
+        # the usable modes are those neither count covers
+        usable = (diag["n_q"] * 3 * self.crystal.n_atoms
+                  - diag["skipped_modes"] - diag["imaginary_modes"])
+        diag["pruned_modes"] = usable - int(modes.weight.sum())
         return stack, diag
 
     def redfield(self, params):

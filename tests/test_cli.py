@@ -20,6 +20,70 @@ def test_missing_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+def _answer(argv, capsys):
+    """(exit code, stdout, stderr) of main(argv); argparse's own exits
+    (help, --version) give ("exit", code)."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("verb", list(cli._VERBS))
+@pytest.mark.parametrize("tail", [["--help"], ["--bogus", "1"], ["--out"],
+                                  ["--config", "c.json", "extra"]])
+def test_one_verb_parser_answers_as_the_full_parser(verb, tail, capsys,
+                                                    monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser",
+                        lambda name=None: built.append(name) or real(name))
+    one = _answer([verb] + tail, capsys)
+    assert built == [verb]
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: real())
+    assert _answer([verb] + tail, capsys) == one
+    assert one[0] in (("exit", 0), EXIT_USAGE)
+
+
+def test_one_verb_parser_reads_the_full_parsers_arguments():
+    argv = ["perturb", "--config", "c.json", "--out", "o", "--grid", "2,3,4",
+            "--sigma", "0.5", "--temp", "7", "--field", "0,0,1",
+            "--channels", "zeeman", "--secular", "--kind", "freq_x0.8",
+            "--channel", "dipolar"]
+    assert (vars(cli.build_parser("perturb").parse_args(argv))
+            == vars(cli.build_parser().parse_args(argv)))
+
+
+def test_no_verb_unknown_verb_and_version_use_the_full_parser(capsys):
+    verbs = ",".join(cli._VERBS)
+    code, out, _ = _answer([], capsys)
+    assert code == EXIT_USAGE and "{" + verbs + "}" in out
+    for verb, (descr, _) in cli._VERBS.items():
+        assert descr in out
+    code, _, err = _answer(["frobnicate"], capsys)
+    assert code == EXIT_USAGE
+    assert "invalid choice: 'frobnicate'" in err
+    assert all(f"'{verb}'" in err for verb in cli._VERBS)
+    assert _answer(["--version"], capsys) == (
+        ("exit", 0), f"spinphonon {cli.__version__}\n", "")
+    code, out, _ = _answer(["-h"], capsys)
+    assert code == ("exit", 0) and "{" + verbs + "}" in out
+
+
+def test_toy_names_are_served_from_the_package():
+    import spinphonon
+    import spinphonon.toy
+    from spinphonon import ToySpec, diatomic_chain, generate_toy_crystal
+    assert ToySpec is spinphonon.toy.ToySpec
+    assert diatomic_chain is spinphonon.toy.diatomic_chain
+    assert generate_toy_crystal is spinphonon.toy.generate_toy_crystal
+    assert "ToySpec" in dir(spinphonon)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        spinphonon.no_such_name
+
+
 def test_bad_grid_argument_is_usage_error(tmp_path, capsys):
     cfg = _toy(tmp_path)
     assert main(["relax", "--config", cfg, "--grid", "4x4"]) == EXIT_USAGE
@@ -468,7 +532,7 @@ def test_geometry_couplings_are_not_a_config_key(tmp_path, capsys):
 
 # In a fresh process: the relax of the shipped vanadyl fixture at 8^3,
 # which propagates nothing (scipy's expm serves only propagate), loads no
-# part of scipy.
+# part of scipy, nor the toy generator, which only toygen uses.
 _COLD_RELAX_PROBE = """
 import contextlib, io, sys
 from spinphonon.cli import main
@@ -480,6 +544,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert code == 0, code
 assert "scipy" not in sys.modules, sorted(m for m in sys.modules
                                           if m.startswith("scipy"))
+assert "spinphonon.toy" not in sys.modules
 """
 
 

@@ -196,6 +196,33 @@ def test_assembly_matches_per_coupling_reference(d, secular, monkeypatch):
         assert np.any(R.matrix((ch,))[inside] != 0.0)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_bohr_clusters_are_the_kept_groups_of_a_full_split(seed):
+    """The kept clusters, count and largest are those of splitting the
+    sorted order at every wide gap and keeping the groups that end at or
+    above zero: on Bohr frequencies of random (partly degenerate)
+    levels, and on arbitrary frequencies with ties and signed zeros."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(1, 12))
+    levels = rng.normal(size=d) * 10.0 ** rng.uniform(-3, 1)
+    levels[rng.random(d) < 0.3] = levels[0]
+    bohr = (levels[:, None] - levels[None, :]).reshape(-1)
+    loose = np.round(rng.normal(size=int(rng.integers(1, 60))), 1)
+    loose[rng.random(loose.size) < 0.2] = -0.0
+    for omega in (bohr, loose):
+        for rate in (1e-12, 1e-4, 1e-2, 1.0, 1e3):
+            got = redfield.bohr_clusters(omega, rate)
+            order = np.argsort(omega, kind="stable")
+            cut = np.flatnonzero(np.diff(omega[order])
+                                 > redfield.CLUSTER_GAP_FACTOR * rate)
+            groups = np.split(order, cut + 1)
+            kept = [g for g in groups if omega[g[-1]] >= 0.0]
+            assert len(got.kept) == len(kept)
+            assert all(np.array_equal(a, b) for a, b in zip(got.kept, kept))
+            assert (got.count, got.largest) == (
+                len(groups), max(g.size for g in groups))
+
+
 def test_matrix_scatters_the_clusters_and_their_conjugates():
     # every element of the dense reference inside a cluster, or inside
     # the conjugate twin of one above zero, and zeros between clusters

@@ -457,6 +457,70 @@ def test_mode_pruning_skips_far_off_resonant_modes(soft_pipeline):
     assert set(coupling_rows(every)[0]) == set(modes.omega)
 
 
+def _counted_projection(monkeypatch):
+    """The number of modes of each mode_tensor_derivatives call."""
+    counts = []
+    real = sweep.mode_tensor_derivatives
+
+    def counted(derivs, q, omega, *args):
+        counts.append(len(omega))
+        return real(derivs, q, omega, *args)
+
+    monkeypatch.setattr(sweep, "mode_tensor_derivatives", counted)
+    return counts
+
+
+def test_field_sweep_projects_each_mode_once(soft_bundle, monkeypatch):
+    # the spin gap moves with the field, and with it the kept modes: 5 T
+    # keeps the low band, 30 T more, 60 T drops the lowest modes
+    counts = _counted_projection(monkeypatch)
+    pipeline = RelaxationPipeline(*soft_bundle)
+    plan = SweepPlan(axis="field_magnitude", values=(5.0, 30.0, 60.0),
+                     params=BASE)
+    rows = run_sweep(pipeline, plan).rows
+    usable = pipeline._precursor_cache[(BASE.qgrid, BASE.omega_min)].omega
+    assert len(counts) == 3 and min(counts) > 0
+    assert sum(counts) == usable.size
+    assert [row.diagnostics["cache_hits"] for row in rows] == [0, 1, 1]
+    assert all(row.diagnostics["pruned_modes"] > 0 for row in rows)
+    monkeypatch.undo()
+    skip = ("timings_s", "cache_hits")
+    for row, B in zip(rows, plan.values):
+        fresh = RelaxationPipeline(*soft_bundle).relax(
+            replace(BASE, field_B=(0.0, 0.0, B)))
+        assert row.error is None
+        assert row.tau_ms == fresh.tau_ms
+        assert row.tau_channel_ms == fresh.tau_channel_ms
+        assert ({k: v for k, v in row.diagnostics.items() if k not in skip}
+                == {k: v for k, v in fresh.diagnostics.items()
+                    if k not in skip})
+
+
+def test_kept_modes_are_those_of_a_full_projection(soft_bundle,
+                                                   monkeypatch):
+    full, diag = RelaxationPipeline(*soft_bundle).mode_precursors(
+        BASE.qgrid, BASE.omega_min)
+    pipeline = RelaxationPipeline(*soft_bundle)
+    _, pruned_diag, ham, _ = _stack(pipeline, BASE)
+    gaps = np.unique(np.round(np.abs(ham.omega), 12))
+    kept = np.array([np.min(np.abs(gaps - w)) <= 20.0 * BASE.sigma
+                     for w in full.omega])
+    assert 0 < np.count_nonzero(kept) < len(full)
+    cache = pipeline._precursor_cache[(BASE.qgrid, BASE.omega_min)]
+    assert np.array_equal(cache.done, kept)
+    assert np.array_equal(cache.tensors, full.tensors[kept])
+    assert pruned_diag["pruned_modes"] == full.weight[~kept].sum()
+    # a call that wants every mode projects only the rest, and gets what
+    # a fresh pipeline projects in one pass
+    counts = _counted_projection(monkeypatch)
+    every, every_diag = pipeline.mode_precursors(BASE.qgrid, BASE.omega_min)
+    assert counts == [len(full) - np.count_nonzero(kept)]
+    assert every_diag == diag
+    assert every.targets == full.targets
+    for name in ("omega", "tensors", "weight"):
+        assert np.array_equal(getattr(every, name), getattr(full, name))
+
+
 def _vanadyl_pipeline(config_path):
     crystal, fc, derivs, system, config = load_project(config_path)
     return RelaxationPipeline(crystal, fc, derivs, system), config.run_params()
