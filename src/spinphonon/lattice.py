@@ -26,7 +26,8 @@ DOS_GEMM_MAX = 2 ** 16
 DOS_REACH = 8
 
 #: DOS grid points smeared together: the modes within DOS_REACH sigma of
-#: a tile form one slice of the frequency-sorted modes
+#: a tile form one slice of the frequency-sorted modes. ``phonon_dos``
+#: takes at most 16, which bounds its kernel recurrence
 DOS_TILE = 16
 
 #: most modes in one kernel product of a DOS tile (bounds its scratch)
@@ -61,6 +62,19 @@ def gaussian_kernel(x, sigma):
     np.exp(y, out=y)
     y /= sigma * np.sqrt(np.pi)
     return y[()]
+
+
+def _unique_rows(rows):
+    """(distinct rows in lexicographic order, index of each row among
+    them) of an (n, k) integer array: np.unique(rows, axis=0,
+    return_inverse=True) by one lexsort of the columns."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ranked[first], inverse
 
 
 @dataclass(frozen=True)
@@ -101,7 +115,7 @@ class ForceConstantSet:
         if self._blocks is not None:
             return self._blocks
         n3 = 3 * self.crystal.n_atoms
-        uniq, inv = np.unique(self.lvecs, axis=0, return_inverse=True)
+        uniq, inv = _unique_rows(self.lvecs)
         phi = np.zeros((len(uniq), n3, n3))
         rows = 3 * self.i + self.s
         cols = 3 * self.j + self.t
@@ -122,11 +136,10 @@ class ForceConstantSet:
             return self._weighted
         uniq, phi = self.dense_blocks()
         n3 = phi.shape[1]
-        lvecs, inv = np.unique(np.concatenate([uniq, -uniq]), axis=0,
-                               return_inverse=True)
+        lvecs, inv = _unique_rows(np.concatenate([uniq, -uniq]))
         invsq = 1.0 / np.sqrt(np.repeat(self.crystal.masses, 3))
         weighted = np.zeros((len(lvecs), n3, n3))
-        weighted[inv.reshape(-1)[:len(uniq)]] = phi * np.outer(invsq, invsq)
+        weighted[inv[:len(uniq)]] = phi * np.outer(invsq, invsq)
         # negation reverses the lexicographic order: -lvecs[k] = lvecs[-1-k]
         partner = weighted[::-1].transpose(0, 2, 1)
         asym = weighted - partner
@@ -224,7 +237,7 @@ def _maps_force_constants(fc, S, perm, shift):
     turned = np.einsum("as,kisjt,bt->kijab", R, phi, R)
     target = ((uniq @ S.T)[:, None, None, :] + shift[None, None, :, :]
               - shift[None, :, None, :])
-    # lattice vectors as integer keys, monotone in the order of np.unique
+    # lattice vectors as integer keys, monotone in their lexicographic order
     reach = int(max(np.max(np.abs(uniq)), np.max(np.abs(target)))) + 1
     base = 2 * reach + 1
     weights = np.array([base * base, base, 1])
@@ -452,12 +465,24 @@ def phonon_dos(fc, qpoints, sigma, weights=None):
     and the weights of their four curves (total, translational,
     rotational, intra), written into its own rows, so the result does
     not depend on the number of threads. The modes are then sorted by
-    omega. The grid runs from 0 to max(omega) + DOS_REACH sigma in steps
-    of about sigma / 4. Each tile of ``DOS_TILE`` grid points takes the
-    kernel of the modes within DOS_REACH sigma of it, a contiguous slice
-    of the sorted modes, as a product weights @ kernel in chunks of at
-    most ``DOS_CHUNK`` modes; the kernel left out is below
-    exp(-DOS_REACH^2) = e^-64 of its peak.
+    omega. The grid runs from 0 to max(omega) + DOS_REACH sigma in uniform
+    steps Delta of about sigma / 4. Each tile of ``DOS_TILE`` grid points
+    (at most 16) takes the kernel of the modes within DOS_REACH sigma of
+    it, a contiguous slice of the sorted modes, as a product
+    weights @ kernel in chunks of at most ``DOS_CHUNK`` modes; the kernel
+    left out is below exp(-DOS_REACH^2) = e^-64 of its peak. On the tile
+    t_i = t_0 + i Delta, with delta = Delta / sigma and
+    u = (t_0 - omega) / sigma,
+
+        kernel(t_i - omega) = e^(-u^2) r^i c_i,  r = e^(-2 delta u),
+        c_i = e^(-(i delta)^2) / (sigma sqrt(pi)),
+
+    so a mode costs two exps per tile and one multiply per further grid
+    point, and c scales the product's columns. The slice bounds |u| by
+    DOS_REACH + 15 delta (about 11.75), so every factor stays within
+    e^+-140. The identity puts t_i at t_0 + i Delta, which differs from
+    the grid's rounded t_i by at most an ulp of t_i: a curve moves by at
+    most about 2e-16 max(t) / sigma of its maximum.
     """
     sigma = finite_number("sigma", sigma, 0.0)
     qpoints = np.asarray(qpoints, dtype=float)
@@ -499,15 +524,23 @@ def phonon_dos(fc, qpoints, sigma, weights=None):
     cut = int(np.searchsorted(omega, -DEFAULT_OMEGA_MIN))
     imaginary = int(round(mode_w[0, :cut].sum()))
     omega, mode_w = omega[cut:], mode_w[:, cut:]
-    reach = DOS_REACH * sigma
+    reach, delta = DOS_REACH * sigma, top / (n - 1) / sigma
+    run = min(DOS_TILE, 16)  # |u| <= DOS_REACH + 15 delta
+    c = np.exp(-np.square(np.arange(run) * delta)) / (sigma * np.sqrt(np.pi))
     curves = np.zeros((4, n))
-    for g0 in range(0, n, DOS_TILE):
-        tile = freq_grid[g0:g0 + DOS_TILE]
+    for g0 in range(0, n, run):
+        tile = freq_grid[g0:g0 + run]
         lo, hi = np.searchsorted(omega, (tile[0] - reach, tile[-1] + reach))
         for m0 in range(lo, hi, DOS_CHUNK):
             m1 = min(m0 + DOS_CHUNK, hi)
-            curves[:, g0:g0 + DOS_TILE] += mode_w[:, m0:m1] @ gaussian_kernel(
-                tile[None, :] - omega[m0:m1, None], sigma)
+            u = (tile[0] - omega[m0:m1]) / sigma
+            kernel = np.empty((tile.size, m1 - m0))  # e^-u^2 r^i
+            np.exp(-u * u, out=kernel[0])
+            r = np.exp(-2.0 * delta * u)
+            for i in range(1, tile.size):
+                np.multiply(kernel[i - 1], r, out=kernel[i])
+            curves[:, g0:g0 + run] += (
+                mode_w[:, m0:m1] @ kernel.T) * c[:tile.size]
     total, trans, rot, intra = curves / weights.sum()
     timings = {"blocks": t1 - t0, "kernel": time.perf_counter() - t1}
     return DosCurve(frequency=freq_grid, total=total, translational=trans,

@@ -205,11 +205,12 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
                    + sum_c |S1_ac| + sum_d |S2_db|
 
     with S1 and S2 summed over every term, and clusters the Bohr
-    frequencies at that rate; ``check(clusters, n_channels, n_operators)``
-    may raise, with n_operators the B_k of every term, whose P and Q
-    pass 2 holds. Pass 2 computes the elements of the kept clusters
-    only: the zero cluster and those above zero. Its temporaries that
-    grow with the elements hold ASSEMBLY_BLOCK elements."""
+    frequencies at that rate; ``check(clusters, n_channels, n_operators,
+    n_freqs)`` may raise, with n_operators the B_k of every term, whose P
+    and Q pass 2 holds, and n_freqs the F mode frequencies of pass 1.
+    Pass 2 computes the elements of the kept clusters only: the zero
+    cluster and those above zero. Its temporaries that grow with the
+    elements hold ASSEMBLY_BLOCK elements."""
     d = ham.dimension
     if stack.dimension != d:
         raise ValidationError(
@@ -233,7 +234,8 @@ def assemble_redfield(stack, ham, pc, secular=False, check=None):
     clusters = bohr_clusters(omega.reshape(-1) * ANGULAR_FREQUENCY_PER_CM1,
                              RATE_PREFACTOR * np.max(bound))
     if check is not None:
-        check(clusters, len(S1), sum(B.shape[0] for *_, B in sums))
+        check(clusters, len(S1), sum(B.shape[0] for *_, B in sums),
+              stack.freqs.size)
 
     ab, cd = clusters.pairs()
     (a, b), (c, e) = np.divmod(ab, d), np.divmod(cd, d)

@@ -125,12 +125,13 @@ def physical_memory_bytes():
         return float("inf")
 
 
-def redfield_bytes(elements, n_channels, dimension, n_operators):
+def redfield_bytes(elements, n_channels, dimension, n_operators, n_freqs):
     """Estimated bytes that one relax point holds from the start of its
     assembly, with ``elements`` = sum n_c^2 in-cluster elements of R,
-    d = ``dimension`` and ``n_operators`` B_k summed over the terms of
-    the coupling stack. Assembly pass 2 and the spectral stage are
-    charged as if held at once. Per element: a complex vector per channel
+    d = ``dimension``, ``n_operators`` B_k summed over the terms of the
+    coupling stack and ``n_freqs`` F distinct mode frequencies of the
+    stack. Assembly pass 2 and the spectral stage are charged as if held
+    at once. Per element: a complex vector per channel
     and one for the term being summed, the eight int64 index arrays of
     pass 2 (ab, cd, a, b, c, e, ac, db; ``BohrClusters.pairs`` peaks at
     as many), the b == e and a == c masks and the index gathers under
@@ -140,19 +141,20 @@ def redfield_bytes(elements, n_channels, dimension, n_operators):
     channel, complex. Once: pass 1's block of Bohr-frequency columns
     (its two kernels and G, or G and a term's H: two ASSEMBLY_BLOCK
     reals), which also covers the gathers of pass 2 (ASSEMBLY_BLOCK / 2
-    complex elements at a time)."""
+    complex elements at a time), pass 1's Bose weights over F and its two
+    n + 1 temporaries, and numpy's 64 KiB iterator buffer."""
     per_element = 16 * n_channels + 16 + 8 * 8 + 2 * (1 + 8) + 3 * 16
     per_coherence = 2 * 16 * (n_operators + n_channels)
     return (elements * per_element + dimension ** 2 * per_coherence
-            + 16 * ASSEMBLY_BLOCK)
+            + 16 * ASSEMBLY_BLOCK + 3 * 8 * n_freqs + (1 << 16))
 
 
-def _check_memory(clusters, n_channels, n_operators):
+def _check_memory(clusters, n_channels, n_operators, n_freqs):
     """CapacityError when the Redfield arrays of a point with these Bohr
     clusters would not fit in physical memory."""
     d = math.isqrt(clusters.omega.size)
     need = redfield_bytes(int(clusters.offsets[-1]), n_channels, d,
-                          n_operators)
+                          n_operators, n_freqs)
     have = physical_memory_bytes()
     if need > have:
         raise CapacityError(

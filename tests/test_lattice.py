@@ -18,6 +18,8 @@ from spinphonon.toy import (ToySpec, diatomic_chain,
                             diatomic_chain_dispersion, generate_toy_crystal)
 from spinphonon.units import FREQ_CM1_PER_SQRT_EV_A2_AMU, KB_CM1_PER_K
 
+from dense_reference import reference_dos
+
 
 def test_gaussian_kernel_normalization():
     x = np.linspace(-40, 40, 20001)
@@ -62,6 +64,23 @@ def test_sum_rule_enforcement_restores_gamma_zeros():
     assert fixed.sum_rule_residual() < 1e-12
     omega, _ = phonon_spectrum(fixed, np.zeros((1, 3)))
     assert np.max(np.abs(omega[0, :3])) < 1e-5
+
+
+def test_unique_rows_are_those_of_numpy_unique_in_the_same_order():
+    rng = np.random.default_rng(7)
+    big = 2 ** 62  # packed integer keys of three such rows would overflow
+    rows = np.concatenate([rng.integers(-3, 4, (500, 3)),
+                           rng.choice([-big, -1, 0, 1, big], (200, 3)),
+                           rng.integers(-big, big, (50, 3))])
+    rows = rows[rng.permutation(len(rows))]
+    want, want_inverse = np.unique(rows, axis=0, return_inverse=True)
+    got, inverse = lattice._unique_rows(rows)
+    assert np.array_equal(got, want)
+    assert np.array_equal(inverse, want_inverse.reshape(-1))
+    # negation reverses the order of a set closed under it, which
+    # mass_weighted_blocks reads as -lvecs[k] = lvecs[-1-k]
+    union, _ = lattice._unique_rows(np.concatenate([rows, -rows]))
+    assert np.array_equal(-union, union[::-1])
 
 
 def test_acoustic_branches_linear_near_gamma():
@@ -186,6 +205,31 @@ def test_windowed_dos_matches_full_kernel(sigma):
     assert dos.frequency[-1] == pytest.approx(omega.max() + reach)
     for curve, expected in zip((dos.total, dos.translational, dos.rotational,
                                 dos.intra), ref):
+        assert np.max(np.abs(curve - expected)) <= 1e-12 * np.max(expected)
+
+
+@pytest.mark.parametrize("tile", [1, 16, 17, 1000])
+@pytest.mark.parametrize("floor", [False, True])
+def test_dos_kernel_recurrence_holds_on_any_tile(tile, floor, monkeypatch):
+    crystal, fc, _, _ = generate_toy_crystal(
+        ToySpec(atoms_per_molecule=2, k_intra=2.0, k_inter=0.15, seed=3))
+    qpoints, weights = kpoint_orbits(4, 4, 4)
+    top = np.max(phonon_spectrum(fc, qpoints)[0])
+    # top / 400 gives some 1,600 grid points in steps of sigma / 4, and
+    # top / 20 the 600-point floor, in steps of less than sigma / 4
+    sigma = top / (20.0 if floor else 400.0)
+    monkeypatch.setattr(lattice, "DOS_TILE", tile)
+    dos = phonon_dos(fc, qpoints, sigma, weights)
+    freq, want = reference_dos(fc, qpoints, sigma, weights)
+    assert np.array_equal(dos.frequency, freq)
+    delta = (freq[1] - freq[0]) / sigma
+    if floor:
+        assert freq.size == 600 and delta < 0.2
+    else:
+        assert freq.size > 1500 and delta == pytest.approx(0.25, rel=1e-2)
+    for curve, expected in zip((dos.total, dos.translational, dos.rotational,
+                                dos.intra), want):
+        assert np.all(np.isfinite(curve))
         assert np.max(np.abs(curve - expected)) <= 1e-12 * np.max(expected)
 
 

@@ -594,20 +594,24 @@ def test_points_record_stage_timings_and_cache_hits(soft_bundle):
     assert rows[0].diagnostics["cache_hits"] == 1
 
 
-def _operators(pipeline):
-    """The B_k of every term of the pipeline's cached coupling stack."""
-    return sum(t.basis.shape[0] for t in pipeline._stack_cache.stack.terms)
+def _need(pipeline, R):
+    """``redfield_bytes`` of the point of R, whose coupling stack the
+    pipeline holds in its cache."""
+    stack = pipeline._stack_cache.stack
+    return sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels),
+                                R.dimension,
+                                sum(t.basis.shape[0] for t in stack.terms),
+                                stack.freqs.size)
 
 
 def test_point_beyond_memory_fails_before_assembly(soft_pipeline,
                                                    monkeypatch):
-    # a d=32 point with all d^2 coherences in one cluster, and the 24
-    # operators of the pair project, fits
-    assert sweep.physical_memory_bytes() > sweep.redfield_bytes(32 ** 4, 3,
-                                                                32, 24)
+    # a d=32 point with all d^2 coherences in one cluster, the 24
+    # operators of the pair project and 10^4 mode frequencies, fits
+    assert sweep.physical_memory_bytes() > sweep.redfield_bytes(
+        32 ** 4, 3, 32, 24, 10 ** 4)
     R = soft_pipeline.redfield(BASE)[0]
-    need = sweep.redfield_bytes(int(R.clusters.offsets[-1]), len(R.channels),
-                                R.dimension, _operators(soft_pipeline))
+    need = _need(soft_pipeline, R)
     passes = []
     real = redfield._term_elements
     monkeypatch.setattr(redfield, "_term_elements",
@@ -748,14 +752,26 @@ def test_d64_point_holds_only_its_cluster_elements(monkeypatch):
             R, cold, warm = _relax_peaks(
                 pipeline, replace(PAIR, qgrid=(grid,) * 3), monkeypatch)
             # sum n_c^2 elements, where d^4 is 16.8 million at d = 64
-            need = sweep.redfield_bytes(int(R.clusters.offsets[-1]),
-                                        len(R.channels), R.dimension,
-                                        _operators(pipeline))
+            need = _need(pipeline, R)
             assert need < 100e6
             assert cold < 64e6
             # the estimate covers what a warm point holds from the start
             # of assembly, pass 1 included, to the end of relax
             assert need >= warm, (d, grid)
+
+
+def test_estimate_covers_the_warm_vanadyl_point(monkeypatch):
+    # at 8^3 pass 1 runs over F = 777 mode frequencies, which fill its
+    # block of Bohr-frequency columns: the F-sized arrays and numpy's
+    # iterator buffer tip the warm peak over an estimate without them
+    from spinphonon.examples import examples_dir
+    crystal, fc, derivs, system, config = load_project(
+        f"{examples_dir()}/vanadyl_fixture/config.json")
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    params = replace(config.run_params(), qgrid=(8, 8, 8))
+    R, _, warm = _relax_peaks(pipeline, params, monkeypatch)
+    assert pipeline._stack_cache.stack.freqs.size == 777
+    assert _need(pipeline, R) >= warm
 
 
 @pytest.mark.parametrize("example, qgrid", [("vanadyl_fixture", (8, 8, 8)),
