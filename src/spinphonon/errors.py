@@ -8,7 +8,8 @@ class SpinPhononError(Exception):
 
 
 class CapacityError(SpinPhononError):
-    """Hilbert-space dimension exceeds the configured cap."""
+    """Hilbert-space dimension exceeds the configured cap, or a point's
+    Redfield arrays would not fit in physical memory."""
 
 
 class ValidationError(SpinPhononError):

@@ -27,7 +27,8 @@ from .crystal import Atom, CrystalModel
 from .errors import (ConfigError, NumericalError, ParseError, SumRuleError,
                      UnitTagError, ValidationError)
 from .lattice import ForceConstantSet, enforce_acoustic_sum_rule
-from .spins import SpinCenter, SpinCoupling, SpinSystem
+from .spins import (DEFAULT_DIMENSION_CAP, SpinCenter, SpinCoupling,
+                    SpinSystem)
 from .sweep import RunParams, SweepPlan
 from .version import __version__
 
@@ -395,7 +396,7 @@ def build_spin_system(decl, crystal, field_T=None):
         include_nuclear_zeeman=_flag(decl, "include_nuclear_zeeman", True,
                                      "spin_system"),
         dimension_cap=_number(decl, "dimension_cap", "spin_system",
-                              integer=True, default=256))
+                              integer=True, default=DEFAULT_DIMENSION_CAP))
 
 
 def serialize_spin_system(system):

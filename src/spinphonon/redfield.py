@@ -33,12 +33,8 @@ CLUSTER_GAP_FACTOR = 100
 #: most negative eigenvalue a stationary state may have
 POSITIVITY_TOL = 1e-8
 
-#: eigenvalues of the zero cluster within this many times the rate
-#: scale of zero are null-space candidates for the stationary state
-NULL_TOL = 1e-9
-
-#: largest forward error bound, eps cond_1(M), of the tau_int solve:
-#: above it the stationary state is not unique to working precision
+#: largest forward error bound, eps cond_1(M), of the zero-cluster
+#: solves: above it the stationary state is not unique to working precision
 SOLVE_TOL = 1e-3
 
 #: elements of each temporary array of assembly that grows with d^2
@@ -574,58 +570,54 @@ class RelaxationEstimate:
     cluster_gap_ratio: float = None  # rate / smallest gap between clusters
 
 
-def stationary_state(eigsys):
-    """Trace-one stationary state of the generator, as a d x d matrix.
-
-    ``eigsys`` is the ``_BlockEigensystem`` of the generator; the
-    stationary state lies in its zero-frequency cluster. Non-secular
-    generators can carry additional traceless null modes in the
-    coherence sector; the physical fixed point is the null vector with
-    non-vanishing trace. When several null-space candidates carry trace
-    and the Hermitian part of one's trace-one state differs from the
-    first's by more than ``POSITIVITY_TOL``, the state is not unique;
-    when the state has an eigenvalue below -``POSITIVITY_TOL``, it is
-    not physical (it can reach outside the range of any observable).
-    Either raises NumericalError.
-    """
-    return _stationary_state(eigsys)[0]
+def stationary_state(R):
+    """Trace-one stationary state of the generator L of the
+    RedfieldTensor ``R``, as a d x d matrix (``_stationary_state``)."""
+    return _stationary_state(_BlockEigensystem(R))[0]
 
 
 def _stationary_state(eigsys):
-    """(stationary state, its lowest eigenvalue) of ``stationary_state``."""
+    """(rho_ss, its lowest eigenvalue, M) from bordered solves on the
+    zero cluster, which holds rho_ss; they use no eigenvector.
+
+    L conserves the trace, so M_u = L - rate u Tr, u = I/d, is singular
+    exactly when L has a second null mode, traceless or not; otherwise
+    M_u rho0 = -rate u gives the one state with L rho0 = 0 and trace 1.
+    rho0 is exact only to round-off over the gap to the next mode, and
+    that error lies along the slow modes that L^-1 amplifies, so rho0
+    borders again, M = L - rate rho0 Tr, and one Newton step with M,
+    rho = rho0 - M^-1 L rho0, takes it out. Scaled by ``rate``, each
+    border keeps its matrix as well conditioned as L allows.
+    NumericalError when the forward error bound of the solves, eps times
+    the 1-norm condition of M (inf when M_u is singular), is above
+    SOLVE_TOL: rho_ss is not unique to working precision. NumericalError
+    too when rho_ss has an eigenvalue below -POSITIVITY_TOL: it is not
+    physical (it can reach outside the range of any observable)."""
     block, k = eigsys.zero
-    d, w, V, idx = eigsys.d, block.w[k], block.V[k], block.idx[k]
-    diag = idx % (d + 1) == 0
-    cand = np.nonzero(np.abs(w) <= max(NULL_TOL * eigsys.rate, 1e-300))[0]
-    if cand.size == 0:
-        cand = np.array([int(np.argmin(np.abs(w)))])
-    tr = (np.abs(V[diag][:, cand].sum(axis=0))
-          / np.linalg.norm(V[:, cand], axis=0))
-    best = int(np.argmax(tr))  # the first candidate of largest trace
-    if not tr[best] >= 1e-12:
-        raise NumericalError("no stationary state with nonzero trace found")
-    # Hermitian parts of the trace-one states of the candidates with trace
-    X = V[:, cand[tr >= 1e-12]]
-    X = X / X[diag].sum(axis=0)
-    X = 0.5 * (X + X[eigsys.clusters.zero_twins].conj())
-    spread = np.max(np.abs(X - X[:, :1]))
-    if spread > POSITIVITY_TOL:
+    d, idx, L, rate = eigsys.d, block.idx[k], block.L[k], eigsys.rate
+    trace = idx % (d + 1) == 0
+    u = rate / d * trace
+    try:
+        r = np.linalg.solve(L - np.outer(u, trace), -u)
+        M = L - rate * np.outer(r, trace)
+        cond = np.linalg.cond(M, 1)
+    except np.linalg.LinAlgError:
+        cond = np.inf
+    if not cond * np.finfo(float).eps <= SOLVE_TOL:
         raise NumericalError(
-            f"the stationary state is not unique: {X.shape[1]} null-space "
-            f"candidates give trace-one states up to {spread:.3g} apart")
-    v = V[:, cand[best]]
-    x = np.zeros(d * d, dtype=complex)
-    x[idx] = v / np.sum(v[diag])
-    rho = _hermitian_part(x.reshape(d, d))
+            f"the stationary state is not unique to working precision: "
+            f"the zero-cluster matrix has condition {cond:.3g}")
+    v = np.zeros(d * d, dtype=complex)
+    v[idx] = r - np.linalg.solve(M, L @ r)
+    rho = _hermitian_part(v.reshape(d, d))
     lowest = float(np.linalg.eigvalsh(rho)[0])
     if lowest < -POSITIVITY_TOL:
-        raise NumericalError(
-            f"stationary state is not physical: minimum eigenvalue "
-            f"{lowest:.3g} (of {cand.size} null-space candidates)")
-    return rho, lowest
+        raise NumericalError(f"stationary state is not physical: minimum "
+                             f"eigenvalue {lowest:.3g}")
+    return rho, lowest, M
 
 
-def _integral_time(eigsys, rho, O):
+def _integral_time(eigsys, rho, M, O):
     """(tau_int in ps, backward error of its solve) of the observable O
     in the stationary state rho: the Kubo correlation time
 
@@ -633,28 +625,12 @@ def _integral_time(eigsys, rho, O):
 
     with drho and L taken on the zero cluster, which holds rho: <O|drho>
     is the variance of O in rho less drho's share on other clusters.
-    drho is traceless, and L conserves the trace and holds rho in its
-    null space, so M x = drho, M = L - rate rho Tr, has the traceless
-    solution x = L^-1 drho. Scaled by ``rate``, the border keeps M as
-    well conditioned as L allows. eig gives rho only to round-off over
-    the gap to the next mode, and that error lies along the slow modes
-    that L^-1 amplifies, so a first solve with M takes it out (one
-    Newton step). The solves use no eigenvector. NumericalError when
-    their forward error bound, eps times the 1-norm condition of M, is
-    above SOLVE_TOL (a second null mode, so rho is not unique to working
-    precision), or when O has no variance in rho."""
+    drho is traceless, and M = L - rate rho0 Tr of ``_stationary_state``
+    acts as L on traceless vectors, so M x = drho has the traceless
+    solution x = L^-1 drho. NumericalError when O has no variance in
+    rho."""
     block, k = eigsys.zero
-    d, idx, L = eigsys.d, block.idx[k], block.L[k]
-    r = rho.reshape(-1)[idx]
-    M = L - eigsys.rate * np.outer(r, idx % (d + 1) == 0)
-    cond = np.linalg.cond(M, 1)
-    if not cond * np.finfo(float).eps <= SOLVE_TOL:
-        raise NumericalError(
-            f"the stationary state is not unique to working precision: "
-            f"the tau_int matrix has condition {cond:.3g}")
-    v = np.zeros(d * d, dtype=complex)
-    v[idx] = r - np.linalg.solve(M, L @ r)
-    rho = _hermitian_part(v.reshape(d, d))
+    d, idx = eigsys.d, block.idx[k]
     shifted = O - np.trace(O @ rho) * np.eye(d)
     y = (0.5 * (shifted @ rho + rho @ shifted)).reshape(-1)[idx]
     o = O.T.reshape(-1)[idx]
@@ -685,13 +661,17 @@ def extract_relaxation_time(R, ops, observable=None, method="both",
     |Re lambda| below 1e-14 of the rate scale, or below eps ||L_c||_1 of
     its cluster, does not decay. It forms no inverse.
     both: also the linear-response integral time ``tau_int_ms`` of the
-    observable (``_integral_time``), from solves on the zero cluster
-    that use no eigenvector, so it checks the eigensolve as well as the
-    extraction rule. A tau_int that is missing, not positive or more
-    than 5% from tau sets ``mismatch``; it never reads as agreement.
-    Without a physical stationary state, unique to working precision,
-    in which the observable varies, there is no tau_int:
-    ``tau_int_error`` says why, and tau is still reported.
+    observable (``_integral_time``) in the stationary state rho_ss
+    (``_stationary_state``). rho_ss, its uniqueness and tau_int come
+    from bordered solves on the zero cluster and read no eigenvector,
+    so tau_int checks the eigensolve as well as the
+    extraction rule; ``min_rho_eigenvalue`` is rho_ss's lowest
+    eigenvalue and ``solve_residual`` the backward error of the tau_int
+    solve. A tau_int that is missing, not positive or more than 5% from
+    tau sets ``mismatch``; it never reads as agreement. Without a
+    physical stationary state, unique to working precision, in which
+    the observable varies, there is no tau_int: ``tau_int_error`` says
+    why, and tau is still reported.
     """
     if method not in ("both", "slowest_mode"):
         raise ValidationError(f"unknown method {method!r}; allowed: "
@@ -725,9 +705,9 @@ def extract_relaxation_time(R, ops, observable=None, method="both",
         return estimate
     estimate = replace(estimate, eigvec_cond=eigsys.cond, mismatch=True)
     try:
-        rho_ss, lowest = _stationary_state(eigsys)
+        rho_ss, lowest, M = _stationary_state(eigsys)
         estimate = replace(estimate, min_rho_eigenvalue=lowest)
-        tau_int_ps, residual = _integral_time(eigsys, rho_ss, O)
+        tau_int_ps, residual = _integral_time(eigsys, rho_ss, M, O)
     except NumericalError as exc:
         return replace(estimate, tau_int_error=str(exc))
     tau_int_ms = tau_int_ps / PS_PER_MS

@@ -359,7 +359,7 @@ def test_stationary_state_matches_equilibrium():
     T = 25.0
     pc = PhononCorrelation(sigma=0.1, temperature=T)
     R = assemble_redfield(_coupling(ham, ops), ham, pc)
-    rho_ss = stationary_state(redfield._BlockEigensystem(R))
+    rho_ss = stationary_state(R)
     eq = equilibrium_state(ham, T)
     assert np.max(np.abs(rho_ss - eq)) < 1e-5
 
@@ -525,15 +525,14 @@ def _non_physical_fixed_point():
 
 
 def test_stationary_state_rejects_a_non_physical_state():
-    eigsys = redfield._BlockEigensystem(_non_physical_fixed_point())
     with pytest.raises(NumericalError, match="not physical"):
-        stationary_state(eigsys)
+        stationary_state(_non_physical_fixed_point())
 
 
 def test_two_stationary_states_leave_no_tau_int():
     # populations 0 and 1 exchange at 1 /ps and level 2 is decoupled:
     # every mixture of the two fixed points is stationary, and the
-    # tau_int matrix is singular
+    # zero-cluster matrix is singular
     d = 3
     R = np.zeros((d, d, d, d))  # (a, b, c, e): rho_ab <- rho_ce
     R[0, 0, 1, 1] = R[1, 1, 0, 0] = 1.0
@@ -545,6 +544,32 @@ def test_two_stationary_states_leave_no_tau_int():
     assert est.tau_ms == pytest.approx(0.5 / PS_PER_MS)
     assert est.tau_int_ms is None and est.mismatch
     assert "not unique" in est.tau_int_error
+
+
+def test_a_traceless_null_mode_leaves_the_stationary_state_not_unique():
+    # the populations exchange at 1 /ps and the coherences are undamped:
+    # diag(1/2, 1/2) plus any multiple of a coherence is stationary, so
+    # every bordered matrix on the zero cluster is singular
+    gen = np.zeros((4, 4))
+    gen[[0, 3], [0, 3]] = -1.0
+    gen[[0, 3], [3, 0]] = 1.0
+    R = dense_generator(gen)
+    with pytest.raises(NumericalError, match="not unique"):
+        stationary_state(R)
+    est = extract_relaxation_time(R, None, observable=np.diag([0.5, -0.5]))
+    assert est.tau_ms == pytest.approx(0.5 / PS_PER_MS)
+    assert est.tau_int_ms is None and est.mismatch
+    assert est.min_rho_eigenvalue is None
+    assert "not unique" in est.tau_int_error
+    assert "condition inf" in est.tau_int_error
+
+
+def test_stationary_state_reads_no_eigenvector(monkeypatch):
+    def no_eig(*args, **kwargs):
+        raise AssertionError("the stationary state read an eigenvector")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    test_stationary_state_matches_equilibrium()
 
 
 def test_fit_without_physical_stationary_state_is_reported():
@@ -600,7 +625,7 @@ def test_tau_int_solve_matches_the_mode_sum_and_mpmath(seed, d, decades,
     est = extract_relaxation_time(gen, None, observable=O)
     tau = est.tau_int_ms * PS_PER_MS
     eigsys = redfield._BlockEigensystem(gen)
-    rho = stationary_state(eigsys)
+    rho = stationary_state(gen)
     L = gen.channels["zeeman"].reshape(d * d, d * d)
     shifted = O - np.trace(O @ rho) * np.eye(d)
     y = (0.5 * (shifted @ rho + rho @ shifted)).reshape(-1)
