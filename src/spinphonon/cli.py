@@ -16,7 +16,7 @@ import time
 from .errors import (CapacityError, ConfigError, NumericalError, ParseError,
                      SpinPhononError, ValidationError)
 from .coupling import CHANNELS, coupling_norm_distribution
-from .lattice import phonon_dos, phonon_spectrum, symmetry_rotations
+from .lattice import phonon_dos, phonon_spectrum
 from .project import (load_project, write_bands_csv, write_coupling_csv,
                       write_dos_csv, write_results)
 from .sweep import (STAGES, RelaxationPipeline, SweepResult,
@@ -191,8 +191,7 @@ def _cmd_phonons(args):
 
 def _cmd_dos(args):
     pipeline, params, config, out_dir, load_s = _load_pipeline(args)
-    # the symmetry search runs here, not at load: only the DOS uses it
-    rotations, _ = symmetry_rotations(pipeline.fc)
+    rotations = pipeline.symmetry.rotations
     qpts, weights = kpoint_orbits(*params.qgrid, rotations)
     dos = phonon_dos(pipeline.fc, qpts, params.sigma, weights)
     os.makedirs(out_dir, exist_ok=True)
@@ -228,14 +227,22 @@ def _cmd_couple(args):
 
 def _stage_summary(diagnostics):
     """"timings_s <stage> <s> ...; cache_hits <n>", summed over the
-    diagnostics of the points."""
+    diagnostics of the points, then "; symmetry_ops <m> irreducible_q
+    <diagonalised>/<paired>" as ``dos`` prints them, with the q-point
+    counts of each distinct grid of the points, comma-separated."""
     timings = dict.fromkeys(STAGES, 0.0)
     for d in diagnostics:
         for stage, t in d["timings_s"].items():
             timings[stage] += t
     hits = sum(d["cache_hits"] for d in diagnostics)
     stages = " ".join(f"{s} {t:.3f}" for s, t in timings.items())
-    return f"timings_s {stages}; cache_hits {hits}"
+    out = f"timings_s {stages}; cache_hits {hits}"
+    if diagnostics:
+        grids = dict.fromkeys(f"{a}/{b}" for a, b in
+                              (d["irreducible_q"] for d in diagnostics))
+        out += (f"; symmetry_ops {diagnostics[0]['symmetry_ops']} "
+                f"irreducible_q {','.join(grids)}")
+    return out
 
 
 def _cmd_relax(args):

@@ -3,6 +3,7 @@
 import os
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,11 @@ ASYMMETRY_TOL = 1e-9
 #: scale: the metric to max|cell cell^T|, atom positions to the longest
 #: lattice vector, force constants to max|Phi|
 SYMMETRY_TOL = 1e-9
+
+#: most elements of a temporary array of the symmetry search and of
+#: ``sweep.paired_orbits``: a larger stack of operations, or of their
+#: q-point images, is taken in chunks
+SYMMETRY_BLOCK = 1 << 20
 
 #: |omega| (cm^-1) below which a mode counts as zero whatever its sign:
 #: eigh round-off leaves the Gamma acoustic modes at either sign, so only
@@ -175,12 +181,49 @@ def enforce_acoustic_sum_rule(fc):
     )
 
 
+def _row_keys(rows):
+    """One integer per row of the integer array ``rows`` (n, 9), equal
+    for equal rows: the entries as digits, or the rank among the
+    distinct rows where those would overflow int64."""
+    base = 2 * int(np.max(np.abs(rows))) + 1
+    if base ** 9 < 2 ** 63:
+        return (rows + base // 2) @ base ** np.arange(9)
+    return _unique_rows(rows)[1]
+
+
+def _closure(S):
+    """The distinct integer matrices S (m, 3, 3) closed under products,
+    those of S first and the products after them in order of first
+    appearance. Matrices of a finite group close into a subgroup: the
+    inverse of each is one of its powers."""
+    while True:
+        m = len(S)
+        # every S_a S_b at once: rows (a, i) of S times columns (b, k)
+        prod = S.reshape(-1, 3) @ S.transpose(1, 0, 2).reshape(3, -1)
+        rows = np.concatenate([S.reshape(-1, 9), prod.reshape(
+            m, 3, m, 3).transpose(0, 2, 1, 3).reshape(-1, 9)])
+        keys = _row_keys(rows)
+        if np.all(np.isin(keys[m:], keys[:m])):
+            return S
+        first = np.unique(keys, return_index=True)[1]
+        S = rows[np.sort(first)].reshape(-1, 3, 3)
+
+
+def _cartesian(cell, S):
+    """Cartesian rotations R = cell^T S cell^-T of fractional rotations S
+    (..., 3, 3), for Cartesian positions cell^T x."""
+    return cell.T @ S @ np.linalg.inv(cell.T)
+
+
 def _lattice_rotations(cell):
     """Integer fractional rotations S (x -> S x) with S^T G S = G for the
-    metric G = cell cell^T. Column a of S, the image of lattice vector a,
-    is drawn from the integer vectors in {-1, 0, 1}^3 of that vector's
-    length, which holds every rotation of a reduced cell; a cell that is
-    not reduced may lose some, which costs speed, not correctness."""
+    metric G = cell cell^T, the identity first: a group. Column a of S,
+    the image of lattice vector a, is drawn from the integer vectors in
+    {-1, 0, 1}^3 of that vector's length, which holds every rotation of
+    a reduced cell. A cell that is not reduced misses some there, so the
+    found set is closed under products (``_closure``); that recovers
+    those the found ones generate, and a missing one costs speed, not
+    correctness."""
     G = cell @ cell.T
     tol = SYMMETRY_TOL * np.max(np.abs(G))
     vecs = np.indices((3, 3, 3)).reshape(3, -1).T - 1
@@ -191,82 +234,126 @@ def _lattice_rotations(cell):
     S[..., 1] = cols[1][None, :, None]
     S[..., 2] = cols[2][None, None, :]
     S = S.reshape(-1, 3, 3)
-    metric = np.einsum("kai,ab,kbj->kij", S, G, S)
+    metric = S.transpose(0, 2, 1) @ G @ S
     S = S[np.all(np.abs(metric - G) <= tol, axis=(1, 2))]
     # the identity first
-    return S[np.argsort(~np.all(S == np.eye(3, dtype=int), axis=(1, 2)),
-                        kind="stable")]
+    return _closure(S[np.argsort(~np.all(S == np.eye(3, dtype=int),
+                                         axis=(1, 2)), kind="stable")])
 
 
 def _atom_maps(frac, cell, kind, mol, S, taus):
-    """(perm, shift, tau) for the first of ``taus`` under which every
-    atom i, at fractional ``frac[i]``, goes to S x_i + tau =
-    x_perm[i] + shift[i], an atom of the same ``kind`` (equal mass), with the
-    molecules (``mol``) going onto whole molecules and one integer shift
-    for all the atoms of each; None when no tau does."""
+    """(ok, perm, shift, tau) of each rotation S[k] (m, 3, 3) and the
+    first of its candidate translations taus[k] (m, c, 3) under which
+    every atom i, at fractional ``frac[i]``, goes to S x_i + tau =
+    x_perm[i] + shift[i], an atom of the same ``kind`` (equal mass), with
+    the molecules (``mol``) going onto whole molecules and one integer
+    shift for all the atoms of each; ok[k] is False when no tau does."""
     n = frac.shape[0]
-    diff = ((frac @ S.T)[None, :, None, :] + taus[:, None, None, :]
-            - frac[None, None, :, :])  # (tau, i, j, 3)
+    diff = ((frac @ S.transpose(0, 2, 1))[:, None, :, None, :]
+            + taus[:, :, None, None, :] - frac)  # (k, tau, i, j, 3)
     shift = np.rint(diff)
     off = (diff - shift) @ cell
     reach = SYMMETRY_TOL * np.sqrt(np.max(np.sum(cell * cell, axis=1)))
     match = ((np.sum(off * off, axis=-1) <= reach * reach)
              & (kind[:, None] == kind[None, :]))
+    perm = np.argmax(match, axis=-1)  # (k, tau, i)
+    moved = np.take_along_axis(shift, perm[..., None, None],
+                               axis=-2)[..., 0, :].astype(int)
     same = mol[:, None] == mol[None, :]
     first = np.argmax(same, axis=1)  # first atom of each atom's molecule
-    for c in np.flatnonzero(match.any(axis=2).all(axis=1)):
-        perm = np.argmax(match[c], axis=1)
-        moved = shift[c, np.arange(n), perm].astype(int)
-        if (np.array_equal(np.sort(perm), np.arange(n))
-                and np.array_equal(same[perm][:, perm], same)
-                and np.array_equal(moved, moved[first])):
-            return perm, moved, taus[c]
-    return None
+    ok = (match.any(axis=-1).all(axis=-1)
+          & np.all(np.sort(perm, axis=-1) == np.arange(n), axis=-1)
+          & np.all(same[perm[..., :, None], perm[..., None, :]] == same,
+                   axis=(-2, -1))
+          & np.all(moved == moved[..., first, :], axis=(-2, -1)))
+    k, c = np.arange(len(S)), np.argmax(ok, axis=1)
+    return ok[k, c], perm[k, c], moved[k, c], taus[k, c]
 
 
-def _maps_force_constants(fc, S, perm, shift):
-    """Whether the operation takes every block Phi_ij(l) onto
-    Phi_perm(i) perm(j)(S l + shift_j - shift_i) = R Phi_ij(l) R^T, R its
-    Cartesian rotation, within SYMMETRY_TOL of max|Phi|. A block mapped
-    to a lattice vector without records must vanish there."""
-    cell = fc.crystal.cell
-    uniq, phi = fc.dense_blocks()
-    n = fc.crystal.n_atoms
-    R = cell.T @ S @ np.linalg.inv(cell.T)
-    phi = phi.reshape(len(uniq), n, 3, n, 3)
-    turned = np.einsum("as,kisjt,bt->kijab", R, phi, R)
-    target = ((uniq @ S.T)[:, None, None, :] + shift[None, None, :, :]
-              - shift[None, :, None, :])
-    # lattice vectors as integer keys, monotone in their lexicographic order
-    reach = int(max(np.max(np.abs(uniq)), np.max(np.abs(target)))) + 1
-    base = 2 * reach + 1
-    weights = np.array([base * base, base, 1])
-    keys = (uniq + reach) @ weights
-    want = (target + reach) @ weights
-    pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
-    found = keys[pos] == want
-    actual = phi[pos, perm[None, :, None], :, perm[None, None, :], :]
-    actual[~found] = 0.0
-    scale = np.max(np.abs(phi))
-    return bool(np.max(np.abs(turned - actual)) <= SYMMETRY_TOL * scale)
+class _ForceConstantBlocks:
+    """The nonzero 3 x 3 blocks Phi_ij(l) of a force constant set, keyed
+    by (l, i, j) for the check of ``__call__``."""
+
+    def __init__(self, fc):
+        uniq, phi = fc.dense_blocks()
+        n = fc.crystal.n_atoms
+        phi = phi.reshape(len(uniq), n, 3, n, 3)
+        k, self.i, self.j = np.nonzero(np.any(phi != 0.0, axis=(2, 4)))
+        self.lvecs, self.blocks = uniq[k], phi[k, self.i, :, self.j]
+        self.tol = SYMMETRY_TOL * np.max(np.abs(self.blocks), initial=0.0)
+        self.n, self.cell = n, fc.crystal.cell
+
+    def __call__(self, S, perm, shift):
+        """Whether each operation k takes every block Phi_ij(l) onto
+        Phi_perm(i) perm(j)(S l + shift_j - shift_i) = R Phi_ij(l) R^T, R
+        its Cartesian rotation, within SYMMETRY_TOL of max|Phi|: (m,)
+        bool. A block mapped where there is none must vanish. Then every
+        block is also the image of one: the operation cycles the blocks
+        (l, i, j)."""
+        i, j, n = self.i, self.j, self.n
+        if not i.size:
+            return np.ones(len(S), dtype=bool)
+        R = _cartesian(self.cell, S)
+        # R B R^T of each block B, as B (R x R)^T on the flattened B
+        kron = np.einsum("kas,kbt->kstab", R, R).reshape(-1, 9, 9)
+        turned = self.blocks.reshape(-1, 9) @ kron  # (k, block, 9)
+        target = (self.lvecs @ S.transpose(0, 2, 1) + shift[:, j]
+                  - shift[:, i])
+        # blocks as integer keys, monotone in the order of (l, i, j)
+        reach = int(max(np.max(np.abs(self.lvecs)),
+                        np.max(np.abs(target)))) + 1
+        base = 2 * reach + 1
+        weights = np.array([base * base, base, 1])
+        keys = ((self.lvecs + reach) @ weights * n + i) * n + j
+        want = ((target + reach) @ weights * n + perm[:, i]) * n + perm[:, j]
+        pos = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        found = keys[pos] == want
+        actual = self.blocks.reshape(-1, 9)[pos]
+        actual[~found] = 0.0
+        return np.max(np.abs(turned - actual), axis=(1, 2)) <= self.tol
+
+
+class Symmetry(NamedTuple):
+    """Operations x -> S x + tau of a crystal (``symmetry_rotations``):
+    operation k takes atom i to atom perms[k, i] in the cell of lattice
+    vector shifts[k, i]."""
+
+    rotations: np.ndarray  # (m, 3, 3) int fractional S, identity first
+    translations: np.ndarray  # (m, 3) fractional tau
+    perms: np.ndarray  # (m, N) int
+    shifts: np.ndarray  # (m, N, 3) int
+
+
+def _chunked(fn, size, *stacks):
+    """fn over the leading axis of ``stacks`` in chunks, each of whose
+    operations holds ``size`` elements, of at most SYMMETRY_BLOCK
+    elements; the tuples fn returns, concatenated."""
+    step = max(1, SYMMETRY_BLOCK // max(1, size))
+    parts = [fn(*(s[k:k + step] for s in stacks))
+             for k in range(0, len(stacks[0]), step)]
+    return tuple(np.concatenate(x) for x in zip(*parts))
 
 
 def symmetry_rotations(fc):
     """The space-group operations x -> S x + tau of the crystal of ``fc``
-    that also leave its force constants and molecules unchanged.
+    that also leave its force constants and molecules unchanged: a
+    ``Symmetry``, a group whose first operation is the identity.
 
-    Returns (rotations, translations): integer fractional rotations S
-    (m, 3, 3), identity first, and one fractional translation tau (m, 3)
-    each. S preserves the metric cell cell^T (``_lattice_rotations``);
-    the operation takes every atom onto an atom of the same mass, every
+    S preserves the metric cell cell^T (``_lattice_rotations``); the
+    operation takes every atom onto an atom of the same mass, every
     molecule, by its unwrapped positions, onto a molecule with one
     lattice shift for all its atoms (so the rigid-body rows of
     ``decomposition_weights`` go onto rigid-body rows), and the force
-    constants onto themselves within ``SYMMETRY_TOL``. Such an S gives
-    D(S^-T q) = U D(q) U^H with U unitary, the same frequencies and
-    decomposition weights at both q-points (``sweep.kpoint_orbits``).
-    Candidate translations take the first atom of the rarest mass onto
-    each atom of that mass.
+    constants onto themselves within ``SYMMETRY_TOL`` of max|Phi|. Such
+    an operation gives D(q') = U D(S^T q') U^H with U unitary
+    (``unfold_modes``), so q' and S^T q' have the same frequencies and
+    decomposition weights (``sweep.kpoint_orbits``). Candidate
+    translations take the first atom of the rarest mass onto each atom
+    of that mass; the first that maps the atoms is kept. Every rotation
+    is checked at once, in chunks of ``SYMMETRY_BLOCK`` elements. On force
+    constants that are symmetric only to within the tolerance, products
+    of accepted operations may fail it; the set is then not a group, and
+    only the identity is kept.
     """
     crystal = fc.crystal
     frac, cell = crystal.frac_positions, crystal.cell
@@ -274,16 +361,48 @@ def symmetry_rotations(fc):
                                return_counts=True)
     mol = np.array([a.molecule for a in crystal.atoms])
     ref = int(np.argmin(count[kind]))
-    candidates = frac[kind == kind[ref]]
-    rotations, translations = [], []
-    for S in _lattice_rotations(cell):
-        mapped = _atom_maps(frac, cell, kind, mol, S,
-                            candidates - S @ frac[ref])
-        if mapped is not None and _maps_force_constants(fc, S, *mapped[:2]):
-            rotations.append(S)
-            translations.append(mapped[2])
-    return (np.array(rotations, dtype=int).reshape(-1, 3, 3),
-            np.array(translations, dtype=float).reshape(-1, 3))
+    S = _lattice_rotations(cell)
+    taus = frac[kind == kind[ref]][None] - (S @ frac[ref])[:, None]
+    n = crystal.n_atoms
+    ok, perm, shift, tau = _chunked(
+        lambda *a: _atom_maps(frac, cell, kind, mol, *a),
+        3 * taus.shape[1] * n * n, S, taus)
+    S, perm, shift, tau = S[ok], perm[ok], shift[ok], tau[ok]
+    keep = np.ones(len(S), dtype=bool)
+    if len(S) > 1:  # the identity, first, needs no check
+        blocks = _ForceConstantBlocks(fc)
+        keep[1:], = _chunked(lambda *a: (blocks(*a),), 9 * len(blocks.i) + 1,
+                             S[1:], perm[1:], shift[1:])
+    if len(_closure(S[keep])) > np.count_nonzero(keep):
+        keep = [0]
+    return Symmetry(S[keep], tau[keep], perm[keep], shift[keep])
+
+
+def unfold_modes(crystal, symmetry, op, reverse, qpoints, vecs):
+    """Eigenvectors at q' = qpoints[k] (fractional) from those ``vecs[k]``
+    (3N, M) of D(q) at a q-point that operation S = symmetry.rotations
+    [op[k]] relates to it: S^T q' = q, or S^T q' = -q where ``reverse[k]``,
+    modulo the reciprocal lattice.
+
+    D(q') = U D(S^T q') U^H with U_perm(i),i = e^{-2 pi i q'.shift_i} R
+    (R the Cartesian rotation, ``Symmetry`` the permutation and shifts),
+    and D(-q) = conj D(q): the force constants are real. So the
+    eigenvectors at q' are U v, or U conj(v), with the frequencies of
+    q. Returns the stack (K, 3N, M)."""
+    K, M = len(op), vecs.shape[-1]
+    R = _cartesian(crystal.cell, symmetry.rotations)[op][:, None]
+    # row j of U v is the turned row of the atom that goes to j
+    source = (np.arange(K)[:, None],
+              np.argsort(symmetry.perms, axis=1)[op])  # (K, N)
+    v = np.reshape(vecs, (K, -1, 3, M))[source]
+    # R is real: it turns the real and imaginary parts side by side, and
+    # R conj(v) = conj(R v)
+    turned = (R @ v.view(float)).view(complex)
+    np.conjugate(turned, out=turned, where=reverse[:, None, None, None])
+    shift = symmetry.shifts[op][source]  # (K, N, 3)
+    turned *= np.exp(-2j * np.pi * np.sum(shift * qpoints[:, None], axis=2)
+                     )[:, :, None, None]
+    return turned.reshape(vecs.shape)
 
 
 def dynamical_matrices(fc, qpoints):

@@ -1,19 +1,30 @@
 """Relaxation pipeline and parameter-sweep orchestration.
 
-The pipeline solves one q-point of each {q, -q} pair of the q-grid
-(``kpoint_orbits`` with no rotations): the force constants are real, so
+The pipeline projects the modes of one q-point of each {q, -q} pair of
+the q-grid (``paired_orbits``): the force constants are real, so
 D(-q) = conj D(q), and the partner has the same frequencies and
 conjugate eigenvectors. Its modes enter with weight 2 (1 where q = -q),
 folded as sqrt(weight) into each mode's amplitude, which reproduces
-the full-grid Redfield tensor to round-off. The crystal's point
-operations, which the ``dos`` verb also folds in, do not reduce the
-pipeline's grid: the derivative records of the spin's tensors follow no
-rotation of the lattice, so the couplings at q and S q differ. Mode
-counts in the diagnostics (imaginary, below omega_min, pruned) and
-``n_q`` are full-grid counts; ``n_couplings`` counts the nonzero
-standing-wave parts of the modes (``CouplingStack``).
+the full-grid Redfield tensor to round-off. The crystal's operations
+(``lattice.symmetry_rotations``), which the ``dos`` verb also folds in,
+reduce the phonon eigensolves, not the projections: only one paired
+q-point of each orbit is diagonalised, and the others take its
+frequencies, bit for bit, and its eigenvectors turned by the operation
+(``lattice.unfold_modes``); ``CouplingStack`` merges equal frequencies,
+so assembly runs over one frequency per star. The derivative records
+of the spin's tensors follow no rotation of the lattice, so every
+paired q-point is projected. An operation is accepted within
+``lattice.SYMMETRY_TOL`` of max|Phi|: on force constants that are
+symmetric only to that level, the turned eigenvectors are exact for a
+D(q) within that distance of the point's own. Mode counts in the
+diagnostics (imaginary, below omega_min, pruned) and ``n_q`` are
+full-grid counts; ``n_couplings`` counts the nonzero standing-wave
+parts of the modes (``CouplingStack``); ``symmetry_ops`` and
+``irreducible_q`` (diagonalised, paired) count the operations and the
+q-points, as ``dos`` prints them.
 
-The pipeline caches three things: phonon spectra per q-grid, the
+The pipeline caches four things: the crystal's operations and the
+phonon spectra per q-grid, both shared with ``with_spins`` siblings, the
 tensors of the modes projected so far per (q-grid, omega_min), and the
 spin Hamiltonian and coupling stack of the last point. A point projects
 only the modes it keeps (``RelaxationPipeline.couplings`` prunes before
@@ -34,6 +45,7 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +57,9 @@ from .coupling import (CHANNELS, CHANNEL_OF_KIND, CouplingDerivativeSet,
 from .errors import (CapacityError, NumericalError, ValidationError,
                      as_real, finite_number)
 from .hamiltonian import assemble_hamiltonian
-from .lattice import (DEFAULT_OMEGA_MIN, enforce_acoustic_sum_rule,
-                      phonon_spectrum)
+from .lattice import (DEFAULT_OMEGA_MIN, SYMMETRY_BLOCK, _unique_rows,
+                      enforce_acoustic_sum_rule, phonon_spectrum,
+                      symmetry_rotations, unfold_modes)
 from .redfield import (ASSEMBLY_BLOCK, PhononCorrelation, assemble_redfield,
                        extract_relaxation_time)
 from .spins import SpinCenter, SpinSystem, build_spin_operators
@@ -64,52 +77,117 @@ def kpoint_grid(n1, n2, n3):
     return np.stack([x.reshape(-1) for x in g], axis=1)
 
 
-def kpoint_orbits(n1, n2, n3, rotations=()):
-    """One q-point of each orbit of ``kpoint_grid`` under ``rotations``
-    and time reversal, and its weight.
+class PairedOrbits(NamedTuple):
+    """One q-point of each {q, -q} pair of a grid and, for each, the
+    representative of its orbit under a crystal's operations
+    (``paired_orbits``)."""
+
+    qpoints: np.ndarray  # (P, 3) the pairs' first q-points, in grid order
+    weights: np.ndarray  # (P,) 2, or 1 where q = -q modulo the grid
+    source: np.ndarray  # (P,) index of the orbit's representative
+    op: np.ndarray  # (P,) rotation k with S_k^T q = +-q[source]
+    reverse: np.ndarray  # (P,) bool: the minus sign (time reversal)
+
+
+def paired_orbits(n1, n2, n3, rotations=()):
+    """The {q, -q} pairs of ``kpoint_grid(n1, n2, n3)`` and the orbits of
+    ``rotations`` and time reversal over them: a ``PairedOrbits``.
 
     ``rotations`` are integer fractional rotations S of the crystal
-    (x -> S x + tau, ``lattice.symmetry_rotations``): q and S^T q, in
-    fractional reciprocal coordinates, have the same frequencies and
-    decomposition weights. Those whose S^T does not map the grid onto
-    itself are dropped, and -E is always composed in: the force
-    constants are real, so D(-q) = conj D(q). Returns (qpoints,
-    weights): the rows of ``kpoint_grid(n1, n2, n3)`` of smallest flat
-    index in their orbit, in grid order, each weighted by the size of
-    its orbit; the weights sum to n1 n2 n3. Orbits are found from the
-    integer grid indices, never by comparing fractional coordinates.
-    With no rotations the orbits are the {q, -q} pairs: weight 2, or 1
-    where q = -q modulo the grid (2q = 0).
+    (x -> S x + tau), a group such as ``lattice.symmetry_rotations``
+    returns; none stands for the identity. q and S^T q, in fractional
+    reciprocal coordinates, have the same frequencies and decomposition
+    weights. Those whose S^T does not map the grid onto itself are left
+    out (the rest are a group too), and -E is always composed in: the
+    force constants are real, so D(-q) = conj D(q). Each pair is
+    represented by its point of smaller flat grid index; each orbit by
+    its point of smallest flat index, which is one of those, and every
+    paired point names it (``source``, an index into ``qpoints``) with
+    the first operation that takes the point there: rotation ``op``,
+    times -E where ``reverse``. A representative names itself with the
+    identity when that is rotation 0. The images of all the paired
+    points under all the operations are one stacked integer product on
+    the grid indices (in chunks of at most ``lattice.SYMMETRY_BLOCK``
+    elements), never a comparison of fractional coordinates.
     """
     qpts = kpoint_grid(n1, n2, n3)
-    shape = (n1, n2, n3)
-    n = np.array(shape)
-    actions = [-np.eye(3, dtype=int)]
-    for S in rotations:
-        # index k goes to A k with A_ab = S_ba n_a / n_b, an integer
-        # matrix exactly when S^T maps the grid onto itself
-        scaled = np.asarray(S, dtype=int).T * n[:, None]
-        if not np.any(scaled % n[None, :]):
-            A = scaled // n[None, :]
-            actions += [A, -A]
-    axes = np.ogrid[:n1, :n2, :n3]
-    # |(A k)_a| < 3 n_a, so wrap[a][(A k)_a + 3 n_a] is its flat offset
-    wrap = [np.arange(-3 * m, 3 * m) % m * stride
-            for m, stride in zip(shape, (n2 * n3, n3, 1))]
-    images = [sum(wrap[a][sum(A[a, b] * axes[b] for b in range(3))
-                          + 3 * n[a]] for a in range(3)).reshape(-1)
-              for A in {A.tobytes(): A for A in actions}.values()]
-    # the smallest flat index reachable, spread until it settles
-    rep = np.arange(n1 * n2 * n3)
-    while True:
-        new = rep.copy()
-        for image in images:
-            np.minimum(new, rep[image], out=new)
-        if np.array_equal(new, rep):
-            break
-        rep = new
-    keep = rep == np.arange(rep.size)
-    return qpts[keep], np.bincount(rep, minlength=rep.size)[keep]
+    n = np.array((n1, n2, n3))
+    strides = np.array((n2 * n3, n3, 1))
+    # the flat index of -k, by broadcasting along the three axes
+    partner = sum(np.reshape(-np.arange(m) % m * t, shape)
+                  for m, t, shape in zip(n, strides, np.eye(3, dtype=int)
+                                         * (n - 1) + 1)).reshape(-1)
+    first = np.flatnonzero(np.arange(partner.size) <= partner)
+    S = np.asarray(rotations, dtype=int).reshape(-1, 3, 3)
+    if not len(S):
+        S = np.eye(3, dtype=int)[None]
+    # index k goes to A k with A_ab = S_ba n_a / n_b, an integer matrix
+    # exactly when S^T maps the grid onto itself
+    scaled = S.transpose(0, 2, 1) * n[:, None]
+    ops = np.flatnonzero(~np.any(scaled % n, axis=(1, 2)))
+    A = scaled[ops] // n
+    # -E composed in, unless the group holds it already
+    if not np.any(np.all(A == -np.eye(3, dtype=int), axis=(1, 2))):
+        A = np.concatenate([A, -A])
+    if np.all(A == A[:, :1, :1] * np.eye(3, dtype=int)):
+        # E and -E alone: each pair is an orbit
+        best, source = np.zeros(first.size, dtype=int), np.arange(first.size)
+    else:
+        best, rep = _orbit_minima(A, first, n)
+        position = np.zeros(partner.size, dtype=int)
+        position[first] = np.arange(first.size)
+        source = position[rep]
+    return PairedOrbits(qpoints=qpts[first],
+                        weights=np.where(partner[first] == first, 1, 2),
+                        source=source, op=ops[best % len(ops)],
+                        reverse=best >= len(ops))
+
+
+def _orbit_minima(A, flat, n):
+    """(action, image) of smallest flat index over the images A k mod n of
+    each of the grid points ``flat`` (flat indices on the grid of
+    divisions n), for the index maps A (g, 3, 3): one stacked integer
+    product over the distinct rows of the A, in chunks of at most
+    SYMMETRY_BLOCK elements."""
+    strides = np.array((n[1] * n[2], n[2], 1))
+    # the distinct (a, row a of an A): (A k)_a of each once, wrapped by
+    # wrap[(A k)_a + off] = ((A k)_a mod n_a) strides[a]
+    axis = np.broadcast_to(np.arange(3), A.shape[:2]).reshape(-1, 1)
+    rows, which = _unique_rows(np.hstack([axis, A.reshape(-1, 3)]))
+    which = which.reshape(-1, 3)
+    span = int(np.max(np.abs(rows[:, 1:]) @ (n - 1)))
+    wrap = np.concatenate([np.arange(-span, span + 1) % m * t
+                           for m, t in zip(n, strides)]).astype(np.int32)
+    off = rows[:, :1] * (2 * span + 1) + span
+    k = np.stack(np.unravel_index(flat, n))
+    best = np.empty(flat.size, dtype=int)
+    rep = np.empty(flat.size, dtype=int)
+    step = max(1, SYMMETRY_BLOCK // (len(A) + len(rows)))
+    for lo in range(0, flat.size, step):
+        chunk = slice(lo, lo + step)
+        part = wrap[rows[:, 1:] @ k[:, chunk] + off]
+        image = part[which[:, 0]]  # (action, point)
+        image += part[which[:, 1]]
+        image += part[which[:, 2]]
+        best[chunk] = np.argmin(image, axis=0)
+        rep[chunk] = np.min(image, axis=0)
+    return best, rep
+
+
+def kpoint_orbits(n1, n2, n3, rotations=()):
+    """One q-point of each orbit of ``kpoint_grid`` under ``rotations``
+    and time reversal, and its weight (``paired_orbits``).
+
+    Returns (qpoints, weights): the rows of ``kpoint_grid(n1, n2, n3)``
+    of smallest flat index in their orbit, in grid order, each weighted
+    by the size of its orbit; the weights sum to n1 n2 n3. With no
+    rotations the orbits are the {q, -q} pairs: weight 2, or 1 where
+    q = -q modulo the grid (2q = 0).
+    """
+    pairs = paired_orbits(n1, n2, n3, rotations)
+    own = pairs.source == np.arange(pairs.source.size)
+    weights = np.bincount(pairs.source, pairs.weights, own.size)
+    return pairs.qpoints[own], weights[own].astype(int)
 
 
 #: stages timed per point, in diagnostics["timings_s"]
@@ -174,17 +252,46 @@ class _StackCache(NamedTuple):
     diag: dict
 
 
+class PhononGrid(NamedTuple):
+    """The phonons of one q-point of each {q, -q} pair of a grid
+    (``RelaxationPipeline.phonons``): frequencies (P, 3N) and eigenvector
+    columns vecs[k, :, a] of omega[k, a] at each q-point, its weight, and
+    the mask of the q-points that were diagonalised (``solved``)."""
+
+    qpoints: np.ndarray
+    weights: np.ndarray
+    omega: np.ndarray
+    vecs: np.ndarray
+    solved: np.ndarray
+
+
+class _PhononCache:
+    """What the pipelines on one crystal share: its symmetry operations
+    (``lattice.symmetry_rotations``), found on first use, and a
+    PhononGrid per q-grid (``spectra``)."""
+
+    def __init__(self, fc):
+        self.fc = fc
+        self.spectra = {}
+
+    @cached_property
+    def symmetry(self):
+        return symmetry_rotations(self.fc)
+
+
 class _ModeCache:
     """The usable modes (omega >= omega_min) of one paired grid and the
     tensors of those projected so far.
 
-    ``spectrum`` is the grid's (qpoints, weights, omega, vecs); mode m is
-    branch ``branch[m]`` at q-point ``iq[m]``, of frequency ``omega[m]``
-    and weight ``weight[m]``. ``tensors`` holds the projected modes
-    (``done``) in mode order; ``diag`` the full-grid mode counts."""
+    ``spectrum`` is the grid's PhononGrid; mode m is branch ``branch[m]``
+    at q-point ``iq[m]``, of frequency ``omega[m]`` and weight
+    ``weight[m]``. ``tensors`` holds the projected modes (``done``) in
+    mode order; ``diag`` the full-grid mode counts, the crystal's
+    ``symmetry_ops`` and ``irreducible_q``, the q-points diagonalised
+    and paired."""
 
-    def __init__(self, spectrum, omega_min):
-        _, weights, omega, _ = spectrum
+    def __init__(self, spectrum, omega_min, symmetry_ops):
+        weights, omega = spectrum.weights, spectrum.omega
         self.spectrum = spectrum
         self.iq, self.branch = np.nonzero(omega >= omega_min)
         self.omega = omega[self.iq, self.branch]
@@ -194,7 +301,9 @@ class _ModeCache:
                                                      axis=1))
         skipped = nq * omega.shape[1] - int(self.weight.sum()) - n_imaginary
         self.diag = {"skipped_modes": skipped, "imaginary_modes": n_imaginary,
-                     "n_q": nq}
+                     "n_q": nq, "symmetry_ops": symmetry_ops,
+                     "irreducible_q": [int(spectrum.solved.sum()),
+                                       spectrum.solved.size]}
         self.done = np.zeros(self.omega.size, dtype=bool)
         self.targets = self.tensors = None
 
@@ -333,7 +442,7 @@ class RelaxationPipeline:
     def __init__(self, crystal, fc, derivs, system):
         self.crystal = crystal
         self.fc = enforce_acoustic_sum_rule(fc)
-        self._phonon_cache = {}
+        self._phonon_cache = _PhononCache(self.fc)
         self._set_spins(system, derivs)
 
     def with_spins(self, system, derivs):
@@ -363,18 +472,43 @@ class RelaxationPipeline:
             self._log.timings[stage] += time.perf_counter() - t0
 
     # -- cached stages ----------------------------------------------------
+    @property
+    def symmetry(self):
+        """The crystal's operations (``lattice.symmetry_rotations``),
+        found once and shared with the pipeline's siblings."""
+        return self._phonon_cache.symmetry
+
     def phonons(self, qgrid):
-        """Cached (qpoints, weights, omega, vecs) of one q-point of each
-        {q, -q} pair of the grid (``kpoint_orbits``)."""
+        """Cached PhononGrid of one q-point of each {q, -q} pair of the
+        grid (``paired_orbits``).
+
+        Only the representative of each orbit of the crystal's operations
+        (``symmetry``) and time reversal is diagonalised. Every other
+        paired q-point takes its frequencies, bit for bit, and its
+        eigenvectors turned by the operation (``lattice.unfold_modes``),
+        eigenvectors of D(q) there. A crystal with no operation but the
+        identity diagonalises every paired q-point."""
         key = tuple(qgrid)
-        if key in self._phonon_cache:
+        spectra = self._phonon_cache.spectra
+        if key in spectra:
             self._log.cache_hits += 1
         else:
             with self._timed("phonons"):
-                qpts, weights = kpoint_orbits(*qgrid)
-                omega, vecs = phonon_spectrum(self.fc, qpts)
-            self._phonon_cache[key] = (qpts, weights, omega, vecs)
-        return self._phonon_cache[key]
+                pairs = paired_orbits(*qgrid, self.symmetry.rotations)
+                solved = pairs.source == np.arange(pairs.source.size)
+                omega, vecs = phonon_spectrum(self.fc, pairs.qpoints[solved])
+                if not solved.all():
+                    source = (np.cumsum(solved) - 1)[pairs.source]
+                    moved = ~solved
+                    vecs = vecs[source]
+                    vecs[moved] = unfold_modes(
+                        self.fc.crystal, self.symmetry, pairs.op[moved],
+                        pairs.reverse[moved], pairs.qpoints[moved],
+                        vecs[moved])
+                    omega = omega[source]
+            spectra[key] = PhononGrid(pairs.qpoints, pairs.weights, omega,
+                                      vecs, solved)
+        return spectra[key]
 
     def mode_precursors(self, qgrid, omega_min=DEFAULT_OMEGA_MIN, keep=None):
         """ModeTensors of the usable modes of the paired grid, each
@@ -392,7 +526,8 @@ class RelaxationPipeline:
         key = (tuple(qgrid), omega_min)
         cache = self._precursor_cache.get(key)
         if cache is None:
-            cache = _ModeCache(self.phonons(qgrid), omega_min)
+            cache = _ModeCache(self.phonons(qgrid), omega_min,
+                               len(self.symmetry.rotations))
             self._precursor_cache[key] = cache
         else:
             self._log.cache_hits += 1
@@ -400,7 +535,7 @@ class RelaxationPipeline:
                 else keep(cache.omega))
         new = want & ~cache.done
         if cache.tensors is None or new.any():
-            qpts, weights, omega, vecs = cache.spectrum
+            qpts, weights, omega, vecs, _ = cache.spectrum
             iq, branch = cache.iq[new], cache.branch[new]
             with self._timed("mode_tensors"):
                 modes = mode_tensor_derivatives(

@@ -37,7 +37,8 @@ from spinphonon.project import (_iter_records, _parse_float, _parse_lvec,
 from spinphonon.redfield import (CLUSTER_GAP_FACTOR, RATE_PREFACTOR,
                                  SECULAR_TOL_CM1, RedfieldTensor,
                                  bohr_clusters, phonon_correlation_value)
-from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, ZERO_POINT_LENGTH_A
+from spinphonon.units import (ANGULAR_FREQUENCY_PER_CM1,
+                              FREQ_CM1_PER_SQRT_EV_A2_AMU, ZERO_POINT_LENGTH_A)
 
 
 def reference_correlation(pc, omega_ij, omega_mode):
@@ -266,6 +267,21 @@ def reference_dynamical_matrices(fc, qpoints):
             f"D(q) asymmetry {asym[worst]:.2e} above {ASYMMETRY_TOL:.0e} "
             f"at q={qpoints[worst].tolist()}")
     return 0.5 * (D + Dh)
+
+
+def assert_phonon_eigenpairs(fc, grid, rel=1e-12):
+    """Every eigenvector column v of the PhononGrid ``grid`` meets
+    ||D(q) v - lambda v|| <= rel max|D| at its q-point, with D from
+    ``reference_dynamical_matrices`` and lambda from the column's
+    frequency, and the columns of each q-point are orthonormal within
+    rel."""
+    D = reference_dynamical_matrices(fc, grid.qpoints)
+    lam = np.sign(grid.omega) * (grid.omega / FREQ_CM1_PER_SQRT_EV_A2_AMU) ** 2
+    V = grid.vecs
+    residual = np.linalg.norm(D @ V - V * lam[:, None, :], axis=1)
+    assert np.max(residual) <= rel * np.max(np.abs(D))
+    gram = V.conj().transpose(0, 2, 1) @ V
+    assert np.max(np.abs(gram - np.eye(V.shape[-1]))) <= rel
 
 
 def reference_decomposition_weights(crystal, eigvecs):

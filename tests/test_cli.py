@@ -183,7 +183,7 @@ def test_dos_diagonalises_the_grid_once(tmp_path, monkeypatch, capsys):
     solved = np.concatenate(diagonalised)
     flat = np.ravel_multi_index(grid_index(solved).T, grid)
     crystal, fc, *_ = load_project(cfg)
-    rotations, _ = lattice.symmetry_rotations(
+    rotations, *_ = lattice.symmetry_rotations(
         lattice.enforce_acoustic_sum_rule(fc))
     qpts, weights = sweep.kpoint_orbits(*grid, rotations)
     assert len(rotations) == 16  # D4h of the diatomic in a cubic cell
@@ -231,7 +231,8 @@ def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):
     line, = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("timings_s ")]
     assert all(f" {stage} " in line for stage in sweep.STAGES)
-    assert "; cache_hits 0; bohr_clusters " in line
+    assert ("; cache_hits 0; symmetry_ops 1 irreducible_q 36/36; "
+            "bohr_clusters " in line)
     diag = json.load(open(os.path.join(out, "relax.json")))["rows"][0][
         "diagnostics"]
     assert 1.0 <= diag["eigvec_cond"] <= 1e10
@@ -327,7 +328,8 @@ def test_sweep_writes_rows(tmp_path, capsys):
     assert line.startswith("sweep 0 (temperature): 2 points, 0 failed; "
                            "timings_s phonons ")
     assert all(f" {stage} " in line for stage in sweep.STAGES)
-    assert line.endswith("; cache_hits 1")
+    assert line.endswith("; cache_hits 1; "
+                         "symmetry_ops 16 irreducible_q 18/36")
     rows = list(csv.DictReader(
         open(os.path.join(out, "sweep_0_temperature.csv"))))
     assert len(rows) == 2

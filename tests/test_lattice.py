@@ -512,7 +512,7 @@ def _with(fc, crystal=None, values=None):
 
 def test_debye_crystal_has_the_six_axis_permutations():
     _, fc = _debye_toy()
-    rotations, translations = lattice.symmetry_rotations(fc)
+    rotations, translations, *_ = lattice.symmetry_rotations(fc)
     eye = np.eye(3, dtype=int)
     assert np.array_equal(rotations[0], eye)
     assert _as_set(rotations) == _as_set(
@@ -531,7 +531,7 @@ def test_force_constants_off_by_1e_6_leave_only_the_identity():
     values = fc.values.copy()
     values[k] += 1e-6
     broken = _with(fc, values=values)
-    rotations, _ = lattice.symmetry_rotations(broken)
+    rotations, *_ = lattice.symmetry_rotations(broken)
     assert _as_set(rotations) == _as_set([np.eye(3, dtype=int)])
     qpoints, weights = kpoint_orbits(6, 6, 6, rotations)
     paired_q, paired_w = kpoint_orbits(6, 6, 6)
@@ -553,7 +553,7 @@ def test_operations_that_split_a_molecule_are_rejected():
                                       frac=crystal.atoms[3].frac,
                                       molecule=1),)
     relabelled = CrystalModel(cell=crystal.cell, atoms=atoms)
-    rotations, _ = lattice.symmetry_rotations(_with(fc, crystal=relabelled))
+    rotations, *_ = lattice.symmetry_rotations(_with(fc, crystal=relabelled))
     assert _as_set(rotations) == _as_set(
         [np.eye(3, dtype=int), np.eye(3, dtype=int)[[1, 0, 2]]])
 
@@ -568,6 +568,23 @@ def test_a_molecule_split_across_cells_is_rejected():
     atoms[1] = Atom(element="X", mass=20.0, frac=frac + [1.0, 0.0, 0.0],
                     molecule=0)
     moved = CrystalModel(cell=crystal.cell, atoms=tuple(atoms))
-    rotations, _ = lattice.symmetry_rotations(_with(fc, crystal=moved))
+    rotations, *_ = lattice.symmetry_rotations(_with(fc, crystal=moved))
     assert _as_set(rotations) == _as_set(
         [np.eye(3, dtype=int), np.eye(3, dtype=int)[[0, 2, 1]]])
+
+
+def test_operations_that_are_no_group_leave_only_the_identity(monkeypatch):
+    # on force constants symmetric only to about SYMMETRY_TOL, accepted
+    # operations can have a product that is rejected; such a set is no
+    # group, and the orbits need one, so only the identity is kept
+    _, fc = _debye_toy()
+    check = lattice._ForceConstantBlocks.__call__
+    cycle = np.eye(3, dtype=int)[[1, 2, 0]]
+
+    def reject_cycle(self, S, perm, shift):
+        return check(self, S, perm, shift) & ~np.all(S == cycle, axis=(1, 2))
+
+    monkeypatch.setattr(lattice._ForceConstantBlocks, "__call__",
+                        reject_cycle)
+    rotations = lattice.symmetry_rotations(fc).rotations
+    assert _as_set(rotations) == _as_set([np.eye(3, dtype=int)])

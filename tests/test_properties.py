@@ -37,7 +37,8 @@ from spinphonon.sweep import (RelaxationPipeline, RunParams, kpoint_grid,
 from spinphonon.toy import ToySpec, generate_toy_crystal
 from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
 
-from dense_reference import (assert_matches_dense, bohr_omega, cluster_labels,
+from dense_reference import (assert_matches_dense, assert_phonon_eigenpairs,
+                             bohr_omega, cluster_labels,
                              coupling_rows, dense_redfield,
                              detailed_balance_generator,
                              exhaustive_slowest_mode, gershgorin_rate,
@@ -240,6 +241,15 @@ spin_toy_specs = st.builds(
 )
 
 
+def _full_grid_orbits(n1, n2, n3, rotations=()):
+    """Every q-point of the grid as its own orbit, with unit weight: a
+    pipeline on these diagonalises every full-grid q-point."""
+    qpts, weights = _full_grid(n1, n2, n3)
+    zero = np.zeros(len(qpts), dtype=int)
+    return sweep.PairedOrbits(qpts, weights, np.arange(len(qpts)), zero,
+                              zero.astype(bool))
+
+
 @FEW
 @given(spec=spin_toy_specs, grid=st.tuples(st.integers(1, 4),
                                            st.integers(1, 4),
@@ -253,20 +263,54 @@ def test_paired_grid_gives_the_full_grid_redfield_tensor(spec, grid, secular,
     R, *_, diag = RelaxationPipeline(crystal, fc, derivs,
                                      system).redfield(params)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "kpoint_orbits", _full_grid)
-        R_full, *_, diag_full = RelaxationPipeline(crystal, fc, derivs,
-                                                   system).redfield(params)
+        mp.setattr(sweep, "paired_orbits", _full_grid_orbits)
+        full = RelaxationPipeline(crystal, fc, derivs, system)
+        R_full, *_, diag_full = full.redfield(params)
     assert R.channels.keys() == R_full.channels.keys()
     # the two stacks bound the rate a little differently: compare the
     # elements that both tensors hold
     common = in_cluster(R) & in_cluster(R_full)
     scale = max((np.max(np.abs(p)) for p in R_full.channels.values()),
                 default=0.0)
+    # an absolute floor from the inputs' scale: 1e-12 of the rate that
+    # every coupling row would give at the peak of its kernel,
+    # (2 n + 1) / (sigma sqrt(pi)). Far from resonance R is a Gaussian
+    # tail, whose round-off is relative to that rate, not to R
+    omega, _, V = coupling_rows(full._stack_cache.stack)
+    peak = (2 * lattice.bose_population(omega, params.temperature) + 1) / (
+        params.sigma * np.sqrt(np.pi))
+    floor = 1e-12 * redfield.RATE_PREFACTOR * np.sum(
+        np.max(np.abs(V), axis=(1, 2)) ** 2 * peak)
     for ch in R_full.channels:
         diff = R.matrix((ch,)) - R_full.matrix((ch,))
-        assert np.max(np.abs(diff[common])) <= 1e-12 * scale
+        assert np.max(np.abs(diff[common])) <= 1e-12 * scale + floor
     for key in ("n_q", "skipped_modes", "imaginary_modes", "pruned_modes"):
         assert diag[key] == diag_full[key]
+
+
+@FEW
+@given(spec=toy_specs, grid=st.tuples(st.integers(1, 6), st.integers(1, 6),
+                                      st.integers(1, 6)))
+@example(spec=ToySpec(atoms_per_molecule=2), grid=(6, 6, 6))
+@example(spec=ToySpec(atoms_per_molecule=4), grid=(6, 6, 6))
+@example(spec=ToySpec(molecules_per_cell=2, atoms_per_molecule=7),
+         grid=(6, 6, 6))
+@example(spec=ToySpec(molecules_per_cell=4, atoms_per_molecule=3),
+         grid=(6, 6, 4))
+@example(spec=ToySpec(molecules_per_cell=2, atoms_per_molecule=3,
+                      jitter=0.05), grid=(6, 5, 4))
+def test_unfolded_eigenvectors_are_eigenvectors(spec, grid):
+    # without jitter the toy crystals keep operations, and the q-points
+    # that are not diagonalised take turned eigenvectors. The examples:
+    # inversion (the operations alone), three-cycles of atoms without
+    # inversion (time reversal composed in), and images one cell over
+    # (lattice shifts, so phases)
+    crystal, fc, derivs, system = generate_toy_crystal(spec)
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    phonons = pipeline.phonons(grid)
+    irreducible, _ = kpoint_orbits(*grid, pipeline.symmetry.rotations)
+    assert np.array_equal(phonons.qpoints[phonons.solved], irreducible)
+    assert_phonon_eigenpairs(pipeline.fc, phonons)
 
 
 def _pair_asymmetry(fc, grid):
@@ -446,7 +490,7 @@ def test_column_reader_raises_the_record_readers_error(faults, workdir,
 def _projection_args(pipeline, derivs, grid):
     """mode_tensor_derivatives arguments of every usable mode of the
     paired grid, as the pipeline passes them."""
-    qpts, weights, omega, vecs = pipeline.phonons(grid)
+    qpts, weights, omega, vecs, _ = pipeline.phonons(grid)
     iq, branch = np.nonzero(omega >= lattice.DEFAULT_OMEGA_MIN)
     return (derivs, qpts[iq], omega[iq, branch], vecs[iq, :, branch],
             pipeline.crystal, int(weights.sum()), weights[iq])

@@ -7,6 +7,7 @@ import pytest
 
 from spinphonon import redfield, sweep
 from spinphonon.coupling import CHANNEL_OF_KIND, CouplingStack
+from spinphonon.crystal import CrystalModel
 from spinphonon.errors import CapacityError, NumericalError, ValidationError
 from spinphonon.lattice import ForceConstantSet
 from spinphonon.project import load_project
@@ -17,7 +18,8 @@ from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
                               replicated_spin_system, run_sweep)
 from spinphonon.toy import ToySpec, generate_toy_crystal, toy_preset
 
-from dense_reference import assert_matches_dense, coupling_rows, dense_redfield
+from dense_reference import (assert_matches_dense, assert_phonon_eigenpairs,
+                             coupling_rows, dense_redfield)
 
 
 BASE = RunParams(qgrid=(4, 4, 4), sigma=1.0, temperature=50.0)
@@ -82,24 +84,97 @@ def test_cubic_orbits_cover_the_grid_once(grid):
     assert weights.sum() == np.prod(grid)
 
 
+@pytest.mark.parametrize("grid", [(6, 6, 6), (4, 4, 2), (3, 5, 7)])
+@pytest.mark.parametrize("group", ["cubic", "axis permutations"])
+def test_each_paired_point_names_an_operation_onto_its_orbit(grid, group):
+    rotations = np.array(_cubic_rotations())
+    if group == "axis permutations":  # no -E: time reversal composed in
+        rotations = rotations[np.all(rotations >= 0, axis=(1, 2))]
+    pairs = sweep.paired_orbits(*grid, rotations)
+    # S^T q, times -1 where reverse, is the representative's q modulo
+    # the reciprocal lattice
+    image = np.einsum("kba,kb->ka", rotations[pairs.op], pairs.qpoints)
+    image[pairs.reverse] *= -1
+    shift = image - pairs.qpoints[pairs.source]
+    assert np.max(np.abs(shift - np.round(shift))) < 1e-12
+    own = pairs.source == np.arange(len(pairs.source))
+    assert np.all(own[pairs.source])
+    if grid == (6, 6, 6):  # where every permutation maps the grid
+        assert pairs.reverse.any() == (group == "axis permutations")
+    qpts, weights = kpoint_orbits(*grid, rotations)
+    assert np.array_equal(pairs.qpoints[own], qpts)
+    assert np.array_equal(np.bincount(pairs.source, pairs.weights,
+                                      len(own))[own], weights)
+
+
 def test_pipeline_is_deterministic(soft_pipeline):
     t1 = soft_pipeline.relax(BASE).tau_ms
     t2 = soft_pipeline.relax(BASE).tau_ms
     assert t1 == t2
 
 
-def test_cached_phonons_match_fresh_computation(soft_bundle, soft_pipeline):
+def test_cached_phonons_match_fresh_computation(soft_pipeline):
     from spinphonon.lattice import enforce_acoustic_sum_rule, phonon_spectrum
-    crystal, fc, _, _ = soft_bundle
-    qpts, weights, omega, vecs = soft_pipeline.phonons((4, 4, 4))
+    # a jittered crystal has only the identity: every paired q-point is
+    # diagonalised, bit for bit as a paired eigh
+    crystal, fc, derivs, system = generate_toy_crystal(ToySpec(
+        molecules_per_cell=2, atoms_per_molecule=3, jitter=0.05, seed=4))
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    assert len(pipeline.symmetry.rotations) == 1
+    qpts, weights, omega, vecs, solved = pipeline.phonons((4, 4, 4))
     qpts2, weights2 = kpoint_orbits(4, 4, 4)
     omega2, vecs2 = phonon_spectrum(enforce_acoustic_sum_rule(fc), qpts2)
     assert np.array_equal(qpts, qpts2) and np.array_equal(weights, weights2)
+    assert solved.all()
     assert np.array_equal(omega, omega2)
     assert np.array_equal(vecs, vecs2)
     # second call hits the cache and returns the same arrays
-    _, _, omega_b, _ = soft_pipeline.phonons((4, 4, 4))
-    assert omega_b is omega
+    assert pipeline.phonons((4, 4, 4)).omega is omega
+    # the soft crystal's 16 operations: one q-point of each orbit is
+    # diagonalised, the others get its frequencies and turned eigenvectors
+    grid = soft_pipeline.phonons((4, 4, 4))
+    rotations = soft_pipeline.symmetry.rotations
+    assert len(rotations) == 16
+    assert np.array_equal(grid.qpoints, qpts2)
+    assert grid.solved.sum() == len(kpoint_orbits(4, 4, 4, rotations)[0]) < 36
+    assert_phonon_eigenpairs(soft_pipeline.fc, grid)
+
+
+def _sheared(bundle, M):
+    """``bundle`` on the lattice vectors M @ cell, M unimodular: the same
+    crystal, with every fractional position and lattice vector rewritten
+    in that basis."""
+    crystal, fc, derivs, system = bundle
+    back = np.rint(np.linalg.inv(M)).astype(int)
+    sheared = CrystalModel(cell=M @ crystal.cell, atoms=[
+        replace(a, frac=a.frac @ back) for a in crystal.atoms])
+    fc = ForceConstantSet(crystal=sheared, lvecs=fc.lvecs @ back, i=fc.i,
+                          s=fc.s, j=fc.j, t=fc.t, values=fc.values)
+    return sheared, fc, replace(derivs, lvecs=derivs.lvecs @ back), system
+
+
+def test_a_sheared_cell_keeps_every_operation(soft_bundle, monkeypatch):
+    # b + c for b: the rotations that take it onto b - c have a column
+    # outside {-1, 0, 1}^3, and come back as products of the others
+    bundle = _sheared(soft_bundle, np.array([[1, 0, 0], [0, 1, 1],
+                                             [0, 0, 1]]))
+    pipeline = RelaxationPipeline(*bundle)
+    rotations = pipeline.symmetry.rotations
+    assert len(rotations) == 16
+    # the 4^3 grid is the same set of q-points in any basis
+    grid = pipeline.phonons((4, 4, 4))
+    assert grid.solved.sum() == len(kpoint_orbits(4, 4, 4, rotations)[0])
+    assert grid.solved.sum() == 18
+    assert_phonon_eigenpairs(pipeline.fc, grid)
+    R = pipeline.redfield(BASE)[0].matrix()
+    # against eigh on every paired q-point
+    paired = sweep.paired_orbits
+    monkeypatch.setattr(sweep, "paired_orbits",
+                        lambda n1, n2, n3, rotations: paired(n1, n2, n3))
+    alone = RelaxationPipeline(*bundle)
+    assert alone.phonons((4, 4, 4)).solved.all()
+    R_all = alone.redfield(BASE)[0].matrix()
+    assert np.max(np.abs(R - R_all)) <= 1e-12 * np.max(np.abs(R_all))
 
 
 def test_doubling_coupling_quarters_tau(soft_pipeline):
