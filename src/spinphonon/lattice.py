@@ -378,11 +378,11 @@ def symmetry_rotations(fc):
     return Symmetry(S[keep], tau[keep], perm[keep], shift[keep])
 
 
-def unfold_modes(crystal, symmetry, op, reverse, qpoints, vecs):
-    """Eigenvectors at q' = qpoints[k] (fractional) from those ``vecs[k]``
-    (3N, M) of D(q) at a q-point that operation S = symmetry.rotations
-    [op[k]] relates to it: S^T q' = q, or S^T q' = -q where ``reverse[k]``,
-    modulo the reciprocal lattice.
+def unfold_modes(crystal, symmetry, op, reverse, qpoints, vecs, source):
+    """Eigenvectors at q' = qpoints[k] (fractional) from those
+    ``vecs[source[k]]`` (3N, M) of D(q) at a q-point that operation
+    S = symmetry.rotations[op[k]] relates to it: S^T q' = q, or
+    S^T q' = -q where ``reverse[k]``, modulo the reciprocal lattice.
 
     D(q') = U D(S^T q') U^H with U_perm(i),i = e^{-2 pi i q'.shift_i} R
     (R the Cartesian rotation, ``Symmetry`` the permutation and shifts),
@@ -392,17 +392,16 @@ def unfold_modes(crystal, symmetry, op, reverse, qpoints, vecs):
     K, M = len(op), vecs.shape[-1]
     R = _cartesian(crystal.cell, symmetry.rotations)[op][:, None]
     # row j of U v is the turned row of the atom that goes to j
-    source = (np.arange(K)[:, None],
-              np.argsort(symmetry.perms, axis=1)[op])  # (K, N)
-    v = np.reshape(vecs, (K, -1, 3, M))[source]
+    atom = np.argsort(symmetry.perms, axis=1)[op]  # (K, N)
+    v = np.reshape(vecs, (len(vecs), -1, 3, M))[source[:, None], atom]
     # R is real: it turns the real and imaginary parts side by side, and
     # R conj(v) = conj(R v)
     turned = (R @ v.view(float)).view(complex)
     np.conjugate(turned, out=turned, where=reverse[:, None, None, None])
-    shift = symmetry.shifts[op][source]  # (K, N, 3)
+    shift = symmetry.shifts[op[:, None], atom]  # (K, N, 3)
     turned *= np.exp(-2j * np.pi * np.sum(shift * qpoints[:, None], axis=2)
                      )[:, :, None, None]
-    return turned.reshape(vecs.shape)
+    return turned.reshape(K, -1, M)
 
 
 def dynamical_matrices(fc, qpoints):

@@ -500,12 +500,12 @@ class RelaxationPipeline:
                 if not solved.all():
                     source = (np.cumsum(solved) - 1)[pairs.source]
                     moved = ~solved
-                    vecs = vecs[source]
-                    vecs[moved] = unfold_modes(
+                    turned = unfold_modes(
                         self.fc.crystal, self.symmetry, pairs.op[moved],
-                        pairs.reverse[moved], pairs.qpoints[moved],
-                        vecs[moved])
-                    omega = omega[source]
+                        pairs.reverse[moved], pairs.qpoints[moved], vecs,
+                        source[moved])
+                    omega, vecs = omega[source], vecs[source]
+                    vecs[moved] = turned
             spectra[key] = PhononGrid(pairs.qpoints, pairs.weights, omega,
                                       vecs, solved)
         return spectra[key]

@@ -38,9 +38,8 @@ from spinphonon.toy import ToySpec, generate_toy_crystal
 from spinphonon.units import ANGULAR_FREQUENCY_PER_CM1, KB_CM1_PER_K
 
 from dense_reference import (assert_matches_dense, assert_phonon_eigenpairs,
-                             bohr_omega, cluster_labels,
-                             coupling_rows, dense_redfield,
-                             detailed_balance_generator,
+                             bohr_omega, cluster_labels, coupling_rows,
+                             dense_redfield, detailed_balance_generator,
                              exhaustive_slowest_mode, gershgorin_rate,
                              in_cluster, reference_correlation,
                              reference_decomposition_weights, reference_dos,
