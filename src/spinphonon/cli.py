@@ -229,7 +229,8 @@ def _stage_summary(diagnostics):
     """"timings_s <stage> <s> ...; cache_hits <n>", summed over the
     diagnostics of the points, then "; symmetry_ops <m> irreducible_q
     <diagonalised>/<paired>" as ``dos`` prints them, with the q-point
-    counts of each distinct grid of the points, comma-separated."""
+    counts of each distinct grid of the points, comma-separated, and n/a
+    for operations never sought (``sweep.SYMMETRY_MIN_Q``)."""
     timings = dict.fromkeys(STAGES, 0.0)
     for d in diagnostics:
         for stage, t in d["timings_s"].items():
@@ -240,7 +241,9 @@ def _stage_summary(diagnostics):
     if diagnostics:
         grids = dict.fromkeys(f"{a}/{b}" for a, b in
                               (d["irreducible_q"] for d in diagnostics))
-        out += (f"; symmetry_ops {diagnostics[0]['symmetry_ops']} "
+        ops = next((d["symmetry_ops"] for d in diagnostics
+                    if d["symmetry_ops"] is not None), "n/a")
+        out += (f"; symmetry_ops {ops} "
                 f"irreducible_q {','.join(grids)}")
     return out
 

@@ -45,7 +45,7 @@ SYMMETRY_TOL = 1e-9
 #: most elements of a temporary array of the symmetry search and of
 #: ``sweep.paired_orbits``: a larger stack of operations, or of their
 #: q-point images, is taken in chunks
-SYMMETRY_BLOCK = 1 << 20
+SYMMETRY_BLOCK = 1 << 18
 
 #: |omega| (cm^-1) below which a mode counts as zero whatever its sign:
 #: eigh round-off leaves the Gamma acoustic modes at either sign, so only

@@ -11,7 +11,8 @@ reduce the phonon eigensolves, not the projections: only one paired
 q-point of each orbit is diagonalised, and the others take its
 frequencies, bit for bit, and its eigenvectors turned by the operation
 (``lattice.unfold_modes``); ``CouplingStack`` merges equal frequencies,
-so assembly runs over one frequency per star. The derivative records
+so assembly runs over one frequency per star. A grid of fewer than
+``SYMMETRY_MIN_Q`` q-points seeks no operation. The derivative records
 of the spin's tensors follow no rotation of the lattice, so every
 paired q-point is projected. An operation is accepted within
 ``lattice.SYMMETRY_TOL`` of max|Phi|: on force constants that are
@@ -20,8 +21,8 @@ D(q) within that distance of the point's own. Mode counts in the
 diagnostics (imaginary, below omega_min, pruned) and ``n_q`` are
 full-grid counts; ``n_couplings`` counts the nonzero standing-wave
 parts of the modes (``CouplingStack``); ``symmetry_ops`` and
-``irreducible_q`` (diagonalised, paired) count the operations and the
-q-points, as ``dos`` prints them.
+``irreducible_q`` (diagonalised, paired) count the operations (None
+where none were sought) and the q-points, as ``dos`` prints them.
 
 The pipeline caches four things: the crystal's operations and the
 phonon spectra per q-grid, both shared with ``with_spins`` siblings, the
@@ -158,14 +159,17 @@ def _orbit_minima(A, flat, n):
     span = int(np.max(np.abs(rows[:, 1:]) @ (n - 1)))
     wrap = np.concatenate([np.arange(-span, span + 1) % m * t
                            for m, t in zip(n, strides)]).astype(np.int32)
-    off = rows[:, :1] * (2 * span + 1) + span
-    k = np.stack(np.unravel_index(flat, n))
+    off = (rows[:, :1] * (2 * span + 1) + span).astype(np.int32)
+    rows = rows[:, 1:].astype(np.int32)
+    k = np.stack(np.unravel_index(flat, n)).astype(np.int32)
     best = np.empty(flat.size, dtype=int)
     rep = np.empty(flat.size, dtype=int)
     step = max(1, SYMMETRY_BLOCK // (len(A) + len(rows)))
     for lo in range(0, flat.size, step):
         chunk = slice(lo, lo + step)
-        part = wrap[rows[:, 1:] @ k[:, chunk] + off]
+        part = rows @ k[:, chunk]
+        part += off
+        part = wrap[part]
         image = part[which[:, 0]]  # (action, point)
         image += part[which[:, 1]]
         image += part[which[:, 2]]
@@ -189,6 +193,13 @@ def kpoint_orbits(n1, n2, n3, rotations=()):
     weights = np.bincount(pairs.source, pairs.weights, own.size)
     return pairs.qpoints[own], weights[own].astype(int)
 
+
+#: fewest q-points of a grid (n1 n2 n3) on which the pipeline looks for
+#: the crystal's operations. The search and the orbits cost about as much
+#: as the eigensolves of a hundred paired q-points (1.5 ms on the d = 32
+#: pair project against some 15 us per 12-branch D(q), 2 vCPU), so a
+#: smaller grid diagonalises every paired q-point
+SYMMETRY_MIN_Q = 256
 
 #: stages timed per point, in diagnostics["timings_s"]
 STAGES = ("phonons", "mode_tensors", "hamiltonian", "couplings", "assembly",
@@ -255,14 +266,16 @@ class _StackCache(NamedTuple):
 class PhononGrid(NamedTuple):
     """The phonons of one q-point of each {q, -q} pair of a grid
     (``RelaxationPipeline.phonons``): frequencies (P, 3N) and eigenvector
-    columns vecs[k, :, a] of omega[k, a] at each q-point, its weight, and
-    the mask of the q-points that were diagonalised (``solved``)."""
+    columns vecs[k, :, a] of omega[k, a] at each q-point, its weight, the
+    mask of the q-points that were diagonalised (``solved``) and the
+    number of the crystal's operations, None where none were sought."""
 
     qpoints: np.ndarray
     weights: np.ndarray
     omega: np.ndarray
     vecs: np.ndarray
     solved: np.ndarray
+    symmetry_ops: int
 
 
 class _PhononCache:
@@ -290,7 +303,7 @@ class _ModeCache:
     ``symmetry_ops`` and ``irreducible_q``, the q-points diagonalised
     and paired."""
 
-    def __init__(self, spectrum, omega_min, symmetry_ops):
+    def __init__(self, spectrum, omega_min):
         weights, omega = spectrum.weights, spectrum.omega
         self.spectrum = spectrum
         self.iq, self.branch = np.nonzero(omega >= omega_min)
@@ -301,7 +314,7 @@ class _ModeCache:
                                                      axis=1))
         skipped = nq * omega.shape[1] - int(self.weight.sum()) - n_imaginary
         self.diag = {"skipped_modes": skipped, "imaginary_modes": n_imaginary,
-                     "n_q": nq, "symmetry_ops": symmetry_ops,
+                     "n_q": nq, "symmetry_ops": spectrum.symmetry_ops,
                      "irreducible_q": [int(spectrum.solved.sum()),
                                        spectrum.solved.size]}
         self.done = np.zeros(self.omega.size, dtype=bool)
@@ -482,19 +495,22 @@ class RelaxationPipeline:
         """Cached PhononGrid of one q-point of each {q, -q} pair of the
         grid (``paired_orbits``).
 
-        Only the representative of each orbit of the crystal's operations
+        On a grid of at least ``SYMMETRY_MIN_Q`` q-points, only the
+        representative of each orbit of the crystal's operations
         (``symmetry``) and time reversal is diagonalised. Every other
         paired q-point takes its frequencies, bit for bit, and its
         eigenvectors turned by the operation (``lattice.unfold_modes``),
         eigenvectors of D(q) there. A crystal with no operation but the
-        identity diagonalises every paired q-point."""
+        identity, or a smaller grid, diagonalises every paired q-point."""
         key = tuple(qgrid)
         spectra = self._phonon_cache.spectra
         if key in spectra:
             self._log.cache_hits += 1
         else:
             with self._timed("phonons"):
-                pairs = paired_orbits(*qgrid, self.symmetry.rotations)
+                sought = math.prod(qgrid) >= SYMMETRY_MIN_Q
+                pairs = paired_orbits(*qgrid, self.symmetry.rotations
+                                      if sought else ())
                 solved = pairs.source == np.arange(pairs.source.size)
                 omega, vecs = phonon_spectrum(self.fc, pairs.qpoints[solved])
                 if not solved.all():
@@ -506,8 +522,9 @@ class RelaxationPipeline:
                         source[moved])
                     omega, vecs = omega[source], vecs[source]
                     vecs[moved] = turned
-            spectra[key] = PhononGrid(pairs.qpoints, pairs.weights, omega,
-                                      vecs, solved)
+            spectra[key] = PhononGrid(
+                pairs.qpoints, pairs.weights, omega, vecs, solved,
+                len(self.symmetry.rotations) if sought else None)
         return spectra[key]
 
     def mode_precursors(self, qgrid, omega_min=DEFAULT_OMEGA_MIN, keep=None):
@@ -526,8 +543,7 @@ class RelaxationPipeline:
         key = (tuple(qgrid), omega_min)
         cache = self._precursor_cache.get(key)
         if cache is None:
-            cache = _ModeCache(self.phonons(qgrid), omega_min,
-                               len(self.symmetry.rotations))
+            cache = _ModeCache(self.phonons(qgrid), omega_min)
             self._precursor_cache[key] = cache
         else:
             self._log.cache_hits += 1
@@ -535,7 +551,7 @@ class RelaxationPipeline:
                 else keep(cache.omega))
         new = want & ~cache.done
         if cache.tensors is None or new.any():
-            qpts, weights, omega, vecs, _ = cache.spectrum
+            qpts, weights, omega, vecs = cache.spectrum[:4]
             iq, branch = cache.iq[new], cache.branch[new]
             with self._timed("mode_tensors"):
                 modes = mode_tensor_derivatives(

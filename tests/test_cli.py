@@ -231,7 +231,8 @@ def test_relax_records_numerical_health(vanadyl_config, tmp_path, capsys):
     line, = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("timings_s ")]
     assert all(f" {stage} " in line for stage in sweep.STAGES)
-    assert ("; cache_hits 0; symmetry_ops 1 irreducible_q 36/36; "
+    # a 4^3 grid seeks no operation (sweep.SYMMETRY_MIN_Q)
+    assert ("; cache_hits 0; symmetry_ops n/a irreducible_q 36/36; "
             "bohr_clusters " in line)
     diag = json.load(open(os.path.join(out, "relax.json")))["rows"][0][
         "diagnostics"]
@@ -321,7 +322,7 @@ def test_sweep_writes_rows(tmp_path, capsys):
     with open(cfg, "w") as fh:
         json.dump(doc, fh)
     out = str(tmp_path / "sw")
-    assert main(["sweep", "--config", cfg, "--grid", "4,4,4",
+    assert main(["sweep", "--config", cfg, "--grid", "8,8,8",
                  "--out", out]) == EXIT_OK
     line, = [ln for ln in capsys.readouterr().out.splitlines()
              if ln.startswith("sweep 0 ")]
@@ -329,7 +330,7 @@ def test_sweep_writes_rows(tmp_path, capsys):
                            "timings_s phonons ")
     assert all(f" {stage} " in line for stage in sweep.STAGES)
     assert line.endswith("; cache_hits 1; "
-                         "symmetry_ops 16 irreducible_q 18/36")
+                         "symmetry_ops 16 irreducible_q 75/260")
     rows = list(csv.DictReader(
         open(os.path.join(out, "sweep_0_temperature.csv"))))
     assert len(rows) == 2

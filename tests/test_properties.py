@@ -259,9 +259,10 @@ def test_paired_grid_gives_the_full_grid_redfield_tensor(spec, grid, secular,
     crystal, fc, derivs, system = generate_toy_crystal(spec)
     params = RunParams(qgrid=grid, sigma=1.0, temperature=30.0,
                        secular=secular, prune_sigma_mult=prune)
-    R, *_, diag = RelaxationPipeline(crystal, fc, derivs,
-                                     system).redfield(params)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "SYMMETRY_MIN_Q", 1)  # unfold on every grid
+        R, *_, diag = RelaxationPipeline(crystal, fc, derivs,
+                                         system).redfield(params)
         mp.setattr(sweep, "paired_orbits", _full_grid_orbits)
         full = RelaxationPipeline(crystal, fc, derivs, system)
         R_full, *_, diag_full = full.redfield(params)
@@ -306,7 +307,9 @@ def test_unfolded_eigenvectors_are_eigenvectors(spec, grid):
     # (lattice shifts, so phases)
     crystal, fc, derivs, system = generate_toy_crystal(spec)
     pipeline = RelaxationPipeline(crystal, fc, derivs, system)
-    phonons = pipeline.phonons(grid)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "SYMMETRY_MIN_Q", 1)
+        phonons = pipeline.phonons(grid)
     irreducible, _ = kpoint_orbits(*grid, pipeline.symmetry.rotations)
     assert np.array_equal(phonons.qpoints[phonons.solved], irreducible)
     assert_phonon_eigenpairs(pipeline.fc, phonons)
@@ -489,7 +492,7 @@ def test_column_reader_raises_the_record_readers_error(faults, workdir,
 def _projection_args(pipeline, derivs, grid):
     """mode_tensor_derivatives arguments of every usable mode of the
     paired grid, as the pipeline passes them."""
-    qpts, weights, omega, vecs, _ = pipeline.phonons(grid)
+    qpts, weights, omega, vecs = pipeline.phonons(grid)[:4]
     iq, branch = np.nonzero(omega >= lattice.DEFAULT_OMEGA_MIN)
     return (derivs, qpts[iq], omega[iq, branch], vecs[iq, :, branch],
             pipeline.crystal, int(weights.sum()), weights[iq])

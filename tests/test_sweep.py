@@ -113,7 +113,7 @@ def test_pipeline_is_deterministic(soft_pipeline):
     assert t1 == t2
 
 
-def test_cached_phonons_match_fresh_computation(soft_pipeline):
+def test_cached_phonons_match_fresh_computation(soft_pipeline, monkeypatch):
     from spinphonon.lattice import enforce_acoustic_sum_rule, phonon_spectrum
     # a jittered crystal has only the identity: every paired q-point is
     # diagonalised, bit for bit as a paired eigh
@@ -121,22 +121,29 @@ def test_cached_phonons_match_fresh_computation(soft_pipeline):
         molecules_per_cell=2, atoms_per_molecule=3, jitter=0.05, seed=4))
     pipeline = RelaxationPipeline(crystal, fc, derivs, system)
     assert len(pipeline.symmetry.rotations) == 1
-    qpts, weights, omega, vecs, solved = pipeline.phonons((4, 4, 4))
-    qpts2, weights2 = kpoint_orbits(4, 4, 4)
+    qpts, weights, omega, vecs, solved, _ = pipeline.phonons((8, 8, 8))
+    qpts2, weights2 = kpoint_orbits(8, 8, 8)
     omega2, vecs2 = phonon_spectrum(enforce_acoustic_sum_rule(fc), qpts2)
     assert np.array_equal(qpts, qpts2) and np.array_equal(weights, weights2)
     assert solved.all()
     assert np.array_equal(omega, omega2)
     assert np.array_equal(vecs, vecs2)
     # second call hits the cache and returns the same arrays
-    assert pipeline.phonons((4, 4, 4)).omega is omega
+    assert pipeline.phonons((8, 8, 8)).omega is omega
+    # a grid below SYMMETRY_MIN_Q seeks no operation
+    assert np.prod((4, 4, 4)) < sweep.SYMMETRY_MIN_Q
+    small = soft_pipeline.phonons((4, 4, 4))
+    assert small.solved.all() and small.symmetry_ops is None
     # the soft crystal's 16 operations: one q-point of each orbit is
     # diagonalised, the others get its frequencies and turned eigenvectors
-    grid = soft_pipeline.phonons((4, 4, 4))
+    monkeypatch.setattr(sweep, "SYMMETRY_MIN_Q", 1)
+    grid = soft_pipeline.with_spins(soft_pipeline.system,
+                                    soft_pipeline.derivs).phonons((3, 4, 5))
     rotations = soft_pipeline.symmetry.rotations
-    assert len(rotations) == 16
-    assert np.array_equal(grid.qpoints, qpts2)
-    assert grid.solved.sum() == len(kpoint_orbits(4, 4, 4, rotations)[0]) < 36
+    assert len(rotations) == grid.symmetry_ops == 16
+    assert np.array_equal(grid.qpoints, kpoint_orbits(3, 4, 5)[0])
+    assert grid.solved.sum() == len(kpoint_orbits(3, 4, 5, rotations)[0])
+    assert grid.solved.sum() < len(grid.solved)
     assert_phonon_eigenpairs(soft_pipeline.fc, grid)
 
 
@@ -156,6 +163,7 @@ def _sheared(bundle, M):
 def test_a_sheared_cell_keeps_every_operation(soft_bundle, monkeypatch):
     # b + c for b: the rotations that take it onto b - c have a column
     # outside {-1, 0, 1}^3, and come back as products of the others
+    monkeypatch.setattr(sweep, "SYMMETRY_MIN_Q", 1)
     bundle = _sheared(soft_bundle, np.array([[1, 0, 0], [0, 1, 1],
                                              [0, 0, 1]]))
     pipeline = RelaxationPipeline(*bundle)
