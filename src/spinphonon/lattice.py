@@ -181,16 +181,6 @@ def enforce_acoustic_sum_rule(fc):
     )
 
 
-def _row_keys(rows):
-    """One integer per row of the integer array ``rows`` (n, 9), equal
-    for equal rows: the entries as digits, or the rank among the
-    distinct rows where those would overflow int64."""
-    base = 2 * int(np.max(np.abs(rows))) + 1
-    if base ** 9 < 2 ** 63:
-        return (rows + base // 2) @ base ** np.arange(9)
-    return _unique_rows(rows)[1]
-
-
 def _closure(S):
     """The distinct integer matrices S (m, 3, 3) closed under products,
     those of S first and the products after them in order of first
@@ -202,7 +192,7 @@ def _closure(S):
         prod = S.reshape(-1, 3) @ S.transpose(1, 0, 2).reshape(3, -1)
         rows = np.concatenate([S.reshape(-1, 9), prod.reshape(
             m, 3, m, 3).transpose(0, 2, 1, 3).reshape(-1, 9)])
-        keys = _row_keys(rows)
+        keys = _unique_rows(rows)[1]
         if np.all(np.isin(keys[m:], keys[:m])):
             return S
         first = np.unique(keys, return_index=True)[1]
@@ -410,27 +400,39 @@ def dynamical_matrices(fc, qpoints):
     q-points in fractional reciprocal coordinates; returns the stack
     (nq, 3N, 3N), Hermitian to round-off, built from the symmetrized
     blocks of ``ForceConstantSet.mass_weighted_blocks`` as one
-    (nq x n_l)(n_l x 9N^2) product. A force constant set whose unsymmetrized D(q) departs
-    from Hermitian by more than ``ASYMMETRY_TOL`` at any q-point is
-    rejected, naming the worst q-point; the check is skipped when every
-    block equals the transpose of its -l partner.
+    (nq x n_l)(n_l x 9N^2) product, after ``check_hermitian`` at every
+    q-point.
     """
     if fc.n_records == 0:
         raise ValidationError("empty force constant set")
     if np.any(fc.crystal.masses <= 0):
         raise ValidationError("missing or non-positive masses")
-    lvecs, sym, asym = fc.mass_weighted_blocks()
+    lvecs, sym, _ = fc.mass_weighted_blocks()
     qpoints = np.asarray(qpoints, dtype=float)
     phases = np.exp(2j * np.pi * (qpoints @ lvecs.T))  # (nq, nl)
-    if asym is not None:
-        defect = np.max(np.abs(phases @ asym.reshape(len(lvecs), -1)), axis=1)
-        worst = int(np.argmax(defect))
-        if defect[worst] > ASYMMETRY_TOL:
-            raise ValidationError(
-                f"D(q) asymmetry {defect[worst]:.2e} above "
-                f"{ASYMMETRY_TOL:.0e} at q={qpoints[worst].tolist()}")
+    check_hermitian(fc, qpoints, phases)
     return (phases @ sym.reshape(len(lvecs), -1)).reshape(
         len(qpoints), *sym.shape[1:])
+
+
+def check_hermitian(fc, qpoints, phases=None):
+    """ValidationError naming the worst q-point when the unsymmetrized
+    D(q) of ``fc`` departs from Hermitian by more than ``ASYMMETRY_TOL``
+    (largest |element| of D - D^H) at any of the fractional ``qpoints``;
+    ``phases`` are their e^{i q.R_l} over ``fc.mass_weighted_blocks()``,
+    if already at hand. Nothing is computed when every block equals the
+    transpose of its -l partner."""
+    lvecs, _, asym = fc.mass_weighted_blocks()
+    if asym is None:
+        return
+    if phases is None:
+        phases = np.exp(2j * np.pi * (qpoints @ lvecs.T))
+    defect = np.max(np.abs(phases @ asym.reshape(len(lvecs), -1)), axis=1)
+    worst = int(np.argmax(defect))
+    if defect[worst] > ASYMMETRY_TOL:
+        raise ValidationError(
+            f"D(q) asymmetry {defect[worst]:.2e} above "
+            f"{ASYMMETRY_TOL:.0e} at q={qpoints[worst].tolist()}")
 
 
 def phonon_spectrum(fc, qpoints):

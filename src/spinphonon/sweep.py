@@ -59,8 +59,8 @@ from .errors import (CapacityError, NumericalError, ValidationError,
                      as_real, finite_number)
 from .hamiltonian import assemble_hamiltonian
 from .lattice import (DEFAULT_OMEGA_MIN, SYMMETRY_BLOCK, _unique_rows,
-                      enforce_acoustic_sum_rule, phonon_spectrum,
-                      symmetry_rotations, unfold_modes)
+                      check_hermitian, enforce_acoustic_sum_rule,
+                      phonon_spectrum, symmetry_rotations, unfold_modes)
 from .redfield import (ASSEMBLY_BLOCK, PhononCorrelation, assemble_redfield,
                        extract_relaxation_time)
 from .spins import SpinCenter, SpinSystem, build_spin_operators
@@ -130,14 +130,10 @@ def paired_orbits(n1, n2, n3, rotations=()):
     # -E composed in, unless the group holds it already
     if not np.any(np.all(A == -np.eye(3, dtype=int), axis=(1, 2))):
         A = np.concatenate([A, -A])
-    if np.all(A == A[:, :1, :1] * np.eye(3, dtype=int)):
-        # E and -E alone: each pair is an orbit
-        best, source = np.zeros(first.size, dtype=int), np.arange(first.size)
-    else:
-        best, rep = _orbit_minima(A, first, n)
-        position = np.zeros(partner.size, dtype=int)
-        position[first] = np.arange(first.size)
-        source = position[rep]
+    best, rep = _orbit_minima(A, first, n)
+    position = np.zeros(partner.size, dtype=int)
+    position[first] = np.arange(first.size)
+    source = position[rep]
     return PairedOrbits(qpoints=qpts[first],
                         weights=np.where(partner[first] == first, 1, 2),
                         source=source, op=ops[best % len(ops)],
@@ -195,10 +191,17 @@ def kpoint_orbits(n1, n2, n3, rotations=()):
 
 
 #: fewest q-points of a grid (n1 n2 n3) on which the pipeline looks for
-#: the crystal's operations. The search and the orbits cost about as much
-#: as the eigensolves of a hundred paired q-points (1.5 ms on the d = 32
-#: pair project against some 15 us per 12-branch D(q), 2 vCPU), so a
-#: smaller grid diagonalises every paired q-point
+#: the crystal's operations; a smaller grid diagonalises every paired
+#: q-point. Where the search (1.4-1.9 ms on the 16-operation toys) pays
+#: depends on the branch count, the spin dimension and how many points
+#: share the grid, which a q-point count ignores. One relax from a fresh
+#: pipeline (1 thread, 2-vCPU Xeon) gains from 4^3 on the d = 32 pair
+#: project (12 branches; 2^3 16.2 -> 19.3 ms, 4^3 20.9 -> 18.5 ms) and
+#: still loses at 8^3 on the d = 2 soft preset (6 branches, 4.2 ->
+#: 5.0 ms); the phonons stage alone breaks even between 6^3 and 7^3 on
+#: the pair crystal. The value only separates the existing workloads:
+#: the pair project at 2^3 below it, vanadyl at 8^3 and the soft sweep
+#: at 16^3 above it
 SYMMETRY_MIN_Q = 256
 
 #: stages timed per point, in diagnostics["timings_s"]
@@ -500,7 +503,9 @@ class RelaxationPipeline:
         (``symmetry``) and time reversal is diagonalised. Every other
         paired q-point takes its frequencies, bit for bit, and its
         eigenvectors turned by the operation (``lattice.unfold_modes``),
-        eigenvectors of D(q) there. A crystal with no operation but the
+        eigenvectors of D(q) there, and is checked for a D(q) that departs
+        from Hermitian as the diagonalised ones are
+        (``lattice.check_hermitian``). A crystal with no operation but the
         identity, or a smaller grid, diagonalises every paired q-point."""
         key = tuple(qgrid)
         spectra = self._phonon_cache.spectra
@@ -512,6 +517,10 @@ class RelaxationPipeline:
                 pairs = paired_orbits(*qgrid, self.symmetry.rotations
                                       if sought else ())
                 solved = pairs.source == np.arange(pairs.source.size)
+                if not solved.all():
+                    # the largest |element| of D - D^H need not be the
+                    # same over an orbit: check every paired q-point
+                    check_hermitian(self.fc, pairs.qpoints)
                 omega, vecs = phonon_spectrum(self.fc, pairs.qpoints[solved])
                 if not solved.all():
                     source = (np.cumsum(solved) - 1)[pairs.source]

@@ -9,7 +9,7 @@ from spinphonon import redfield, sweep
 from spinphonon.coupling import CHANNEL_OF_KIND, CouplingStack
 from spinphonon.crystal import CrystalModel
 from spinphonon.errors import CapacityError, NumericalError, ValidationError
-from spinphonon.lattice import ForceConstantSet
+from spinphonon.lattice import ForceConstantSet, dynamical_matrices
 from spinphonon.project import load_project
 from spinphonon.redfield import PhononCorrelation
 from spinphonon.sweep import (RelaxationPipeline, RunParams, SweepPlan,
@@ -183,6 +183,31 @@ def test_a_sheared_cell_keeps_every_operation(soft_bundle, monkeypatch):
     assert alone.phonons((4, 4, 4)).solved.all()
     R_all = alone.redfield(BASE)[0].matrix()
     assert np.max(np.abs(R - R_all)) <= 1e-12 * np.max(np.abs(R_all))
+
+
+def test_an_asymmetry_off_the_irreducible_q_points_is_rejected(soft_bundle):
+    crystal, fc, derivs, system = soft_bundle
+    # Phi_0x,0y gains (1, -2, 1) delta at l = 0, (0, 1, 0) and (0, 0, 1),
+    # no row sum and no transposed partner: D - D^H has
+    # delta/m |1 - 2 e^{2 pi i q_y} + e^{2 pi i q_z}| there, 4 delta/m at
+    # q = (0, 1/2, 0) and at most 2 delta/m on the points the operations
+    # leave to be diagonalised. With the force constants scaled up, the
+    # operations still hold within SYMMETRY_TOL of max|Phi|.
+    delta = crystal.masses[0] / 3e9
+    fc = ForceConstantSet(
+        crystal=crystal,
+        lvecs=[*fc.lvecs, (0, 0, 0), (0, 1, 0), (0, 0, 1)],
+        i=[*fc.i, 0, 0, 0], s=[*fc.s, 0, 0, 0], j=[*fc.j, 0, 0, 0],
+        t=[*fc.t, 1, 1, 1],
+        values=[*(1e3 * fc.values), delta, -2 * delta, delta])
+    pipeline = RelaxationPipeline(crystal, fc, derivs, system)
+    assert len(pipeline.symmetry.rotations) == 16
+    pairs = sweep.paired_orbits(8, 8, 8, pipeline.symmetry.rotations)
+    solved = pairs.source == np.arange(len(pairs.source))
+    dynamical_matrices(pipeline.fc, pairs.qpoints[solved])
+    worst = r"asymmetry 1\.33e-09 above 1e-09 at q=\[0\.0, 0\.5, 0\.0\]"
+    with pytest.raises(ValidationError, match=worst):
+        pipeline.relax(replace(BASE, qgrid=(8, 8, 8)))
 
 
 def test_doubling_coupling_quarters_tau(soft_pipeline):
